@@ -1563,7 +1563,7 @@ let parscale_env ~nests ~seed_const =
   Depenv.make (List.hd program.Ast.punits)
 
 let ddg_digest (g : Ddg.t) =
-  Digest.to_hex (Digest.string (Marshal.to_string g []))
+  Digest.to_hex (Digest.string (Marshal.to_string g [ Marshal.No_sharing ]))
 
 let best_of reps f =
   let best = ref infinity in

@@ -66,12 +66,17 @@ type t = {
   units : (string, entry) Hashtbl.t;
   (* interprocedural summaries, keyed by whole-program fingerprint *)
   summaries : (Fingerprint.t, Interproc.Summary.t) Hashtbl.t;
+  (* the summary most recently returned: the reuse base of the next build *)
+  mutable last_summary : Interproc.Summary.t option;
+  (* per-unit content digests, by name, valid for the unit value held *)
+  digests : (string, Ast.program_unit * Fingerprint.t) Hashtbl.t;
   ddg_cache : Ddg.cache;
   c_env_hits : Telemetry.counter;
   c_env_misses : Telemetry.counter;
   c_invalidations : Telemetry.counter;
   c_summary_hits : Telemetry.counter;
   c_summary_builds : Telemetry.counter;
+  c_summary_units : Telemetry.counter;
   c_tests : Telemetry.counter;
   c_bucket_hits : Telemetry.counter;
   c_bucket_misses : Telemetry.counter;
@@ -100,6 +105,8 @@ let create ?(caching = true) ?(config = Depenv.full_config)
     asserts = Depenv.no_assertions;
     units = Hashtbl.create 8;
     summaries = Hashtbl.create 8;
+    last_summary = None;
+    digests = Hashtbl.create 64;
     ddg_cache =
       (match sharing with
       | Some { sh_ddg_cache = Some cache; _ } -> cache
@@ -109,6 +116,7 @@ let create ?(caching = true) ?(config = Depenv.full_config)
     c_invalidations = c "engine.invalidations";
     c_summary_hits = c "engine.summary_hits";
     c_summary_builds = c "engine.summary_builds";
+    c_summary_units = c "engine.summary_units_recomputed";
     c_tests = c "ddg.tests_executed";
     c_bucket_hits = c "ddg.bucket_hits";
     c_bucket_misses = c "ddg.bucket_misses";
@@ -132,35 +140,58 @@ let set_program t program = t.program <- program
 
 let set_assertions t asserts = t.asserts <- asserts
 
+(* A unit's content digest, computed once per unit value: an edit
+   replaces only the units it touches, so the rest keep their digest. *)
+let unit_digest t (u : Ast.program_unit) =
+  match Hashtbl.find_opt t.digests u.Ast.uname with
+  | Some (u', d) when u' == u -> d
+  | _ ->
+    let d = Fingerprint.unit_content u in
+    Hashtbl.replace t.digests u.Ast.uname (u, d);
+    d
+
+(* Caching mode builds on the last summary, re-solving only the units
+   an edit reaches; baseline mode builds from nothing, the reference
+   the incremental result must equal. *)
 let summary t : Interproc.Summary.t option =
   if not t.use_interproc then None
   else begin
     let build () =
       Telemetry.incr t.c_summary_builds;
-      Telemetry.timed t.sink ~span_name:"engine.summary" t.c_summary_ns
-        (fun () -> Interproc.Summary.analyze t.program)
+      let base = if t.caching then t.last_summary else None in
+      let s =
+        Telemetry.timed t.sink ~span_name:"engine.summary" t.c_summary_ns
+          (fun () -> Interproc.Summary.analyze ?base t.program)
+      in
+      Telemetry.add t.c_summary_units
+        (List.length (Interproc.Summary.recomputed s));
+      s
     in
     if not t.caching then Some (build ())
     else begin
-      let key = Fingerprint.program t.program in
-      match Hashtbl.find_opt t.summaries key with
-      | Some s ->
-        Telemetry.incr t.c_summary_hits;
-        Some s
-      | None -> (
-        match
-          Option.bind t.sharing (fun sh -> sh.sh_find_summary key)
-        with
+      let key = Fingerprint.program ~content:(unit_digest t) t.program in
+      let s =
+        match Hashtbl.find_opt t.summaries key with
         | Some s ->
-          (* served by another session's work *)
           Telemetry.incr t.c_summary_hits;
-          Hashtbl.replace t.summaries key s;
-          Some s
-        | None ->
-          let s = build () in
-          Hashtbl.replace t.summaries key s;
-          Option.iter (fun sh -> sh.sh_add_summary key s) t.sharing;
-          Some s)
+          s
+        | None -> (
+          match
+            Option.bind t.sharing (fun sh -> sh.sh_find_summary key)
+          with
+          | Some s ->
+            (* served by another session's work *)
+            Telemetry.incr t.c_summary_hits;
+            Hashtbl.replace t.summaries key s;
+            s
+          | None ->
+            let s = build () in
+            Hashtbl.replace t.summaries key s;
+            Option.iter (fun sh -> sh.sh_add_summary key s) t.sharing;
+            s)
+      in
+      t.last_summary <- Some s;
+      Some s
     end
   end
 
@@ -205,7 +236,8 @@ let analysis t ~unit_name : (Depenv.t * Ddg.t) option =
         Option.map (fun s -> Fingerprint.interproc_facet s u) summary
       in
       let fp =
-        Fingerprint.analysis_key ~config:t.config ~asserts:t.asserts ~facet u
+        Fingerprint.analysis_key ~config:t.config ~asserts:t.asserts ~facet
+          ~content:(unit_digest t u)
       in
       match Hashtbl.find_opt t.units unit_name with
       | Some e when String.equal e.e_fp fp ->

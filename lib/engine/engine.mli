@@ -7,7 +7,11 @@
 
     - {e interprocedural summaries}, keyed by the whole-program
       fingerprint, so undo/redo — which restore a previous program
-      value — hit without any invalidation protocol;
+      value — hit without any invalidation protocol; a miss builds on
+      the last summary the engine returned, re-solving only the units
+      whose inputs the edit changed ({!Interproc.Summary.analyze}
+      [~base]; counted by the [engine.summary_units_recomputed]
+      counter);
     - {e per-unit scalar environments and dependence graphs}, keyed by
       unit name and guarded by a fingerprint of the unit's statements,
       the analysis configuration, the user's assertions, and the
@@ -23,8 +27,9 @@
     All mutation funnels through {!set_program} and
     {!set_assertions}; nothing recomputes eagerly, stale entries are
     detected by fingerprint mismatch at the next query.  Created with
-    [~caching:false] the engine recomputes everything on every query
-    — the from-scratch baseline the bench harness compares against. *)
+    [~caching:false] the engine recomputes everything on every query,
+    summaries included — the from-scratch baseline the bench harness
+    and the tests compare against. *)
 
 open Fortran_front
 open Dependence

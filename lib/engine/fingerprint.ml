@@ -1,11 +1,12 @@
 (* Content fingerprints for the incremental analysis engine.
 
    Everything fingerprinted here is pure data (the AST carries no
-   closures or cycles), so [Marshal] gives a canonical byte string and
-   [Digest] a 16-byte key.  Statement ids are part of the content: an
-   edit produces fresh ids for the statements it touched, so a
-   fingerprint distinguishes "same text, re-parsed" from "the very
-   statements analysis results refer to". *)
+   closures or cycles), so [Marshal] with [No_sharing] gives a
+   canonical byte string — equal values digest equally whatever their
+   internal sharing — and [Digest] a 16-byte key.  Statement ids are
+   part of the content: an edit produces fresh ids for the statements
+   it touched, so a fingerprint distinguishes "same text, re-parsed"
+   from "the very statements analysis results refer to". *)
 
 open Fortran_front
 
@@ -21,9 +22,11 @@ let unit_content (u : Ast.program_unit) : t =
 
 (* A whole program — keys the interprocedural summary cache; undo and
    redo restore a previous program value and therefore a previous
-   fingerprint. *)
-let program (p : Ast.program) : t =
-  Digest.string (Marshal.to_string p [ Marshal.No_sharing ])
+   fingerprint.  Built from the units' [unit_content] digests
+   (fixed-length, so their concatenation is unambiguous), which
+   [content] may serve from a memo. *)
+let program ~(content : Ast.program_unit -> t) (p : Ast.program) : t =
+  Digest.string (String.concat "" (List.map content p.Ast.punits))
 
 (* What a unit's intraprocedural analysis can observe of the
    interprocedural summary: per-CALL scalar effects and array section
@@ -39,30 +42,30 @@ let interproc_facet (summary : Interproc.Summary.t) (u : Ast.program_unit) : t =
     (fun s ->
       match s.Ast.node with
       | Ast.Call _ ->
-        Buffer.add_string buf (Marshal.to_string (oracle s) []);
-        Buffer.add_string buf (Marshal.to_string (call_refs s) [])
+        Buffer.add_string buf (Marshal.to_string (oracle s) [ Marshal.No_sharing ]);
+        Buffer.add_string buf (Marshal.to_string (call_refs s) [ Marshal.No_sharing ])
       | _ -> ())
     u.Ast.body;
   Buffer.add_string buf
     (Marshal.to_string
        (Interproc.Ipconst.constants_of (Interproc.Summary.ipconst summary)
           u.Ast.uname)
-       []);
+       [ Marshal.No_sharing ]);
   Buffer.add_string buf
     (Marshal.to_string
        (Interproc.Aliases.pairs_of (Interproc.Summary.aliases summary)
           u.Ast.uname)
-       []);
+       [ Marshal.No_sharing ]);
   Digest.string (Buffer.contents buf)
 
-(* The full per-unit analysis key: the unit's statements, the analysis
-   configuration, the user's assertions, and (when interprocedural
-   analysis is on) the callees' summary facet. *)
+(* The full per-unit analysis key: the unit's statements (its
+   [unit_content] digest), the analysis configuration, the user's
+   assertions, and (when interprocedural analysis is on) the callees'
+   summary facet. *)
 let analysis_key ~(config : Dependence.Depenv.config)
-    ~(asserts : Dependence.Depenv.assertions) ~(facet : t option)
-    (u : Ast.program_unit) : t =
+    ~(asserts : Dependence.Depenv.assertions) ~(facet : t option) ~(content : t) : t =
   Digest.string
     (String.concat "|"
-       [ unit_content u;
-         Digest.string (Marshal.to_string (config, asserts) []);
+       [ content;
+         Digest.string (Marshal.to_string (config, asserts) [ Marshal.No_sharing ]);
          (match facet with Some f -> f | None -> "") ])

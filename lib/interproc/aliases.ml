@@ -22,21 +22,9 @@ let weaker a b = match (a, b) with Aligned, Aligned -> Aligned | _ -> May
 let compute (cg : Callgraph.t) : t =
   let pairs : (string, kind PM.t) Hashtbl.t = Hashtbl.create 8 in
   let get u = Option.value ~default:PM.empty (Hashtbl.find_opt pairs u) in
-  let tables = Hashtbl.create 8 in
-  let table u =
-    match Hashtbl.find_opt tables u with
-    | Some t -> t
-    | None -> (
-      match Callgraph.unit_named cg u with
-      | Some unit_ ->
-        let t = Symbol.build unit_ in
-        Hashtbl.replace tables u t;
-        t
-      | None ->
-        Symbol.build
-          { Ast.uname = u; kind = Ast.Subroutine []; decls = [];
-            implicit_none = false; implicits = []; body = [] })
-  in
+  (* only asked of callers and of callees with known formals: both
+     are units of the graph *)
+  let table u = Option.get (Callgraph.symbols_named cg u) in
   let changed = ref true in
   let rounds = ref 0 in
   while !changed && !rounds < 10 do

@@ -17,11 +17,21 @@ type site = {
 
 type t
 
-val build : Ast.program -> t
+(** [build ?base prog] — a unit physically equal ([==]) to the
+    same-named unit of [base] keeps [base]'s symbol table and call
+    sites; every other unit is scanned afresh. *)
+val build : ?base:t -> Ast.program -> t
 val program : t -> Ast.program
 val unit_named : t -> string -> Ast.program_unit option
 val unit_names : t -> string list
 val sites : t -> site list
+
+(** The symbol table of [u]: the graph's shared one when [u] is the
+    unit the graph holds under that name, a fresh one otherwise. *)
+val symbols : t -> Ast.program_unit -> Symbol.table
+
+(** The shared symbol table of the named unit ([None] if unknown). *)
+val symbols_named : t -> string -> Symbol.table option
 
 (** Call sites appearing in the given unit. *)
 val sites_in : t -> string -> site list

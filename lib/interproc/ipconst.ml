@@ -20,13 +20,6 @@ let eval_actual tbl caller_consts (e : Ast.expr) : int option =
 
 let compute (cg : Callgraph.t) : t =
   let consts : (string, (string * int) list) Hashtbl.t = Hashtbl.create 16 in
-  let tables = Hashtbl.create 16 in
-  List.iter
-    (fun name ->
-      match Callgraph.unit_named cg name with
-      | Some u -> Hashtbl.replace tables name (Symbol.build u)
-      | None -> ())
-    (Callgraph.unit_names cg);
   let changed = ref true in
   let rounds = ref 0 in
   while !changed && !rounds < 10 do
@@ -47,7 +40,7 @@ let compute (cg : Callgraph.t) : t =
                     List.map
                       (fun (site : Callgraph.site) ->
                         match
-                          (Hashtbl.find_opt tables site.Callgraph.caller,
+                          (Callgraph.symbols_named cg site.Callgraph.caller,
                            List.nth_opt site.Callgraph.actuals i)
                         with
                         | Some tbl, Some a ->

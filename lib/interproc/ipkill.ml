@@ -2,9 +2,14 @@ open Fortran_front
 open Scalar_analysis
 module SSet = Set.Make (String)
 
+(* What [unit_kills] reads of one callee: its kills so far ([None]
+   while unknown) and its formals. *)
+type callee_input = string * string list option * string list option
+
 type t = {
   cg : Callgraph.t;
   kills : (string, SSet.t) Hashtbl.t;
+  memo : (callee_input list, SSet.t) Unit_memo.t;
 }
 
 (* Must-defined-so-far forward analysis over the unit CFG.  The
@@ -12,7 +17,7 @@ type t = {
    represents "unvisited" (top). *)
 let unit_kills (cg : Callgraph.t) (kills : (string, SSet.t) Hashtbl.t)
     (u : Ast.program_unit) : SSet.t =
-  let tbl = Symbol.build u in
+  let tbl = Callgraph.symbols cg u in
   let oracle (s : Ast.stmt) =
     match s.Ast.node with
     | Ast.Call (callee, actuals) -> (
@@ -113,8 +118,18 @@ let unit_kills (cg : Callgraph.t) (kills : (string, SSet.t) Hashtbl.t)
     (fun v -> candidate v && not (SSet.mem v upward_exposed))
     md_exit
 
-let compute (cg : Callgraph.t) (_modref : Modref.t) : t =
-  let kills = Hashtbl.create 16 in
+let inputs cg kills name : callee_input list =
+  List.map
+    (fun callee ->
+      ( callee,
+        Option.map SSet.elements (Hashtbl.find_opt kills callee),
+        Callgraph.formals_of cg callee ))
+    (Callgraph.callees_of cg name)
+
+let compute ?base (cg : Callgraph.t) (_modref : Modref.t) : t =
+  let kills = Hashtbl.create 64 in
+  let memo = Unit_memo.create () in
+  let base = Option.map (fun b -> b.memo) base in
   let units = Callgraph.bottom_up cg in
   (* two bottom-up passes reach a fixed point for acyclic call graphs;
      iterate until stable to be safe *)
@@ -128,7 +143,10 @@ let compute (cg : Callgraph.t) (_modref : Modref.t) : t =
         match Callgraph.unit_named cg name with
         | None -> ()
         | Some u ->
-          let k = unit_kills cg kills u in
+          let k =
+            Unit_memo.find ?base memo u (inputs cg kills name) (fun () ->
+                unit_kills cg kills u)
+          in
           let old = Option.value ~default:SSet.empty (Hashtbl.find_opt kills name) in
           if not (SSet.equal k old) then begin
             Hashtbl.replace kills name k;
@@ -136,7 +154,9 @@ let compute (cg : Callgraph.t) (_modref : Modref.t) : t =
           end)
       units
   done;
-  { cg; kills }
+  { cg; kills; memo }
+
+let recomputed t = Unit_memo.missed t.memo
 
 let kills_of t name =
   match Hashtbl.find_opt t.kills name with

@@ -11,8 +11,14 @@ open Fortran_front
 type t
 
 (** [compute cg modref] — fixed point over the call graph so kills
-    propagate through wrapper routines. *)
-val compute : Callgraph.t -> Modref.t -> t
+    propagate through wrapper routines.  A unit's kills are taken
+    from [base] when the unit is physically the one [base] analyzed
+    and every callee input it reads (callee kills, callee formals) is
+    unchanged. *)
+val compute : ?base:t -> Callgraph.t -> Modref.t -> t
+
+(** Units whose kills this build computed, sorted. *)
+val recomputed : t -> string list
 
 (** Scalars (formals and COMMON variables, callee name space) killed
     by the unit. *)

@@ -7,7 +7,7 @@ type summary = { mods : SSet.t; refs : SSet.t }
 type t = {
   cg : Callgraph.t;
   summaries : (string, summary) Hashtbl.t;
-  tables : (string, Symbol.table) Hashtbl.t;
+  local : (unit, summary) Unit_memo.t;  (** call-free effects, per unit *)
 }
 
 let visible tbl name =
@@ -62,18 +62,19 @@ let translate_set (names : SSet.t) ~(formals : string list)
         name :: acc)
     names []
 
-let compute (cg : Callgraph.t) : t =
-  let summaries = Hashtbl.create 16 in
-  let tables = Hashtbl.create 16 in
-  let units =
-    List.filter_map (Callgraph.unit_named cg) (Callgraph.unit_names cg)
-  in
+let compute ?base (cg : Callgraph.t) : t =
+  let summaries = Hashtbl.create 64 in
+  let local = Unit_memo.create () in
+  let base = Option.map (fun b -> b.local) base in
   List.iter
-    (fun (u : Ast.program_unit) ->
-      let tbl = Symbol.build u in
-      Hashtbl.replace tables u.Ast.uname tbl;
-      Hashtbl.replace summaries u.Ast.uname (local_effects tbl u))
-    units;
+    (fun name ->
+      match Callgraph.unit_named cg name with
+      | Some u ->
+        Hashtbl.replace summaries name
+          (Unit_memo.find ?base local u () (fun () ->
+               local_effects (Callgraph.symbols cg u) u))
+      | None -> ())
+    (Callgraph.unit_names cg);
   (* propagate call effects to a fixed point *)
   let changed = ref true in
   while !changed do
@@ -82,7 +83,7 @@ let compute (cg : Callgraph.t) : t =
       (fun (site : Callgraph.site) ->
         match
           ( Hashtbl.find_opt summaries site.Callgraph.caller,
-            Hashtbl.find_opt tables site.Callgraph.caller )
+            Callgraph.symbols_named cg site.Callgraph.caller )
         with
         | Some caller_sum, Some caller_tbl ->
           let effect_mods, effect_refs =
@@ -134,9 +135,10 @@ let compute (cg : Callgraph.t) : t =
         | _ -> ())
       (Callgraph.sites cg)
   done;
-  { cg; summaries; tables }
+  { cg; summaries; local }
 
 let summary_of t name = Hashtbl.find_opt t.summaries name
+let recomputed t = Unit_memo.missed t.local
 
 let translate t ~(site : Callgraph.site) ~tbl =
   match

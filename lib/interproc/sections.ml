@@ -7,9 +7,15 @@ type section = sec1 list
 
 type access = { sec_w : section option; sec_r : section option }
 
+(* What [unit_summary] reads of one callee: its summary so far
+   ([None] while unknown) and its formals. *)
+type callee_input =
+  string * (string * access) list option * string list option
+
 type t = {
   cg : Callgraph.t;
   summaries : (string, (string * access) list) Hashtbl.t;
+  memo : (callee_input list, (string * access) list) Unit_memo.t;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -197,7 +203,7 @@ let translate_access (cg : Callgraph.t) tbl (site : Callgraph.site)
 let unit_summary (cg : Callgraph.t)
     (summaries : (string, (string * access) list) Hashtbl.t)
     (u : Ast.program_unit) : (string * access) list =
-  let tbl = Symbol.build u in
+  let tbl = Callgraph.symbols cg u in
   let ctx = Defuse.make tbl u in
   let nest = Dependence.Loopnest.build u in
   let visible name =
@@ -293,8 +299,16 @@ let unit_summary (cg : Callgraph.t)
   Hashtbl.fold (fun a acc l -> (a, acc) :: l) table []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let compute (cg : Callgraph.t) : t =
-  let summaries = Hashtbl.create 16 in
+let inputs cg summaries name : callee_input list =
+  List.map
+    (fun callee ->
+      (callee, Hashtbl.find_opt summaries callee, Callgraph.formals_of cg callee))
+    (Callgraph.callees_of cg name)
+
+let compute ?base (cg : Callgraph.t) : t =
+  let summaries = Hashtbl.create 64 in
+  let memo = Unit_memo.create () in
+  let base = Option.map (fun b -> b.memo) base in
   let changed = ref true in
   let rounds = ref 0 in
   while !changed && !rounds < 10 do
@@ -305,7 +319,10 @@ let compute (cg : Callgraph.t) : t =
         match Callgraph.unit_named cg name with
         | None -> ()
         | Some u ->
-          let s = unit_summary cg summaries u in
+          let s =
+            Unit_memo.find ?base memo u (inputs cg summaries name) (fun () ->
+                unit_summary cg summaries u)
+          in
           let old = Hashtbl.find_opt summaries name in
           if old <> Some s then begin
             Hashtbl.replace summaries name s;
@@ -313,7 +330,9 @@ let compute (cg : Callgraph.t) : t =
           end)
       (Callgraph.bottom_up cg)
   done;
-  { cg; summaries }
+  { cg; summaries; memo }
+
+let recomputed t = Unit_memo.missed t.memo
 
 let summary_of t name =
   Option.value ~default:[] (Hashtbl.find_opt t.summaries name)

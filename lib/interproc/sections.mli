@@ -25,7 +25,13 @@ type access = { sec_w : section option; sec_r : section option }
 
 type t
 
-val compute : Callgraph.t -> t
+(** [compute ?base cg] — a unit's summary is taken from [base] when
+    the unit is physically the one [base] analyzed and every callee
+    input it reads (callee summaries, callee formals) is unchanged. *)
+val compute : ?base:t -> Callgraph.t -> t
+
+(** Units whose summary this build computed, sorted. *)
+val recomputed : t -> string list
 
 (** Per-array accesses of a unit (callee name space). *)
 val summary_of : t -> string -> (string * access) list

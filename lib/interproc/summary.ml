@@ -8,16 +8,46 @@ type t = {
   sections_ : Sections.t;
   ipconst_ : Ipconst.t;
   aliases_ : Aliases.t;
+  recomputed : string list;
 }
 
-let analyze (prog : Ast.program) : t =
-  let cg = Callgraph.build prog in
-  let modref_ = Modref.compute cg in
-  let kills_ = Ipkill.compute cg modref_ in
-  let sections_ = Sections.compute cg in
+(* The bottom-up analyses reuse [base]'s per-unit results wherever
+   their inputs are unchanged; the top-down ones (constants, aliases)
+   run in full over the shared symbol tables. *)
+let analyze ?base (prog : Ast.program) : t =
+  let from f = Option.map f base in
+  let cg = Callgraph.build ?base:(from (fun b -> b.cg)) prog in
+  let modref_ = Modref.compute ?base:(from (fun b -> b.modref_)) cg in
+  let kills_ = Ipkill.compute ?base:(from (fun b -> b.kills_)) cg modref_ in
+  let sections_ = Sections.compute ?base:(from (fun b -> b.sections_)) cg in
   let ipconst_ = Ipconst.compute cg in
   let aliases_ = Aliases.compute cg in
-  { cg; modref_; kills_; sections_; ipconst_; aliases_ }
+  let recomputed =
+    List.sort_uniq String.compare
+      (Modref.recomputed modref_ @ Ipkill.recomputed kills_
+     @ Sections.recomputed sections_)
+  in
+  { cg; modref_; kills_; sections_; ipconst_; aliases_; recomputed }
+
+let recomputed t = t.recomputed
+
+let equal a b =
+  let names = Callgraph.unit_names a.cg in
+  names = Callgraph.unit_names b.cg
+  && List.for_all
+       (fun n ->
+         let modref t =
+           Option.map
+             (fun (s : Modref.summary) ->
+               Modref.SSet.(elements s.mods, elements s.refs))
+             (Modref.summary_of t.modref_ n)
+         in
+         modref a = modref b
+         && Ipkill.kills_of a.kills_ n = Ipkill.kills_of b.kills_ n
+         && Sections.summary_of a.sections_ n = Sections.summary_of b.sections_ n
+         && Ipconst.constants_of a.ipconst_ n = Ipconst.constants_of b.ipconst_ n
+         && Aliases.pairs_of a.aliases_ n = Aliases.pairs_of b.aliases_ n)
+       names
 
 let callgraph t = t.cg
 let modref t = t.modref_
@@ -34,7 +64,7 @@ let site_of (u : Ast.program_unit) (s : Ast.stmt) : Callgraph.site option =
   | _ -> None
 
 let oracle_for t (u : Ast.program_unit) : Defuse.call_oracle =
-  let tbl = Symbol.build u in
+  let tbl = Callgraph.symbols t.cg u in
   fun s ->
     match site_of u s with
     | None -> None
@@ -44,7 +74,7 @@ let oracle_for t (u : Ast.program_unit) : Defuse.call_oracle =
       Some { Defuse.ce_mods = mods; ce_refs = refs; ce_kills = kills }
 
 let call_refs_for t (u : Ast.program_unit) : Dependence.Depenv.call_refs =
-  let tbl = Symbol.build u in
+  let tbl = Callgraph.symbols t.cg u in
   fun s ->
     match site_of u s with
     | None -> []

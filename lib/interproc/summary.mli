@@ -16,7 +16,23 @@ open Fortran_front
 
 type t
 
-val analyze : Ast.program -> t
+(** [analyze ?base prog] — the summary of [prog].  With [base] (the
+    summary of an earlier version of the program), each bottom-up
+    per-unit result (call-free Mod/Ref effects, kills, sections) is
+    reused when its unit is physically the one [base] analyzed and
+    every input it reads from other units is unchanged, so an edit
+    re-solves only the units it reaches.  The fixed-point loops and
+    their visiting order are the same with or without [base], so the
+    result always equals [analyze prog]. *)
+val analyze : ?base:t -> Ast.program -> t
+
+(** Units for which this build ran a bottom-up per-unit analysis
+    instead of reusing a result, sorted. *)
+val recomputed : t -> string list
+
+(** Same per-unit facts for every unit: Mod/Ref, kills, sections,
+    formal constants and alias pairs. *)
+val equal : t -> t -> bool
 
 val callgraph : t -> Callgraph.t
 val modref : t -> Modref.t

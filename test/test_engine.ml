@@ -80,12 +80,254 @@ let burst_case (w : Workloads.t) =
       ok_exn "redo" (Ped.Session.redo sess);
       check_scratch "redo" sess)
 
+(* --- incremental interprocedural summary --------------------------- *)
+
+(* Each step rewrites one unit of the program the way an edit does:
+   the other units stay physically shared, so the engine's next
+   summary reuses their per-unit results.  After every step the
+   engine's summary must equal a from-scratch [Summary.analyze]. *)
+
+let unit_of (p : Ast.program) name =
+  List.find
+    (fun (u : Ast.program_unit) -> String.equal u.Ast.uname name)
+    p.Ast.punits
+
+let with_unit (p : Ast.program) (u : Ast.program_unit) =
+  {
+    Ast.punits =
+      List.map
+        (fun (x : Ast.program_unit) ->
+          if String.equal x.Ast.uname u.Ast.uname then u else x)
+        p.Ast.punits;
+  }
+
+let find_stmt f (u : Ast.program_unit) =
+  Ast.fold_stmts
+    (fun acc s -> match acc with None when f s -> Some s | _ -> acc)
+    None u.Ast.body
+
+let is_assign (s : Ast.stmt) =
+  match s.Ast.node with Ast.Assign _ -> true | _ -> false
+
+let is_call (s : Ast.stmt) =
+  match s.Ast.node with Ast.Call _ -> true | _ -> false
+
+let replace p u (s : Ast.stmt) repl =
+  with_unit p (Transform.Rewrite.replace_stmt u s.Ast.sid repl)
+
+let first_site p =
+  List.hd (Interproc.Callgraph.sites (Interproc.Callgraph.build p))
+
+let caller_of_first_site p =
+  unit_of p (first_site p).Interproc.Callgraph.caller
+
+let callee_of_first_site p =
+  unit_of p (first_site p).Interproc.Callgraph.callee
+
+(* the same text re-entered: fresh statement id, same effects *)
+let body_only p =
+  let u =
+    List.find
+      (fun (u : Ast.program_unit) ->
+        u.Ast.kind <> Ast.Main && find_stmt is_assign u <> None)
+      p.Ast.punits
+  in
+  let s = Option.get (find_stmt is_assign u) in
+  replace p u s [ { s with Ast.sid = Ast.fresh_sid () } ]
+
+(* the first call site's CALL again, after an assignment of its caller *)
+let add_call p =
+  let site = first_site p in
+  let u = caller_of_first_site p in
+  let s = Option.get (find_stmt is_assign u) in
+  let call =
+    Ast.Call (site.Interproc.Callgraph.callee, site.Interproc.Callgraph.actuals)
+  in
+  replace p u s [ s; Ast.mk call ]
+
+let map_first_call f p =
+  let u = caller_of_first_site p in
+  let s = Option.get (find_stmt is_call u) in
+  replace p u s [ Ast.mk (f s.Ast.node) ]
+
+let remove_call = map_first_call (fun _ -> Ast.Continue)
+
+let change_actual =
+  map_first_call (function
+    | Ast.Call (callee, ([ _ ] | [])) -> Ast.Call (callee, [ Ast.Int 1 ])
+    | Ast.Call (callee, actuals) -> Ast.Call (callee, List.rev actuals)
+    | node -> node)
+
+(* take the first site's callee's first COMMON variable out of COMMON;
+   with none, put its first assigned local scalar (or DO index) in *)
+let toggle_common p =
+  let u = callee_of_first_site p in
+  let formals =
+    match u.Ast.kind with
+    | Ast.Subroutine fs | Ast.Function (_, fs) -> fs
+    | Ast.Main -> []
+  in
+  let local (s : Ast.stmt) =
+    match s.Ast.node with
+    | Ast.Assign (Ast.Var v, _) when not (List.mem v formals) -> Some v
+    | Ast.Do (h, _) when not (List.mem h.Ast.dvar formals) -> Some h.Ast.dvar
+    | _ -> None
+  in
+  let set_common name block =
+    List.map
+      (fun (d : Ast.decl) ->
+        if String.equal d.Ast.dname name then { d with Ast.common_block = block }
+        else d)
+      u.Ast.decls
+  in
+  let decls =
+    match
+      List.find_opt (fun (d : Ast.decl) -> d.Ast.common_block <> None) u.Ast.decls
+    with
+    | Some d -> set_common d.Ast.dname None
+    | None -> (
+      match Option.bind (find_stmt (fun s -> local s <> None) u) local with
+      | None -> Alcotest.fail ("no local scalar assignment in " ^ u.Ast.uname)
+      | Some v
+        when List.exists (fun (d : Ast.decl) -> String.equal d.Ast.dname v) u.Ast.decls
+        ->
+        set_common v (Some "ZZ")
+      | Some v ->
+        let dtyp = if v.[0] >= 'I' && v.[0] <= 'N' then Ast.Tinteger else Ast.Treal in
+        u.Ast.decls
+        @ [ { Ast.dname = v; dtyp; dims = []; init = None; data_init = None;
+              common_block = Some "ZZ" } ])
+  in
+  with_unit p { u with Ast.decls }
+
+let reverse_formals p =
+  let u = callee_of_first_site p in
+  match u.Ast.kind with
+  | Ast.Subroutine fs ->
+    with_unit p { u with Ast.kind = Ast.Subroutine (List.rev fs @ [ "XTRA" ]) }
+  | _ -> Alcotest.fail (u.Ast.uname ^ " is not a subroutine")
+
+let check_summary what eng =
+  check_bool (what ^ ": engine summary = from-scratch summary") true
+    (Interproc.Summary.equal
+       (Option.get (Engine.summary eng))
+       (Interproc.Summary.analyze (Engine.program eng)))
+
+(* edits, then undo/redo by restoring earlier program values, then an
+   edit on top of the restored program *)
+let summary_script what (p0 : Ast.program) =
+  let eng = Engine.create p0 in
+  check_summary (what ^ " load") eng;
+  let set name p =
+    Engine.set_program eng p;
+    check_summary (what ^ " " ^ name) eng
+  in
+  let step name f = set name (f (Engine.program eng)) in
+  step "body-only edit" body_only;
+  step "add a CALL" add_call;
+  step "change an actual" change_actual;
+  step "remove a CALL" remove_call;
+  let before_common = Engine.program eng in
+  step "change a COMMON declaration" toggle_common;
+  let before_formals = Engine.program eng in
+  step "change a formal list" reverse_formals;
+  let newest = Engine.program eng in
+  set "undo" before_formals;
+  set "undo again" before_common;
+  set "redo" before_formals;
+  step "edit after undo" body_only;
+  set "back to the newest" newest;
+  step "COMMON back" toggle_common
+
+let recursive_src =
+  "      PROGRAM P\n      REAL A(10)\n      K = 3\n      CALL R(A, K)\n\
+  \      PRINT *, A(1)\n      END\n\
+  \      SUBROUTINE R(B, N)\n      REAL B(10)\n      T = 1.0\n      B(N) = T\n\
+  \      IF (N .GT. 1) CALL R(B, N - 1)\n      END\n"
+
+(* A leaf's kills and sections reach its caller through a wrapper. *)
+let wrapper_src leaf_body =
+  "      PROGRAM P\n      COMMON /G/ Q\n      REAL A(10)\n      CALL W(A, X)\n\
+  \      PRINT *, X, Q, A(1)\n      END\n\
+  \      SUBROUTINE W(B, Y)\n      COMMON /G/ Q\n      REAL B(10)\n\
+  \      CALL S(B, Y)\n      END\n\
+  \      SUBROUTINE S(C, Z)\n      COMMON /G/ Q\n      REAL C(10)\n"
+  ^ leaf_body ^ "      END\n"
+
+let leaf_edits_reach_the_wrapper () =
+  let p0 = parse (wrapper_src "      Z = 1.0\n      Q = 2.0\n      C(1) = Z\n") in
+  let eng = Engine.create p0 in
+  check_summary "wrapper load" eng;
+  List.iter
+    (fun (what, body) ->
+      let leaf = unit_of (parse (wrapper_src body)) "S" in
+      Engine.set_program eng (with_unit (Engine.program eng) leaf);
+      check_summary what eng;
+      check_bool (what ^ ": the wrapper is re-solved") true
+        (List.mem "W"
+           (Interproc.Summary.recomputed (Option.get (Engine.summary eng)))))
+    [
+      ( "a kill becomes conditional",
+        "      IF (Q .GT. 0.0) Z = 1.0\n      Q = 2.0\n      C(1) = Z\n" );
+      ( "a written section moves",
+        "      IF (Q .GT. 0.0) Z = 1.0\n      Q = 2.0\n      C(2) = Z\n" );
+      ("the kill returns", "      Z = 1.0\n      Q = 2.0\n      C(2) = Z\n");
+    ]
+
+let summary_cases =
+  List.map
+    (fun name ->
+      case ("summary: incremental = from-scratch through edits on " ^ name)
+        (fun () ->
+          let p =
+            match Workloads.stress name with
+            | Ok p -> p
+            | Error _ -> Workloads.program (Option.get (Workloads.by_name name))
+          in
+          summary_script name p))
+    [ "stress:many-units@smoke"; "callnest"; "symbounds"; "spec77x"; "sympro";
+      "shallow" ]
+  @ [
+      case "summary: incremental = from-scratch on a self-recursive unit"
+        (fun () ->
+          let p = parse recursive_src in
+          check_bool "R calls itself" true
+            (List.mem "R"
+               (Interproc.Callgraph.callees_of (Interproc.Callgraph.build p) "R"));
+          summary_script "recursive" p);
+      case "summary: a leaf's kills and sections reach its caller"
+        leaf_edits_reach_the_wrapper;
+      case "summary: equal tells summaries apart" (fun () ->
+          let p = Workloads.program (Option.get (Workloads.by_name "callnest")) in
+          let s = Interproc.Summary.analyze p in
+          check_bool "reflexive" true
+            (Interproc.Summary.equal s (Interproc.Summary.analyze p));
+          check_bool "a removed CALL differs" false
+            (Interproc.Summary.equal s (Interproc.Summary.analyze (remove_call p))));
+      case "summary: a body-only edit recomputes exactly one unit" (fun () ->
+          let p = Result.get_ok (Workloads.stress "stress:many-units@smoke") in
+          let sess = Ped.Session.load p ~unit_name:"STRESS" in
+          let recomputed () =
+            Telemetry.value
+              (Telemetry.counter (Ped.Session.telemetry sess)
+                 "engine.summary_units_recomputed")
+          in
+          check_int "the first build solves every unit"
+            (List.length p.Ast.punits) (recomputed ());
+          ok_exn "focus" (Ped.Session.focus sess "S0000");
+          let before = recomputed () in
+          identity_edit sess;
+          check_int "one unit re-solved" 1 (recomputed () - before);
+          check_scratch "after the edit" sess);
+    ]
+
 (* --- hit/miss accounting ------------------------------------------ *)
 
 let delta (a : Engine.stats) (b : Engine.stats) f = f b - f a
 
 let suite =
   List.map burst_case Workloads.all
+  @ summary_cases
   @ [
       case "stats: clean refresh is a pure cache hit" (fun () ->
           let _, sess = load "matmul" in

@@ -13,7 +13,8 @@ open Fortran_front
 open Dependence
 open Util
 
-let digest (g : Ddg.t) = Digest.to_hex (Digest.string (Marshal.to_string g []))
+let digest (g : Ddg.t) =
+  Digest.to_hex (Digest.string (Marshal.to_string g [ Marshal.No_sharing ]))
 
 (* Every unit of a workload, with the same interprocedural
    environments the engine serves. *)

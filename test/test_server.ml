@@ -440,7 +440,9 @@ let serve_lanes_in_trace () =
 (* --- canonical renumbering ---------------------------------------- *)
 
 let renumbering_is_canonical () =
-  let digest p = Digest.to_hex (Digest.string (Marshal.to_string p [])) in
+  let digest p =
+    Digest.to_hex (Digest.string (Marshal.to_string p [ Marshal.No_sharing ]))
+  in
   (* two independent parses normalize to the same ids — the property
      cross-process fingerprint equality rests on *)
   check_string "same source, same canonical form"

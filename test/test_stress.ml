@@ -16,7 +16,8 @@ open Fortran_front
 open Dependence
 open Util
 
-let digest (g : Ddg.t) = Digest.to_hex (Digest.string (Marshal.to_string g []))
+let digest (g : Ddg.t) =
+  Digest.to_hex (Digest.string (Marshal.to_string g [ Marshal.No_sharing ]))
 
 (* Burn a batch of fresh statement ids, so a test can prove the
    factory's output does not depend on the global sid counter. *)
