@@ -53,6 +53,15 @@ let parse_transform_args t toks : Transform.Catalog.args option =
     | _ -> None)
   | _ -> None
 
+(* The optional leading processor count of [estimate] and [simulate]:
+   8 when absent, an error naming the argument when below 1. *)
+let processors = function
+  | n :: rest when int_of_string_opt n <> None ->
+    let p = Option.get (int_of_string_opt n) in
+    if p >= 1 then Ok (p, rest)
+    else Error (Printf.sprintf "error: processor count %s must be at least 1" n)
+  | rest -> Ok (8, rest)
+
 let dep_kind_of_string = function
   | "true" | "flow" -> Some Ddg.Flow
   | "anti" -> Some Ddg.Anti
@@ -364,9 +373,7 @@ let run (t : Session.t) (line : string) : string =
       try
         let d = Perfdebug.Driver.diagnose (Session.program t) in
         Perfdebug.Driver.render ?focus d
-      with
-      | Runtime.Exec.Runtime_error m -> "error: execution failed: " ^ m
-      | Sim.Interp.Runtime_error m -> "error: execution failed: " ^ m))
+      with Sim.Interp.Runtime_error m -> "error: execution failed: " ^ m))
   | [ "why"; tok ] when String.contains tok ':' -> (
     match String.split_on_char ':' tok with
     | [ a; b ] -> (
@@ -458,19 +465,17 @@ let run (t : Session.t) (line : string) : string =
       close_out oc;
       Printf.sprintf "wrote %s" path
     with Sys_error e -> "error: " ^ e)
-  | "estimate" :: rest ->
-    let p =
-      match rest with
-      | [ n ] -> Option.value ~default:8 (int_of_string_opt n)
-      | _ -> 8
-    in
-    let seq = Perf.Estimator.unit_cost (Session.env t) in
-    let speedup = Perf.Estimator.predicted_speedup (Session.env t) ~processors:p in
-    Printf.sprintf
-      "estimated sequential cycles: %.0f%s\npredicted speedup on %d processors: %.2fx"
-      seq.Perf.Estimator.cycles
-      (if seq.Perf.Estimator.exact_trips then "" else " (some trip counts assumed)")
-      p speedup
+  | "estimate" :: rest -> (
+    match processors rest with
+    | Error e -> e
+    | Ok (p, _) ->
+      let seq = Perf.Estimator.unit_cost (Session.env t) in
+      let speedup = Perf.Estimator.predicted_speedup (Session.env t) ~processors:p in
+      Printf.sprintf
+        "estimated sequential cycles: %.0f%s\npredicted speedup on %d processors: %.2fx"
+        seq.Perf.Estimator.cycles
+        (if seq.Perf.Estimator.exact_trips then "" else " (some trip counts assumed)")
+        p speedup)
   | "advise" :: _ -> (
     match Advisor.advise t with
     | [] -> "no suggestions: every profitable loop is already parallel"
@@ -481,24 +486,22 @@ let run (t : Session.t) (line : string) : string =
            suggestions))
   | "simulate" :: rest -> (
     (* simulate [P] [seq|reverse|shuffle [SEED]] *)
-    let p, rest =
-      match rest with
-      | n :: more when int_of_string_opt n <> None ->
-        (Option.get (int_of_string_opt n), more)
-      | _ -> (8, rest)
+    let parsed =
+      match processors rest with
+      | Error e -> Error e
+      | Ok (p, rest) -> (
+        match rest with
+        | [] | [ "seq" ] -> Ok (p, Sim.Interp.Seq)
+        | [ "reverse" ] -> Ok (p, Sim.Interp.Reverse)
+        | [ "shuffle" ] -> Ok (p, Sim.Interp.Shuffled 42)
+        | [ "shuffle"; seed ] when int_of_string_opt seed <> None ->
+          Ok (p, Sim.Interp.Shuffled (Option.get (int_of_string_opt seed)))
+        | w :: _ ->
+          Error (Printf.sprintf "error: bad simulate order %s (try help)" w))
     in
-    let order =
-      match rest with
-      | [] | [ "seq" ] -> Ok Sim.Interp.Seq
-      | [ "reverse" ] -> Ok Sim.Interp.Reverse
-      | [ "shuffle" ] -> Ok (Sim.Interp.Shuffled 42)
-      | [ "shuffle"; seed ] when int_of_string_opt seed <> None ->
-        Ok (Sim.Interp.Shuffled (Option.get (int_of_string_opt seed)))
-      | w :: _ -> Error w
-    in
-    match order with
-    | Error w -> Printf.sprintf "error: bad simulate order %s (try help)" w
-    | Ok order -> (
+    match parsed with
+    | Error e -> e
+    | Ok (p, order) -> (
       Session.set_sim_order t order;
       match Session.simulate ~processors:p t with
       | Ok (seq, par, output) ->

@@ -1,27 +1,31 @@
 (** Multicore execution of analyzed Fortran programs.
 
-    A second interpreter alongside {!Sim.Interp}, sharing its ABI
-    (output formatting, COMMON keying, final-store snapshots) but
-    executing PARALLEL DO loops on real OCaml domains: iterations are
-    distributed over a {!Pool} under a chunked or self-scheduled
-    policy, loop bodies mutate shared {!Store} buffers in place, and
-    the per-loop {!Plan} supplies private copies, identity-seeded
-    reduction accumulators (combined deterministically in worker
-    order at the join), and last-value write-back.
+    The evaluator is {!Sim.Interp}'s, the one tree-walking interpreter;
+    this module supplies the two execution modes it does not own.
+
+    By default PARALLEL DO loops run on real OCaml domains, through the
+    evaluator's injected runner: iterations are distributed over a
+    {!Pool} under a chunked or self-scheduled policy, loop bodies
+    mutate shared {!Sim.Store} buffers in place, and the per-loop
+    {!Plan} supplies private copies, identity-seeded reduction
+    accumulators (combined deterministically in worker order at the
+    join), and last-value write-back.
 
     With [~validate:true] no domains are spawned; instead the program
-    runs sequentially with every PARALLEL DO instrumented through
-    shadow memory — each element access is stamped with its iteration
-    number and cross-iteration flow/anti/output conflicts are
-    collected.  Storage the plan privatizes is excluded, so a clean
-    (empty) report means the observed execution really was free of
-    loop-carried dependences on shared data. *)
+    runs sequentially with every PARALLEL DO validated through shadow
+    memory — each element access is stamped with its iteration number
+    and cross-iteration flow/anti/output conflicts are collected.
+    Storage the plan privatizes is excluded, so a clean (empty) report
+    means the observed execution really was free of loop-carried
+    dependences on shared data. *)
 
 open Fortran_front
 
+(** The same exception as {!Sim.Interp.Runtime_error}: one handler
+    catches both. *)
 exception Runtime_error of string
 
-type conflict_kind = Flow | Anti | Output
+type conflict_kind = Sim.Interp.conflict_kind = Flow | Anti | Output
 
 (** Whether the static analysis foresaw a conflict.  [Untracked] when
     the run was given no predictor; [Predicted id] names the static

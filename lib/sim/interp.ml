@@ -22,33 +22,121 @@ type outcome = {
   loop_cycles : (Ast.stmt_id * float) list;
 }
 
+type conflict_kind = Flow | Anti | Output
+
 let err fmt = Printf.ksprintf (fun s -> raise (Runtime_error s)) fmt
 
 type unit_info = { u : Ast.program_unit; tbl : Symbol.table }
 
-type state = {
+type frame = (string, Store.slot) Hashtbl.t
+
+type signal = Snormal | Sgoto of int | Sreturn | Sstop
+
+type ops = {
+  mutable o_flops : int;
+  mutable o_mems : int;
+  mutable o_intr : int;
+  mutable o_iters : int;
+  mutable o_calls : int;
+}
+
+let fresh_ops () =
+  { o_flops = 0; o_mems = 0; o_intr = 0; o_iters = 0; o_calls = 0 }
+
+type parallel =
+  | Sequential
+  | Simulated of order
+  | Validated of validator
+  | Runner of (par_loop -> signal)
+
+and validator = {
+  excluded : par_loop -> string list;
+  conflict :
+    Ast.stmt_id -> string -> conflict_kind -> int -> int -> int -> unit;
+}
+
+(* Shared by every context of one run. *)
+and global = {
   units : (string, unit_info) Hashtbl.t;
-  commons : (string, slot) Hashtbl.t;
-  machine : Perf.Machine.t;
-  honor_parallel : bool;
-  par_order : order;
+  commons : (string, Store.slot) Hashtbl.t;
+      (* allocated before execution starts: contexts only read this
+         table, so callee frames can be built on any domain *)
+  parallel : parallel;
+  machine : Perf.Machine.t option;  (* Some: the simulated clock runs *)
+  trace : (access -> unit) option;
   max_steps : int;
-  mutable steps : int;
-  mutable clock : float;
+  steps : int Atomic.t;
+  loop_cycles : (Ast.stmt_id, float) Hashtbl.t;  (* only with a clock *)
+  mutable epoch : int;  (* validator epoch; validation is sequential *)
+}
+
+(* Per-domain execution context.  A run has one; a runner forks one
+   per worker domain, so the only shared mutable state during a real
+   parallel loop is the typed element buffers themselves. *)
+and ctx = {
+  g : global;
+  mutable out_rev : string list;
   mutable depth : int;
   mutable in_parallel : bool;
-  out_buf : Buffer.t;
-  mutable out_lines : string list;
-  loop_cycles : (Ast.stmt_id, float) Hashtbl.t;
-  (* array-access tracing (the brute-force dependence oracle's tap) *)
-  trace : (access -> unit) option;
+  ops : ops;
+  mutable clock : float;
   mutable cur_sid : Ast.stmt_id;
   mutable instance : int;  (* statement instances, in execution order *)
   mutable loop_stack : (Ast.stmt_id * int) list;  (* innermost first *)
+  mutable mon_iter : int;  (* >= 0 while inside a validated loop *)
+  mutable mon_loop : Ast.stmt_id;
 }
 
+and par_loop = {
+  ctx : ctx;
+  ui : unit_info;
+  frame : frame;
+  stmt : Ast.stmt;
+  header : Ast.do_header;
+  body : Ast.stmt list;
+  trip : int;
+  value_at : int -> value;
+  iv_cell : Store.cell;
+}
+
+let new_ctx g ~depth ~in_parallel =
+  {
+    g;
+    out_rev = [];
+    depth;
+    in_parallel;
+    ops = fresh_ops ();
+    clock = 0.0;
+    cur_sid = -1;
+    instance = 0;
+    loop_stack = [];
+    mon_iter = -1;
+    mon_loop = -1;
+  }
+
+let fork st = new_ctx st.g ~depth:st.depth ~in_parallel:true
+
+let take_output st =
+  let lines = List.rev st.out_rev in
+  st.out_rev <- [];
+  lines
+
+let emit st lines = List.iter (fun l -> st.out_rev <- l :: st.out_rev) lines
+
+let add_ops st w =
+  let d = st.ops and s = w.ops in
+  d.o_flops <- d.o_flops + s.o_flops;
+  d.o_mems <- d.o_mems + s.o_mems;
+  d.o_intr <- d.o_intr + s.o_intr;
+  d.o_iters <- d.o_iters + s.o_iters;
+  d.o_calls <- d.o_calls + s.o_calls
+
+(* ------------------------------------------------------------------ *)
+(* Instrumented element access                                         *)
+(* ------------------------------------------------------------------ *)
+
 let record_access st ~var ~off ~write =
-  match st.trace with
+  match st.g.trace with
   | None -> ()
   | Some f ->
     f
@@ -61,34 +149,107 @@ let record_access st ~var ~off ~write =
         a_iters = List.rev st.loop_stack;
       }
 
-type frame = (string, slot) Hashtbl.t
+let conflict st var kind off other =
+  match st.g.parallel with
+  | Validated v ->
+    v.conflict st.mon_loop var kind off (min other st.mon_iter)
+      (max other st.mon_iter)
+  | Sequential | Simulated _ | Runner _ -> ()
 
-type signal = Snormal | Sgoto of int | Sreturn | Sstop
+(* shadow stamps, only while a validated loop runs *)
+let note_read st var (b : Store.buf) off =
+  if st.mon_iter >= 0 && b.Store.excl_epoch <> st.g.epoch then begin
+    let sh = Store.shadow_of b in
+    if sh.Store.w_ep.(off) = st.g.epoch && sh.Store.w_it.(off) <> st.mon_iter
+    then conflict st var Flow off sh.Store.w_it.(off);
+    sh.Store.r_ep.(off) <- st.g.epoch;
+    sh.Store.r_it.(off) <- st.mon_iter
+  end
+
+let note_write st var (b : Store.buf) off =
+  if st.mon_iter >= 0 && b.Store.excl_epoch <> st.g.epoch then begin
+    let sh = Store.shadow_of b in
+    if sh.Store.r_ep.(off) = st.g.epoch && sh.Store.r_it.(off) <> st.mon_iter
+    then conflict st var Anti off sh.Store.r_it.(off);
+    if sh.Store.w_ep.(off) = st.g.epoch && sh.Store.w_it.(off) <> st.mon_iter
+    then conflict st var Output off sh.Store.w_it.(off);
+    sh.Store.w_ep.(off) <- st.g.epoch;
+    sh.Store.w_it.(off) <- st.mon_iter
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Expression evaluation                                               *)
 (* ------------------------------------------------------------------ *)
 
-let typ_of_var (ui : unit_info) v = Symbol.typ_of ui.tbl v
-
-let find_slot _st ui (frame : frame) v : slot =
+let find_slot (ui : unit_info) (frame : frame) v : Store.slot =
   match Hashtbl.find_opt frame v with
   | Some s -> s
   | None -> (
     (* late creation: undeclared scalar local *)
     match Symbol.lookup ui.tbl v with
     | Some { kind = Symbol.Scalar; typ; param; _ } ->
-      let store = alloc typ 1 in
+      let b = Store.alloc typ 1 in
       (match param with
       | Some _ -> (
         match Symbol.param_value ui.tbl v with
-        | Some n -> store.(0) <- convert typ (VI n)
+        | Some n -> Store.set b 0 (VI n)
         | None -> ())
       | None -> ());
-      let s = Scalar { cstore = store; coff = 0 } in
+      let s = Store.Scalar { Store.cbuf = b; coff = 0 } in
       Hashtbl.replace frame v s;
       s
     | _ -> err "variable %s has no storage in %s" v ui.u.Ast.uname)
+
+let charge st ui exprs extra =
+  match st.g.machine with
+  | None -> ()
+  | Some m ->
+    let cost =
+      List.fold_left
+        (fun acc e -> acc +. Perf.Estimator.expr_cost m ui.tbl e)
+        (extra m) exprs
+    in
+    st.clock <- st.clock +. cost
+
+let mem_cost m = m.Perf.Machine.mem_cost
+let call_overhead m = m.Perf.Machine.call_overhead
+
+(* give planned scalars storage in the loop's frame now *)
+let ensure l names =
+  List.iter
+    (fun name ->
+      try ignore (find_slot l.ui l.frame name) with Runtime_error _ -> ())
+    names
+
+(* the processor the machine's schedule gives iteration [k] of [trip] *)
+let processor m trip k =
+  let p = m.Perf.Machine.processors in
+  match m.Perf.Machine.schedule with
+  | Perf.Machine.Block ->
+    let chunk = (trip + p - 1) / max p 1 in
+    if chunk = 0 then 0 else min (p - 1) (k / max chunk 1)
+  | Perf.Machine.Cyclic -> k mod max p 1
+
+(* the iteration indices [0, trip) in [order] *)
+let permutation order trip =
+  let a = Array.init trip Fun.id in
+  (match order with
+  | Seq -> ()
+  | Reverse ->
+    for i = 0 to (trip / 2) - 1 do
+      let t = a.(i) in
+      a.(i) <- a.(trip - 1 - i);
+      a.(trip - 1 - i) <- t
+    done
+  | Shuffled seed ->
+    let rstate = Random.State.make [| seed |] in
+    for i = trip - 1 downto 1 do
+      let j = Random.State.int rstate (i + 1) in
+      let t = a.(i) in
+      a.(i) <- a.(j);
+      a.(j) <- t
+    done);
+  a
 
 let rec eval st ui frame (e : Ast.expr) : value =
   match e with
@@ -97,19 +258,24 @@ let rec eval st ui frame (e : Ast.expr) : value =
   | Ast.Logic b -> VL b
   | Ast.Str s -> VS s
   | Ast.Var v -> (
-    match find_slot st ui frame v with
-    | Scalar c -> get c
-    | Arr _ -> err "array %s used as a scalar value" v)
+    match find_slot ui frame v with
+    | Store.Scalar c ->
+      st.ops.o_mems <- st.ops.o_mems + 1;
+      note_read st v c.Store.cbuf c.Store.coff;
+      Store.get_cell c
+    | Store.Arr _ -> err "array %s used as a scalar value" v)
   | Ast.Index (b, args) -> (
     match Symbol.lookup ui.tbl b with
-    | Some { kind = Symbol.Array _; _ } ->
+    | Some { kind = Symbol.Array _; _ } -> (
       let idxs = List.map (fun a -> to_int (eval st ui frame a)) args in
-      (match find_slot st ui frame b with
-      | Arr a ->
-        let off = offset a idxs in
+      match find_slot ui frame b with
+      | Store.Arr a ->
+        let off = Store.offset a idxs in
+        st.ops.o_mems <- st.ops.o_mems + 1;
         record_access st ~var:b ~off ~write:false;
-        get { cstore = a.store; coff = off }
-      | Scalar _ -> err "%s is not an array" b)
+        note_read st b a.Store.abuf off;
+        Store.get a.Store.abuf off
+      | Store.Scalar _ -> err "%s is not an array" b)
     | Some { kind = Symbol.Intrinsic; _ } -> eval_intrinsic st ui frame b args
     | Some { kind = Symbol.External_fun; _ } ->
       eval_function_call st ui frame b args
@@ -125,8 +291,10 @@ let rec eval st ui frame (e : Ast.expr) : value =
     | Ast.And -> VL (to_bool (eval st ui frame a) && to_bool (eval st ui frame b))
     | Ast.Or -> VL (to_bool (eval st ui frame a) || to_bool (eval st ui frame b))
     | Ast.Add | Ast.Sub | Ast.Mul | Ast.Div | Ast.Pow ->
+      st.ops.o_flops <- st.ops.o_flops + 1;
       arith op (eval st ui frame a) (eval st ui frame b)
     | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge | Ast.Eq | Ast.Ne ->
+      st.ops.o_flops <- st.ops.o_flops + 1;
       compare_vals op (eval st ui frame a) (eval st ui frame b))
 
 and arith op a b =
@@ -167,6 +335,7 @@ and compare_vals op a b =
   VL r
 
 and eval_intrinsic st ui frame name args : value =
+  st.ops.o_intr <- st.ops.o_intr + 1;
   let vs () = List.map (eval st ui frame) args in
   let one () =
     match vs () with [ v ] -> v | _ -> err "%s expects one argument" name
@@ -212,43 +381,38 @@ and eval_intrinsic st ui frame name args : value =
 (* Frames and calls                                                    *)
 (* ------------------------------------------------------------------ *)
 
-and build_frame st (ui : unit_info) (bindings : (string * slot) list) : frame =
+and build_frame st (ui : unit_info) (bindings : (string * Store.slot) list) :
+    frame =
   let frame : frame = Hashtbl.create 16 in
   List.iter (fun (n, s) -> Hashtbl.replace frame n s) bindings;
+  let common_slot name =
+    match Hashtbl.find_opt st.g.commons name with
+    | Some s -> s
+    | None -> err "COMMON variable %s was not pre-allocated" name
+  in
   (* pass 1: scalars (parameters seeded), so array dims can use them *)
   List.iter
     (fun (i : Symbol.info) ->
       if not (Hashtbl.mem frame i.name) then
         match i.kind with
         | Symbol.Scalar ->
-          if i.common <> None then begin
-            let key = i.name in
-            let slot =
-              match Hashtbl.find_opt st.commons key with
-              | Some s -> s
-              | None ->
-                let s = Scalar { cstore = alloc i.typ 1; coff = 0 } in
-                Hashtbl.replace st.commons key s;
-                s
-            in
-            Hashtbl.replace frame i.name slot
-          end
+          if i.common <> None then
+            Hashtbl.replace frame i.name (common_slot i.name)
           else begin
-            let store = alloc i.typ 1 in
+            let b = Store.alloc i.typ 1 in
             (match Symbol.param_value ui.tbl i.name with
-            | Some n -> store.(0) <- convert i.typ (VI n)
+            | Some n -> Store.set b 0 (VI n)
             | None -> (
               (* DATA initial value: literals only *)
               match i.data with
-              | Some (Ast.Int n) -> store.(0) <- convert i.typ (VI n)
-              | Some (Ast.Real f) -> store.(0) <- convert i.typ (VR f)
-              | Some (Ast.Logic b) -> store.(0) <- convert i.typ (VL b)
-              | Some (Ast.Un (Ast.Neg, Ast.Int n)) ->
-                store.(0) <- convert i.typ (VI (-n))
-              | Some (Ast.Un (Ast.Neg, Ast.Real f)) ->
-                store.(0) <- convert i.typ (VR (-.f))
+              | Some (Ast.Int n) -> Store.set b 0 (VI n)
+              | Some (Ast.Real f) -> Store.set b 0 (VR f)
+              | Some (Ast.Logic l) -> Store.set b 0 (VL l)
+              | Some (Ast.Un (Ast.Neg, Ast.Int n)) -> Store.set b 0 (VI (-n))
+              | Some (Ast.Un (Ast.Neg, Ast.Real f)) -> Store.set b 0 (VR (-.f))
               | Some _ | None -> ()));
-            Hashtbl.replace frame i.name (Scalar { cstore = store; coff = 0 })
+            Hashtbl.replace frame i.name
+              (Store.Scalar { Store.cbuf = b; coff = 0 })
           end
         | Symbol.Array _ | Symbol.Routine | Symbol.External_fun
         | Symbol.Intrinsic -> ())
@@ -273,7 +437,7 @@ and build_frame st (ui : unit_info) (bindings : (string * slot) list) : frame =
             dims
         in
         (match Hashtbl.find_opt frame i.name with
-        | Some (Arr view) ->
+        | Some (Store.Arr view) ->
           (* formal array: reshape the passed storage to our bounds *)
           let bounds =
             (* resolve assumed-size final extent against storage *)
@@ -284,64 +448,53 @@ and build_frame st (ui : unit_info) (bindings : (string * slot) list) : frame =
                   (fun acc (l, h) -> acc * max 1 (h - l + 1))
                   1 rest
               in
-              let avail = Array.length view.store - view.base in
+              let avail = Store.length view.Store.abuf - view.Store.base in
               let extent = max 1 (avail / max 1 other) in
               List.rev ((lo, lo + extent - 1) :: rest)
             | _ -> bounds
           in
-          Hashtbl.replace frame i.name
-            (Arr { store = view.store; base = view.base; bounds })
-        | Some (Scalar _) -> ()
+          Hashtbl.replace frame i.name (Store.Arr { view with Store.bounds })
+        | Some (Store.Scalar _) -> ()
         | None ->
-          let size =
-            List.fold_left (fun acc (lo, hi) -> acc * max 1 (hi - lo + 1)) 1
-              bounds
-          in
-          if i.common <> None then begin
-            let slot =
-              match Hashtbl.find_opt st.commons i.name with
-              | Some s -> s
-              | None ->
-                let s = Arr { store = alloc i.typ size; base = 0; bounds } in
-                Hashtbl.replace st.commons i.name s;
-                s
+          if i.common <> None then
+            Hashtbl.replace frame i.name (common_slot i.name)
+          else begin
+            let size =
+              List.fold_left (fun acc (lo, hi) -> acc * max 1 (hi - lo + 1)) 1
+                bounds
             in
-            Hashtbl.replace frame i.name slot
-          end
-          else
             Hashtbl.replace frame i.name
-              (Arr { store = alloc i.typ size; base = 0; bounds }))
+              (Store.Arr { Store.abuf = Store.alloc i.typ size; base = 0; bounds })
+          end)
       | Symbol.Scalar | Symbol.Routine | Symbol.External_fun
       | Symbol.Intrinsic -> ())
     (Symbol.infos ui.tbl);
   frame
 
 and bind_actuals st caller_ui caller_frame (callee : unit_info)
-    (formals : string list) (actuals : Ast.expr list) : (string * slot) list =
+    (formals : string list) (actuals : Ast.expr list) :
+    (string * Store.slot) list =
   let bind formal actual =
     let formal_is_array = Symbol.is_array callee.tbl formal in
     match actual with
-    | Ast.Var v -> (
-      match find_slot st caller_ui caller_frame v with
-      | Scalar c -> (formal, Scalar c)
-      | Arr a -> (formal, Arr a))
-    | Ast.Index (b, idxs)
-      when Symbol.is_array caller_ui.tbl b ->
-      let idxs = List.map (fun a -> to_int (eval st caller_ui caller_frame a)) idxs in
-      (match find_slot st caller_ui caller_frame b with
-      | Arr a ->
-        let off = offset a idxs in
+    | Ast.Var v -> (formal, find_slot caller_ui caller_frame v)
+    | Ast.Index (b, idxs) when Symbol.is_array caller_ui.tbl b -> (
+      let idxs =
+        List.map (fun a -> to_int (eval st caller_ui caller_frame a)) idxs
+      in
+      match find_slot caller_ui caller_frame b with
+      | Store.Arr a ->
+        let off = Store.offset a idxs in
         if formal_is_array then
           (* the callee sees storage starting at this element *)
-          (formal, Arr { store = a.store; base = off; bounds = [] })
-        else (formal, Scalar { cstore = a.store; coff = off })
-      | Scalar _ -> err "%s is not an array" b)
+          (formal, Store.Arr { Store.abuf = a.Store.abuf; base = off; bounds = [] })
+        else (formal, Store.Scalar { Store.cbuf = a.Store.abuf; coff = off })
+      | Store.Scalar _ -> err "%s is not an array" b)
     | e ->
       (* expression argument: pass a temporary *)
-      let typ = typ_of_var callee formal in
-      let store = alloc typ 1 in
-      store.(0) <- convert typ (eval st caller_ui caller_frame e);
-      (formal, Scalar { cstore = store; coff = 0 })
+      let b = Store.alloc (Symbol.typ_of callee.tbl formal) 1 in
+      Store.set b 0 (eval st caller_ui caller_frame e);
+      (formal, Store.Scalar { Store.cbuf = b; coff = 0 })
   in
   let rec go fs acts =
     match (fs, acts) with
@@ -351,8 +504,8 @@ and bind_actuals st caller_ui caller_frame (callee : unit_info)
   in
   go formals actuals
 
-and call_unit st (callee : unit_info) (bindings : (string * slot) list) : frame
-    =
+and call_unit st (callee : unit_info) (bindings : (string * Store.slot) list) :
+    frame =
   st.depth <- st.depth + 1;
   if st.depth > 200 then err "call depth exceeded (recursion?)";
   let frame = build_frame st callee bindings in
@@ -365,32 +518,27 @@ and call_unit st (callee : unit_info) (bindings : (string * slot) list) : frame
   frame
 
 and eval_function_call st ui frame name args : value =
-  match Hashtbl.find_opt st.units name with
+  match Hashtbl.find_opt st.g.units name with
   | Some callee -> (
     let formals =
       match callee.u.Ast.kind with
       | Ast.Function (_, fs) -> fs
       | _ -> err "%s is not a function" name
     in
-    st.clock <- st.clock +. st.machine.Perf.Machine.call_overhead;
+    (match st.g.machine with
+    | Some m -> st.clock <- st.clock +. m.Perf.Machine.call_overhead
+    | None -> ());
+    st.ops.o_calls <- st.ops.o_calls + 1;
     let bindings = bind_actuals st ui frame callee formals args in
     let callee_frame = call_unit st callee bindings in
     match Hashtbl.find_opt callee_frame name with
-    | Some (Scalar c) -> get c
+    | Some (Store.Scalar c) -> Store.get_cell c
     | _ -> err "function %s returned no value" name)
   | None -> err "unknown function %s (external functions must be supplied)" name
 
 (* ------------------------------------------------------------------ *)
 (* Statement execution                                                 *)
 (* ------------------------------------------------------------------ *)
-
-and charge st ui exprs extra =
-  let c =
-    List.fold_left
-      (fun acc e -> acc +. Perf.Estimator.expr_cost st.machine ui.tbl e)
-      extra exprs
-  in
-  st.clock <- st.clock +. c
 
 and exec_block st ui frame (stmts : Ast.stmt list) : signal =
   let arr = Array.of_list stmts in
@@ -414,8 +562,8 @@ and exec_block st ui frame (stmts : Ast.stmt list) : signal =
   from 0
 
 and exec_stmt st ui frame (s : Ast.stmt) : signal =
-  st.steps <- st.steps + 1;
-  if st.steps > st.max_steps then err "statement budget exhausted";
+  if Atomic.fetch_and_add st.g.steps 1 >= st.g.max_steps then
+    err "statement budget exhausted";
   st.cur_sid <- s.Ast.sid;
   st.instance <- st.instance + 1;
   match s.Ast.node with
@@ -424,30 +572,36 @@ and exec_stmt st ui frame (s : Ast.stmt) : signal =
   | Ast.Return -> Sreturn
   | Ast.Stop -> Sstop
   | Ast.Assign (lhs, rhs) -> (
-    charge st ui [ lhs; rhs ] st.machine.Perf.Machine.mem_cost;
+    charge st ui [ lhs; rhs ] mem_cost;
     let v = eval st ui frame rhs in
     match lhs with
     | Ast.Var name -> (
-      match find_slot st ui frame name with
-      | Scalar c -> set (typ_of_var ui name) c v; Snormal
-      | Arr _ -> err "cannot assign whole array %s" name)
+      match find_slot ui frame name with
+      | Store.Scalar c ->
+        st.ops.o_mems <- st.ops.o_mems + 1;
+        note_write st name c.Store.cbuf c.Store.coff;
+        Store.set_cell c v;
+        Snormal
+      | Store.Arr _ -> err "cannot assign whole array %s" name)
     | Ast.Index (b, idxs) -> (
       let idxs = List.map (fun a -> to_int (eval st ui frame a)) idxs in
-      match find_slot st ui frame b with
-      | Arr a ->
-        let off = offset a idxs in
+      match find_slot ui frame b with
+      | Store.Arr a ->
+        let off = Store.offset a idxs in
+        st.ops.o_mems <- st.ops.o_mems + 1;
         record_access st ~var:b ~off ~write:true;
-        set (typ_of_var ui b) { cstore = a.store; coff = off } v;
+        note_write st b a.Store.abuf off;
+        Store.set a.Store.abuf off v;
         Snormal
-      | Scalar _ -> err "%s is not an array" b)
+      | Store.Scalar _ -> err "%s is not an array" b)
     | _ -> err "bad assignment target")
   | Ast.Print args ->
-    charge st ui args 10.0;
+    charge st ui args (fun _ -> 10.0);
     let line = Abi.print_line (List.map (eval st ui frame) args) in
-    st.out_lines <- line :: st.out_lines;
+    st.out_rev <- line :: st.out_rev;
     Snormal
   | Ast.If (branches, els) -> (
-    charge st ui (List.map fst branches) 0.0;
+    charge st ui (List.map fst branches) (fun _ -> 0.0);
     let rec pick = function
       | [] -> exec_block st ui frame els
       | (c, body) :: rest ->
@@ -456,8 +610,8 @@ and exec_stmt st ui frame (s : Ast.stmt) : signal =
     in
     pick branches)
   | Ast.Call (name, args) -> (
-    charge st ui args st.machine.Perf.Machine.call_overhead;
-    match Hashtbl.find_opt st.units name with
+    charge st ui args call_overhead;
+    match Hashtbl.find_opt st.g.units name with
     | Some callee ->
       let formals =
         match callee.u.Ast.kind with
@@ -465,38 +619,38 @@ and exec_stmt st ui frame (s : Ast.stmt) : signal =
         | Ast.Function (_, fs) -> fs
         | Ast.Main -> err "cannot CALL the main program"
       in
+      st.ops.o_calls <- st.ops.o_calls + 1;
       let bindings = bind_actuals st ui frame callee formals args in
       let _ = call_unit st callee bindings in
       Snormal
     | None -> err "unknown subroutine %s" name)
-  | Ast.Do (h, body) ->
-    let t0 = st.clock in
-    let r = exec_do st ui frame s h body in
-    let dt = st.clock -. t0 in
-    Hashtbl.replace st.loop_cycles s.Ast.sid
-      (dt +. Option.value ~default:0.0 (Hashtbl.find_opt st.loop_cycles s.Ast.sid));
-    r
+  | Ast.Do (h, body) -> (
+    match st.g.machine with
+    | None -> exec_do st ui frame s h body
+    | Some _ ->
+      let t0 = st.clock in
+      let r = exec_do st ui frame s h body in
+      let dt = st.clock -. t0 in
+      Hashtbl.replace st.g.loop_cycles s.Ast.sid
+        (dt
+        +. Option.value ~default:0.0 (Hashtbl.find_opt st.g.loop_cycles s.Ast.sid));
+      r)
 
 and exec_do st ui frame (s : Ast.stmt) (h : Ast.do_header) body : signal =
-  charge st ui
-    ([ h.Ast.lo; h.Ast.hi ] @ Option.to_list h.Ast.step)
-    0.0;
+  charge st ui ([ h.Ast.lo; h.Ast.hi ] @ Option.to_list h.Ast.step) (fun _ -> 0.0);
   let lo = eval st ui frame h.Ast.lo in
   let hi = eval st ui frame h.Ast.hi in
   let step =
-    match h.Ast.step with
-    | None -> VI 1
-    | Some e -> eval st ui frame e
+    match h.Ast.step with None -> VI 1 | Some e -> eval st ui frame e
   in
   let is_int =
     match (lo, hi, step) with VI _, VI _, VI _ -> true | _ -> false
   in
   let iv_cell =
-    match find_slot st ui frame h.Ast.dvar with
-    | Scalar c -> c
-    | Arr _ -> err "loop variable %s is an array" h.Ast.dvar
+    match find_slot ui frame h.Ast.dvar with
+    | Store.Scalar c -> c
+    | Store.Arr _ -> err "loop variable %s is an array" h.Ast.dvar
   in
-  let iv_typ = typ_of_var ui h.Ast.dvar in
   let trip =
     if is_int then begin
       let l = to_int lo and hh = to_int hi and st_ = to_int step in
@@ -513,107 +667,212 @@ and exec_do st ui frame (s : Ast.stmt) (h : Ast.do_header) body : signal =
     if is_int then VI (to_int lo + (k * to_int step))
     else VR (to_float lo +. (float_of_int k *. to_float step))
   in
-  let run_iteration k : signal =
-    set iv_typ iv_cell (value_at k);
-    st.clock <- st.clock +. st.machine.Perf.Machine.loop_overhead;
-    st.loop_stack <- (s.Ast.sid, k) :: st.loop_stack;
-    let r = exec_block st ui frame body in
-    st.loop_stack <- List.tl st.loop_stack;
-    r
-  in
   (* F77: the DO variable receives its initial value even when the
      loop runs zero times *)
-  set iv_typ iv_cell (value_at 0);
-  let parallel = h.Ast.parallel && st.honor_parallel && not st.in_parallel in
-  let result =
-    if not parallel then begin
-      let rec go k =
-        if k >= trip then begin
-          (* normal completion: F77 leaves the DO variable at the first
-             value that failed the iteration test *)
-          set iv_typ iv_cell (value_at trip);
-          Snormal
-        end
-        else
-          match run_iteration k with
-          | Snormal -> go (k + 1)
-          | other -> other
-      in
-      go 0
-    end
-    else begin
-      (* simulated parallel execution: run iterations one at a time in
-         [par_order], measuring each; charge block-scheduled time *)
-      let order = Array.init trip Fun.id in
-      (match st.par_order with
-      | Seq -> ()
-      | Reverse ->
-        for i = 0 to (trip / 2) - 1 do
-          let t = order.(i) in
-          order.(i) <- order.(trip - 1 - i);
-          order.(trip - 1 - i) <- t
-        done
-      | Shuffled seed ->
-        let rstate = Random.State.make [| seed |] in
-        for i = trip - 1 downto 1 do
-          let j = Random.State.int rstate (i + 1) in
-          let t = order.(i) in
-          order.(i) <- order.(j);
-          order.(j) <- t
-        done);
-      let p = st.machine.Perf.Machine.processors in
-      let buckets = Array.make (max p 1) 0.0 in
-      let chunk = (trip + p - 1) / max p 1 in
-      let start_clock = st.clock in
-      st.in_parallel <- true;
-      let bad = ref None in
-      Array.iter
-        (fun k ->
-          if !bad = None then begin
-            let t0 = st.clock in
-            (match run_iteration k with
-            | Snormal -> ()
-            | other -> bad := Some other);
-            let delta = st.clock -. t0 in
-            let proc =
-              match st.machine.Perf.Machine.schedule with
-              | Perf.Machine.Block ->
-                if chunk = 0 then 0 else min (p - 1) (k / max chunk 1)
-              | Perf.Machine.Cyclic -> k mod max p 1
-            in
-            buckets.(proc) <- buckets.(proc) +. delta
-          end)
-        order;
-      st.in_parallel <- false;
-      let par_time = Array.fold_left Float.max 0.0 buckets in
-      st.clock <-
-        start_clock +. st.machine.Perf.Machine.fork_join +. par_time;
-      (* leave the induction variable at its sequential final value so
-         results do not depend on the iteration order *)
-      set iv_typ iv_cell (value_at trip);
-      match !bad with Some sig_ -> sig_ | None -> Snormal
-    end
+  Store.set_cell iv_cell (value_at 0);
+  let l =
+    { ctx = st; ui; frame; stmt = s; header = h; body; trip; value_at; iv_cell }
   in
-  ignore s;
-  result
+  if not (h.Ast.parallel && not st.in_parallel) then sequential l
+  else
+    match st.g.parallel with
+    | Sequential -> sequential l
+    | Simulated order -> one_at_a_time l ~monitor:false (permutation order trip)
+    | Validated v -> validated v l
+    | Runner run -> if trip > 0 then run l else sequential l
+
+and iteration st l frame (ivc : Store.cell) k : signal =
+  Store.set_cell ivc (l.value_at k);
+  st.ops.o_iters <- st.ops.o_iters + 1;
+  (match st.g.machine with
+  | Some m -> st.clock <- st.clock +. m.Perf.Machine.loop_overhead
+  | None -> ());
+  match st.g.trace with
+  | None -> exec_block st l.ui frame l.body
+  | Some _ ->
+    st.loop_stack <- (l.stmt.Ast.sid, k) :: st.loop_stack;
+    let r = exec_block st l.ui frame l.body in
+    st.loop_stack <- List.tl st.loop_stack;
+    r
+
+and sequential l : signal =
+  let rec go k =
+    if k >= l.trip then begin
+      (* normal completion: F77 leaves the DO variable at the first
+         value that failed the iteration test *)
+      Store.set_cell l.iv_cell (l.value_at l.trip);
+      Snormal
+    end
+    else
+      match iteration l.ctx l l.frame l.iv_cell k with
+      | Snormal -> go (k + 1)
+      | other -> other
+  in
+  go 0
+
+(* A PARALLEL DO run one iteration at a time on this domain, in
+   [order].  With a clock each iteration's cost lands in the bucket of
+   the processor the machine's schedule gives it, and the loop costs
+   fork/join plus the busiest processor; with [monitor] every access is
+   stamped with its iteration number. *)
+and one_at_a_time l ~monitor order : signal =
+  let st = l.ctx in
+  let buckets =
+    match st.g.machine with
+    | Some m -> Array.make (max m.Perf.Machine.processors 1) 0.0
+    | None -> [||]
+  in
+  let start_clock = st.clock in
+  st.in_parallel <- true;
+  let bad = ref None in
+  Array.iter
+    (fun k ->
+      if !bad = None then begin
+        if monitor then st.mon_iter <- k;
+        let t0 = st.clock in
+        (match iteration st l l.frame l.iv_cell k with
+        | Snormal -> ()
+        | other -> bad := Some other);
+        match st.g.machine with
+        | Some m ->
+          let p = processor m l.trip k in
+          buckets.(p) <- buckets.(p) +. (st.clock -. t0)
+        | None -> ()
+      end)
+    order;
+  st.in_parallel <- false;
+  (match st.g.machine with
+  | Some m ->
+    st.clock <-
+      start_clock +. m.Perf.Machine.fork_join
+      +. Array.fold_left Float.max 0.0 buckets
+  | None -> ());
+  (* leave the induction variable at its sequential final value so
+     results do not depend on the iteration order *)
+  Store.set_cell l.iv_cell (l.value_at l.trip);
+  match !bad with Some sig_ -> sig_ | None -> Snormal
+
+(* Instrumented execution of a PARALLEL DO: storage the loop's plan
+   privatizes is excluded via the epoch tag, everything else is
+   stamped per iteration. *)
+and validated v l : signal =
+  let st = l.ctx in
+  let excluded = v.excluded l in
+  (* make sure planned scalars exist so the exclusion reaches them *)
+  ensure l excluded;
+  st.g.epoch <- st.g.epoch + 1;
+  List.iter
+    (fun name ->
+      match Hashtbl.find_opt l.frame name with
+      | Some (Store.Scalar c) -> c.Store.cbuf.Store.excl_epoch <- st.g.epoch
+      | Some (Store.Arr a) -> a.Store.abuf.Store.excl_epoch <- st.g.epoch
+      | None -> ())
+    excluded;
+  let saved_iter = st.mon_iter and saved_loop = st.mon_loop in
+  st.mon_loop <- l.stmt.Ast.sid;
+  let r = one_at_a_time l ~monitor:true (permutation Seq l.trip) in
+  st.mon_iter <- saved_iter;
+  st.mon_loop <- saved_loop;
+  r
 
 (* ------------------------------------------------------------------ *)
 (* Entry point                                                         *)
 (* ------------------------------------------------------------------ *)
 
+type loaded = { top : ctx; main_ui : unit_info; main_frame : frame }
+
+(* COMMON storage is allocated before execution starts, so contexts
+   never mutate the commons table and callee frames can be built inside
+   parallel regions.  Bounds of COMMON arrays must be compile-time
+   constants for this, as F77 requires.  The main unit declares first,
+   then the others in program order. *)
+let init_commons (units : unit_info list) commons =
+  List.iter
+    (fun ui ->
+      List.iter
+        (fun (i : Symbol.info) ->
+          if i.common <> None && not (Hashtbl.mem commons i.name) then
+            match i.kind with
+            | Symbol.Scalar ->
+              Hashtbl.replace commons i.name
+                (Store.Scalar { Store.cbuf = Store.alloc i.typ 1; coff = 0 })
+            | Symbol.Array dims ->
+              let bounds =
+                List.map
+                  (fun (lo, hi) ->
+                    match
+                      (Symbol.const_eval ui.tbl lo, Symbol.const_eval ui.tbl hi)
+                    with
+                    | Some l, Some h -> (l, h)
+                    | _ -> err "COMMON array %s needs constant bounds" i.name)
+                  dims
+              in
+              let size =
+                List.fold_left
+                  (fun acc (lo, hi) -> acc * max 1 (hi - lo + 1))
+                  1 bounds
+              in
+              Hashtbl.replace commons i.name
+                (Store.Arr { Store.abuf = Store.alloc i.typ size; base = 0; bounds })
+            | Symbol.Routine | Symbol.External_fun | Symbol.Intrinsic -> ())
+        (Symbol.infos ui.tbl))
+    units
+
+let load ?machine ?trace ~parallel ~max_steps (prog : Ast.program) : loaded =
+  let units = Hashtbl.create 8 in
+  let infos =
+    List.map
+      (fun (u : Ast.program_unit) ->
+        let ui = { u; tbl = Symbol.build u } in
+        Hashtbl.replace units u.Ast.uname ui;
+        ui)
+      prog.Ast.punits
+  in
+  let main_ui =
+    match List.find_opt (fun ui -> ui.u.Ast.kind = Ast.Main) infos with
+    | Some ui -> Hashtbl.find units ui.u.Ast.uname
+    | None -> err "no main program unit"
+  in
+  let commons = Hashtbl.create 8 in
+  init_commons (main_ui :: infos) commons;
+  let g =
+    {
+      units;
+      commons;
+      parallel;
+      machine;
+      trace;
+      max_steps;
+      steps = Atomic.make 0;
+      loop_cycles = Hashtbl.create 16;
+      epoch = 0;
+    }
+  in
+  let top = new_ctx g ~depth:0 ~in_parallel:false in
+  { top; main_ui; main_frame = build_frame top main_ui [] }
+
+let run_main m =
+  try
+    match exec_block m.top m.main_ui m.main_frame m.main_ui.u.Ast.body with
+    | Snormal | Sreturn | Sstop -> ()
+    | Sgoto l -> err "GOTO %d escapes the main program" l
+  with
+  | Exit -> ()
+  | Failure msg -> err "%s" msg
+
 let snapshot (frame : frame) commons : (string * float list) list =
-  let one name slot acc =
+  let one name (slot : Store.slot) acc =
     match slot with
-    | Scalar c -> (name, [ to_float (get c) ]) :: acc
-    | Arr a ->
-      let vals = ref [] in
+    | Store.Scalar c -> (name, [ to_float (Store.get_cell c) ]) :: acc
+    | Store.Arr a ->
       let size =
         List.fold_left (fun acc (lo, hi) -> acc * max 1 (hi - lo + 1)) 1
-          a.bounds
+          a.Store.bounds
       in
-      let size = min size (Array.length a.store - a.base) in
-      for i = a.base + size - 1 downto a.base do
-        vals := to_float a.store.(i) :: !vals
+      let size = min size (Store.length a.Store.abuf - a.Store.base) in
+      let vals = ref [] in
+      for i = a.Store.base + size - 1 downto a.Store.base do
+        vals := Store.to_float a.Store.abuf i :: !vals
       done;
       (name, !vals) :: acc
   in
@@ -623,61 +882,33 @@ let snapshot (frame : frame) commons : (string * float list) list =
   in
   Abi.sort_store acc
 
+let output m = List.rev m.top.out_rev
+let stmts_executed m = Atomic.get m.top.g.steps
+let final_store m = snapshot m.main_frame m.top.g.commons
+
+let op_counts m =
+  let o = m.top.ops in
+  {
+    Perf.Machine.flops = float_of_int o.o_flops;
+    mems = float_of_int o.o_mems;
+    intrinsics = float_of_int o.o_intr;
+    loop_iters = float_of_int o.o_iters;
+    calls = float_of_int o.o_calls;
+  }
+
 let run ?(machine = Perf.Machine.default) ?(honor_parallel = true)
     ?(par_order = Seq) ?(max_steps = 50_000_000) ?trace (prog : Ast.program) :
     outcome =
-  let units = Hashtbl.create 8 in
-  List.iter
-    (fun (u : Ast.program_unit) ->
-      Hashtbl.replace units u.Ast.uname { u; tbl = Symbol.build u })
-    prog.Ast.punits;
-  let main =
-    match
-      List.find_opt
-        (fun (u : Ast.program_unit) -> u.Ast.kind = Ast.Main)
-        prog.Ast.punits
-    with
-    | Some u -> u
-    | None -> err "no main program unit"
-  in
-  let st =
-    {
-      units;
-      commons = Hashtbl.create 8;
-      machine;
-      honor_parallel;
-      par_order;
-      max_steps;
-      steps = 0;
-      clock = 0.0;
-      depth = 0;
-      in_parallel = false;
-      out_buf = Buffer.create 256;
-      out_lines = [];
-      loop_cycles = Hashtbl.create 16;
-      trace;
-      cur_sid = -1;
-      instance = 0;
-      loop_stack = [];
-    }
-  in
-  let main_ui = Hashtbl.find units main.Ast.uname in
-  let frame = build_frame st main_ui [] in
-  (try
-     match exec_block st main_ui frame main.Ast.body with
-     | Snormal | Sreturn | Sstop -> ()
-     | Sgoto l -> err "GOTO %d escapes the main program" l
-   with
-  | Exit -> ()
-  | Failure msg -> err "%s" msg);
-  ignore st.out_buf;
+  let parallel = if honor_parallel then Simulated par_order else Sequential in
+  let m = load ~machine ?trace ~parallel ~max_steps prog in
+  run_main m;
   {
-    output = List.rev st.out_lines;
-    cycles = st.clock;
-    stmts_executed = st.steps;
-    final_store = snapshot frame st.commons;
+    output = output m;
+    cycles = m.top.clock;
+    stmts_executed = stmts_executed m;
+    final_store = final_store m;
     loop_cycles =
-      Hashtbl.fold (fun k v acc -> (k, v) :: acc) st.loop_cycles []
+      Hashtbl.fold (fun k v acc -> (k, v) :: acc) m.top.g.loop_cycles []
       |> List.sort compare;
   }
 

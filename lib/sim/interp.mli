@@ -1,18 +1,28 @@
-(** The execution simulator: a Fortran-subset interpreter with a
-    simulated parallel machine.
+(** The evaluator: the one tree-walking interpreter of the Fortran
+    subset, with every execution mode built on it.
 
     Sequential semantics follow Fortran 77 (by-reference arguments,
-    COMMON storage shared by name, column-major adjustable arrays,
-    truncating integer division, DO trip counts computed on entry).
+    COMMON storage shared by name and allocated up front, column-major
+    adjustable arrays, truncating integer division, DO trip counts
+    computed on entry).  Storage is {!Store}'s typed buffers; a write
+    converts to the buffer's type.
 
-    PARALLEL DO loops execute their iterations one at a time (so the
-    simulation is deterministic) but the {e simulated clock} charges
-    them as the machine would run them: iterations are block-scheduled
-    onto the machine's processors, each processor's time is the sum of
-    its iterations' measured costs, and the loop costs
-    fork/join + max over processors.  Only the outermost parallel
-    loop spreads; inner parallel loops run sequentially on their
-    processor, as on the machines Ped targeted.
+    Only the outermost PARALLEL DO spreads; inner parallel loops run
+    sequentially on their processor, as on the machines Ped targeted.
+    The outermost one runs in one of four ways ({!parallel}):
+    sequentially; simulated; validated; or through an injected runner
+    (the multicore runtime's real domains).  Instrumentation — the
+    simulated clock, the access trace, dynamic op counts and the
+    validator's shadow stamps — lives in the evaluator's context, each
+    behind a cheap test.
+
+    {!run} is the simulator.  PARALLEL DO loops execute their
+    iterations one at a time (so the simulation is deterministic) but
+    the {e simulated clock} charges them as the machine would run
+    them: iterations are block-scheduled onto the machine's
+    processors, each processor's time is the sum of its iterations'
+    measured costs, and the loop costs fork/join + max over
+    processors.
 
     [par_order] permutes the execution order of parallel-loop
     iterations.  A correctly parallelized program produces the same
@@ -66,7 +76,7 @@ type outcome = {
     @param trace called once per array-element access, in execution
            order (see {!access})
     @raise Runtime_error on missing main, bad subscripts, recursion,
-           or budget exhaustion *)
+           budget exhaustion, or COMMON arrays without constant bounds *)
 val run :
   ?machine:Perf.Machine.t ->
   ?honor_parallel:bool ->
@@ -75,6 +85,108 @@ val run :
   ?trace:(access -> unit) ->
   Ast.program ->
   outcome
+
+(** {2 Execution modes}
+
+    What [Runtime.Exec] builds on: the modes other than the plain
+    simulator, and the few operations an injected runner needs. *)
+
+(** A cross-iteration conflict the validator observed. *)
+type conflict_kind = Flow | Anti | Output
+
+type unit_info
+type frame = (string, Store.slot) Hashtbl.t
+type signal = Snormal | Sgoto of int | Sreturn | Sstop
+
+(** An execution context: one per domain. *)
+type ctx
+
+(** One execution of a PARALLEL DO, as handed to a runner.  The DO
+    variable already holds its initial value. *)
+type par_loop = {
+  ctx : ctx;
+  ui : unit_info;
+  frame : frame;
+  stmt : Ast.stmt;
+  header : Ast.do_header;
+  body : Ast.stmt list;
+  trip : int;
+  value_at : int -> Value.value;  (** the DO variable's k-th value *)
+  iv_cell : Store.cell;  (** the DO variable's storage *)
+}
+
+type parallel =
+  | Sequential  (** as a plain DO *)
+  | Simulated of order
+      (** one iteration at a time in this order, charged to
+          block-scheduled processor buckets when the clock runs *)
+  | Validated of validator
+      (** one iteration at a time in order, every access to storage
+          the loop does not privatize stamped in shadow memory *)
+  | Runner of (par_loop -> signal)
+      (** handed to the runner, for loops of at least one iteration;
+          the runner leaves the DO variable at its final value *)
+
+(** How the validated mode learns about the loop being validated. *)
+and validator = {
+  excluded : par_loop -> string list;
+      (** variables the loop privatizes (its DO variable, private,
+          induction and reduction scalars, private arrays): their
+          accesses are not stamped *)
+  conflict :
+    Ast.stmt_id -> string -> conflict_kind -> int -> int -> int -> unit;
+      (** [conflict loop var kind offset earlier later] — called on
+          every conflicting access, with the earlier and later
+          iteration numbers *)
+}
+
+(** A loaded program: units indexed, COMMON allocated, the main
+    unit's frame built. *)
+type loaded
+
+(** [load ~parallel ~max_steps prog]
+    @param machine runs the simulated clock against this machine
+    @param trace see {!run}
+    @raise Runtime_error on a missing main unit or COMMON arrays
+           without constant bounds *)
+val load :
+  ?machine:Perf.Machine.t ->
+  ?trace:(access -> unit) ->
+  parallel:parallel ->
+  max_steps:int ->
+  Ast.program ->
+  loaded
+
+(** Execute the main unit. *)
+val run_main : loaded -> unit
+
+val output : loaded -> string list
+val stmts_executed : loaded -> int
+val final_store : loaded -> (string * float list) list
+val op_counts : loaded -> Perf.Machine.op_counts
+
+(** [ensure l names] — give every scalar in [names] storage in [l]'s
+    frame now (undeclared scalars are otherwise created on first use);
+    names without scalar storage are skipped. *)
+val ensure : par_loop -> string list -> unit
+
+(** [fork c] — a context for running iterations on another domain:
+    same storage, program and budget; its own output, op counts and
+    instrumentation, already inside a parallel loop. *)
+val fork : ctx -> ctx
+
+(** [iteration c l frame iv k] — set [iv] to the DO variable's
+    [k]-th value and run one iteration of [l]'s body in [frame]. *)
+val iteration : ctx -> par_loop -> frame -> Store.cell -> int -> signal
+
+(** The PRINT lines [c] produced since the last call, in order. *)
+val take_output : ctx -> string list
+
+(** Append PRINT lines to [c]'s output. *)
+val emit : ctx -> string list -> unit
+
+(** [add_ops c w] — add [w]'s op counts into [c]'s. *)
+val add_ops : ctx -> ctx -> unit
 
 (** [outputs_match ?tol a b] — same PRINT lines up to relative
     tolerance on numeric fields (reductions reassociate under

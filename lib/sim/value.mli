@@ -1,9 +1,5 @@
-(** Runtime values and storage for the simulator.
-
-    Scalars are one-element views and array elements are offset views
-    into shared storage, which gives Fortran's by-reference argument
-    passing (including passing [A(5)] as the start of an array and
-    reshaping across a call boundary) for free. *)
+(** Fortran values as the evaluator computes with them, and their
+    conversions.  Storage lives in {!Store}. *)
 
 type value = VI of int | VR of float | VL of bool | VS of string
 
@@ -15,25 +11,5 @@ val to_bool : value -> bool
 (** [convert typ v] — Fortran assignment conversion (REAL→INTEGER
     truncates toward zero, INTEGER→REAL widens). *)
 val convert : Fortran_front.Ast.typ -> value -> value
-
-type cell = { cstore : value array; coff : int }
-
-val get : cell -> value
-val set : Fortran_front.Ast.typ -> cell -> value -> unit
-
-(** An array: a view into shared storage with declared bounds
-    (column-major, Fortran order). *)
-type arr = { store : value array; base : int; bounds : (int * int) list }
-
-(** [offset arr idxs] — linear offset of the element at [idxs].
-    @raise Failure on a subscript out of the view's storage. *)
-val offset : arr -> int list -> int
-
-val elem_cell : arr -> int list -> cell
-
-type slot = Scalar of cell | Arr of arr
-
-(** Fresh zero-initialized storage of [n] elements of type [typ]. *)
-val alloc : Fortran_front.Ast.typ -> int -> value array
 
 val zero_of : Fortran_front.Ast.typ -> value

@@ -9,6 +9,26 @@ let sess () =
 
 let run t line = Ped.Command.run t line
 
+(* daxpy with its first loop parallelized: the simulator then spreads
+   a loop over the requested processors *)
+let daxpy_parallel () =
+  let w = Option.get (Workloads.by_name "daxpy") in
+  let t = Ped.Session.load (Workloads.program w) ~unit_name:(Workloads.main_unit w) in
+  check_bool "parallelized" true
+    (contains ~needle:"parallelize applied" (run t "apply parallelize l1"));
+  t
+
+let rejects_processors cmd =
+  let t = daxpy_parallel () in
+  List.iter
+    (fun p ->
+      check_string (cmd ^ " " ^ p)
+        (Printf.sprintf "error: processor count %s must be at least 1" p)
+        (run t (Printf.sprintf "%s %s" cmd p)))
+    [ "0"; "-3" ];
+  check_bool (cmd ^ " 4 still answers") false
+    (contains ~needle:"error" (run t (cmd ^ " 4")))
+
 let suite =
   [
     case "help lists every transformation" (fun () ->
@@ -82,6 +102,10 @@ let suite =
     case "simulate reports output lines" (fun () ->
         let t = sess () in
         check_bool "output" true (contains ~needle:"output:" (run t "simulate 4")));
+    case "simulate rejects processor counts below 1" (fun () ->
+        rejects_processors "simulate");
+    case "estimate rejects processor counts below 1" (fun () ->
+        rejects_processors "estimate");
     case "script echoes commands" (fun () ->
         let t = sess () in
         match Ped.Command.script t [ "loops"; "stats" ] with

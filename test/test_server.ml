@@ -517,6 +517,30 @@ let batch_job_file_parses () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "missing source accepted"
 
+(* A bad processor count is one session's error line, not a crash that
+   takes every session down with it. *)
+let serve_bad_processors_stay_local () =
+  let server = Server.Serve.create () in
+  let file = Filename.temp_file "ped" ".f" in
+  write_file file (workload "daxpy").Workloads.source;
+  let handle req = Server.Serve.handle server req in
+  List.iter
+    (fun id ->
+      ignore
+        (ok_exn ("open " ^ id)
+           (handle (Server.Protocol.Open { rsid = id; file; unit_name = None }))))
+    [ "a"; "b" ];
+  let cmd id line =
+    String.concat "\n"
+      (snd (ok_exn line (handle (Server.Protocol.Cmd { rsid = id; line }))))
+  in
+  ignore (cmd "a" "apply parallelize l1");
+  check_string "a answers with an error line"
+    "error: processor count 0 must be at least 1" (cmd "a" "simulate 0");
+  check_bool "sibling b still answers" true
+    (contains ~needle:"speedup:" (cmd "b" "simulate 4"));
+  Sys.remove file
+
 let suite =
   [
     case "cache: LRU evicts the least recently used entry"
@@ -537,6 +561,8 @@ let suite =
     case "session: the undo history is bounded" history_is_bounded;
     case "protocol: the request grammar" protocol_grammar;
     case "serve: open, command, stats, close" serve_session_flow;
+    case "serve: a bad processor count leaves sibling sessions answering"
+      serve_bad_processors_stay_local;
     case "serve: request spans carry per-session lanes"
       serve_lanes_in_trace;
     case "ast: renumbering is canonical across parses"

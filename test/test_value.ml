@@ -1,42 +1,47 @@
-(* Storage-layer tests: column-major offsets, views, conversions. *)
+(* Storage-layer tests: column-major offsets and views on {!Sim.Store},
+   value conversions on {!Sim.Value}. *)
 
 open Fortran_front
 open Sim.Value
 open Util
+module Store = Sim.Store
 
-let arr2 () =
-  (* REAL A(2,3) — 6 elements, column major *)
-  { store = alloc Ast.Treal 6; base = 0; bounds = [ (1, 2); (1, 3) ] }
+let arr n bounds =
+  { Store.abuf = Store.alloc Ast.Treal n; base = 0; bounds }
+
+(* REAL A(2,3) — 6 elements, column major *)
+let arr2 () = arr 6 [ (1, 2); (1, 3) ]
 
 let suite =
   [
     case "column-major offsets" (fun () ->
         let a = arr2 () in
-        check_int "A(1,1)" 0 (offset a [ 1; 1 ]);
-        check_int "A(2,1)" 1 (offset a [ 2; 1 ]);
-        check_int "A(1,2)" 2 (offset a [ 1; 2 ]);
-        check_int "A(2,3)" 5 (offset a [ 2; 3 ]));
+        check_int "A(1,1)" 0 (Store.offset a [ 1; 1 ]);
+        check_int "A(2,1)" 1 (Store.offset a [ 2; 1 ]);
+        check_int "A(1,2)" 2 (Store.offset a [ 1; 2 ]);
+        check_int "A(2,3)" 5 (Store.offset a [ 2; 3 ]));
     case "lower bounds shift offsets" (fun () ->
-        let a = { store = alloc Ast.Treal 6; base = 0; bounds = [ (0, 5) ] } in
-        check_int "A(0)" 0 (offset a [ 0 ]);
-        check_int "A(5)" 5 (offset a [ 5 ]));
+        let a = arr 6 [ (0, 5) ] in
+        check_int "A(0)" 0 (Store.offset a [ 0 ]);
+        check_int "A(5)" 5 (Store.offset a [ 5 ]));
     case "views share storage with a base" (fun () ->
-        let a = { store = alloc Ast.Treal 10; base = 0; bounds = [ (1, 10) ] } in
-        set Ast.Treal (elem_cell a [ 7 ]) (VR 3.5);
+        let a = arr 10 [ (1, 10) ] in
+        Store.set a.Store.abuf (Store.offset a [ 7 ]) (VR 3.5);
         (* a view starting at element 5, reshaped to length 6 *)
-        let v = { store = a.store; base = 4; bounds = [ (1, 6) ] } in
-        check_bool "aliases" true (to_float (get (elem_cell v [ 3 ])) = 3.5));
+        let v = { a with Store.base = 4; bounds = [ (1, 6) ] } in
+        check_bool "aliases" true
+          (Store.to_float v.Store.abuf (Store.offset v [ 3 ]) = 3.5));
     case "out-of-storage offsets rejected" (fun () ->
         let a = arr2 () in
-        (match offset a [ 3; 3 ] with
+        (match Store.offset a [ 3; 3 ] with
         | exception Failure _ -> ()
         | _ -> Alcotest.fail "expected failure");
-        match offset a [ 0; 0 ] with
+        match Store.offset a [ 0; 0 ] with
         | exception Failure _ -> ()
         | o -> if o < 0 then Alcotest.fail "negative offset accepted" else ());
     case "subscript count mismatch rejected" (fun () ->
         let a = arr2 () in
-        match offset a [ 1 ] with
+        match Store.offset a [ 1 ] with
         | exception Failure _ -> ()
         | _ -> Alcotest.fail "expected failure");
     case "conversions follow Fortran assignment" (fun () ->
