@@ -893,7 +893,7 @@ let table6_run ~smoke label =
        skipped\n"
       m
   | None ->
-    (* speedup gate: native code must beat the tree-walking interpreter
+    (* speedup gate: native code must beat the interpreter
        by a wide margin wherever there are cores to run it *)
     if cores >= 2 && gm < 5.0 then begin
       Printf.eprintf

@@ -24,6 +24,18 @@ let read_file path =
   close_in ic;
   src
 
+(* [parse_or_exit f] — [f ()], a parse of a source file; a syntax or
+   lexical error is reported with where it is, and ped exits 1 *)
+let parse_or_exit f =
+  let fail what msg loc =
+    prerr_endline (Format.asprintf "error: %s error at %a: %s" what Loc.pp loc msg);
+    exit 1
+  in
+  match f () with
+  | v -> v
+  | exception Parser.Error (msg, loc) -> fail "syntax" msg loc
+  | exception Lexer.Error (msg, loc) -> fail "lexical" msg loc
+
 let run_session sess script ~engine_stats =
   (match script with
   | Some path ->
@@ -121,7 +133,8 @@ let targets file workload =
   match (file, workload) with
   | Some path, _ ->
     [ (Filename.basename path,
-       Parser.parse_program ~file:path (read_file path), []) ]
+       parse_or_exit (fun () -> Parser.parse_program ~file:path (read_file path)),
+       []) ]
   | None, Some wname when Workloads.is_stress_name wname -> (
     match Workloads.stress wname with
     | Ok p -> [ (wname, p, []) ]
@@ -278,8 +291,14 @@ let execute file workload domains schedule validate force_parallel backend
   end;
   List.fold_left
     (fun acc (name, program, script) ->
-      execute_one name program script ~domains ~schedule ~validate
-        ~force_parallel ~backend ~telemetry
+      (match
+         execute_one name program script ~domains ~schedule ~validate
+           ~force_parallel ~backend ~telemetry
+       with
+      | ok -> ok
+      | exception Runtime.Exec.Runtime_error m ->
+        Printf.eprintf "error: %s: execution failed: %s\n%!" name m;
+        false)
       && acc)
     true
     (targets file workload)
@@ -437,9 +456,10 @@ let main file workload unit_name script no_interproc exec domains schedule
         let sess =
           match (file, workload) with
           | Some path, _ ->
-            Ped.Session.load_source ~interproc ?runner ?telemetry:sink
-              ~file:path (read_file path)
-              ~unit_name:(Option.map String.uppercase_ascii unit_name)
+            parse_or_exit (fun () ->
+                Ped.Session.load_source ~interproc ?runner ?telemetry:sink
+                  ~file:path (read_file path)
+                  ~unit_name:(Option.map String.uppercase_ascii unit_name))
           | None, Some wname when Workloads.is_stress_name wname -> (
             match Workloads.stress wname with
             | Ok program ->
@@ -543,7 +563,7 @@ let force_parallel =
 
 let exec_backend =
   Arg.(value & opt string "interp" & info [ "backend" ] ~docv:"NAME"
-         ~doc:"Executor for --execute: interp (the tree-walking runtime) or \
+         ~doc:"Executor for --execute: interp (the interpreting runtime) or \
                compiled (native code via the codegen pipeline, checked \
                against the sequential simulator)")
 

@@ -4,6 +4,7 @@ type edge = { branch : Ast.stmt_id; dependent : Ast.stmt_id }
 
 let compute (cfg : Cfg.t) : edge list =
   let pdom = Dominators.postdominators cfg in
+  let limit = List.length (Cfg.nodes cfg) in
   let edges = ref [] in
   (* For each CFG edge (a, b) where b does not postdominate a, every
      node on the postdominator-tree path from b up to (excluding)
@@ -17,19 +18,23 @@ let compute (cfg : Cfg.t) : edge list =
         List.iter
           (fun b ->
             if not (Dominators.dominates pdom b a) then begin
-              (* walk b, ipdom(b), ... until ipdom(a) *)
-              let rec walk n =
+              (* walk b, ipdom(b), ... until ipdom(a).  Nodes that
+                 never reach the exit (a GOTO cycle) all postdominate
+                 each other, so their chain can come back on itself;
+                 a chain in a tree is shorter than the node count. *)
+              let rec walk steps n =
                 match (n, ipdom_a) with
                 | _, Some stop when Cfg.node_equal n stop -> ()
                 | Cfg.Exit, _ -> ()
                 | Cfg.Entry, _ -> ()
+                | Cfg.Stmt _, _ when steps > limit -> ()
                 | Cfg.Stmt sid, _ ->
                   edges := { branch = a_sid; dependent = sid } :: !edges;
                   (match Dominators.idom pdom n with
-                  | Some up -> walk up
+                  | Some up -> walk (steps + 1) up
                   | None -> ())
               in
-              walk b
+              walk 0 b
             end)
           (Cfg.succs cfg a))
     (Cfg.nodes cfg);

@@ -143,19 +143,31 @@ let combine_reduction op a b =
 let run_parallel sink plans pool schedule (l : I.par_loop) : I.signal =
   let frame = l.I.frame and trip = l.I.trip and iv_cell = l.I.iv_cell in
   let plan = plan_of plans l.I.stmt.Ast.sid l.I.header.Ast.dvar in
-  (* planned scalars must exist in the shared frame before workers
-     copy it, both to seed private copies and for last-value and
-     reduction write-back afterwards *)
-  I.ensure l (planned_scalars plan);
+  (* the planned variables, resolved to their slots once for the loop *)
+  let resolve v = Option.map (fun x -> (x, I.slot frame x)) (I.var l v) in
+  let scalar v =
+    match resolve v with Some (x, Store.Scalar c) -> Some (x, c) | _ -> None
+  in
+  let iv_var = I.var l l.I.header.Ast.dvar in
+  let privs = List.filter_map scalar plan.Plan.p_privates in
   (* auxiliary inductions: capture the entry value now; workers get the
      closed form per iteration and the join writes back the final value *)
   let ind_info =
     List.filter_map
       (fun (v, stride) ->
-        match Hashtbl.find_opt frame v with
-        | Some (Store.Scalar c) -> Some (v, c, Store.get_cell c, stride)
-        | _ -> None)
+        Option.map (fun (x, c) -> (x, c, Store.get_cell c, stride)) (scalar v))
       plan.Plan.p_inductions
+  in
+  let reds =
+    List.filter_map
+      (fun (v, op) -> Option.map (fun (x, c) -> (v, op, x, c)) (scalar v))
+      plan.Plan.p_reductions
+  in
+  let arrs =
+    List.filter_map
+      (fun v ->
+        match resolve v with Some (x, Store.Arr a) -> Some (x, a) | _ -> None)
+      plan.Plan.p_arrays
   in
   let nw = Pool.size pool in
   let wstates = Array.make nw None in
@@ -174,58 +186,48 @@ let run_parallel sink plans pool schedule (l : I.par_loop) : I.signal =
       Telemetry.span sink "exec.copy-in"
         ~args:[ ("loop", loop_label); ("worker", string_of_int w) ]
       @@ fun () ->
-      let wframe = Hashtbl.copy frame in
+      let wframe = I.copy_frame frame in
       let fresh_cell (c : Store.cell) =
         { Store.cbuf = Store.alloc_like c.Store.cbuf 1; coff = 0 }
       in
       let ivc = fresh_cell iv_cell in
-      Hashtbl.replace wframe l.I.header.Ast.dvar (Store.Scalar ivc);
+      Option.iter (fun x -> I.bind wframe x (Store.Scalar ivc)) iv_var;
       let priv_cells =
-        List.filter_map
-          (fun v ->
-            match Hashtbl.find_opt frame v with
-            | Some (Store.Scalar c) ->
-              let nc = fresh_cell c in
-              Store.set_cell nc (Store.get_cell c);
-              Hashtbl.replace wframe v (Store.Scalar nc);
-              Some (c, nc)
-            | _ -> None)
-          plan.Plan.p_privates
+        List.map
+          (fun (x, c) ->
+            let nc = fresh_cell c in
+            Store.set_cell nc (Store.get_cell c);
+            I.bind wframe x (Store.Scalar nc);
+            (c, nc))
+          privs
       in
       let ind_cells =
         List.map
-          (fun (v, c, k0, stride) ->
+          (fun (x, c, k0, stride) ->
             let nc = fresh_cell c in
             Store.set_cell nc k0;
-            Hashtbl.replace wframe v (Store.Scalar nc);
+            I.bind wframe x (Store.Scalar nc);
             (nc, k0, stride))
           ind_info
       in
       let red_cells =
-        List.filter_map
-          (fun (v, op) ->
-            match Hashtbl.find_opt frame v with
-            | Some (Store.Scalar c) ->
-              let nc = fresh_cell c in
-              Store.set_cell nc (reduction_identity op nc);
-              Hashtbl.replace wframe v (Store.Scalar nc);
-              Some (v, (op, c, nc))
-            | _ -> None)
-          plan.Plan.p_reductions
+        List.map
+          (fun (v, op, x, c) ->
+            let nc = fresh_cell c in
+            Store.set_cell nc (reduction_identity op nc);
+            I.bind wframe x (Store.Scalar nc);
+            (v, (op, c, nc)))
+          reds
       in
       let arr_copies =
-        List.filter_map
-          (fun v ->
-            match Hashtbl.find_opt frame v with
-            | Some (Store.Arr a) ->
-              let nb = Store.alloc_like a.Store.abuf (Store.length a.Store.abuf) in
-              Store.copy_into nb a.Store.abuf;
-              Hashtbl.replace wframe v
-                (Store.Arr
-                   { Store.abuf = nb; base = a.Store.base; bounds = a.Store.bounds });
-              Some (a, nb)
-            | _ -> None)
-          plan.Plan.p_arrays
+        List.map
+          (fun (x, (a : Store.arr)) ->
+            let nb = Store.alloc_like a.Store.abuf (Store.length a.Store.abuf) in
+            Store.copy_into nb a.Store.abuf;
+            I.bind wframe x
+              (Store.Arr { Store.abuf = nb; base = a.Store.base; bounds = a.Store.bounds });
+            (a, nb))
+          arrs
       in
       let ws =
         { wframe; wt = I.fork l.I.ctx; ivc; priv_cells; ind_cells; red_cells;
@@ -298,22 +300,19 @@ let run_parallel sink plans pool schedule (l : I.par_loop) : I.signal =
   (* reductions: combine per-worker partials into the original cell,
      deterministically in worker order *)
   List.iter
-    (fun (v, op) ->
-      match Hashtbl.find_opt frame v with
-      | Some (Store.Scalar orig) ->
-        let acc = ref (Store.get_cell orig) in
-        Array.iter
-          (function
-            | None -> ()
-            | Some ws -> (
-              match List.assoc_opt v ws.red_cells with
-              | Some (_, _, mine) ->
-                acc := combine_reduction op !acc (Store.get_cell mine)
-              | None -> ()))
-          wstates;
-        Store.set_cell orig !acc
-      | _ -> ())
-    plan.Plan.p_reductions;
+    (fun (v, op, _, orig) ->
+      let acc = ref (Store.get_cell orig) in
+      Array.iter
+        (function
+          | None -> ()
+          | Some ws -> (
+            match List.assoc_opt v ws.red_cells with
+            | Some (_, _, mine) ->
+              acc := combine_reduction op !acc (Store.get_cell mine)
+            | None -> ()))
+        wstates;
+      Store.set_cell orig !acc)
+    reds;
   (* auxiliary inductions land on their sequential final value *)
   List.iter
     (fun (_, c, k0, stride) ->

@@ -1,7 +1,7 @@
 (** Multicore execution of analyzed Fortran programs.
 
-    The evaluator is {!Sim.Interp}'s, the one tree-walking interpreter;
-    this module supplies the two execution modes it does not own.
+    The evaluator is {!Sim.Interp}'s, the one interpreter; this module
+    supplies the two execution modes it does not own.
 
     By default PARALLEL DO loops run on real OCaml domains, through the
     evaluator's injected runner: iterations are distributed over a

@@ -1,5 +1,16 @@
-(** The evaluator: the one tree-walking interpreter of the Fortran
-    subset, with every execution mode built on it.
+(** The evaluator: the one interpreter of the Fortran subset, with
+    every execution mode built on it.
+
+    When a program loads, each unit is compiled once into OCaml
+    closures: every variable becomes an index into the unit's frame (an
+    array of {!Store.slot}s), every [Index] is settled as an array
+    element, an intrinsic or a function call, every callee is resolved,
+    every block's GOTO labels are tabled, and every statement's
+    simulated cost is summed in advance.  Running a unit runs those
+    closures; no name is looked up while the program executes.  A
+    statement that cannot execute (an array used as a scalar, a
+    subroutine called as a function, an unknown function) fails only
+    if it runs, with a {!Runtime_error} naming the problem.
 
     Sequential semantics follow Fortran 77 (by-reference arguments,
     COMMON storage shared by name and allocated up front, column-major
@@ -95,7 +106,13 @@ val run :
 type conflict_kind = Flow | Anti | Output
 
 type unit_info
-type frame = (string, Store.slot) Hashtbl.t
+
+(** The storage of one activation of a unit: one slot per variable. *)
+type frame
+
+(** A unit's compiled statements. *)
+type block
+
 type signal = Snormal | Sgoto of int | Sreturn | Sstop
 
 (** An execution context: one per domain. *)
@@ -109,7 +126,7 @@ type par_loop = {
   frame : frame;
   stmt : Ast.stmt;
   header : Ast.do_header;
-  body : Ast.stmt list;
+  body : block;  (** the compiled loop body *)
   trip : int;
   value_at : int -> Value.value;  (** the DO variable's k-th value *)
   iv_cell : Store.cell;  (** the DO variable's storage *)
@@ -165,10 +182,25 @@ val stmts_executed : loaded -> int
 val final_store : loaded -> (string * float list) list
 val op_counts : loaded -> Perf.Machine.op_counts
 
-(** [ensure l names] — give every scalar in [names] storage in [l]'s
-    frame now (undeclared scalars are otherwise created on first use);
-    names without scalar storage are skipped. *)
-val ensure : par_loop -> string list -> unit
+(** {2 Frames}
+
+    How a runner gives each worker its own copy of a loop's frame,
+    with the variables the loop privatizes pointing at fresh storage.
+    Names are resolved once per loop. *)
+
+(** A variable of a loop's unit: its slot in the unit's frames. *)
+type var
+
+(** [var l name] — [name]'s slot in [l]'s unit, if the unit gives it
+    storage (every scalar and array of the unit has a slot in every
+    frame of it). *)
+val var : par_loop -> string -> var option
+
+val slot : frame -> var -> Store.slot
+val copy_frame : frame -> frame
+
+(** [bind frame x s] — make [x] name the storage [s] in [frame]. *)
+val bind : frame -> var -> Store.slot -> unit
 
 (** [fork c] — a context for running iterations on another domain:
     same storage, program and budget; its own output, op counts and

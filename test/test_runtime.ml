@@ -324,4 +324,37 @@ let suite =
           ((Ped.Session.sim_order sess) = Sim.Interp.Reverse);
         let bad = Ped.Command.run sess "simulate 4 sideways" in
         check_bool "bad order rejected" true (contains ~needle:"error" bad));
+    case "runtime statement and op counts equal the simulator's" (fun () ->
+        List.iter
+          (fun (w : Workloads.t) ->
+            let program = parallelized w in
+            let m =
+              Sim.Interp.load ~parallel:Sim.Interp.Sequential ~max_steps:50_000_000
+                program
+            in
+            Sim.Interp.run_main m;
+            let stmts = Sim.Interp.stmts_executed m and ops = Sim.Interp.op_counts m in
+            let same label (o : Runtime.Exec.outcome) =
+              let label = w.Workloads.name ^ " " ^ label in
+              check_int (label ^ ": statements") stmts o.Runtime.Exec.stmts_executed;
+              check_bool (label ^ ": op counts") true (o.Runtime.Exec.ops = ops)
+            in
+            same "2 domains" (Runtime.Exec.run ~domains:2 program);
+            same "4 domains" (Runtime.Exec.run ~domains:4 program);
+            same "validated" (Runtime.Exec.run ~validate:true program))
+          Workloads.all);
+    case "a runaway PARALLEL DO on 2 domains exhausts the budget" (fun () ->
+        let runaway =
+          parse
+            "      PROGRAM P\n      REAL A(8)\n      PARALLEL DO I = 1, 8\n 10     A(I) = A(I) + 1.0\n        GOTO 10\n      ENDDO\n      END\n"
+        in
+        (match Runtime.Exec.run ~domains:2 ~max_steps:10_000 runaway with
+        | exception Runtime.Exec.Runtime_error m ->
+          check_string "message" "statement budget exhausted" m
+        | _ -> Alcotest.fail "expected budget exhaustion");
+        let program = Parser.parse_program ~file:"bits.f" elementwise_src in
+        let o = Runtime.Exec.run ~domains:2 program in
+        check_bool "the next run still works" true
+          (o.Runtime.Exec.output = (seq_reference program).Sim.Interp.output));
   ]
+

@@ -245,3 +245,53 @@ let more_interp =
   ]
 
 let suite = suite @ more_interp
+
+(* What the evaluator only finds out by running a statement: a
+   statement that cannot execute fails when, and only when, it runs. *)
+let run_error src =
+  match run_output src with
+  | exception Sim.Interp.Runtime_error m -> Some m
+  | _ -> None
+
+let lazy_suite =
+  [
+    case "an array used as a scalar fails only when executed" (fun () ->
+        let src taken =
+          Printf.sprintf
+            "      PROGRAM P\n      REAL A(3)\n      K = 1\n      IF (K .EQ. %d) X = A + 1.0\n      PRINT *, K\n      END\n"
+            (if taken then 1 else 2)
+        in
+        check_bool "not taken" true (run_error (src false) = None);
+        check_bool "taken" true
+          (run_error (src true) = Some "array A used as a scalar value"));
+    case "a subroutine used as a function fails only when executed" (fun () ->
+        let src taken =
+          Printf.sprintf
+            "      PROGRAM P\n      X = 1.0\n      CALL F(X)\n      IF (X .EQ. %d.0) Y = F(1.0)\n      PRINT *, X\n      END\n      SUBROUTINE F(Z)\n      Z = Z + 1.0\n      END\n"
+            (if taken then 2 else 3)
+        in
+        check_bool "not taken" true (run_error (src false) = None);
+        check_bool "taken" true (run_error (src true) = Some "cannot evaluate F(...)"));
+    case "an unknown function fails only when executed" (fun () ->
+        let src taken =
+          Printf.sprintf
+            "      PROGRAM P\n      K = 1\n      IF (K .EQ. %d) X = G(1.0)\n      PRINT *, K\n      END\n"
+            (if taken then 1 else 2)
+        in
+        check_bool "not taken" true (run_error (src false) = None);
+        check_bool "taken" true
+          (run_error (src true)
+          = Some "unknown function G (external functions must be supplied)"));
+    case "final store: every scalar the main unit names has storage" (fun () ->
+        (* undeclared Q is never assigned, yet has storage like K and X:
+           storage comes with the unit's frame, not with a first use *)
+        let o =
+          Sim.Interp.run
+            (parse
+               "      PROGRAM P\n      K = 1\n      IF (K .EQ. 2) Q = 1.0\n      X = 2.0\n      PRINT *, K\n      END\n")
+        in
+        check_bool "store" true
+          (o.Sim.Interp.final_store = [ ("K", [ 1.0 ]); ("Q", [ 0.0 ]); ("X", [ 2.0 ]) ]));
+  ]
+
+let suite = suite @ lazy_suite
