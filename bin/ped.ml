@@ -444,10 +444,6 @@ let main file workload unit_name script no_interproc exec domains schedule
        sees the worker lanes of a fully shut-down pool *)
     let with_runner f =
       if analysis_domains <= 1 then f None
-      else if not Server.Audit.parallel_analysis then begin
-        prerr_endline (Server.Audit.refuse_parallel_analysis ~what:"ped");
-        exit 2
-      end
       else
         Runtime.Pool.with_pool ?telemetry:sink analysis_domains (fun pool ->
             f (Some (Runtime.Pool.analysis_runner pool)))
@@ -826,12 +822,10 @@ let serve_main cache_dir cache_mb history_limit analysis_domains trace
           f (Some (Runtime.Pool.analysis_runner pool)))
   in
   with_runner (fun runner ->
-      match Server.Serve.create ~telemetry:sink ~cache ?runner ~history_limit ()
-      with
-      | exception Invalid_argument e ->
-        prerr_endline e;
-        exit 2
-      | srv -> Server.Serve.serve srv stdin stdout);
+      let srv =
+        Server.Serve.create ~telemetry:sink ~cache ?runner ~history_limit ()
+      in
+      Server.Serve.serve srv stdin stdout);
   (match cache_dir with
   | None -> ()
   | Some dir -> (
@@ -852,12 +846,23 @@ let cache_dir =
                start, saved on exit; a file from another format version is \
                rejected")
 
+(* Integers >= 1: a bad value is cmdliner's usage error, naming the
+   flag. *)
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ ->
+      Error (Printf.sprintf "invalid value '%s', expected an integer >= 1" s)
+  in
+  Arg.conv' (parse, Format.pp_print_int)
+
 let cache_mb =
-  Arg.(value & opt int 256 & info [ "cache-mb" ] ~docv:"MB"
+  Arg.(value & opt positive_int 256 & info [ "cache-mb" ] ~docv:"MB"
          ~doc:"LRU byte budget of the shared analysis cache")
 
 let history_limit =
-  Arg.(value & opt int 1000 & info [ "history-limit" ] ~docv:"N"
+  Arg.(value & opt positive_int 1000 & info [ "history-limit" ] ~docv:"N"
          ~doc:"Undo-history bound per session (oldest entries dropped)")
 
 let serve_cmd =
@@ -874,8 +879,7 @@ let serve_cmd =
 (* ------------------------------------------------------------------ *)
 
 let batch_main jobfile bdomains banalysis_domains repeat cache_dir cache_mb
-    history_limit check audit trace quiet =
-  if audit then print_endline (Server.Audit.report ());
+    history_limit check trace quiet =
   match Server.Batch.parse_job_file jobfile with
   | Error e ->
     prerr_endline e;
@@ -895,17 +899,15 @@ let batch_main jobfile bdomains banalysis_domains repeat cache_dir cache_mb
     let sink = Telemetry.make ~record_spans:(trace <> None) () in
     Telemetry.set_default sink;
     let cache = Server.Cache.create ~telemetry:sink ~budget_mb:cache_mb () in
-    (* the persistent cache only feeds the fully shared (single-domain)
-       mode; partitioned workers build their own *)
-    (match (cache_dir, bdomains <= 1) with
-    | Some dir, true -> (
+    (match cache_dir with
+    | Some dir -> (
       match Server.Cache.load cache ~dir with
       | Ok 0 -> ()
       | Ok n ->
         if not quiet then
           Printf.eprintf "[batch] warmed %d ddg buckets from %s\n%!" n dir
       | Error e -> Printf.eprintf "[batch] %s\n%!" e)
-    | _ -> ());
+    | None -> ());
     (match
        Server.Batch.run ~telemetry:sink ~cache ~domains:bdomains
          ~analysis_domains:banalysis_domains ~history_limit ~check jobs
@@ -915,14 +917,14 @@ let batch_main jobfile bdomains banalysis_domains repeat cache_dir cache_mb
       exit 2
     | Ok o ->
       if not quiet then print_endline (Server.Batch.report o);
-      (match (cache_dir, bdomains <= 1) with
-      | Some dir, true -> (
+      (match cache_dir with
+      | Some dir -> (
         match Server.Cache.save cache ~dir with
         | Ok n ->
           if not quiet then
             Printf.eprintf "[batch] saved %d ddg buckets to %s\n%!" n dir
         | Error e -> Printf.eprintf "[batch] save failed: %s\n%!" e)
-      | _ -> ());
+      | None -> ());
       Option.iter
         (fun path ->
           Telemetry.write_chrome_trace sink path;
@@ -940,8 +942,8 @@ let batch_cmd =
   let bdomains =
     Arg.(value & opt int 1 & info [ "domains" ] ~docv:"N"
            ~doc:"Worker domains: 1 interleaves all sessions over one fully \
-                 shared cache; more partitions jobs across domains, sharing \
-                 the cache when the --audit inventory allows it")
+                 shared cache; more partitions jobs across domains, all \
+                 sharing that cache")
   in
   let repeat =
     Arg.(value & opt int 1 & info [ "repeat" ] ~docv:"N"
@@ -954,16 +956,11 @@ let batch_cmd =
                  require byte-identical dependence graphs; exit 1 on \
                  mismatch")
   in
-  let audit =
-    Arg.(value & flag & info [ "audit" ]
-           ~doc:"Print the domain-safety audit of shared state first")
-  in
   let quiet = Arg.(value & flag & info [ "quiet" ] ~doc:"No report output") in
   let doc = "stream edit-script jobs through concurrent analysis sessions" in
   Cmd.v (Cmd.info "batch" ~doc)
     Term.(const batch_main $ jobfile $ bdomains $ analysis_domains $ repeat
-          $ cache_dir $ cache_mb $ history_limit $ check $ audit $ trace
-          $ quiet)
+          $ cache_dir $ cache_mb $ history_limit $ check $ trace $ quiet)
 
 (* ------------------------------------------------------------------ *)
 (* compile subcommand: the native code generation pipeline             *)

@@ -131,15 +131,13 @@ let create ?telemetry n =
   t.domains <- List.init n (fun w -> Domain.spawn (worker_loop t w));
   t
 
+(* A busy pool runs a new submission inline on the calling domain, as
+   worker 0 in index order: a task that submits to its own pool, or
+   two workers of one pool submitting to another, would otherwise
+   wait on workers that never come.  The busy check and the claim of
+   [t.job] share one hold of the mutex. *)
 let parallel_for ?label t ~schedule ~trip ~body =
   if trip > 0 then begin
-    Telemetry.incr (Telemetry.counter t.sink "pool.jobs");
-    Telemetry.span t.sink "pool.run"
-      ~args:
-        ([ ("trip", string_of_int trip);
-           ("sched", schedule_to_string schedule) ]
-        @ match label with None -> [] | Some l -> [ ("label", l) ])
-    @@ fun () ->
     let job =
       {
         trip;
@@ -154,18 +152,34 @@ let parallel_for ?label t ~schedule ~trip ~body =
       }
     in
     Mutex.lock t.m;
-    t.job <- Some job;
-    t.generation <- t.generation + 1;
-    Condition.broadcast t.work_ready;
-    while job.remaining > 0 do
-      Condition.wait t.work_done t.m
-    done;
-    t.job <- None;
+    let busy = t.job <> None in
+    if not busy then t.job <- Some job;
     Mutex.unlock t.m;
-    match (job.exn, job.exn_bt) with
-    | Some e, Some bt -> Printexc.raise_with_backtrace e bt
-    | Some e, None -> raise e
-    | None, _ -> ()
+    if busy then
+      for k = 0 to trip - 1 do
+        body ~worker:0 k
+      done
+    else begin
+      Telemetry.incr (Telemetry.counter t.sink "pool.jobs");
+      Telemetry.span t.sink "pool.run"
+        ~args:
+          ([ ("trip", string_of_int trip);
+             ("sched", schedule_to_string schedule) ]
+          @ match label with None -> [] | Some l -> [ ("label", l) ])
+      @@ fun () ->
+      Mutex.lock t.m;
+      t.generation <- t.generation + 1;
+      Condition.broadcast t.work_ready;
+      while job.remaining > 0 do
+        Condition.wait t.work_done t.m
+      done;
+      t.job <- None;
+      Mutex.unlock t.m;
+      match (job.exn, job.exn_bt) with
+      | Some e, Some bt -> Printexc.raise_with_backtrace e bt
+      | Some e, None -> raise e
+      | None, _ -> ()
+    end
   end
 
 (* Task submission, layered over the same job machinery: each task is

@@ -18,9 +18,14 @@
       iteration, load-balances triangular or irregular work).
 
     The pool is reusable: jobs run one at a time, workers park
-    between jobs.  An exception raised by any iteration cancels the
-    remaining iterations (best effort), and the first such exception
-    is re-raised in the caller after all workers have parked. *)
+    between jobs.  A job submitted while the pool already runs one —
+    from inside one of its tasks, or from another pool's workers —
+    runs inline: every iteration on the calling domain, as worker 0,
+    in increasing index order, with no [pool.run] span and no
+    [pool.jobs] count.  An exception raised by any iteration cancels
+    the remaining iterations (best effort), and the first such
+    exception is re-raised in the caller after all workers have
+    parked. *)
 
 type t
 
@@ -43,8 +48,10 @@ val size : t -> int
 
 (** [parallel_for t ~schedule ~trip ~body] — execute [body ~worker k]
     for every [k] in [0 .. trip-1].  [worker] identifies the
-    executing lane (0-based); a given worker index never runs
-    concurrently with itself, so per-worker state needs no locking.
+    executing lane (0-based) within this job; a given worker index
+    never runs concurrently with itself in one job, so per-job,
+    per-worker state needs no locking.  Indices are per job: an inline
+    job's worker 0 may run alongside the busy job's worker 0.
     Within one worker, iteration indices are claimed in increasing
     order under both policies.  Blocks until done; re-raises the
     first iteration exception.
@@ -65,8 +72,9 @@ val parallel_for :
     effort) and the first exception is re-raised in the caller.
 
     This is the task-submission surface the analyzer and [Exec] now
-    share; jobs still run one at a time on the pool, so do not call
-    [map] (or {!parallel_for}) from inside a task. *)
+    share.  A [map] called from inside a task, or while the pool is
+    busy with another caller's job, runs its tasks inline on the
+    caller (see above). *)
 val map : t -> ?schedule:schedule -> (unit -> 'a) array -> 'a array
 
 (** A {!Dependence.Ddg.runner} fanning dependence-test buckets out

@@ -14,19 +14,14 @@
       domain, the closest model of the interactive server under
       load.
     - {e partitioned} (domains > 1): jobs are split across a
-      {!Runtime.Pool} of worker domains.  The {!Audit} inventory
-      decides the cache policy at run time: with
-      {!Audit.sharing_across_domains} (true since the bucket memo
-      became mutex-guarded) every worker shares one cache; if a row
-      is ever demoted back to [Unsafe] the driver falls back to one
-      private cache per worker.
+      {!Runtime.Pool} of worker domains, every worker sharing the one
+      mutex-guarded {!Cache}.
 
     Orthogonally, [analysis_domains > 1] fans each session's
     dependence-test buckets across an analysis pool
-    ([Ddg.compute ?runner]); the driver refuses the configurations
-    the staged API cannot guarantee — [analysis_domains > 1] while
-    {!Audit.parallel_analysis} is false, or combined with
-    [domains > 1] (the analysis pool serves one session at a time).
+    ([Ddg.compute ?runner]).  The two combine: a session that submits
+    while the analysis pool is busy with another session's buckets
+    runs its own inline on its worker.
 
     With [check], every job's final dependence graph is compared —
     byte-identical marshalled form — against a from-scratch
@@ -59,7 +54,7 @@ type outcome = {
   o_elapsed_s : float;
   o_identical : bool option;   (** all DDGs byte-identical to scratch
                                    ([None] when [check] was off) *)
-  o_cache : Cache.stats;       (** shared cache, or per-domain caches summed *)
+  o_cache : Cache.stats;       (** the shared cache *)
   o_results : job_result list; (** in job order *)
 }
 
@@ -74,11 +69,10 @@ val parse_job_file : string -> (job list, string) result
 
 (** Run the jobs.  [domains] (default 1) selects the mode; it is
     clamped to the number of jobs.  [analysis_domains] (default 1)
-    sizes the per-session analysis fan-out.  [cache] seeds the shared
-    cache (ignored only in the per-domain-cache fallback).
-    [history_limit], [telemetry] are handed to every session.
-    [Error] on an empty job list or on a refused domain
-    configuration; per-job failures are reported in [jr_error]. *)
+    sizes the per-session analysis fan-out.  [cache] (default: a
+    fresh one) is the shared cache.  [history_limit], [telemetry] are
+    handed to every session.  [Error] on an empty job list; per-job
+    failures are reported in [jr_error]. *)
 val run :
   ?telemetry:Telemetry.sink ->
   ?cache:Cache.t ->

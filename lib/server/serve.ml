@@ -11,10 +11,6 @@ type t = {
 }
 
 let create ?telemetry ?cache ?runner ?(history_limit = 1000) () : t =
-  (* requests are interleaved on one domain, so one analysis pool can
-     serve every session — but only if the audited staged path holds *)
-  if Option.is_some runner && not Audit.parallel_analysis then
-    invalid_arg (Audit.refuse_parallel_analysis ~what:"ped serve");
   let sink = match telemetry with Some s -> s | None -> Telemetry.make () in
   let cache =
     match cache with Some c -> c | None -> Cache.create ~telemetry:sink ()

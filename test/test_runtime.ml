@@ -356,5 +356,76 @@ let suite =
         let o = Runtime.Exec.run ~domains:2 program in
         check_bool "the next run still works" true
           (o.Runtime.Exec.output = (seq_reference program).Sim.Interp.output));
+    case "pool: same-pool nested map runs inline, in task order" (fun () ->
+        Runtime.Pool.with_pool 3 (fun pool ->
+            let got =
+              Runtime.Pool.map pool
+                (Array.init 6 (fun i () ->
+                     Runtime.Pool.map pool
+                       (Array.init 5 (fun j () -> (10 * i) + j))))
+            in
+            check_int "outer length" 6 (Array.length got);
+            Array.iteri
+              (fun i row ->
+                check_int "inner length" 5 (Array.length row);
+                Array.iteri
+                  (fun j v ->
+                    check_int (Printf.sprintf "task %d.%d" i j)
+                      ((10 * i) + j) v)
+                  row)
+              got));
+    case "pool: workers of one pool share another pool's map" (fun () ->
+        Runtime.Pool.with_pool 2 (fun a ->
+            Runtime.Pool.with_pool 2 (fun b ->
+                let rounds = 200 and tasks = 16 in
+                let correct = Atomic.make 0 in
+                Runtime.Pool.parallel_for a ~schedule:Runtime.Pool.Chunk
+                  ~trip:(Runtime.Pool.size a)
+                  ~body:(fun ~worker:_ w ->
+                    for r = 1 to rounds do
+                      let got =
+                        Runtime.Pool.map b
+                          (Array.init tasks (fun k () -> (w * 1000) + r + k))
+                      in
+                      Array.iteri
+                        (fun k v ->
+                          if v = (w * 1000) + r + k then Atomic.incr correct)
+                        got
+                    done);
+                check_int "every result correct, none lost"
+                  (Runtime.Pool.size a * rounds * tasks)
+                  (Atomic.get correct))));
+    case "pool: inline job exception reaches the caller" (fun () ->
+        Runtime.Pool.with_pool 2 (fun a ->
+            Runtime.Pool.with_pool 2 (fun b ->
+                let nested_failure outer inner =
+                  try
+                    ignore
+                      (Runtime.Pool.map outer
+                         (Array.init 4 (fun i () ->
+                              Runtime.Pool.map inner
+                                (Array.init 3 (fun j () ->
+                                     if i = 2 && j = 1 then
+                                       failwith "inline boom"
+                                     else j)))));
+                    Alcotest.fail "expected an exception"
+                  with Failure m -> check_string "message" "inline boom" m
+                in
+                nested_failure a a;
+                nested_failure b b;
+                nested_failure a b;
+                (* both pools still take jobs, nested ones included *)
+                List.iter
+                  (fun p ->
+                    let got =
+                      Runtime.Pool.map p
+                        (Array.init 4 (fun i () ->
+                             Array.fold_left ( + ) 0
+                               (Runtime.Pool.map p
+                                  (Array.init 3 (fun j () -> i + j)))))
+                    in
+                    Array.iteri
+                      (fun i v -> check_int "after failure" ((3 * i) + 3) v)
+                      got)
+                  [ a; b ])));
   ]
-
