@@ -7,7 +7,7 @@
          [--validate] [--force-parallel]
      ped ... [--profile] [--trace out.json]
      ped --calibrate
-     ped fuzz [--n N] [--seed N] [--oracle dep,sem,run] [--corpus DIR]
+     ped fuzz [--n N] [--seed N] [--oracle dep,sem,run,cg] [--corpus DIR]
 
    Without a script, reads commands from stdin (a REPL).  With one,
    executes the script and prints the transcript.  With --execute the
@@ -611,8 +611,8 @@ let metrics =
 (* fuzz subcommand: the differential-testing oracles                   *)
 (* ------------------------------------------------------------------ *)
 
-let fuzz_main n fseed oracle codegen corpus no_shrink no_sequences small
-    stress quiet =
+let fuzz_main n fseed oracle corpus no_shrink no_sequences small stress
+    quiet =
   let oracles =
     String.split_on_char ',' oracle
     |> List.concat_map (fun o ->
@@ -626,11 +626,6 @@ let fuzz_main n fseed oracle codegen corpus no_shrink no_sequences small
              prerr_endline
                ("bad --oracle " ^ other ^ " (dep, sem, run, cg, or all)");
              exit 2)
-  in
-  let oracles =
-    if codegen && not (List.mem Oracle.Driver.Cg oracles) then
-      oracles @ [ Oracle.Driver.Cg ]
-    else oracles
   in
   let program_gen =
     match stress with
@@ -679,13 +674,10 @@ let fuzz_cmd =
     Arg.(value & opt string "all" & info [ "oracle" ] ~docv:"LIST"
            ~doc:"Comma-separated oracles to run: dep (brute-force \
                  dependence), sem (transformation semantics), run \
-                 (parallel runtime), or all")
-  in
-  let codegen =
-    Arg.(value & flag & info [ "codegen" ]
-           ~doc:"Also run the codegen oracle: compile each program to \
-                 native code and diff it against the interpreter \
-                 (programs outside the compilable subset are skipped)")
+                 (parallel runtime), cg (compile each program to native \
+                 code and diff it against the interpreter; programs \
+                 outside the compilable subset are skipped), or all (dep, \
+                 sem and run)")
   in
   let corpus =
     Arg.(value & opt (some string) None & info [ "corpus" ] ~docv:"DIR"
@@ -715,7 +707,7 @@ let fuzz_cmd =
      oracles"
   in
   Cmd.v (Cmd.info "fuzz" ~doc)
-    Term.(const fuzz_main $ n $ fseed $ oracle $ codegen $ corpus $ no_shrink
+    Term.(const fuzz_main $ n $ fseed $ oracle $ corpus $ no_shrink
           $ no_sequences $ small $ stress $ quiet)
 
 (* ------------------------------------------------------------------ *)
@@ -966,7 +958,7 @@ let batch_cmd =
 (* compile subcommand: the native code generation pipeline             *)
 (* ------------------------------------------------------------------ *)
 
-let compile_target ~sink ~backend ~out ~keep ~domains ~schedule ~no_run
+let compile_target ~sink ~out ~keep ~domains ~schedule ~no_run
     (name, program, script) =
   let par = auto_parallelize ?telemetry:sink program script in
   let ( let* ) r f = match r with Error e -> Error e | Ok v -> f v in
@@ -975,15 +967,14 @@ let compile_target ~sink ~backend ~out ~keep ~domains ~schedule ~no_run
       match out with
       | None -> Ok ()
       | Some path ->
-        let* src = Codegen.Compile.generate ~backend par in
+        let* src = Codegen.Compile.generate par in
         let oc = open_out path in
         output_string oc src;
         close_out oc;
-        Printf.printf "%s: %s source written to %s\n%!" name
-          backend.Codegen.Backend.name path;
+        Printf.printf "%s: generated source written to %s\n%!" name path;
         Ok ()
     in
-    let* built = Codegen.Compile.build ?telemetry:sink ~backend ~keep par in
+    let* built = Codegen.Compile.build ?telemetry:sink ~keep par in
     Printf.printf "%s: compiled as %s (%d IR statements)%s\n%!" name
       built.Codegen.Compile.module_name built.Codegen.Compile.ir_stmts
       (if keep then " [" ^ built.Codegen.Compile.src_file ^ "]" else "");
@@ -1031,7 +1022,7 @@ let compile_target ~sink ~backend ~out ~keep ~domains ~schedule ~no_run
     Printf.printf "%s: %s\n%!" name (Codegen.Compile.error_to_string e);
     false
 
-let compile_main file workload out keep backend cdomains schedule no_run
+let compile_main file workload out keep cdomains schedule no_run
     profile trace =
   let sink =
     if profile || trace <> None then begin
@@ -1040,19 +1031,6 @@ let compile_main file workload out keep backend cdomains schedule no_run
       Some s
     end
     else None
-  in
-  let backend =
-    match Codegen.Backend.find backend with
-    | Some b -> b
-    | None ->
-      prerr_endline
-        ("unknown backend " ^ backend ^ " (available: "
-        ^ String.concat ", "
-            (List.map
-               (fun (b : Codegen.Backend.t) -> b.Codegen.Backend.name)
-               Codegen.Backend.all)
-        ^ ")");
-      exit 1
   in
   let schedule =
     match Runtime.Pool.schedule_of_string schedule with
@@ -1070,7 +1048,7 @@ let compile_main file workload out keep backend cdomains schedule no_run
   let ok =
     List.fold_left
       (fun acc t ->
-        compile_target ~sink ~backend ~out ~keep ~domains:(max 1 cdomains)
+        compile_target ~sink ~out ~keep ~domains:(max 1 cdomains)
           ~schedule ~no_run t
         && acc)
       true ts
@@ -1089,16 +1067,12 @@ let compile_cmd =
   in
   let out =
     Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE"
-           ~doc:"Write the generated backend source to FILE for inspection")
+           ~doc:"Write the generated OCaml source to FILE for inspection")
   in
   let keep =
     Arg.(value & flag & info [ "keep" ]
            ~doc:"Keep the scratch artifacts under .ped-codegen/ instead of \
                  deleting them after loading")
-  in
-  let cbackend =
-    Arg.(value & opt string "ocaml-domains" & info [ "backend" ] ~docv:"NAME"
-           ~doc:"Code generation backend (ocaml-domains)")
   in
   let no_run =
     Arg.(value & flag & info [ "no-run" ]
@@ -1111,8 +1085,8 @@ let compile_cmd =
      sequential simulator"
   in
   Cmd.v (Cmd.info "compile" ~doc)
-    Term.(const compile_main $ cfile $ workload $ out $ keep $ cbackend
-          $ domains $ schedule $ no_run $ profile $ trace)
+    Term.(const compile_main $ cfile $ workload $ out $ keep $ domains
+          $ schedule $ no_run $ profile $ trace)
 
 let cmd =
   let doc = "interactive parallel programming editor (ParaScope Editor)" in

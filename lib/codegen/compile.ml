@@ -24,9 +24,9 @@ let lower ?telemetry prog =
       | Ok ir -> Ok ir
       | Error m -> Error (Unsupported m))
 
-let generate ?(backend = Backend.ocaml_domains) prog =
+let generate prog =
   let* ir = lower prog in
-  Ok (backend.Backend.emit ir)
+  Ok (Ocaml_backend.emit ir)
 
 let gen_counter = Atomic.make 0
 
@@ -58,14 +58,11 @@ let scratch_files base =
     (fun ext -> base ^ ext)
     [ ".ml"; ".cmxs"; ".cmx"; ".cmi"; ".o"; ".log" ]
 
-let build ?telemetry ?(backend = Backend.ocaml_domains) ?(dir = ".ped-codegen")
-    ?(keep = false) prog =
+let build ?telemetry ?(dir = ".ped-codegen") ?(keep = false) prog =
   let sink = match telemetry with Some s -> s | None -> Telemetry.default () in
   let* ir = lower ~telemetry:sink prog in
   let src =
-    Telemetry.span sink "codegen.emit"
-      ~args:[ ("backend", backend.Backend.name) ]
-      (fun () -> backend.Backend.emit ir)
+    Telemetry.span sink "codegen.emit" (fun () -> Ocaml_backend.emit ir)
   in
   let* tc =
     match Toolchain.find () with Ok t -> Ok t | Error m -> Error (Toolchain m)
@@ -78,7 +75,7 @@ let build ?telemetry ?(backend = Backend.ocaml_domains) ?(dir = ".ped-codegen")
   in
   (try mkdir_p dir with Unix.Unix_error (_, _, _) -> ());
   let base = Filename.concat dir module_name in
-  let src_file = base ^ backend.Backend.file_ext in
+  let src_file = base ^ ".ml" in
   let cmxs = base ^ ".cmxs" in
   let log = base ^ ".log" in
   let write_src () =

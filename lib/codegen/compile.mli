@@ -29,8 +29,7 @@ type built = {
 
 (** Lower and emit only — the generated source text, for inspection
     ([ped compile -o]).  No toolchain needed. *)
-val generate :
-  ?backend:Backend.t -> Fortran_front.Ast.program -> (string, error) result
+val generate : Fortran_front.Ast.program -> (string, error) result
 
 (** Full pipeline up to a loaded, callable entry.  Scratch artifacts go
     under [dir] (default [".ped-codegen"], created on demand) and are
@@ -38,7 +37,6 @@ val generate :
     [codegen.lower], [codegen.emit], [codegen.compile], [codegen.load]. *)
 val build :
   ?telemetry:Telemetry.sink ->
-  ?backend:Backend.t ->
   ?dir:string ->
   ?keep:bool ->
   Fortran_front.Ast.program ->

@@ -120,51 +120,59 @@ let budget_is_enforced () =
 
 (* --- shared cache: eviction pressure from real analysis entries --- *)
 
-(* A stress program whose summaries and unit results overflow a 1 MB
+(* Stress programs whose summaries and unit results overflow a 1 MB
    budget: the cache must evict, the counters must stay coherent, and
    every graph must still be byte-identical to a from-scratch replay
-   (the batch [check] gate).  Two passes over the units make the
-   second pass revisit whatever the first evicted. *)
+   (the batch [check] gate).  Each profile at smoke scale, seed 42,
+   batches its first six units; two passes over them make the second
+   pass revisit whatever the first evicted.  [wide] is the profile
+   whose entries are sure to overflow the budget. *)
 let eviction_pressure_stays_correct () =
-  let program =
-    Oracle.Stress.generate ~seed:42 (Oracle.Stress.smoke Oracle.Stress.wide)
-  in
-  let src = Pretty.program_to_string program in
-  let stress_job i (u : Ast.program_unit) =
-    {
-      Server.Batch.j_id = Printf.sprintf "wide/%d" i;
-      j_file = "wide.f";
-      j_source = src;
-      j_unit = Some u.Ast.uname;
-      j_script = [ "loops" ];
-    }
-  in
-  let pass = List.length program.Ast.punits in
-  let jobs =
-    List.mapi stress_job program.Ast.punits
-    @ List.mapi (fun i u -> stress_job (pass + i) u) program.Ast.punits
-  in
-  let cache = Server.Cache.create ~budget_mb:1 () in
-  (match Server.Batch.run ~cache ~check:true jobs with
-  | Error e -> Alcotest.fail e
-  | Ok o ->
-    check_bool "identical after eviction" true
-      (o.Server.Batch.o_identical = Some true);
-    check_bool "no job errors" true
-      (List.for_all
-         (fun (r : Server.Batch.job_result) -> r.Server.Batch.jr_error = None)
-         o.Server.Batch.o_results));
-  let st = Server.Cache.stats cache in
-  check_bool "evictions forced" true (st.Server.Cache.evictions > 0);
-  check_int "entries = insertions - evictions"
-    (st.Server.Cache.insertions - st.Server.Cache.evictions)
-    st.Server.Cache.entries;
-  check_bool "bytes within budget" true
-    (st.Server.Cache.bytes <= st.Server.Cache.budget_bytes);
-  check_bool "lookups recorded" true
-    (st.Server.Cache.hits + st.Server.Cache.misses > 0);
-  check_bool "insertions follow misses" true
-    (st.Server.Cache.insertions <= st.Server.Cache.misses)
+  List.iter
+    (fun (p : Oracle.Stress.profile) ->
+      let name = p.Oracle.Stress.sp_name in
+      let program = Oracle.Stress.generate ~seed:42 (Oracle.Stress.smoke p) in
+      let src = Pretty.program_to_string program in
+      let units = List.filteri (fun i _ -> i < 6) program.Ast.punits in
+      let stress_job i (u : Ast.program_unit) =
+        {
+          Server.Batch.j_id = Printf.sprintf "%s/%d" name i;
+          j_file = name ^ ".f";
+          j_source = src;
+          j_unit = Some u.Ast.uname;
+          j_script = [ "loops" ];
+        }
+      in
+      let pass = List.length units in
+      let jobs =
+        List.mapi stress_job units
+        @ List.mapi (fun i u -> stress_job (pass + i) u) units
+      in
+      let cache = Server.Cache.create ~budget_mb:1 () in
+      (match Server.Batch.run ~cache ~check:true jobs with
+      | Error e -> Alcotest.fail e
+      | Ok o ->
+        check_bool (name ^ ": identical after eviction") true
+          (o.Server.Batch.o_identical = Some true);
+        check_bool (name ^ ": no job errors") true
+          (List.for_all
+             (fun (r : Server.Batch.job_result) ->
+               r.Server.Batch.jr_error = None)
+             o.Server.Batch.o_results));
+      let st = Server.Cache.stats cache in
+      if String.equal name "wide" then
+        check_bool "wide: evictions forced" true
+          (st.Server.Cache.evictions > 0);
+      check_int (name ^ ": entries = insertions - evictions")
+        (st.Server.Cache.insertions - st.Server.Cache.evictions)
+        st.Server.Cache.entries;
+      check_bool (name ^ ": bytes within budget") true
+        (st.Server.Cache.bytes <= st.Server.Cache.budget_bytes);
+      check_bool (name ^ ": lookups recorded") true
+        (st.Server.Cache.hits + st.Server.Cache.misses > 0);
+      check_bool (name ^ ": insertions follow misses") true
+        (st.Server.Cache.insertions <= st.Server.Cache.misses))
+    Oracle.Stress.all
 
 (* After the LRU dropped an entry, a later session must transparently
    recompute it — same graph as a session over a private engine.

@@ -7,9 +7,9 @@
    number or a fuzz failure citable across processes.  On top of that
    the suite pins the factory's integration points: the parser
    round-trips the 100k-line flagship byte-for-byte, an incremental
-   session over a stress program equals from-scratch analysis, the
-   pooled analyzer equals the sequential build on a many-unit
-   program, and the fuzz driver's seed resolution (CLI, then
+   session over each smoke-scale profile equals from-scratch analysis,
+   the pooled analyzer on 1/2/4/8 domains equals the sequential build
+   on each of them, and the fuzz driver's seed resolution (CLI, then
    QCHECK_SEED, then the default) is a pure function. *)
 
 open Fortran_front
@@ -28,24 +28,39 @@ let perturb_sid_counter () =
 (* determinism                                                         *)
 (* ------------------------------------------------------------------ *)
 
+(* every profile at tiny scale (seed 7) and at smoke scale (seed 42) *)
+let scaled_profiles =
+  List.concat_map
+    (fun (p : Oracle.Stress.profile) ->
+      let name = p.Oracle.Stress.sp_name in
+      [
+        (name ^ "@tiny", 7, Oracle.Stress.tiny p);
+        (name ^ "@smoke", 42, Oracle.Stress.smoke p);
+      ])
+    Oracle.Stress.all
+
 let same_seed_same_program () =
   List.iter
-    (fun (p : Oracle.Stress.profile) ->
-      let prof = Oracle.Stress.tiny p in
-      let p1 = Oracle.Stress.generate ~seed:7 prof in
+    (fun (name, seed, prof) ->
+      let p1 = Oracle.Stress.generate ~seed prof in
       let src1 = Pretty.program_to_string p1 in
       let fp1 = Oracle.Stress.fingerprint p1 in
       perturb_sid_counter ();
-      let p2 = Oracle.Stress.generate ~seed:7 prof in
-      check_string (p.Oracle.Stress.sp_name ^ ": source bytes") src1
+      let p2 = Oracle.Stress.generate ~seed prof in
+      check_string (name ^ ": source bytes") src1
         (Pretty.program_to_string p2);
-      check_string (p.Oracle.Stress.sp_name ^ ": fingerprint") fp1
+      check_string (name ^ ": fingerprint") fp1
         (Oracle.Stress.fingerprint p2);
+      (* the printed source reparses and reprints byte-identically *)
+      check_string (name ^ ": reparse round-trip") src1
+        (Pretty.program_to_string
+           (Parser.parse_program ~file:(name ^ ".f") src1));
       (* and a different seed is a different program *)
-      check_bool (p.Oracle.Stress.sp_name ^ ": seed matters") false
+      check_bool (name ^ ": seed matters") false
         (String.equal fp1
-           (Oracle.Stress.fingerprint (Oracle.Stress.generate ~seed:8 prof))))
-    Oracle.Stress.all
+           (Oracle.Stress.fingerprint
+              (Oracle.Stress.generate ~seed:(seed + 1) prof))))
+    scaled_profiles
 
 let fingerprint_survives_reparse () =
   (* the fingerprint renumbers before hashing, so parsing the same
@@ -118,68 +133,84 @@ let first_assign_of (sess : Ped.Session.t) =
       | _ -> acc)
     None u.Ast.body
 
+(* Every profile at smoke scale, seed 42: two edit / undo / redo
+   bursts on the main unit's first assignment, then the served graph
+   must equal a from-scratch analysis of the session's program. *)
 let incremental_equals_scratch () =
-  let program =
-    Oracle.Stress.generate ~seed:42 (Oracle.Stress.smoke Oracle.Stress.deep)
-  in
-  let sess =
-    Ped.Session.load ~caching:true program ~unit_name:(main_unit_of program)
-  in
-  ignore (Ped.Session.ddg sess);
-  (* the redo leaves the edited statement with a fresh id, so each
-     burst re-finds its target *)
-  for _ = 1 to 2 do
-    let s = Option.get (first_assign_of sess) in
-    (match Ped.Session.edit_stmt sess s.Ast.sid (Pretty.stmt_to_string s) with
-    | Ok _ -> ()
-    | Error e -> Alcotest.fail ("edit: " ^ e));
-    (match Ped.Session.undo sess with
-    | Ok _ -> ()
-    | Error e -> Alcotest.fail ("undo: " ^ e));
-    match Ped.Session.redo sess with
-    | Ok _ -> ()
-    | Error e -> Alcotest.fail ("redo: " ^ e)
-  done;
-  (* from-scratch analysis of the session's current program *)
-  let u =
-    List.find
-      (fun (u : Ast.program_unit) ->
-        String.equal u.Ast.uname (Ped.Session.unit_name sess))
-      (Ped.Session.program sess).Ast.punits
-  in
-  let summary = Interproc.Summary.analyze (Ped.Session.program sess) in
-  let scratch =
-    Ddg.compute
-      (Interproc.Summary.env_for
-         ~config:(Ped.Session.config sess)
-         ~asserts:(Ped.Session.assertions sess)
-         summary u)
-  in
-  let served = Ped.Session.ddg sess in
-  check_bool "incremental equals scratch" true (Ddg.equal scratch served);
-  check_string "same bytes" (digest scratch) (digest served)
+  List.iter
+    (fun (p : Oracle.Stress.profile) ->
+      let name = p.Oracle.Stress.sp_name in
+      let program = Oracle.Stress.generate ~seed:42 (Oracle.Stress.smoke p) in
+      let sess =
+        Ped.Session.load ~caching:true program
+          ~unit_name:(main_unit_of program)
+      in
+      ignore (Ped.Session.ddg sess);
+      (* the redo leaves the edited statement with a fresh id, so each
+         burst re-finds its target *)
+      for _ = 1 to 2 do
+        let s = Option.get (first_assign_of sess) in
+        (match
+           Ped.Session.edit_stmt sess s.Ast.sid (Pretty.stmt_to_string s)
+         with
+        | Ok _ -> ()
+        | Error e -> Alcotest.fail (name ^ ": edit: " ^ e));
+        (match Ped.Session.undo sess with
+        | Ok _ -> ()
+        | Error e -> Alcotest.fail (name ^ ": undo: " ^ e));
+        match Ped.Session.redo sess with
+        | Ok _ -> ()
+        | Error e -> Alcotest.fail (name ^ ": redo: " ^ e)
+      done;
+      (* from-scratch analysis of the session's current program *)
+      let u =
+        List.find
+          (fun (u : Ast.program_unit) ->
+            String.equal u.Ast.uname (Ped.Session.unit_name sess))
+          (Ped.Session.program sess).Ast.punits
+      in
+      let summary = Interproc.Summary.analyze (Ped.Session.program sess) in
+      let scratch =
+        Ddg.compute
+          (Interproc.Summary.env_for
+             ~config:(Ped.Session.config sess)
+             ~asserts:(Ped.Session.assertions sess)
+             summary u)
+      in
+      let served = Ped.Session.ddg sess in
+      check_bool (name ^ ": incremental equals scratch") true
+        (Ddg.equal scratch served);
+      check_string (name ^ ": same bytes") (digest scratch) (digest served))
+    Oracle.Stress.all
 
+(* Every profile at smoke scale, seed 42: each unit's graph built on
+   a 1-, 2-, 4- and 8-domain pool equals the sequential build. *)
 let parallel_equals_sequential () =
-  let program =
-    Oracle.Stress.generate ~seed:42
-      (Oracle.Stress.smoke Oracle.Stress.many_units)
-  in
-  let summary = Interproc.Summary.analyze program in
-  let envs =
-    List.map
-      (fun (u : Ast.program_unit) ->
-        (u.Ast.uname, Interproc.Summary.env_for summary u))
-      program.Ast.punits
-  in
-  let seq = List.map (fun (u, env) -> (u, Ddg.compute env)) envs in
-  Runtime.Pool.with_pool 4 (fun pool ->
-      let runner = Runtime.Pool.analysis_runner pool in
-      List.iter2
-        (fun (_, env) (u, seq_g) ->
-          let par = Ddg.compute ~runner env in
-          check_bool (u ^ ": Ddg.equal") true (Ddg.equal seq_g par);
-          check_string (u ^ ": bytes") (digest seq_g) (digest par))
-        envs seq)
+  List.iter
+    (fun (p : Oracle.Stress.profile) ->
+      let name = p.Oracle.Stress.sp_name in
+      let program = Oracle.Stress.generate ~seed:42 (Oracle.Stress.smoke p) in
+      let summary = Interproc.Summary.analyze program in
+      let envs =
+        List.map
+          (fun (u : Ast.program_unit) ->
+            (u.Ast.uname, Interproc.Summary.env_for summary u))
+          program.Ast.punits
+      in
+      let seq = List.map (fun (_, env) -> Ddg.compute env) envs in
+      List.iter
+        (fun domains ->
+          Runtime.Pool.with_pool domains (fun pool ->
+              let runner = Runtime.Pool.analysis_runner pool in
+              List.iter2
+                (fun (u, env) seq_g ->
+                  let par = Ddg.compute ~runner env in
+                  let what = Printf.sprintf "%s/%s @%d" name u domains in
+                  check_bool (what ^ ": Ddg.equal") true (Ddg.equal seq_g par);
+                  check_string (what ^ ": bytes") (digest seq_g) (digest par))
+                envs seq))
+        [ 1; 2; 4; 8 ])
+    Oracle.Stress.all
 
 (* ------------------------------------------------------------------ *)
 (* seed resolution and fuzz determinism                                *)
@@ -223,9 +254,10 @@ let suite =
     case "profile and workload-name resolution" profiles_resolve;
     case "the 100k-line flagship parses and reprints byte-identically"
       flagship_round_trips;
-    case "incremental session equals from-scratch on a stress program"
+    case "incremental session equals from-scratch on every profile"
       incremental_equals_scratch;
-    case "4-domain analysis equals sequential on many-units"
+    case "pooled analysis equals sequential on every profile, 1/2/4/8 \
+          domains"
       parallel_equals_sequential;
     case "seed resolution: cli, then QCHECK_SEED, then 42" seed_resolution;
     case "fuzz: same seed, same stats, oracles green"
