@@ -277,7 +277,6 @@ let execute_one name program script ~domains ~schedule ~validate
 
 let execute file workload domains schedule validate force_parallel backend
     ~telemetry =
-  let domains = max 1 domains in
   let schedule =
     match Runtime.Pool.schedule_of_string schedule with
     | Some s -> s
@@ -351,7 +350,6 @@ let diagnose_one name program script ~domains ~schedule ~backend ~telemetry =
   end
 
 let diagnose_mode file workload domains schedule backend ~telemetry =
-  let domains = max 1 domains in
   let schedule =
     match Runtime.Pool.schedule_of_string schedule with
     | Some s -> s
@@ -532,12 +530,23 @@ let exec_flag =
                the result against the sequential simulator (all workloads \
                when no file or workload is given)")
 
+(* Integers >= 1: a bad value is cmdliner's usage error, naming the
+   flag. *)
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ ->
+      Error (Printf.sprintf "invalid value '%s', expected an integer >= 1" s)
+  in
+  Arg.conv' (parse, Format.pp_print_int)
+
 let domains =
-  Arg.(value & opt int 4 & info [ "domains" ] ~docv:"N"
+  Arg.(value & opt positive_int 4 & info [ "domains" ] ~docv:"N"
          ~doc:"Worker domains for --execute")
 
 let analysis_domains =
-  Arg.(value & opt int 1 & info [ "analysis-domains" ] ~docv:"N"
+  Arg.(value & opt positive_int 1 & info [ "analysis-domains" ] ~docv:"N"
          ~doc:"Fan dependence-test buckets of every analysis out across N \
                pool domains (1 = sequential analysis); the graphs are \
                identical either way")
@@ -662,7 +671,7 @@ let fuzz_main n fseed oracle corpus no_shrink no_sequences small stress
 
 let fuzz_cmd =
   let n =
-    Arg.(value & opt int 200 & info [ "n"; "num" ] ~docv:"N"
+    Arg.(value & opt positive_int 200 & info [ "n"; "num" ] ~docv:"N"
            ~doc:"Programs to generate")
   in
   let fseed =
@@ -838,17 +847,6 @@ let cache_dir =
                start, saved on exit; a file from another format version is \
                rejected")
 
-(* Integers >= 1: a bad value is cmdliner's usage error, naming the
-   flag. *)
-let positive_int =
-  let parse s =
-    match int_of_string_opt s with
-    | Some n when n >= 1 -> Ok n
-    | _ ->
-      Error (Printf.sprintf "invalid value '%s', expected an integer >= 1" s)
-  in
-  Arg.conv' (parse, Format.pp_print_int)
-
 let cache_mb =
   Arg.(value & opt positive_int 256 & info [ "cache-mb" ] ~docv:"MB"
          ~doc:"LRU byte budget of the shared analysis cache")
@@ -879,7 +877,7 @@ let batch_main jobfile bdomains banalysis_domains repeat cache_dir cache_mb
   | Ok jobs ->
     let jobs =
       List.concat
-        (List.init (max 1 repeat) (fun r ->
+        (List.init repeat (fun r ->
              if r = 0 then jobs
              else
                List.map
@@ -932,13 +930,13 @@ let batch_cmd =
                  session")
   in
   let bdomains =
-    Arg.(value & opt int 1 & info [ "domains" ] ~docv:"N"
+    Arg.(value & opt positive_int 1 & info [ "domains" ] ~docv:"N"
            ~doc:"Worker domains: 1 interleaves all sessions over one fully \
                  shared cache; more partitions jobs across domains, all \
                  sharing that cache")
   in
   let repeat =
-    Arg.(value & opt int 1 & info [ "repeat" ] ~docv:"N"
+    Arg.(value & opt positive_int 1 & info [ "repeat" ] ~docv:"N"
            ~doc:"Run the job list N times (duplicates exercise \
                  cross-session cache sharing)")
   in
@@ -1048,7 +1046,7 @@ let compile_main file workload out keep cdomains schedule no_run
   let ok =
     List.fold_left
       (fun acc t ->
-        compile_target ~sink ~out ~keep ~domains:(max 1 cdomains)
+        compile_target ~sink ~out ~keep ~domains:cdomains
           ~schedule ~no_run t
         && acc)
       true ts

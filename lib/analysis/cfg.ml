@@ -21,15 +21,27 @@ module NodeSet = Set.Make (NodeOrd)
 
 type t = {
   unit_ : Ast.program_unit;
-  succs : node list NodeMap.t;
-  preds : node list NodeMap.t;
   stmts : (Ast.stmt_id, Ast.stmt) Hashtbl.t;
   order : node list;
+  at : node array;  (* [order], by node number *)
+  ids : (node, int) Hashtbl.t;  (* inverse of [at] *)
+  succ_nodes : node list array;
+  pred_nodes : node list array;
+  succ_ids : int array array;
+  pred_ids : int array array;
 }
 
-let find_edges m n = match NodeMap.find_opt n m with Some l -> l | None -> []
-let succs t n = find_edges t.succs n
-let preds t n = find_edges t.preds n
+let index t n = Hashtbl.find_opt t.ids n
+
+let node_at t i = t.at.(i)
+let succ_ids t i = t.succ_ids.(i)
+let pred_ids t i = t.pred_ids.(i)
+
+let edges_of t a n =
+  match index t n with Some i -> a.(i) | None -> []
+
+let succs t n = edges_of t t.succ_nodes n
+let preds t n = edges_of t t.pred_nodes n
 let nodes t = t.order
 let unit_of t = t.unit_
 
@@ -37,7 +49,7 @@ let stmt_of t = function
   | Entry | Exit -> None
   | Stmt sid -> Hashtbl.find_opt t.stmts sid
 
-let size t = NodeMap.cardinal t.succs
+let size t = Array.length t.at
 
 (* [wire body ~next] returns the entry node(s) of [body] and registers
    edges so that falling off the end of [body] reaches [next]. *)
@@ -93,6 +105,7 @@ let build (u : Ast.program_unit) : t =
   let stmts = Hashtbl.create 64 in
   Ast.iter_stmts (fun s -> Hashtbl.replace stmts s.Ast.sid s) u.Ast.body;
   (* build adjacency maps, deduplicating parallel edges *)
+  let find_edges m n = match NodeMap.find_opt n m with Some l -> l | None -> [] in
   let add_adj m a b =
     let cur = find_edges !m a in
     if not (List.exists (node_equal b) cur) then m := NodeMap.add a (b :: cur) !m
@@ -132,7 +145,16 @@ let build (u : Ast.program_unit) : t =
     !order @ List.rev !extras
     @ (if NodeSet.mem Exit !visited then [] else [ Exit ])
   in
-  { unit_ = u; succs = !succs; preds = !preds; stmts; order }
+  let at = Array.of_list order in
+  let ids = Hashtbl.create (Array.length at) in
+  Array.iteri (fun i n -> Hashtbl.replace ids n i) at;
+  let adj m = Array.map (find_edges !m) at in
+  let succ_nodes = adj succs and pred_nodes = adj preds in
+  let to_ids =
+    Array.map (fun l -> Array.of_list (List.map (Hashtbl.find ids) l))
+  in
+  { unit_ = u; stmts; order; at; ids; succ_nodes; pred_nodes;
+    succ_ids = to_ids succ_nodes; pred_ids = to_ids pred_nodes }
 
 let dot t =
   let buf = Buffer.create 256 in

@@ -39,6 +39,20 @@ val stmt_of : t -> node -> Ast.stmt option
 (** Number of nodes, including [Entry] and [Exit]. *)
 val size : t -> int
 
+(** Nodes are numbered [0 .. size t - 1] in {!nodes} order, so
+    [Entry] is 0.  [index] is a node's number, [None] for a node not
+    in the graph; the dataflow solver and the dominator computation
+    work on these numbers. *)
+val index : t -> node -> int option
+
+val node_at : t -> int -> node
+
+(** Numbered successors and predecessors, in {!succs} / {!preds}
+    order. *)
+val succ_ids : t -> int -> int array
+
+val pred_ids : t -> int -> int array
+
 (** The unit this CFG was built from. *)
 val unit_of : t -> Ast.program_unit
 

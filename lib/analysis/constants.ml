@@ -141,7 +141,6 @@ let eval_with (lookup : string -> value option) (e : Ast.expr) : value option =
 type t = {
   ctx : Defuse.ctx;
   result : env Dataflow.result;
-  iters : int;
 }
 
 let analyze (ctx : Defuse.ctx) (cfg : Cfg.t) : t =
@@ -200,8 +199,7 @@ let analyze (ctx : Defuse.ctx) (cfg : Cfg.t) : t =
       transfer;
     }
   in
-  let result = Dataflow.solve cfg problem in
-  { ctx; result; iters = Dataflow.iterations result }
+  { ctx; result = Dataflow.solve cfg problem }
 
 let env_at t sid = Dataflow.input t.result (Cfg.Stmt sid)
 
@@ -218,5 +216,3 @@ let const_at t sid e = eval_with (fun v -> const_of_var t sid v) e
 
 let int_at t sid e =
   match const_at t sid e with Some (Cint n) -> Some n | _ -> None
-
-let iterations t = t.iters

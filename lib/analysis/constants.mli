@@ -34,5 +34,3 @@ val int_at : t -> Ast.stmt_id -> Ast.expr -> int option
 (** Pure evaluator used by other analyses: evaluate [e] given an
     oracle for variable values. *)
 val eval_with : (string -> value option) -> Ast.expr -> value option
-
-val iterations : t -> int

@@ -1,8 +1,15 @@
-(** Dominator and postdominator computation (iterative set algorithm).
+(** Dominators and postdominators, as immediate-dominator trees.
 
-    Sizes here are editor-scale, so the simple O(n²) set iteration is
-    the right tool; it is also trivially correct, which matters more.
-    Postdominators feed control-dependence construction. *)
+    Cooper, Harvey and Kennedy's iterative algorithm ("A Simple, Fast
+    Dominance Algorithm", Rice 2001) computes each node's immediate
+    dominator on postorder numbers; {!dominates} walks up the tree.
+    Postdominators feed control-dependence construction.
+
+    A node that cannot reach the root — for postdominators, a statement
+    on a GOTO cycle that never exits — has every node for dominator.
+    Its {!idom} is the greatest other such node in {!Cfg.node_compare}
+    order.  An unreachable statement with no predecessor is dominated
+    by itself alone. *)
 
 type t
 
@@ -16,6 +23,3 @@ val dominates : t -> Cfg.node -> Cfg.node -> bool
 
 (** Immediate dominator (or postdominator), if any. *)
 val idom : t -> Cfg.node -> Cfg.node option
-
-(** Set of dominators of a node, including itself. *)
-val dom_set : t -> Cfg.node -> Cfg.NodeSet.t

@@ -1,7 +1,7 @@
 open Fortran_front
 module SSet = Set.Make (String)
 
-type t = { result : SSet.t Dataflow.result; iters : int }
+type t = { result : SSet.t Dataflow.result }
 
 let analyze ?(all_escape = false) (ctx : Defuse.ctx) (cfg : Cfg.t) : t =
   let tbl = Defuse.table ctx in
@@ -34,8 +34,7 @@ let analyze ?(all_escape = false) (ctx : Defuse.ctx) (cfg : Cfg.t) : t =
       transfer;
     }
   in
-  let result = Dataflow.solve cfg problem in
-  { result; iters = Dataflow.iterations result }
+  { result = Dataflow.solve cfg problem }
 
 (* With a backward problem, the solver's "output" of a node is the
    value before the node in execution order (live-in), and its "input"
@@ -60,4 +59,3 @@ let live_after t cfg loop_sid =
 let live_out t sid = SSet.elements (Dataflow.input t.result (Cfg.Stmt sid))
 let is_live_in t sid v = SSet.mem v (Dataflow.output t.result (Cfg.Stmt sid))
 let is_live_out t sid v = SSet.mem v (Dataflow.input t.result (Cfg.Stmt sid))
-let iterations t = t.iters

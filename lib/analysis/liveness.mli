@@ -34,5 +34,3 @@ val live_at_exit : t -> string list
     node's successors include the body; this is the right notion for
     "does the value survive the loop". *)
 val live_after : t -> Cfg.t -> Ast.stmt_id -> string list
-
-val iterations : t -> int

@@ -7,17 +7,46 @@ let def_compare a b =
   | 0 -> String.compare a.def_var b.def_var
   | c -> c
 
-module DefSet = Set.Make (struct
-  type t = def
+(* Sets of definition ids, one bit per id, in bytes padded to whole
+   64-bit words.  A set is never mutated once built, so the solver may
+   share it between nodes. *)
+module Bits = struct
+  let make n = Bytes.make (8 * ((n + 63) / 64)) '\000'
 
-  let compare = def_compare
-end)
+  let add b i =
+    let k = i lsr 3 in
+    Bytes.set b k (Char.unsafe_chr (Char.code (Bytes.get b k) lor (1 lsl (i land 7))))
+
+  let mem b i = Char.code (Bytes.get b (i lsr 3)) land (1 lsl (i land 7)) <> 0
+
+  let union a b =
+    let r = Bytes.create (Bytes.length a) in
+    for w = 0 to (Bytes.length a / 8) - 1 do
+      let o = 8 * w in
+      Bytes.set_int64_ne r o
+        (Int64.logor (Bytes.get_int64_ne a o) (Bytes.get_int64_ne b o))
+    done;
+    r
+
+  (* [gen ∪ (x \ kill)] *)
+  let transfer ~gen ~kill x =
+    let r = Bytes.create (Bytes.length x) in
+    for w = 0 to (Bytes.length x / 8) - 1 do
+      let o = 8 * w in
+      Bytes.set_int64_ne r o
+        (Int64.logor (Bytes.get_int64_ne gen o)
+           (Int64.logand (Bytes.get_int64_ne x o)
+              (Int64.lognot (Bytes.get_int64_ne kill o))))
+    done;
+    r
+end
 
 type t = {
   ctx : Defuse.ctx;
   cfg : Cfg.t;
-  result : DefSet.t Dataflow.result;
-  iters : int;
+  defs : def array;  (* by id, ids in [def_compare] order *)
+  of_var : (string, int list) Hashtbl.t;  (* ascending ids *)
+  result : Bytes.t Dataflow.result;
 }
 
 let analyze (ctx : Defuse.ctx) (cfg : Cfg.t) : t =
@@ -29,46 +58,82 @@ let analyze (ctx : Defuse.ctx) (cfg : Cfg.t) : t =
         | Symbol.Routine | Symbol.External_fun | Symbol.Intrinsic -> None)
       (Symbol.infos (Defuse.table ctx))
   in
-  let entry_defs =
-    DefSet.of_list
-      (List.map (fun v -> { def_at = Cfg.Entry; def_var = v }) all_vars)
+  (* per node: the variables it may define and those it kills *)
+  let n = Cfg.size cfg in
+  let effects =
+    Array.init n (fun i ->
+        match Cfg.stmt_of cfg (Cfg.node_at cfg i) with
+        | None -> ([], [])
+        | Some s -> (Defuse.may_defs ctx s, Defuse.must_defs ctx s))
   in
-  let transfer node in_set =
-    match node with
-    | Cfg.Entry | Cfg.Exit -> in_set
-    | Cfg.Stmt _ -> (
-      match Cfg.stmt_of cfg node with
-      | None -> in_set
-      | Some s ->
-        let kills = Defuse.must_defs ctx s in
-        let survivors =
-          if kills = [] then in_set
-          else DefSet.filter (fun d -> not (List.mem d.def_var kills)) in_set
-        in
-        List.fold_left
-          (fun acc v -> DefSet.add { def_at = node; def_var = v } acc)
-          survivors (Defuse.may_defs ctx s))
+  let defs =
+    List.map (fun v -> { def_at = Cfg.Entry; def_var = v }) all_vars
+    @ List.concat
+        (List.init n (fun i ->
+             let at = Cfg.node_at cfg i in
+             List.map (fun v -> { def_at = at; def_var = v }) (fst effects.(i))))
+    |> List.sort_uniq def_compare |> Array.of_list
+  in
+  let ndefs = Array.length defs in
+  let id = Hashtbl.create ndefs and of_var = Hashtbl.create 32 in
+  for k = ndefs - 1 downto 0 do
+    let d = defs.(k) in
+    Hashtbl.replace id (d.def_at, d.def_var) k;
+    Hashtbl.replace of_var d.def_var
+      (k :: Option.value ~default:[] (Hashtbl.find_opt of_var d.def_var))
+  done;
+  let bits_of ids =
+    let b = Bits.make ndefs in
+    List.iter (Bits.add b) ids;
+    b
+  in
+  let gen_kill =
+    Array.mapi
+      (fun i (may, must) ->
+        if may = [] && must = [] then None
+        else
+          let at = Cfg.node_at cfg i in
+          let gen = bits_of (List.map (fun v -> Hashtbl.find id (at, v)) may) in
+          let kill =
+            bits_of
+              (List.concat_map
+                 (fun v -> Option.value ~default:[] (Hashtbl.find_opt of_var v))
+                 must)
+          in
+          Some (gen, kill))
+      effects
+  in
+  let transfer node x =
+    match Option.bind (Cfg.index cfg node) (Array.get gen_kill) with
+    | None -> x
+    | Some (gen, kill) -> Bits.transfer ~gen ~kill x
   in
   let problem =
     {
       Dataflow.direction = Dataflow.Forward;
-      boundary = entry_defs;
-      init = DefSet.empty;
-      join = DefSet.union;
-      equal = DefSet.equal;
+      boundary =
+        bits_of (List.map (fun v -> Hashtbl.find id (Cfg.Entry, v)) all_vars);
+      init = Bits.make ndefs;
+      join = Bits.union;
+      equal = Bytes.equal;
       transfer;
     }
   in
-  let result = Dataflow.solve cfg problem in
-  { ctx; cfg; result; iters = Dataflow.iterations result }
+  { ctx; cfg; defs; of_var; result = Dataflow.solve cfg problem }
 
-let reaching_in t node = DefSet.elements (Dataflow.input t.result node)
+let reaching_in t node =
+  let x = Dataflow.input t.result node in
+  let acc = ref [] in
+  for k = Array.length t.defs - 1 downto 0 do
+    if Bits.mem x k then acc := t.defs.(k) :: !acc
+  done;
+  !acc
 
 let defs_of_use t sid var =
-  let node = Cfg.Stmt sid in
-  let reaching = Dataflow.input t.result node in
-  DefSet.elements
-    (DefSet.filter (fun d -> String.equal d.def_var var) reaching)
+  let x = Dataflow.input t.result (Cfg.Stmt sid) in
+  match Hashtbl.find_opt t.of_var var with
+  | None -> []
+  | Some ids -> List.filter_map (fun k -> if Bits.mem x k then Some t.defs.(k) else None) ids
 
 let unique_def t sid var =
   match
@@ -96,5 +161,3 @@ let chains t =
             List.map (fun d -> (d, s.Ast.sid)) (defs_of_use t s.Ast.sid v))
           uses)
     (Cfg.nodes t.cfg)
-
-let iterations t = t.iters

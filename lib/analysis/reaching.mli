@@ -31,6 +31,3 @@ val unique_def : t -> Ast.stmt_id -> string -> Ast.stmt_id option
 (** All def-use chains: [(def, use_sid)] pairs where the use reads the
     def's variable. *)
 val chains : t -> (def * Ast.stmt_id) list
-
-(** Solver iterations (bench statistics). *)
-val iterations : t -> int
