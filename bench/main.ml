@@ -1,9 +1,13 @@
 (* The evaluation harness: regenerates every table and figure of
-   EXPERIMENTS.md, then runs the bechamel microbenchmarks.
+   EXPERIMENTS.md and runs the gated engineering experiments.
 
      dune exec bench/main.exe            -- everything
      dune exec bench/main.exe -- table3  -- one experiment
-*)
+
+   Every entry is an [experiment]; one driver (the end of this file)
+   writes its BENCH_<name>.json, prints its skipped gates as notes and,
+   after every named experiment has run, exits 1 naming each failed
+   gate. *)
 
 open Fortran_front
 open Dependence
@@ -15,6 +19,29 @@ let header title =
 
 (* monotonic wall clock, from lib/telemetry's C stub *)
 let now_s () = Int64.to_float (Telemetry.now_ns ()) /. 1e9
+
+type gate = Pass | Fail of string | Skipped of string
+
+(* What a run reports: the fields of its BENCH_<name>.json (None for a
+   print-only table, which writes no file) and its named gates. *)
+type result = {
+  fields : (string * Jout.t) list option;
+  gates : (string * gate) list;
+}
+
+type experiment = { name : string; run : unit -> result }
+
+let check ok reason = if ok then Pass else Fail reason
+
+(* a print-only table: no JSON, no gates *)
+let table name f =
+  { name; run = (fun () -> f (); { fields = None; gates = [] }) }
+
+(* the skip every speed gate takes on a host without a second core *)
+let single_core cores what =
+  Skipped
+    (Printf.sprintf "single-core machine (recommended_domain_count %d) - %s"
+       cores what)
 
 (* ------------------------------------------------------------------ *)
 (* Helpers                                                             *)
@@ -605,88 +632,6 @@ let ablation () =
     programs
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel microbenchmarks                                            *)
-(* ------------------------------------------------------------------ *)
-
-let microbench () =
-  header "Microbenchmarks (bechamel): cost of the editor's machinery";
-  let open Bechamel in
-  let w = Option.get (Workloads.by_name "matmul") in
-  let src = w.Workloads.source in
-  let program = Workloads.program w in
-  let main_u = List.hd program.Ast.punits in
-  let env = Depenv.make main_u in
-  let ddg = Ddg.compute env in
-  let k =
-    List.find
-      (fun (l : Loopnest.loop) -> l.Loopnest.header.Ast.dvar = "K")
-      (Loopnest.loops env.Depenv.nest)
-  in
-  let tests =
-    [
-      Test.make ~name:"parse (matmul)"
-        (Staged.stage (fun () ->
-             ignore (Parser.parse_program ~file:"m.f" src)));
-      Test.make ~name:"analyze unit (all dataflow)"
-        (Staged.stage (fun () -> ignore (Depenv.make main_u)));
-      Test.make ~name:"dependence graph"
-        (Staged.stage (fun () -> ignore (Ddg.compute env)));
-      Test.make ~name:"interchange diagnose"
-        (Staged.stage (fun () ->
-             ignore (Transform.Interchange.diagnose env ddg k.Loopnest.lstmt.Ast.sid)));
-      Test.make ~name:"estimator rank_loops"
-        (Staged.stage (fun () -> ignore (Perf.Estimator.rank_loops env)));
-      Test.make ~name:"full session load (interproc)"
-        (Staged.stage (fun () ->
-             ignore
-               (Ped.Session.load (Workloads.program w)
-                  ~unit_name:(Workloads.main_unit w))));
-      Test.make ~name:"simulate matmul"
-        (Staged.stage (fun () -> ignore (Sim.Interp.run program)));
-      (let prob =
-         {
-           Dtest.nloops = 2;
-           trips = [| Some 100; Some 100 |];
-           trips_exact = [| true; true |];
-           lo_known = [| true; true |];
-           dims =
-             [
-               { Dtest.a = [| 1; 0 |]; b = [| 1; 0 |]; c = 1; usable = true };
-               { Dtest.a = [| 0; 1 |]; b = [| 0; 1 |]; c = -1; usable = true };
-             ];
-         }
-       in
-       Test.make ~name:"dependence test (2-loop pair)"
-         (Staged.stage (fun () -> ignore (Dtest.solve prob))));
-    ]
-  in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg =
-    Benchmark.cfg ~limit:200 ~quota:(Time.second 0.25) ~stabilize:false ()
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  Printf.printf "%-32s %14s\n" "operation" "time/run";
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg [ instance ] (Test.make_grouped ~name:"g" [ test ]) in
-      let analyzed = Analyze.all ols instance results in
-      Hashtbl.iter
-        (fun name ols_result ->
-          match Analyze.OLS.estimates ols_result with
-          | Some [ ns ] ->
-            let pretty =
-              if ns > 1e6 then Printf.sprintf "%8.2f ms" (ns /. 1e6)
-              else if ns > 1e3 then Printf.sprintf "%8.2f us" (ns /. 1e3)
-              else Printf.sprintf "%8.0f ns" ns
-            in
-            Printf.printf "%-32s %14s\n" name pretty
-          | _ -> Printf.printf "%-32s %14s\n" name "n/a")
-        analyzed)
-    tests
-
-(* ------------------------------------------------------------------ *)
 (* Table 6: predicted vs measured speedup on the multicore runtime     *)
 (* ------------------------------------------------------------------ *)
 
@@ -715,8 +660,6 @@ let best_wall ?(reps = 3) ~domains program =
     if o.Runtime.Exec.wall_s < !best then best := o.Runtime.Exec.wall_s
   done;
   !best
-
-let table6_json = "BENCH_table6.json"
 
 let geomean = function
   | [] -> 0.0
@@ -836,88 +779,78 @@ let table6_run ~smoke label =
       "compiled speedup over the interpreter: %.1fx geomean (best schedule \
        point per kernel)\n"
     gm;
-  Jout.write table6_json
-    (Jout.Obj
-       [
-         ("experiment", Jout.Str label);
-         ("cores", Jout.Int cores);
-         ("reps", Jout.Int reps);
-         ( "programs",
-           Jout.List
-             (List.map
-                (fun (name, seq_wall, cols) ->
-                  Jout.Obj
-                    [
-                      ("name", Jout.Str name);
-                      ("interp_seq_wall_s", Jout.Float seq_wall);
-                      ( "columns",
-                        Jout.List
-                          (List.map
-                             (fun (p, pred, est, meas, cg) ->
-                               Jout.Obj
-                                 ([
-                                    ("domains", Jout.Int p);
-                                    ("predicted", Jout.Float pred);
-                                    ("estimator_predicted", Jout.Float est);
-                                    ("measured", Jout.Float meas);
-                                  ]
-                                 @
-                                 match cg with
-                                 | None -> [ ("compiled", Jout.Null) ]
-                                 | Some (wall, s, ok) ->
-                                   [
-                                     ("compiled_wall_s", Jout.Float wall);
-                                     ("compiled_speedup", Jout.Float s);
-                                     ("identical", Jout.Bool ok);
-                                   ]))
-                             cols) );
-                    ])
-                rows) );
-         ("compiled_geomean_speedup", Jout.Float gm);
-         ("identity_ok", Jout.Bool !identity_ok);
-         ( "toolchain",
-           match !toolchain_note with
-           | None -> Jout.Str "available"
-           | Some m -> Jout.Str ("missing: " ^ m) );
-       ]);
-  (* identity gate: always enforced — a compiled kernel that computes
-     something else is wrong at any speed *)
-  if not !identity_ok then begin
-    Printf.eprintf "%s: compiled runs diverged from the interpreter\n" label;
-    exit 1
-  end;
-  (match !toolchain_note with
-  | Some m ->
-    Printf.printf
-      "note: no native toolchain (%s) - compiled column and speedup gate \
-       skipped\n"
-      m
-  | None ->
-    (* speedup gate: native code must beat the interpreter
-       by a wide margin wherever there are cores to run it *)
-    if cores >= 2 && gm < 5.0 then begin
-      Printf.eprintf
-        "%s: compiled geomean speedup %.1fx < 5x over the interpreter on a \
-         %d-core machine\n"
-        label gm cores;
-      exit 1
-    end
-    else if cores < 2 then
-      Printf.printf
-        "note: single-core machine (recommended_domain_count %d) - speedup \
-         gate skipped, identity gate enforced\n"
-        cores)
-
-(* table6 is the only experiment with two sizes, and CI runs the
-   small one.  The full table is the paper's: 17 kernels, 1/2/4/8
-   domains.  On a 2-core VM its >= 5x compiled-speedup gate reads
-   2.7-3.0x, because a few kernels (redblack, gauss, sympro) run
-   slower compiled than interpreted at one domain, while matmul alone
-   reads 11-17x.  So CI on the full table would fail on such hosts,
-   and keeping only matmul would drop 16 kernels from the paper
-   table. *)
-let table6 () = table6_run ~smoke:false "table6"
-let table6_smoke () = table6_run ~smoke:true "table6-smoke"
+  let speedup_gate =
+    match !toolchain_note with
+    | Some m ->
+      Skipped
+        (Printf.sprintf
+           "no native toolchain (%s) - compiled column and speedup gate \
+            skipped"
+           m)
+    | None when cores < 2 ->
+      single_core cores "speedup gate skipped, identity gate enforced"
+    | None ->
+      (* native code must beat the interpreter by a wide margin
+         wherever there are cores to run it *)
+      check (gm >= 5.0)
+        (Printf.sprintf
+           "compiled geomean speedup %.1fx < 5x over the interpreter on a \
+            %d-core machine"
+           gm cores)
+  in
+  {
+    fields =
+      Some
+        [
+          ("cores", Jout.Int cores);
+          ("reps", Jout.Int reps);
+          ( "programs",
+            Jout.List
+              (List.map
+                 (fun (name, seq_wall, cols) ->
+                   Jout.Obj
+                     [
+                       ("name", Jout.Str name);
+                       ("interp_seq_wall_s", Jout.Float seq_wall);
+                       ( "columns",
+                         Jout.List
+                           (List.map
+                              (fun (p, pred, est, meas, cg) ->
+                                Jout.Obj
+                                  ([
+                                     ("domains", Jout.Int p);
+                                     ("predicted", Jout.Float pred);
+                                     ("estimator_predicted", Jout.Float est);
+                                     ("measured", Jout.Float meas);
+                                   ]
+                                  @
+                                  match cg with
+                                  | None -> [ ("compiled", Jout.Null) ]
+                                  | Some (wall, s, ok) ->
+                                    [
+                                      ("compiled_wall_s", Jout.Float wall);
+                                      ("compiled_speedup", Jout.Float s);
+                                      ("identical", Jout.Bool ok);
+                                    ]))
+                              cols) );
+                     ])
+                 rows) );
+          ("compiled_geomean_speedup", Jout.Float gm);
+          ("identity_ok", Jout.Bool !identity_ok);
+          ( "toolchain",
+            match !toolchain_note with
+            | None -> Jout.Str "available"
+            | Some m -> Jout.Str ("missing: " ^ m) );
+        ];
+    gates =
+      [
+        (* always enforced: a compiled kernel that computes something
+           else is wrong at any speed *)
+        ( "identity",
+          check !identity_ok "compiled runs diverged from the interpreter" );
+        ("speedup", speedup_gate);
+      ];
+  }
 
 let calibrate_exp () =
   header
@@ -937,7 +870,7 @@ let calibrate_exp () =
   show "calibrated:" fitted
 
 (* ------------------------------------------------------------------ *)
-(* editburst: incremental engine vs full reanalysis on an edit burst   *)
+(* The edit burst telemetry-overhead drives                           *)
 (* ------------------------------------------------------------------ *)
 
 (* A scripted editing session: the workload's assertions, then bursts
@@ -981,149 +914,6 @@ let drive_bursts sess ~bursts =
     edit_burst sess
   done
 
-(* Structural-identity oracle: the session's engine-served graph must
-   equal a from-scratch analysis of its current program + assertions.
-   (Graphs are pure data; environments hold closures, so the graph and
-   its statistics are the comparable artifact.) *)
-let scratch_equal sess =
-  let u = focus_unit_of sess in
-  let scratch_env =
-    match Ped.Session.interproc sess with
-    | Some _ ->
-      let summary = Interproc.Summary.analyze (Ped.Session.program sess) in
-      Interproc.Summary.env_for ~config:(Ped.Session.config sess)
-        ~asserts:(Ped.Session.assertions sess) summary u
-    | None ->
-      Depenv.make ~config:(Ped.Session.config sess)
-        ~asserts:(Ped.Session.assertions sess) u
-  in
-  Ped.Session.ddg sess = Ddg.compute scratch_env
-
-let editburst_json = "BENCH_editburst.json"
-
-let editburst () =
-  header
-    "editburst: analysis work per edit burst (assert, edit, undo, redo) - \
-     incremental engine vs full reanalysis";
-  let bursts = 2 in
-  (* per-mode measurement: (assert-phase tests, edit-phase tests,
-     edit-phase seconds, final stats, session) *)
-  let run_mode w program caching =
-    let sess =
-      Ped.Session.load ~caching program ~unit_name:(Workloads.main_unit w)
-    in
-    let s0 = Ped.Session.engine_stats sess in
-    drive_asserts sess w;
-    let sa = Ped.Session.engine_stats sess in
-    let t0 = now_s () in
-    drive_bursts sess ~bursts;
-    let seconds = now_s () -. t0 in
-    let s1 = Ped.Session.engine_stats sess in
-    ( sess,
-      sa.Engine.tests_run - s0.Engine.tests_run,
-      s1.Engine.tests_run - sa.Engine.tests_run,
-      seconds,
-      s1 )
-  in
-  Printf.printf "%-10s %10s %10s %8s %10s %10s %8s %5s\n" "program"
-    "full-edit" "inc-edit" "ratio" "full-ms" "inc-ms" "ratio" "same";
-  let rows =
-    List.map
-      (fun (w : Workloads.t) ->
-        let program = Workloads.program w in
-        let base_sess, base_at, base_et, base_s, _ = run_mode w program false in
-        let inc_sess, inc_at, inc_et, inc_s, inc_stats =
-          run_mode w program true
-        in
-        let identical = scratch_equal inc_sess && scratch_equal base_sess in
-        let ratio a b = float_of_int a /. float_of_int (max 1 b) in
-        Printf.printf "%-10s %10d %10d %7.1fx %10.2f %10.2f %7.1fx %5s\n"
-          w.Workloads.name base_et inc_et (ratio base_et inc_et)
-          (base_s *. 1e3) (inc_s *. 1e3)
-          (base_s /. Float.max 1e-9 inc_s)
-          (if identical then "yes" else "NO");
-        (w.Workloads.name, (base_at, base_et, base_s), (inc_at, inc_et, inc_s),
-         inc_stats, identical))
-      Workloads.all
-  in
-  let sum f = List.fold_left (fun acc r -> acc + f r) 0 rows in
-  let sumf f = List.fold_left (fun acc r -> acc +. f r) 0. rows in
-  let base_edit = sum (fun (_, (_, t, _), _, _, _) -> t) in
-  let inc_edit = sum (fun (_, _, (_, t, _), _, _) -> t) in
-  let base_all = sum (fun (_, (a, t, _), _, _, _) -> a + t) in
-  let inc_all = sum (fun (_, _, (a, t, _), _, _) -> a + t) in
-  let base_s = sumf (fun (_, (_, _, s), _, _, _) -> s) in
-  let inc_s = sumf (fun (_, _, (_, _, s), _, _) -> s) in
-  let all_identical = List.for_all (fun (_, _, _, _, i) -> i) rows in
-  let edit_ratio = float_of_int base_edit /. float_of_int (max 1 inc_edit) in
-  let total_ratio = float_of_int base_all /. float_of_int (max 1 inc_all) in
-  let time_ratio = base_s /. Float.max 1e-9 inc_s in
-  Printf.printf
-    "aggregate: edits %d vs %d dependence tests (%.1fx), whole session %d vs \
-     %d (%.1fx), edit wall %.1f vs %.1f ms (%.1fx), results %s\n"
-    base_edit inc_edit edit_ratio base_all inc_all total_ratio (base_s *. 1e3)
-    (inc_s *. 1e3) time_ratio
-    (if all_identical then "identical" else "DIVERGED");
-  let row_json
-      (name, (bat, bet, bs), (iat, iet, is), (st : Engine.stats), identical) =
-    Jout.Obj
-      [
-        ("name", Jout.Str name);
-        ("identical", Jout.Bool identical);
-        ( "full",
-          Jout.Obj
-            [
-              ("assert_tests", Jout.Int bat);
-              ("edit_tests", Jout.Int bet);
-              ("edit_seconds", Jout.Float bs);
-            ] );
-        ( "incremental",
-          Jout.Obj
-            [
-              ("assert_tests", Jout.Int iat);
-              ("edit_tests", Jout.Int iet);
-              ("edit_seconds", Jout.Float is);
-              ("env_hits", Jout.Int st.Engine.env_hits);
-              ("env_misses", Jout.Int st.Engine.env_misses);
-              ("invalidations", Jout.Int st.Engine.invalidations);
-              ("summary_hits", Jout.Int st.Engine.summary_hits);
-              ("summary_builds", Jout.Int st.Engine.summary_builds);
-              ("ddg_bucket_hits", Jout.Int st.Engine.ddg_bucket_hits);
-              ("ddg_bucket_misses", Jout.Int st.Engine.ddg_bucket_misses);
-            ] );
-      ]
-  in
-  Jout.write editburst_json
-    (Jout.Obj
-       [
-         ("experiment", Jout.Str "editburst");
-         ("bursts", Jout.Int bursts);
-         ("workloads", Jout.List (List.map row_json rows));
-         ( "aggregate",
-           Jout.Obj
-             [
-               ("full_edit_tests", Jout.Int base_edit);
-               ("incremental_edit_tests", Jout.Int inc_edit);
-               ("edit_tests_ratio", Jout.Float edit_ratio);
-               ("full_total_tests", Jout.Int base_all);
-               ("incremental_total_tests", Jout.Int inc_all);
-               ("total_tests_ratio", Jout.Float total_ratio);
-               ("full_edit_seconds", Jout.Float base_s);
-               ("incremental_edit_seconds", Jout.Float inc_s);
-               ("edit_time_ratio", Jout.Float time_ratio);
-               ("all_identical", Jout.Bool all_identical);
-             ] );
-       ]);
-  if not all_identical then begin
-    Printf.eprintf
-      "editburst: engine graphs diverged from from-scratch analysis on %s\n"
-      (String.concat ", "
-         (List.filter_map
-            (fun (name, _, _, _, i) -> if i then None else Some name)
-            rows));
-    exit 1
-  end
-
 (* ------------------------------------------------------------------ *)
 (* telemetry-overhead: cost of the observability layer on the         *)
 (* analysis path — the same edit-burst workload driven under a null   *)
@@ -1132,8 +922,6 @@ let editburst () =
 (* converted into an implied workload overhead: that number is the    *)
 (* <2% gate, since there is no uninstrumented build to diff against.  *)
 (* ------------------------------------------------------------------ *)
-
-let telemetry_json = "BENCH_telemetry.json"
 
 let telemetry_overhead () =
   header
@@ -1201,35 +989,37 @@ let telemetry_overhead () =
   Printf.printf "%-10s %10.2f %9.2f%%\n" "counters" (c *. 1e3) (pct c);
   Printf.printf "%-10s %10.2f %9.2f%%\n" "recording" (r *. 1e3) (pct r);
   Printf.printf "(%d spans per rep when recording)\n" !spans_per_rep;
-  Jout.write telemetry_json
-    (Jout.Obj
-       [
-         ("experiment", Jout.Str "telemetry-overhead");
-         ("reps", Jout.Int reps);
-         ("ns_per_disabled_counter", Jout.Float ns_counter);
-         ("ns_per_disabled_span", Jout.Float ns_span);
-         ("spans_per_rep", Jout.Int !spans_per_rep);
-         ( "median_seconds",
-           Jout.Obj
-             [
-               ("disabled", Jout.Float d);
-               ("counters", Jout.Float c);
-               ("recording", Jout.Float r);
-             ] );
-         ( "overhead_pct",
-           Jout.Obj
-             [
-               ("disabled", Jout.Float disabled_pct);
-               ("counters", Jout.Float (pct c));
-               ("recording", Jout.Float (pct r));
-             ] );
-         ("disabled_overhead_lt_2pct", Jout.Bool (disabled_pct < 2.));
-       ]);
-  if disabled_pct >= 2. then begin
-    Printf.eprintf "telemetry-overhead: disabled overhead %.2f%% >= 2%%\n"
-      disabled_pct;
-    exit 1
-  end
+  {
+    fields =
+      Some
+        [
+          ("reps", Jout.Int reps);
+          ("ns_per_disabled_counter", Jout.Float ns_counter);
+          ("ns_per_disabled_span", Jout.Float ns_span);
+          ("spans_per_rep", Jout.Int !spans_per_rep);
+          ( "median_seconds",
+            Jout.Obj
+              [
+                ("disabled", Jout.Float d);
+                ("counters", Jout.Float c);
+                ("recording", Jout.Float r);
+              ] );
+          ( "overhead_pct",
+            Jout.Obj
+              [
+                ("disabled", Jout.Float disabled_pct);
+                ("counters", Jout.Float (pct c));
+                ("recording", Jout.Float (pct r));
+              ] );
+          ("disabled_overhead_lt_2pct", Jout.Bool (disabled_pct < 2.));
+        ];
+    gates =
+      [
+        ( "disabled-overhead",
+          check (disabled_pct < 2.)
+            (Printf.sprintf "disabled overhead %.2f%% >= 2%%" disabled_pct) );
+      ];
+  }
 
 (* ------------------------------------------------------------------ *)
 (* precision: the analysis-precision dashboard.  Per-tier disproval /  *)
@@ -1238,8 +1028,6 @@ let telemetry_overhead () =
 (* oracle's spurious-edge rate attributed to the deciding tier over a  *)
 (* generated corpus.  Written as BENCH_precision.json for CI trends.   *)
 (* ------------------------------------------------------------------ *)
-
-let precision_json = "BENCH_precision.json"
 
 let precision () =
   header
@@ -1301,191 +1089,31 @@ let precision () =
     "oracle: %d fuzz programs, %d edges realized, %d spurious (%.1fs)\n"
     s.Oracle.Driver.programs s.Oracle.Driver.dep_realized
     s.Oracle.Driver.dep_spurious dt;
-  Jout.write precision_json
-    (Jout.Obj
-       [
-         ("experiment", Jout.Str "precision");
-         ("fuzz_programs", Jout.Int s.Oracle.Driver.programs);
-         ("oracle_realized", Jout.Int s.Oracle.Driver.dep_realized);
-         ("oracle_spurious", Jout.Int s.Oracle.Driver.dep_spurious);
-         ("dashboard", Jout.Raw (Explain.Precision.to_json p));
-       ])
-
-(* ------------------------------------------------------------------ *)
-(* multisession: many concurrent sessions over one shared cache — the *)
-(* analysis-server model.  Each workload becomes a batch job (its     *)
-(* assertion script plus edit/undo/redo bursts), duplicated so the    *)
-(* cross-session cache has identical units to dedup, and every job's  *)
-(* final dependence graph is checked byte-identical against a         *)
-(* from-scratch single-session replay.  Gates: all identical, and     *)
-(* shared-cache hit rate > 0.                                          *)
-(* ------------------------------------------------------------------ *)
-
-let multisession_json = "BENCH_multisession.json"
-
-let first_assign_of_unit (u : Ast.program_unit) =
-  Ast.fold_stmts
-    (fun acc (s : Ast.stmt) ->
-      match (acc, s.Ast.node) with
-      | None, Ast.Assign _ -> Some s
-      | _ -> acc)
-    None u.Ast.body
-
-(* The command-language version of editburst's driver.  Statement ids
-   are taken from the canonically renumbered program — exactly what
-   the batch driver (and the server) analyzes — so scripted [edit sN]
-   lands on the right statement in every copy.  Each burst ends in
-   [undo], leaving the original ids in place for the next one; a
-   final redo/undo pair exercises the redo path too. *)
-let burst_script (w : Workloads.t) ~bursts =
-  let program = Ast.renumber_program (Workloads.program w) in
-  let main_u =
-    List.find
-      (fun (u : Ast.program_unit) ->
-        String.equal u.Ast.uname (Workloads.main_unit w))
-      program.Ast.punits
-  in
-  match first_assign_of_unit main_u with
-  | None -> w.Workloads.assertion_script
-  | Some s ->
-    let edit =
-      Printf.sprintf "edit s%d %s" s.Ast.sid
-        (String.trim (Pretty.stmt_to_string s))
-    in
-    w.Workloads.assertion_script
-    @ List.concat (List.init bursts (fun _ -> [ edit; "undo" ]))
-    @ [ "redo"; "undo" ]
-
-let multisession () =
-  header
-    "multisession: concurrent sessions over one shared cross-session cache \
-     (interleaved batch) - throughput, hit rate, byte-identity vs \
-     from-scratch";
-  let bursts = 2 in
-  let copies = 2 in
-  let jobs =
-    List.concat_map
-      (fun (w : Workloads.t) ->
-        let script = burst_script w ~bursts in
-        List.init copies (fun c ->
-            {
-              Server.Batch.j_id = Printf.sprintf "%s/%d" w.Workloads.name c;
-              j_file = w.Workloads.name ^ ".f";
-              j_source = w.Workloads.source;
-              j_unit = Some (Workloads.main_unit w);
-              j_script = script;
-            }))
-      Workloads.all
-  in
-  let cache = Server.Cache.create () in
-  match Server.Batch.run ~cache ~domains:1 ~check:true jobs with
-  | Error e ->
-    Printf.eprintf "multisession: %s\n" e;
-    exit 1
-  | Ok o ->
-    print_endline (Server.Batch.report o);
-    let cs = o.Server.Batch.o_cache in
-    let hit_rate = Server.Cache.hit_rate cs in
-    let identical = o.Server.Batch.o_identical = Some true in
-    Jout.write multisession_json
-      (Jout.Obj
-         [
-           ("experiment", Jout.Str "multisession");
-           ("sessions", Jout.Int o.Server.Batch.o_jobs);
-           ("copies_per_workload", Jout.Int copies);
-           ("bursts", Jout.Int bursts);
-           ("commands", Jout.Int o.Server.Batch.o_commands);
-           ("edits", Jout.Int o.Server.Batch.o_edits);
-           ("elapsed_seconds", Jout.Float o.Server.Batch.o_elapsed_s);
-           ( "sessions_per_sec",
-             Jout.Float (Server.Batch.sessions_per_sec o) );
-           ("edits_per_sec", Jout.Float (Server.Batch.edits_per_sec o));
-           ( "cache",
-             Jout.Obj
-               [
-                 ("hits", Jout.Int cs.Server.Cache.hits);
-                 ("misses", Jout.Int cs.Server.Cache.misses);
-                 ("hit_rate", Jout.Float hit_rate);
-                 ("insertions", Jout.Int cs.Server.Cache.insertions);
-                 ("evictions", Jout.Int cs.Server.Cache.evictions);
-                 ("entries", Jout.Int cs.Server.Cache.entries);
-                 ("bucket_entries", Jout.Int cs.Server.Cache.bucket_entries);
-               ] );
-           ("all_identical", Jout.Bool identical);
-           ("hit_rate_positive", Jout.Bool (hit_rate > 0.));
-         ]);
-    if not identical then begin
-      Printf.eprintf
-        "multisession: shared-cache DDGs diverged from from-scratch replay\n";
-      exit 1
-    end;
-    if hit_rate <= 0. then begin
-      Printf.eprintf
-        "multisession: duplicated sessions produced no cross-session cache \
-         hits\n";
-      exit 1
-    end
+  {
+    fields =
+      Some
+        [
+          ("fuzz_programs", Jout.Int s.Oracle.Driver.programs);
+          ("oracle_realized", Jout.Int s.Oracle.Driver.dep_realized);
+          ("oracle_spurious", Jout.Int s.Oracle.Driver.dep_spurious);
+          ("dashboard", Jout.Raw (Explain.Precision.to_json p));
+        ];
+    gates = [];
+  }
 
 (* ------------------------------------------------------------------ *)
 (* parscale: the parallel analyzer - Ddg.compute ?runner across a      *)
 (* domain pool vs the sequential build                                 *)
 (* ------------------------------------------------------------------ *)
 
-let parscale_json = "BENCH_parscale.json"
-
-(* A stress program wide enough that bucket-level parallelism has
-   something to chew on: [nests] top-level 2-D nests over three shared
-   arrays, cycling through distinct dependence patterns so every
-   cross-nest bucket holds real reference pairs.  [seed_const] is the
-   constant in the first nest - the incremental measurement edits it
-   and nothing else. *)
-let parscale_source ~nests ~seed_const =
-  let b = Buffer.create 4096 in
-  let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  add "      PROGRAM PARSC\n";
-  add "      INTEGER N\n";
-  add "      PARAMETER (N = 64)\n";
-  add "      REAL A(N,N), B(N,N), C(N,N)\n";
-  add "      INTEGER I, J\n";
-  add "      REAL S\n";
-  add "      DO I = 1, N\n";
-  add "        DO J = 1, N\n";
-  add "          A(I,J) = FLOAT(I+J)\n";
-  add "          B(I,J) = FLOAT(I-J)\n";
-  add "          C(I,J) = 0.0\n";
-  add "        ENDDO\n";
-  add "      ENDDO\n";
-  for k = 0 to nests - 1 do
-    let c = if k = 0 then seed_const else float_of_int (k + 1) in
-    add "      DO I = 2, N\n";
-    add "        DO J = 2, N\n";
-    (match k mod 4 with
-    | 0 -> add "          A(I,J) = A(I,J) + B(I,J) * %.1f\n" c
-    | 1 -> add "          B(I,J) = B(I-1,J) + C(I,J) * %.1f\n" c
-    | 2 -> add "          C(I,J) = A(J,I) + B(I,J-1) * %.1f\n" c
-    | _ -> add "          A(I,J) = C(I-1,J-1) + A(I,J-1) * %.1f\n" c);
-    add "        ENDDO\n";
-    add "      ENDDO\n"
-  done;
-  add "      S = 0.0\n";
-  add "      DO I = 1, N\n";
-  add "        DO J = 1, N\n";
-  add "          S = S + A(I,J) + B(I,J) + C(I,J)\n";
-  add "        ENDDO\n";
-  add "      ENDDO\n";
-  add "      PRINT *, S\n";
-  add "      END\n";
-  Buffer.contents b
-
-let parscale_env ~nests ~seed_const =
-  let src = parscale_source ~nests ~seed_const in
+(* The first-nest constant is what test_parscale's one-constant edit
+   changes; here it stays 1.0. *)
+let parscale_env ~nests =
+  let src = Workloads.wide_nests ~nests ~seed_const:1.0 in
   let program =
     Ast.renumber_program (Parser.parse_program ~file:"parsc.f" src)
   in
   Depenv.make (List.hd program.Ast.punits)
-
-let ddg_digest (g : Ddg.t) =
-  Digest.to_hex (Digest.string (Marshal.to_string g [ Marshal.No_sharing ]))
 
 let best_of reps f =
   let best = ref infinity in
@@ -1505,11 +1133,11 @@ let parscale () =
      pool (Ddg.compute ?runner) vs sequential";
   let nests = 24 in
   let reps = 5 in
-  let env = parscale_env ~nests ~seed_const:1.0 in
+  let env = parscale_env ~nests in
   let plan = Ddg.plan env in
   let tasks = Array.length (Ddg.tasks plan) in
   let seq, seq_s = best_of reps (fun () -> Ddg.compute env) in
-  let seq_digest = ddg_digest seq in
+  let seq_digest = Ddg.digest seq in
   Printf.printf
     "stress unit: %d nests, %d bucket tasks, %d reference pairs\n" nests
     tasks seq.Ddg.stats.Ddg.pairs_tested;
@@ -1521,7 +1149,7 @@ let parscale () =
         Runtime.Pool.with_pool domains (fun pool ->
             let runner = Runtime.Pool.analysis_runner pool in
             let g, s = best_of reps (fun () -> Ddg.compute ~runner env) in
-            let identical = ddg_digest g = seq_digest && Ddg.equal seq g in
+            let identical = Ddg.digest g = seq_digest && Ddg.equal seq g in
             let speedup = seq_s /. Float.max 1e-9 s in
             Printf.printf "%-8d %10.2f %7.1fx %5s\n" domains (s *. 1e3)
               speedup
@@ -1529,23 +1157,6 @@ let parscale () =
             (domains, s, speedup, identical)))
       [ 1; 2; 4; 8 ]
   in
-  (* Incremental: warm a shared cache on the base program, edit one
-     nest's constant - canonical renumbering keeps every other
-     statement's signature stable, so only the edited group's row and
-     column of buckets miss. *)
-  let cache = Ddg.make_cache () in
-  let base = Ddg.compute ~cache env in
-  let _, cold_hits, cold_misses = Ddg.cache_counters cache in
-  let env2 = parscale_env ~nests ~seed_const:9.0 in
-  let edited, warm_s = best_of 1 (fun () -> Ddg.compute ~cache env2) in
-  let _, hits1, misses1 = Ddg.cache_counters cache in
-  let edit_hits = hits1 - cold_hits and edit_misses = misses1 - cold_misses in
-  ignore base;
-  ignore edited;
-  Printf.printf
-    "incremental edit: %d/%d buckets replayed from cache (%d recomputed) in \
-     %.2f ms\n"
-    edit_hits (edit_hits + edit_misses) edit_misses (warm_s *. 1e3);
   let cores = Domain.recommended_domain_count () in
   let all_identical = List.for_all (fun (_, _, _, i) -> i) rows in
   let speedup4 =
@@ -1553,401 +1164,51 @@ let parscale () =
     | Some (_, _, sp, _) -> sp
     | None -> 0.
   in
-  Jout.write parscale_json
-    (Jout.Obj
-       [
-         ("experiment", Jout.Str "parscale");
-         ("nests", Jout.Int nests);
-         ("bucket_tasks", Jout.Int tasks);
-         ("pairs_tested", Jout.Int seq.Ddg.stats.Ddg.pairs_tested);
-         ("recommended_domains", Jout.Int cores);
-         ("sequential_seconds", Jout.Float seq_s);
-         ( "parallel",
-           Jout.List
-             (List.map
-                (fun (d, s, sp, i) ->
-                  Jout.Obj
-                    [
-                      ("domains", Jout.Int d);
-                      ("seconds", Jout.Float s);
-                      ("speedup", Jout.Float sp);
-                      ("identical", Jout.Bool i);
-                    ])
-                rows) );
-         ( "incremental",
-           Jout.Obj
-             [
-               ("edit_bucket_hits", Jout.Int edit_hits);
-               ("edit_bucket_misses", Jout.Int edit_misses);
-               ("edit_seconds", Jout.Float warm_s);
-             ] );
-         ("all_identical", Jout.Bool all_identical);
-       ]);
-  if not all_identical then begin
-    Printf.eprintf
-      "parscale: parallel DDGs diverged from the sequential build\n";
-    exit 1
-  end;
-  if edit_hits = 0 then begin
-    Printf.eprintf
-      "parscale: the one-constant edit replayed no buckets from the cache\n";
-    exit 1
-  end;
-  (* The speedup gate only means something on a machine with cores to
-     spare; a single-core container still checks identity above. *)
-  if cores >= 2 && speedup4 < 1.0 then begin
-    Printf.eprintf
-      "parscale: 4-domain analysis slower than sequential (%.2fx) on a \
-       %d-core machine\n"
-      speedup4 cores;
-    exit 1
-  end
-  else if cores < 2 then
-    Printf.printf
-      "note: single-core machine (recommended_domain_count %d) - speedup \
-       gate skipped, identity gate enforced\n"
-      cores
-
-(* ------------------------------------------------------------------ *)
-(* stress: the generator-driven stress suite (lib/oracle Stress) -     *)
-(* from-scratch vs incremental analysis, 1/2/4/8-domain scaling, and   *)
-(* shared-cache eviction under a deliberately undersized LRU budget    *)
-(* ------------------------------------------------------------------ *)
-
-let stress_json = "BENCH_stress.json"
-
-(* The profiles as published, with many-units rescaled up to the
-   100k-line flagship.  Their identity gates also run at smoke scale
-   in [dune runtest] (test/test_stress.ml, test/test_server.ml). *)
-let stress_profile (p : Oracle.Stress.profile) =
-  if String.equal p.Oracle.Stress.sp_name "many-units" then
-    fst (Oracle.Stress.scale_to_lines ~target:100_000 p)
-  else p
-
-(* One interprocedural analysis environment per unit - the scratch
-   baseline both the sequential and the pooled analyzer rebuild. *)
-let stress_envs (program : Ast.program) =
-  let summary = Interproc.Summary.analyze program in
-  List.map
-    (fun u -> Interproc.Summary.env_for summary u)
-    program.Ast.punits
-
-type stress_row = {
-  sr_name : string;
-  sr_units : int;
-  sr_lines : int;
-  sr_fingerprint : string;
-  sr_gen_s : float;
-  sr_parse_s : float;
-  sr_round_trip : bool;
-  sr_fp_stable : bool;
-  sr_scratch_s : float;
-  sr_edits : int;
-  sr_edit_s : float;
-  sr_edit_tests : int;
-  sr_edit_stats : Engine.stats;      (* edit-phase deltas *)
-  sr_inc_identical : bool;
-  sr_seq_s : float;
-  sr_par : (int * float * float * bool) list;
-  sr_batch_jobs : int;
-  sr_batch_identical : bool;
-  sr_cache : Server.Cache.stats;
-}
-
-let stress_one ~seed ~bursts ~domain_counts (prof : Oracle.Stress.profile) =
-  let name = prof.Oracle.Stress.sp_name in
-  (* generation, pretty-printing, reparse - the round-trip must be
-     byte-identical and fingerprint-stable, that is what makes every
-     downstream measurement reproducible from (seed, profile) *)
-  let t0 = now_s () in
-  let program = Oracle.Stress.generate ~seed prof in
-  let gen_s = now_s () -. t0 in
-  let src = Pretty.program_to_string program in
-  let fp = Oracle.Stress.fingerprint program in
-  let t0 = now_s () in
-  let reparsed = Parser.parse_program ~file:(name ^ ".f") src in
-  let parse_s = now_s () -. t0 in
-  let round_trip = String.equal (Pretty.program_to_string reparsed) src in
-  (* a second draw from the same (seed, profile) must reproduce the
-     fingerprint exactly - the reparsed AST is *not* compared (its
-     source locations legitimately differ from the generated ones) *)
-  let fp_stable =
-    String.equal (Oracle.Stress.fingerprint (Oracle.Stress.generate ~seed prof)) fp
-  in
-  let main_u =
-    List.find (fun u -> u.Ast.kind = Ast.Main) program.Ast.punits
-  in
-  (* from-scratch analysis time: open a caching session and force the
-     first dependence graph *)
-  let t0 = now_s () in
-  let sess =
-    Ped.Session.load ~caching:true program ~unit_name:main_u.Ast.uname
-  in
-  ignore (Ped.Session.ddg sess);
-  let scratch_s = now_s () -. t0 in
-  (* per-edit incremental time: edit/undo/redo bursts on the first
-     assignment, measured against the engine's test counters *)
-  let s0 = Ped.Session.engine_stats sess in
-  let t0 = now_s () in
-  drive_bursts sess ~bursts;
-  let edit_s = now_s () -. t0 in
-  let s1 = Ped.Session.engine_stats sess in
-  let d f = f s1 - f s0 in
-  let edit_stats =
-    {
-      Engine.tests_run = d (fun s -> s.Engine.tests_run);
-      env_hits = d (fun s -> s.Engine.env_hits);
-      env_misses = d (fun s -> s.Engine.env_misses);
-      invalidations = d (fun s -> s.Engine.invalidations);
-      summary_hits = d (fun s -> s.Engine.summary_hits);
-      summary_builds = d (fun s -> s.Engine.summary_builds);
-      ddg_bucket_hits = d (fun s -> s.Engine.ddg_bucket_hits);
-      ddg_bucket_misses = d (fun s -> s.Engine.ddg_bucket_misses);
-      summary_s = s1.Engine.summary_s -. s0.Engine.summary_s;
-      env_s = s1.Engine.env_s -. s0.Engine.env_s;
-      ddg_s = s1.Engine.ddg_s -. s0.Engine.ddg_s;
-    }
-  in
-  let inc_identical = scratch_equal sess in
-  (* domain scaling: rebuild every unit's graph sequentially, then
-     across 1/2/4/8-domain pools - byte-identity per unit is the gate *)
-  let envs = stress_envs program in
-  let t0 = now_s () in
-  let seq = List.map Ddg.compute envs in
-  let seq_s = now_s () -. t0 in
-  let seq_digests = List.map ddg_digest seq in
-  let par =
-    List.map
-      (fun domains ->
-        Runtime.Pool.with_pool domains (fun pool ->
-            let runner = Runtime.Pool.analysis_runner pool in
-            let t0 = now_s () in
-            let gs = List.map (fun env -> Ddg.compute ~runner env) envs in
-            let s = now_s () -. t0 in
-            let identical =
-              List.for_all2
-                (fun g dg -> String.equal (ddg_digest g) dg)
-                gs seq_digests
-              && List.for_all2 Ddg.equal seq gs
-            in
-            (domains, s, seq_s /. Float.max 1e-9 s, identical)))
-      domain_counts
-  in
-  (* eviction pressure: batch per-unit sessions over one shared cache
-     whose budget is far below what the profile publishes (1 MB), with
-     the byte-identity replay check on - the cache must evict and the
-     answers must not change.  Two passes over the units make the
-     second pass re-miss whatever the first evicted. *)
-  let batch_units =
-    List.filteri (fun i _ -> i < 6) program.Ast.punits
-  in
-  let job i (u : Ast.program_unit) =
-    {
-      Server.Batch.j_id = Printf.sprintf "%s/%d" name i;
-      j_file = name ^ ".f";
-      j_source = src;
-      j_unit = Some u.Ast.uname;
-      j_script = [ "loops" ];
-    }
-  in
-  let pass = List.length batch_units in
-  let jobs =
-    List.mapi job batch_units
-    @ List.mapi (fun i u -> job (pass + i) u) batch_units
-  in
-  let cache = Server.Cache.create ~budget_mb:1 () in
-  let batch_identical, cache_stats =
-    match Server.Batch.run ~cache ~check:true jobs with
-    | Error e ->
-      Printf.eprintf "stress %s: batch failed: %s\n" name e;
-      exit 1
-    | Ok o ->
-      (o.Server.Batch.o_identical = Some true, o.Server.Batch.o_cache)
-  in
   {
-    sr_name = name;
-    sr_units = List.length program.Ast.punits;
-    sr_lines = Oracle.Stress.lines src;
-    sr_fingerprint = fp;
-    sr_gen_s = gen_s;
-    sr_parse_s = parse_s;
-    sr_round_trip = round_trip;
-    sr_fp_stable = fp_stable;
-    sr_scratch_s = scratch_s;
-    sr_edits = bursts * 3;
-    sr_edit_s = edit_s;
-    sr_edit_tests = edit_stats.Engine.tests_run;
-    sr_edit_stats = edit_stats;
-    sr_inc_identical = inc_identical;
-    sr_seq_s = seq_s;
-    sr_par = par;
-    sr_batch_jobs = List.length jobs;
-    sr_batch_identical = batch_identical;
-    sr_cache = cache_stats;
+    fields =
+      Some
+        [
+          ("nests", Jout.Int nests);
+          ("bucket_tasks", Jout.Int tasks);
+          ("pairs_tested", Jout.Int seq.Ddg.stats.Ddg.pairs_tested);
+          ("recommended_domains", Jout.Int cores);
+          ("sequential_seconds", Jout.Float seq_s);
+          ( "parallel",
+            Jout.List
+              (List.map
+                 (fun (d, s, sp, i) ->
+                   Jout.Obj
+                     [
+                       ("domains", Jout.Int d);
+                       ("seconds", Jout.Float s);
+                       ("speedup", Jout.Float sp);
+                       ("identical", Jout.Bool i);
+                     ])
+                 rows) );
+          ("all_identical", Jout.Bool all_identical);
+        ];
+    gates =
+      [
+        ( "identity",
+          check all_identical "parallel DDGs diverged from the sequential build"
+        );
+        (* only meaningful with cores to spare; a single-core host
+           still checks identity *)
+        ( "speedup",
+          if cores < 2 then
+            single_core cores "speedup gate skipped, identity gate enforced"
+          else
+            check (speedup4 >= 1.0)
+              (Printf.sprintf
+                 "4-domain analysis slower than sequential (%.2fx) on a \
+                  %d-core machine"
+                 speedup4 cores) );
+      ];
   }
-
-let stress_row_json seed (r : stress_row) =
-  let st = r.sr_edit_stats in
-  let cs = r.sr_cache in
-  Jout.Obj
-    [
-      ("profile", Jout.Str r.sr_name);
-      ("seed", Jout.Int seed);
-      ("units", Jout.Int r.sr_units);
-      ("lines", Jout.Int r.sr_lines);
-      ("fingerprint", Jout.Str r.sr_fingerprint);
-      ("gen_seconds", Jout.Float r.sr_gen_s);
-      ("parse_seconds", Jout.Float r.sr_parse_s);
-      ("round_trip", Jout.Bool r.sr_round_trip);
-      ("fingerprint_stable", Jout.Bool r.sr_fp_stable);
-      ("scratch_analysis_seconds", Jout.Float r.sr_scratch_s);
-      ( "incremental",
-        Jout.Obj
-          [
-            ("edits", Jout.Int r.sr_edits);
-            ("edit_seconds", Jout.Float r.sr_edit_s);
-            ( "seconds_per_edit",
-              Jout.Float (r.sr_edit_s /. float_of_int (max 1 r.sr_edits)) );
-            ("edit_tests", Jout.Int r.sr_edit_tests);
-            ("env_hits", Jout.Int st.Engine.env_hits);
-            ("env_misses", Jout.Int st.Engine.env_misses);
-            ("invalidations", Jout.Int st.Engine.invalidations);
-            ("summary_hits", Jout.Int st.Engine.summary_hits);
-            ("summary_builds", Jout.Int st.Engine.summary_builds);
-            ("ddg_bucket_hits", Jout.Int st.Engine.ddg_bucket_hits);
-            ("ddg_bucket_misses", Jout.Int st.Engine.ddg_bucket_misses);
-            ("identical", Jout.Bool r.sr_inc_identical);
-          ] );
-      ("sequential_seconds", Jout.Float r.sr_seq_s);
-      ( "parallel",
-        Jout.List
-          (List.map
-             (fun (dm, s, sp, i) ->
-               Jout.Obj
-                 [
-                   ("domains", Jout.Int dm);
-                   ("seconds", Jout.Float s);
-                   ("speedup", Jout.Float sp);
-                   ("identical", Jout.Bool i);
-                 ])
-             r.sr_par) );
-      ( "eviction",
-        Jout.Obj
-          [
-            ("budget_mb", Jout.Int 1);
-            ("jobs", Jout.Int r.sr_batch_jobs);
-            ("hits", Jout.Int cs.Server.Cache.hits);
-            ("misses", Jout.Int cs.Server.Cache.misses);
-            ("hit_rate", Jout.Float (Server.Cache.hit_rate cs));
-            ("insertions", Jout.Int cs.Server.Cache.insertions);
-            ("evictions", Jout.Int cs.Server.Cache.evictions);
-            ("entries", Jout.Int cs.Server.Cache.entries);
-            ("batch_identical", Jout.Bool r.sr_batch_identical);
-          ] );
-    ]
-
-let stress () =
-  header
-    "stress: generator-driven stress programs (deep / wide / many-units) - \
-     from-scratch vs incremental analysis, domain scaling, LRU eviction \
-     under a 1 MB budget";
-  let seed =
-    Oracle.Driver.seed_of ~env:(Sys.getenv_opt "QCHECK_SEED") ~cli:None
-  in
-  let bursts = 2 in
-  let domain_counts = [ 1; 2; 4; 8 ] in
-  let cores = Domain.recommended_domain_count () in
-  let rows =
-    List.map
-      (fun p ->
-        let prof = stress_profile p in
-        let r = stress_one ~seed ~bursts ~domain_counts prof in
-        Printf.printf
-          "%-11s %5d units %7d lines  gen %6.1f ms  scratch %8.1f ms  \
-           edit %7.2f ms/edit  %s\n"
-          r.sr_name r.sr_units r.sr_lines (r.sr_gen_s *. 1e3)
-          (r.sr_scratch_s *. 1e3)
-          (r.sr_edit_s /. float_of_int (max 1 r.sr_edits) *. 1e3)
-          (if r.sr_inc_identical then "identical" else "DIVERGED");
-        List.iter
-          (fun (dm, s, sp, i) ->
-            Printf.printf "  %d domains %10.2f ms %7.2fx %s\n" dm (s *. 1e3)
-              sp
-              (if i then "identical" else "DIVERGED"))
-          r.sr_par;
-        Printf.printf
-          "  cache: %d hits %d misses %d insertions %d evictions (%s)\n"
-          r.sr_cache.Server.Cache.hits r.sr_cache.Server.Cache.misses
-          r.sr_cache.Server.Cache.insertions
-          r.sr_cache.Server.Cache.evictions
-          (if r.sr_batch_identical then "identical" else "DIVERGED");
-        r)
-      Oracle.Stress.all
-  in
-  let all_round_trip =
-    List.for_all (fun r -> r.sr_round_trip && r.sr_fp_stable) rows
-  in
-  let all_incremental = List.for_all (fun r -> r.sr_inc_identical) rows in
-  let all_parallel =
-    List.for_all
-      (fun r -> List.for_all (fun (_, _, _, i) -> i) r.sr_par)
-      rows
-  in
-  let all_batch = List.for_all (fun r -> r.sr_batch_identical) rows in
-  let any_evictions =
-    List.exists (fun r -> r.sr_cache.Server.Cache.evictions > 0) rows
-  in
-  Jout.write stress_json
-    (Jout.Obj
-       [
-         ("experiment", Jout.Str "stress");
-         ("seed", Jout.Int seed);
-         ("recommended_domains", Jout.Int cores);
-         ("profiles", Jout.List (List.map (stress_row_json seed) rows));
-         ("all_round_trip", Jout.Bool all_round_trip);
-         ("all_incremental_identical", Jout.Bool all_incremental);
-         ("all_parallel_identical", Jout.Bool all_parallel);
-         ("all_batch_identical", Jout.Bool all_batch);
-         ("any_evictions", Jout.Bool any_evictions);
-       ]);
-  if not all_round_trip then begin
-    Printf.eprintf
-      "stress: a stress program failed the byte/fingerprint round-trip\n";
-    exit 1
-  end;
-  if not all_incremental then begin
-    Printf.eprintf
-      "stress: an incremental session diverged from from-scratch analysis\n";
-    exit 1
-  end;
-  if not all_parallel then begin
-    Printf.eprintf
-      "stress: a pooled analysis diverged from the sequential build\n";
-    exit 1
-  end;
-  if not all_batch then begin
-    Printf.eprintf
-      "stress: a shared-cache batch DDG diverged from its from-scratch \
-       replay\n";
-    exit 1
-  end;
-  if not any_evictions then begin
-    Printf.eprintf
-      "stress: no profile evicted from the 1 MB shared cache - the stress \
-       sizes no longer pressure the LRU budget\n";
-    exit 1
-  end;
-  if cores < 2 then
-    Printf.printf
-      "note: single-core machine (recommended_domain_count %d) - timing rows \
-       are not speedups, identity gates enforced\n"
-      cores
 
 (* ------------------------------------------------------------------ *)
 (* perfdiag: every performance detector fires on a dedicated trigger   *)
 (* ------------------------------------------------------------------ *)
-
-let perfdiag_json = "BENCH_perfdiag.json"
 
 (* One synthetic kernel per detector, each built so the ratio its
    detector thresholds on is forced by construction rather than by
@@ -2178,12 +1439,6 @@ let perfdiag () =
   let cores = Domain.recommended_domain_count () in
   let domains = 2 in
   let schedule = Runtime.Pool.Chunk in
-  if cores < domains then
-    Printf.printf
-      "note: single-core machine (recommended_domain_count %d) - checks \
-       needing real concurrency (imbalance, mismatch, control silence) \
-       reported but not enforced\n"
-      cores;
   Printf.printf "%-14s %9s %9s %10s %-24s %s\n" "kernel" "seq ms" "par ms"
     "predicted" "fired" "verdict";
   let rows =
@@ -2251,75 +1506,115 @@ let perfdiag () =
                d.Perfdebug.Driver.findings) );
       ]
   in
-  Jout.write perfdiag_json
-    (Jout.Obj
-       [
-         ("experiment", Jout.Str "perfdiag");
-         ("cores", Jout.Int cores);
-         ("domains", Jout.Int domains);
-         ("schedule", Jout.Str (Runtime.Pool.schedule_to_string schedule));
-         ("cases", Jout.List (List.map case_json rows));
-         ( "all_pass",
-           Jout.Bool
-             (List.for_all (fun (_, _, _, ok, enf) -> ok || not enf) rows) );
-       ]);
-  List.iter
-    (fun (c, _, kinds, ok, enforced) ->
-      if (not ok) && enforced then begin
-        (match c.dc_kind with
-        | Some k ->
-          Printf.eprintf
-            "perfdiag GATE: kernel %s did not trip the %s detector (fired: \
-             %s)\n"
-            c.dc_name (kind_slug k)
-            (if kinds = [] then "nothing"
-             else String.concat "," (List.map kind_slug kinds))
-        | None ->
-          Printf.eprintf
-            "perfdiag GATE: control kernel must be silent but fired %s\n"
-            (String.concat "," (List.map kind_slug kinds)));
-        exit 1
-      end)
-    rows
+  let gate (c, _, kinds, ok, enforced) =
+    let fired =
+      if kinds = [] then "nothing"
+      else String.concat "," (List.map kind_slug kinds)
+    in
+    ( c.dc_name,
+      if not enforced then
+        single_core cores
+          "checks needing real concurrency (imbalance, mismatch, control \
+           silence) reported but not enforced"
+      else
+        check ok
+          (match c.dc_kind with
+          | Some k ->
+            Printf.sprintf "kernel %s did not trip the %s detector (fired: %s)"
+              c.dc_name (kind_slug k) fired
+          | None -> "control kernel must be silent but fired " ^ fired) )
+  in
+  {
+    fields =
+      Some
+        [
+          ("cores", Jout.Int cores);
+          ("domains", Jout.Int domains);
+          ("schedule", Jout.Str (Runtime.Pool.schedule_to_string schedule));
+          ("cases", Jout.List (List.map case_json rows));
+          ( "all_pass",
+            Jout.Bool
+              (List.for_all (fun (_, _, _, ok, enf) -> ok || not enf) rows) );
+        ];
+    gates = List.map gate rows;
+  }
 
 (* ------------------------------------------------------------------ *)
 
 let experiments =
   [
-    ("table1", table1);
-    ("table2", table2);
-    ("table3", table3);
-    ("table4", table4);
-    ("table5", table5);
-    ("table6", table6);
-    ("table6-smoke", table6_smoke);
-    ("calibrate", calibrate_exp);
-    ("fig1", fig1);
-    ("fig2", fig2);
-    ("fig3", fig3);
-    ("fig4", fig4);
-    ("ablation", ablation);
-    ("editburst", editburst);
-    ("precision", precision);
-    ("multisession", multisession);
-    ("parscale", parscale);
-    ("stress", stress);
-    ("perfdiag", perfdiag);
-    ("telemetry-overhead", telemetry_overhead);
-    ("bench", microbench);
+    table "table1" table1;
+    table "table2" table2;
+    table "table3" table3;
+    table "table4" table4;
+    table "table5" table5;
+    (* table6 is the only experiment with two sizes, and CI runs the
+       small one.  The full table is the paper's: 17 kernels, 1/2/4/8
+       domains.  On a 2-core VM its >= 5x compiled-speedup gate reads
+       2.7-3.0x, because a few kernels (redblack, gauss, sympro) run
+       slower compiled than interpreted at one domain, while matmul alone
+       reads 11-17x.  So CI on the full table would fail on such hosts,
+       and keeping only matmul would drop 16 kernels from the paper
+       table. *)
+    { name = "table6"; run = (fun () -> table6_run ~smoke:false "table6") };
+    {
+      name = "table6-smoke";
+      run = (fun () -> table6_run ~smoke:true "table6-smoke");
+    };
+    table "calibrate" calibrate_exp;
+    table "fig1" fig1;
+    table "fig2" fig2;
+    table "fig3" fig3;
+    table "fig4" fig4;
+    table "ablation" ablation;
+    { name = "precision"; run = precision };
+    { name = "parscale"; run = parscale };
+    { name = "perfdiag"; run = perfdiag };
+    { name = "telemetry-overhead"; run = telemetry_overhead };
   ]
+
+let gate_json = function
+  | Pass -> Jout.Obj [ ("status", Jout.Str "pass") ]
+  | Fail r -> Jout.Obj [ ("status", Jout.Str "fail"); ("reason", Jout.Str r) ]
+  | Skipped r ->
+    Jout.Obj [ ("status", Jout.Str "skipped"); ("reason", Jout.Str r) ]
+
+(* Run one experiment, write its JSON, print each distinct skip reason
+   once as a note; return its failed gates. *)
+let run_experiment e =
+  let r = e.run () in
+  Option.iter
+    (fun fields ->
+      let gates = List.map (fun (g, v) -> (g, gate_json v)) r.gates in
+      Jout.write
+        ("BENCH_" ^ e.name ^ ".json")
+        (Jout.Obj
+           ((("experiment", Jout.Str e.name) :: fields)
+           @ [ ("gates", Jout.Obj gates) ])))
+    r.fields;
+  let notes =
+    List.filter_map (function _, Skipped m -> Some m | _ -> None) r.gates
+  in
+  List.iter (Printf.printf "note: %s\n") (List.sort_uniq compare notes);
+  List.filter_map
+    (function g, Fail m -> Some (e.name, g, m) | _ -> None)
+    r.gates
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
-  let unknown =
-    List.filter (fun n -> not (List.mem_assoc n experiments)) args
-  in
+  let find n = List.find_opt (fun e -> String.equal e.name n) experiments in
+  let unknown = List.filter (fun n -> Option.is_none (find n)) args in
   if unknown <> [] then begin
     Printf.eprintf "unknown experiment %s (have: %s)\n"
       (String.concat ", " unknown)
-      (String.concat ", " (List.map fst experiments));
+      (String.concat ", " (List.map (fun e -> e.name) experiments));
     exit 2
   end;
-  match args with
-  | [] -> List.iter (fun (_, f) -> f ()) experiments
-  | names -> List.iter (fun n -> (List.assoc n experiments) ()) names
+  let chosen =
+    if args = [] then experiments else List.filter_map find args
+  in
+  let failed = List.concat_map run_experiment chosen in
+  List.iter
+    (fun (name, g, m) -> Printf.eprintf "%s: gate %s failed: %s\n" name g m)
+    failed;
+  if failed <> [] then exit 1

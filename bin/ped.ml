@@ -24,17 +24,22 @@ let read_file path =
   close_in ic;
   src
 
-(* [parse_or_exit f] — [f ()], a parse of a source file; a syntax or
-   lexical error is reported with where it is, and ped exits 1 *)
+(* [parse_or_exit f] — [f ()], a parse (and maybe load) of a source
+   file; a syntax, lexical or load error is reported with where it is,
+   and ped exits 1 *)
 let parse_or_exit f =
-  let fail what msg loc =
-    prerr_endline (Format.asprintf "error: %s error at %a: %s" what Loc.pp loc msg);
+  let fail msg =
+    prerr_endline ("error: " ^ msg);
     exit 1
+  in
+  let at what msg loc =
+    Format.asprintf "%s error at %a: %s" what Loc.pp loc msg
   in
   match f () with
   | v -> v
-  | exception Parser.Error (msg, loc) -> fail "syntax" msg loc
-  | exception Lexer.Error (msg, loc) -> fail "lexical" msg loc
+  | exception Parser.Error (msg, loc) -> fail (at "syntax" msg loc)
+  | exception Lexer.Error (msg, loc) -> fail (at "lexical" msg loc)
+  | exception Invalid_argument msg -> fail msg
 
 let run_session sess script ~engine_stats =
   (match script with
@@ -132,9 +137,14 @@ let build_predictor ?telemetry (program : Ast.program) =
 let targets file workload =
   match (file, workload) with
   | Some path, _ ->
-    [ (Filename.basename path,
-       parse_or_exit (fun () -> Parser.parse_program ~file:path (read_file path)),
-       []) ]
+    let load () =
+      let p = Parser.parse_program ~file:path (read_file path) in
+      List.iter
+        (fun u -> Result.iter_error invalid_arg (Ast.check_labels u))
+        p.Ast.punits;
+      p
+    in
+    [ (Filename.basename path, parse_or_exit load, []) ]
   | None, Some wname when Workloads.is_stress_name wname -> (
     match Workloads.stress wname with
     | Ok p -> [ (wname, p, []) ]

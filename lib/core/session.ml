@@ -71,6 +71,9 @@ let load ?(config = Depenv.full_config) ?(interproc = true) ?caching
   | Some _ -> ()
   | None -> invalid_arg ("no such unit: " ^ unit_name));
   if history_limit < 1 then invalid_arg "history_limit must be >= 1";
+  List.iter
+    (fun u -> Result.iter_error invalid_arg (Ast.check_labels u))
+    program.Ast.punits;
   let engine =
     Engine.create ?caching ~config ~interproc ?sharing ?runner ?telemetry
       program
@@ -311,8 +314,9 @@ let edit_stmt t sid text =
     | stmts -> (
       match Transform.Rewrite.replace_stmt (focus_unit t) sid stmts with
       | u' ->
-        commit t "edit" (replaced_program t u');
-        Ok ()
+        Result.map
+          (fun () -> commit t "edit" (replaced_program t u'))
+          (Ast.check_labels u')
       | exception Not_found ->
         Error (Printf.sprintf "statement s%d not in unit %s" sid t.unit_name)))
 

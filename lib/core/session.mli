@@ -35,7 +35,9 @@ type t
     linearly in retained program snapshots.  [telemetry] is handed to
     the engine, so the interactive, bench, fuzz and runtime paths can
     all emit to one sink (default: a fresh private sink per
-    session). *)
+    session).  Raises [Invalid_argument] when [unit_name] names no
+    unit, or with {!Ast.check_labels}'s message when a GOTO names a
+    label its unit lacks. *)
 val load :
   ?config:Depenv.config -> ?interproc:bool -> ?caching:bool ->
   ?sharing:Engine.sharing -> ?runner:Ddg.runner -> ?history_limit:int ->
@@ -172,7 +174,9 @@ val transform :
   (Transform.Diagnosis.t * bool, string) result
 
 (** [edit_stmt t sid text] — replace a statement with re-parsed
-    [text] (the source pane's editing), then refresh. *)
+    [text] (the source pane's editing), then refresh.  An edit that
+    leaves a GOTO without its label, by adding the GOTO or deleting the
+    label, is refused with {!Ast.check_labels}'s message. *)
 val edit_stmt : t -> Ast.stmt_id -> string -> (unit, string) result
 
 val undo : t -> (unit, string) result

@@ -923,6 +923,13 @@ let compute ?cache ?telemetry ?runner (env : Depenv.t) : t =
    polymorphic equality is exactly structural identity. *)
 let equal (a : t) (b : t) = a = b
 
+(* [No_sharing] canonicalizes the bytes: a graph rebuilt through the
+   bucket memo shares equal dependence lists physically, which the
+   default format would encode differently from a fresh build.  The
+   graph is pure acyclic data, so equal graphs marshal identically. *)
+let digest (g : t) =
+  Digest.to_hex (Digest.string (Marshal.to_string g [ Marshal.No_sharing ]))
+
 let find_dep t id = List.find_opt (fun d -> d.dep_id = id) t.deps
 
 let why_no t ~src ~dst =

@@ -182,6 +182,10 @@ val compute :
     must all be [equal] — the invariant the engine fuzz tests pin. *)
 val equal : t -> t -> bool
 
+(** Hex MD5 of the graph's bytes: [equal] graphs, however built, have
+    the same digest.  The batch driver compares sessions by it. *)
+val digest : t -> string
+
 (** The dependence with the given id, if any. *)
 val find_dep : t -> int -> dep option
 

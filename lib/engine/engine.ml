@@ -64,8 +64,9 @@ type t = {
   mutable asserts : Depenv.assertions;
   (* per-unit analysis results, keyed by unit name, guarded by fingerprint *)
   units : (string, entry) Hashtbl.t;
-  (* interprocedural summaries, keyed by whole-program fingerprint *)
-  summaries : (Fingerprint.t, Interproc.Summary.t) Hashtbl.t;
+  (* interprocedural summaries, keyed by whole-program fingerprint,
+     most recently used first, at most [summary_cap] *)
+  mutable summaries : (Fingerprint.t * Interproc.Summary.t) list;
   (* the summary most recently returned: the reuse base of the next build *)
   mutable last_summary : Interproc.Summary.t option;
   (* per-unit content digests, by name, valid for the unit value held *)
@@ -104,7 +105,7 @@ let create ?(caching = true) ?(config = Depenv.full_config)
     program;
     asserts = Depenv.no_assertions;
     units = Hashtbl.create 8;
-    summaries = Hashtbl.create 8;
+    summaries = [];
     last_summary = None;
     digests = Hashtbl.create 64;
     ddg_cache =
@@ -150,6 +151,17 @@ let unit_digest t (u : Ast.program_unit) =
     Hashtbl.replace t.digests u.Ast.uname (u, d);
     d
 
+(* Summaries kept per engine.  Undo walks back through recent
+   programs, and a miss re-solves only the units that differ from the
+   last summary, so a short list caps memory without costing much. *)
+let summary_cap = 8
+
+(* [key]'s summary moves to (or enters) the front; the least recently
+   used falls off past the cap. *)
+let remember t key s =
+  let rest = List.filter (fun (k, _) -> not (String.equal k key)) t.summaries in
+  t.summaries <- List.filteri (fun i _ -> i < summary_cap) ((key, s) :: rest)
+
 (* Caching mode builds on the last summary, re-solving only the units
    an edit reaches; baseline mode builds from nothing, the reference
    the incremental result must equal. *)
@@ -171,7 +183,7 @@ let summary t : Interproc.Summary.t option =
     else begin
       let key = Fingerprint.program ~content:(unit_digest t) t.program in
       let s =
-        match Hashtbl.find_opt t.summaries key with
+        match List.assoc_opt key t.summaries with
         | Some s ->
           Telemetry.incr t.c_summary_hits;
           s
@@ -182,14 +194,13 @@ let summary t : Interproc.Summary.t option =
           | Some s ->
             (* served by another session's work *)
             Telemetry.incr t.c_summary_hits;
-            Hashtbl.replace t.summaries key s;
             s
           | None ->
             let s = build () in
-            Hashtbl.replace t.summaries key s;
             Option.iter (fun sh -> sh.sh_add_summary key s) t.sharing;
             s)
       in
+      remember t key s;
       t.last_summary <- Some s;
       Some s
     end

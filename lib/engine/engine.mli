@@ -7,7 +7,9 @@
 
     - {e interprocedural summaries}, keyed by the whole-program
       fingerprint, so undo/redo — which restore a previous program
-      value — hit without any invalidation protocol; a miss builds on
+      value — hit without any invalidation protocol; only the 8 most
+      recently used are kept, so an undo further back rebuilds one;
+      a miss builds on
       the last summary the engine returned, re-solving only the units
       whose inputs the edit changed ({!Interproc.Summary.analyze}
       [~base]; counted by the [engine.summary_units_recomputed]

@@ -101,6 +101,26 @@ let rec fold_stmts f acc stmts =
 
 let iter_stmts f stmts = fold_stmts (fun () s -> f s) () stmts
 
+let check_labels (u : program_unit) =
+  let labels = Hashtbl.create 16 in
+  iter_stmts
+    (fun s -> Option.iter (fun l -> Hashtbl.replace labels l ()) s.label)
+    u.body;
+  let dangling =
+    fold_stmts
+      (fun acc s ->
+        match (acc, s.node) with
+        | None, Goto l when not (Hashtbl.mem labels l) -> Some (s.loc, l)
+        | _ -> acc)
+      None u.body
+  in
+  match dangling with
+  | None -> Ok ()
+  | Some (loc, l) ->
+    Error
+      (Printf.sprintf "%s:%d: GOTO %d: no statement labelled %d in unit %s"
+         loc.Loc.file loc.Loc.line l l u.uname)
+
 let rec map_stmts f stmts =
   List.map
     (fun s ->

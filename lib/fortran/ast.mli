@@ -121,6 +121,11 @@ val fold_stmts : ('a -> stmt -> 'a) -> 'a -> stmt list -> 'a
 
 val iter_stmts : (stmt -> unit) -> stmt list -> unit
 
+(** [check_labels u] — [Error "file:line: GOTO 99: no statement
+    labelled 99 in unit P"] for the first GOTO in [u] whose label no
+    statement of [u] carries, else [Ok ()]. *)
+val check_labels : program_unit -> (unit, string) result
+
 (** [map_stmts f stmts] rebuilds the statement tree bottom-up, applying
     [f] to each statement after its children have been rewritten. *)
 val map_stmts : (stmt -> stmt) -> stmt list -> stmt list

@@ -114,15 +114,6 @@ let is_edit (line : string) =
   | verb :: _ -> List.mem verb [ "edit"; "apply"; "undo"; "redo" ]
   | [] -> false
 
-(* [No_sharing] canonicalizes the bytes: a graph rebuilt through the
-   shared bucket memo carries more internal sharing than a fresh
-   build (equal dependence lists served as one physical value), and
-   the default sharing-aware format would flag structurally equal
-   graphs as different.  The graph is pure acyclic data, so expansion
-   terminates and equal graphs marshal identically. *)
-let digest_ddg ddg =
-  Digest.to_hex (Digest.string (Marshal.to_string ddg [ Marshal.No_sharing ]))
-
 let resolve_unit (program : Ast.program) = function
   | Some n -> Ok n
   | None -> (
@@ -177,7 +168,7 @@ let finish_result (j : job) s ~commands ~edits =
     jr_unit = Session.unit_name s;
     jr_commands = commands;
     jr_edits = edits;
-    jr_ddg_digest = digest_ddg (Session.ddg s);
+    jr_ddg_digest = Dependence.Ddg.digest (Session.ddg s);
     jr_scratch_digest = None;
     jr_error = None;
   }
@@ -203,7 +194,8 @@ let exec_one ?sharing ?runner ~sink ~history_limit (j : job) : job_result =
 
 (* Interleaved mode: all sessions open, then one command at a time
    round-robin — deterministic multiplexing over one fully shared
-   cache, the batch model of the interactive server under load. *)
+   cache, the batch model of the interactive server under load.  As in
+   [exec_one], a command that raises fails its own job only. *)
 let run_interleaved ?runner ~sink ~cache ~history_limit (jobs : job array) :
     job_result array =
   let sharing = Cache.sharing cache in
@@ -211,8 +203,8 @@ let run_interleaved ?runner ~sink ~cache ~history_limit (jobs : job array) :
     Array.map
       (fun j ->
         match open_job ~sharing ?runner ~sink ~history_limit j with
-        | Ok s -> (j, Ok s, ref j.j_script, ref 0, ref 0)
-        | Error e -> (j, Error e, ref [], ref 0, ref 0))
+        | Ok s -> (j, ref (Ok s), ref j.j_script, ref 0, ref 0)
+        | Error e -> (j, ref (Error e), ref [], ref 0, ref 0))
       jobs
   in
   let live = ref true in
@@ -220,19 +212,23 @@ let run_interleaved ?runner ~sink ~cache ~history_limit (jobs : job array) :
     live := false;
     Array.iter
       (fun (j, so, queue, commands, edits) ->
-        match (so, !queue) with
-        | Ok s, line :: rest ->
+        match (!so, !queue) with
+        | Ok s, line :: rest -> (
           queue := rest;
           if rest <> [] then live := true;
-          run_cmd sink j s line;
-          incr commands;
-          if is_edit line then incr edits
+          match run_cmd sink j s line with
+          | () ->
+            incr commands;
+            if is_edit line then incr edits
+          | exception e ->
+            so := Error (Printexc.to_string e);
+            queue := [])
         | _ -> ())
       state
   done;
   Array.map
     (fun (j, so, _, commands, edits) ->
-      match so with
+      match !so with
       | Error e -> failed_result j e
       | Ok s -> finish_result j s ~commands:!commands ~edits:!edits)
     state
@@ -260,7 +256,7 @@ let scratch_digest ~sink ~history_limit (j : job) : (string, string) result =
   | Error e -> Error e
   | Ok s -> (
     match List.iter (fun l -> ignore (Command.run s l)) j.j_script with
-    | () -> Ok (digest_ddg (Session.ddg s))
+    | () -> Ok (Dependence.Ddg.digest (Session.ddg s))
     | exception e -> Error (Printexc.to_string e))
 
 let run ?telemetry ?cache ?(domains = 1) ?(analysis_domains = 1)

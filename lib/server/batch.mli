@@ -3,8 +3,9 @@
 
     A {e job} is one program plus an editor command script.  The
     driver runs every job to completion and reports throughput
-    (sessions/sec, edits/sec) and shared-cache effectiveness — the
-    numbers [bench multisession] gates on.
+    (sessions/sec, edits/sec) and shared-cache effectiveness.  A
+    command that raises fails its own job, in either mode; the other
+    jobs run on.
 
     Two execution modes, chosen by [domains]:
 

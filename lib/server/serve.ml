@@ -132,8 +132,8 @@ let with_session t id f =
   | None -> Error (Printf.sprintf "no session %s" id)
   | Some s -> f s
 
-let handle t (req : Protocol.request) : (string * string list, string) result
-    =
+let dispatch t (req : Protocol.request) :
+    (string * string list, string) result =
   match req with
   | Protocol.Open { rsid; file; unit_name } -> (
     match read_file file with
@@ -174,6 +174,13 @@ let handle t (req : Protocol.request) : (string * string list, string) result
       (fun () -> (rsid, [ Printf.sprintf "closed %s" rsid ]))
       (close_session t rsid)
   | Protocol.Quit -> Ok ("", [ "bye" ])
+
+(* The per-request barrier: whatever a request raises answers that
+   request [err], and every other session keeps answering. *)
+let handle t req =
+  match dispatch t req with
+  | r -> r
+  | exception e -> Error (Printexc.to_string e)
 
 let serve t ic oc =
   let rec loop () =

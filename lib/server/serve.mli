@@ -57,7 +57,8 @@ val open_session :
 
 (** Handle one request; the response is [(echoed session id, payload
     lines)].  [Quit] is handled as a successful no-op — stopping the
-    loop is the caller's job. *)
+    loop is the caller's job.  Whatever a request raises becomes its
+    [Error], so one bad request leaves every other session answering. *)
 val handle : t -> Protocol.request -> (string * string list, string) result
 
 (** Read framed requests from [ic] and write framed responses to

@@ -784,6 +784,47 @@ let by_name n = List.find_opt (fun w -> String.equal w.name n) all
 
 let program w = Parser.parse_program ~file:(w.name ^ ".f") w.source
 
+(* Wide enough that bucket-level parallelism has something to chew
+   on: the nests cycle through four dependence patterns, so every
+   cross-nest bucket holds real reference pairs. *)
+let wide_nests ~nests ~seed_const =
+  let b = Buffer.create 4096 in
+  let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
+  add "      PROGRAM PARSC\n";
+  add "      INTEGER N\n";
+  add "      PARAMETER (N = 64)\n";
+  add "      REAL A(N,N), B(N,N), C(N,N)\n";
+  add "      INTEGER I, J\n";
+  add "      REAL S\n";
+  add "      DO I = 1, N\n";
+  add "        DO J = 1, N\n";
+  add "          A(I,J) = FLOAT(I+J)\n";
+  add "          B(I,J) = FLOAT(I-J)\n";
+  add "          C(I,J) = 0.0\n";
+  add "        ENDDO\n";
+  add "      ENDDO\n";
+  for k = 0 to nests - 1 do
+    let c = if k = 0 then seed_const else float_of_int (k + 1) in
+    add "      DO I = 2, N\n";
+    add "        DO J = 2, N\n";
+    (match k mod 4 with
+    | 0 -> add "          A(I,J) = A(I,J) + B(I,J) * %.1f\n" c
+    | 1 -> add "          B(I,J) = B(I-1,J) + C(I,J) * %.1f\n" c
+    | 2 -> add "          C(I,J) = A(J,I) + B(I,J-1) * %.1f\n" c
+    | _ -> add "          A(I,J) = C(I-1,J-1) + A(I,J-1) * %.1f\n" c);
+    add "        ENDDO\n";
+    add "      ENDDO\n"
+  done;
+  add "      S = 0.0\n";
+  add "      DO I = 1, N\n";
+  add "        DO J = 1, N\n";
+  add "          S = S + A(I,J) + B(I,J) + C(I,J)\n";
+  add "        ENDDO\n";
+  add "      ENDDO\n";
+  add "      PRINT *, S\n";
+  add "      END\n";
+  Buffer.contents b
+
 (* ------------------------------------------------------------------ *)
 (* generated stress workloads                                          *)
 (*                                                                     *)

@@ -31,6 +31,13 @@ val program : t -> Ast.program
 (** The main unit's name. *)
 val main_unit : t -> string
 
+(** [wide_nests ~nests ~seed_const] — the source of one main unit with
+    [nests] top-level 2-D nests over three shared arrays.
+    [seed_const] is the constant in the first nest, and nothing else
+    depends on it: the parallel-analysis bench times this program, and
+    its test edits that constant. *)
+val wide_nests : nests:int -> seed_const:float -> string
+
 (** {2 Generated stress workloads}
 
     The oracle's stress factory ({!Oracle.Stress}), registered beside

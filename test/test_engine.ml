@@ -369,6 +369,28 @@ let suite =
           let s2 = Ped.Session.engine_stats sess in
           check_int "redo: no tests" 0
             (delta s1 s2 (fun s -> s.Engine.tests_run)));
+      case "stats: undo rebuilds no summary among the last 8 programs"
+        (fun () ->
+          let _, sess = load "callnest" in
+          for k = 1 to 10 do
+            match first_assign sess with
+            | Some { Ast.sid; node = Ast.Assign (lhs, _); _ } ->
+              ok_exn "edit"
+                (Ped.Session.edit_stmt sess sid
+                   (Printf.sprintf "%s = %d" (Pretty.expr_to_string lhs) k))
+            | _ -> failwith "no assignment"
+          done;
+          (* the engine holds edits 3..10; undo 8 reaches edit 2 *)
+          for k = 1 to 10 do
+            let s0 = Ped.Session.engine_stats sess in
+            ok_exn "undo" (Ped.Session.undo sess);
+            let s1 = Ped.Session.engine_stats sess in
+            check_int
+              (Printf.sprintf "undo %d: summaries built" k)
+              (if k <= 7 then 0 else 1)
+              (delta s0 s1 (fun s -> s.Engine.summary_builds));
+            check_scratch (Printf.sprintf "undo %d" k) sess
+          done);
       case "stats: refocus back to a cached unit is a hit" (fun () ->
           let _, sess = load "callnest" in
           ok_exn "focus" (Ped.Session.focus sess "ROWOP");

@@ -13,9 +13,6 @@ open Fortran_front
 open Dependence
 open Util
 
-let digest (g : Ddg.t) =
-  Digest.to_hex (Digest.string (Marshal.to_string g [ Marshal.No_sharing ]))
-
 (* Every unit of a workload, with the same interprocedural
    environments the engine serves. *)
 let envs_of_workload (w : Workloads.t) : (string * Depenv.t) list =
@@ -37,7 +34,7 @@ let all_workload_envs =
 
 let check_identical ~what seq par =
   Alcotest.(check bool) (what ^ ": Ddg.equal") true (Ddg.equal seq par);
-  check_string (what ^ ": marshalled bytes") (digest seq) (digest par)
+  check_string (what ^ ": marshalled bytes") (Ddg.digest seq) (Ddg.digest par)
 
 let workloads_deterministic () =
   let envs = Lazy.force all_workload_envs in
@@ -180,6 +177,24 @@ let fuzz_parallel_matches_sequential () =
           (Ddg.compute ~runner env)
       done)
 
+(* The parscale bench's 24-nest program: editing the first nest's
+   constant leaves every other statement's signature alone under
+   canonical renumbering, so buckets that do not involve it replay. *)
+let wide_env seed_const =
+  let src = Workloads.wide_nests ~nests:24 ~seed_const in
+  let p = Ast.renumber_program (Parser.parse_program ~file:"parsc.f" src) in
+  Depenv.make (List.hd p.Ast.punits)
+
+let one_constant_edit_replays_buckets () =
+  let cache = Ddg.make_cache () in
+  ignore (Ddg.compute ~cache (wide_env 1.0));
+  let _, hits0, _ = Ddg.cache_counters cache in
+  let edited = Ddg.compute ~cache (wide_env 9.0) in
+  let _, hits1, _ = Ddg.cache_counters cache in
+  check_bool "at least one bucket replayed" true (hits1 - hits0 >= 1);
+  check_identical ~what:"edited, cache-assisted" (Ddg.compute (wide_env 9.0))
+    edited
+
 let suite =
   [
     case "all workloads: 2/4/8-domain analysis is byte-identical"
@@ -193,4 +208,6 @@ let suite =
       sessions_identical_with_runner;
     case "fuzz: generated programs analyze identically in parallel"
       fuzz_parallel_matches_sequential;
+    case "a one-constant edit replays buckets from the cache"
+      one_constant_edit_replays_buckets;
   ]

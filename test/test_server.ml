@@ -55,6 +55,15 @@ let edit_script name =
       "loops";
     ]
 
+(* A session the way an editor drives one: the assertion script, two
+   edit/undo pairs, then redo/undo. *)
+let burst_script name =
+  let asserts = (workload name).Workloads.assertion_script in
+  match edit_script name with
+  | edit :: "undo" :: _ ->
+    asserts @ [ edit; "undo"; edit; "undo"; "redo"; "undo" ]
+  | _ -> asserts
+
 let job ?unit_name id name script =
   let w = workload name in
   {
@@ -475,7 +484,21 @@ let batch_interleaved_identical () =
     (o.Server.Batch.o_identical = Some true);
   check_bool "duplicated jobs hit the shared cache" true
     (Server.Cache.hit_rate o.Server.Batch.o_cache > 0.);
-  check_bool "edits counted" true (o.Server.Batch.o_edits >= 6)
+  check_bool "edits counted" true (o.Server.Batch.o_edits >= 6);
+  (* every workload's bursts, two copies each *)
+  let jobs =
+    List.concat_map
+      (fun (w : Workloads.t) ->
+        let name = w.Workloads.name in
+        List.init 2 (fun c ->
+            job (Printf.sprintf "%s/%d" name c) name (burst_script name)))
+      Workloads.all
+  in
+  let o = ok_exn "batch" (Server.Batch.run ~check:true jobs) in
+  check_bool "every workload's bursts: byte-identical" true
+    (o.Server.Batch.o_identical = Some true);
+  check_bool "every workload's bursts: shared-cache hits" true
+    (Server.Cache.hit_rate o.Server.Batch.o_cache > 0.)
 
 let batch_partitioned_identical () =
   let jobs =

@@ -16,9 +16,6 @@ open Fortran_front
 open Dependence
 open Util
 
-let digest (g : Ddg.t) =
-  Digest.to_hex (Digest.string (Marshal.to_string g [ Marshal.No_sharing ]))
-
 (* Burn a batch of fresh statement ids, so a test can prove the
    factory's output does not depend on the global sid counter. *)
 let perturb_sid_counter () =
@@ -180,7 +177,7 @@ let incremental_equals_scratch () =
       let served = Ped.Session.ddg sess in
       check_bool (name ^ ": incremental equals scratch") true
         (Ddg.equal scratch served);
-      check_string (name ^ ": same bytes") (digest scratch) (digest served))
+      check_string (name ^ ": same bytes") (Ddg.digest scratch) (Ddg.digest served))
     Oracle.Stress.all
 
 (* Every profile at smoke scale, seed 42: each unit's graph built on
@@ -207,7 +204,7 @@ let parallel_equals_sequential () =
                   let par = Ddg.compute ~runner env in
                   let what = Printf.sprintf "%s/%s @%d" name u domains in
                   check_bool (what ^ ": Ddg.equal") true (Ddg.equal seq_g par);
-                  check_string (what ^ ": bytes") (digest seq_g) (digest par))
+                  check_string (what ^ ": bytes") (Ddg.digest seq_g) (Ddg.digest par))
                 envs seq))
         [ 1; 2; 4; 8 ])
     Oracle.Stress.all
