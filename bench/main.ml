@@ -76,16 +76,15 @@ let count_loops envs =
     (fun acc env -> acc + List.length (Loopnest.loops env.Depenv.nest))
     0 envs
 
-(* Mark every safely parallelizable loop PARALLEL DO in a session. *)
-let auto_parallelize (sess : Ped.Session.t) =
-  List.iter
-    (fun (l : Loopnest.loop) ->
-      let sid = l.Loopnest.lstmt.Ast.sid in
-      if Ped.Session.is_parallelizable sess sid then
-        ignore
-          (Ped.Session.transform sess "parallelize"
-             (Transform.Catalog.On_loop sid)))
-    (Ped.Session.loops sess)
+(* A workload after its assertion script and auto-parallelization —
+   the same pipeline ped --execute uses. *)
+let parallelized_program (w : Workloads.t) =
+  let sess =
+    Ped.Session.load (Workloads.program w) ~unit_name:(Workloads.main_unit w)
+  in
+  ignore (Ped.Command.script sess w.Workloads.assertion_script);
+  ignore (Ped.Session.parallelize_safe_loops sess);
+  Ped.Session.program sess
 
 let speedup_at p program =
   let machine = Perf.Machine.with_processors p Perf.Machine.default in
@@ -373,18 +372,7 @@ let table5 () =
   Printf.printf "\n";
   List.iter
     (fun (w : Workloads.t) ->
-      let sess =
-        Ped.Session.load (Workloads.program w)
-          ~unit_name:(Workloads.main_unit w)
-      in
-      ignore (Ped.Command.script sess w.Workloads.assertion_script);
-      List.iter
-        (fun (u : Ast.program_unit) ->
-          match Ped.Session.focus sess u.Ast.uname with
-          | Ok () -> auto_parallelize sess
-          | Error _ -> ())
-        (Ped.Session.program sess).Ast.punits;
-      let program = (Ped.Session.program sess) in
+      let program = parallelized_program w in
       Printf.printf "%-10s" w.Workloads.name;
       List.iter
         (fun p -> Printf.printf " %7.2f" (speedup_at p program))
@@ -499,24 +487,17 @@ let fig4 () =
      beats parallelize-only on its kernel";
   let study name setup =
     let w = Option.get (Workloads.by_name name) in
-    let base =
-      let sess =
-        Ped.Session.load (Workloads.program w)
-          ~unit_name:(Workloads.main_unit w)
-      in
-      auto_parallelize sess;
-      speedup_at 8 (Ped.Session.program sess)
-    in
-    let transformed =
+    let speedup setup =
       let sess =
         Ped.Session.load (Workloads.program w)
           ~unit_name:(Workloads.main_unit w)
       in
       setup sess;
-      auto_parallelize sess;
+      ignore (Ped.Session.parallelize_safe_loops sess);
       speedup_at 8 (Ped.Session.program sess)
     in
-    (base, transformed)
+    let base = speedup ignore in
+    (base, speedup setup)
   in
   Printf.printf "%-10s %-24s %14s %14s\n" "program" "recipe" "parallel-only"
     "with recipe";
@@ -585,7 +566,7 @@ let ablation () =
         Ped.Session.load (Workloads.program w)
           ~unit_name:(Workloads.main_unit w)
       in
-      auto_parallelize sess;
+      ignore (Ped.Session.parallelize_safe_loops sess);
       let program = (Ped.Session.program sess) in
       Printf.printf "%-10s" name;
       List.iter
@@ -634,24 +615,6 @@ let ablation () =
 (* ------------------------------------------------------------------ *)
 (* Table 6: predicted vs measured speedup on the multicore runtime     *)
 (* ------------------------------------------------------------------ *)
-
-(* Auto-parallelize every unit of a workload (assertion script first),
-   returning the annotated program — the same pipeline ped --execute
-   uses. *)
-let parallelized_program (w : Workloads.t) =
-  let sess =
-    Ped.Session.load (Workloads.program w) ~unit_name:(Workloads.main_unit w)
-  in
-  List.iter
-    (fun cmd -> ignore (Ped.Command.run sess cmd))
-    w.Workloads.assertion_script;
-  List.iter
-    (fun (u : Ast.program_unit) ->
-      match Ped.Session.focus sess u.Ast.uname with
-      | Ok () -> auto_parallelize sess
-      | Error _ -> ())
-    (Ped.Session.program sess).Ast.punits;
-  (Ped.Session.program sess)
 
 let best_wall ?(reps = 3) ~domains program =
   let best = ref infinity in
@@ -1426,9 +1389,10 @@ let diag_parallelized ~name source =
   let program =
     Ast.renumber_program (Parser.parse_program ~file:(name ^ ".f") source)
   in
-  let unit_name = (List.hd program.Ast.punits).Ast.uname in
-  let sess = Ped.Session.load program ~unit_name in
-  auto_parallelize sess;
+  let sess =
+    Ped.Session.load program ~unit_name:(Ast.entry_unit program).Ast.uname
+  in
+  ignore (Ped.Session.parallelize_safe_loops sess);
   Ped.Session.program sess
 
 let perfdiag () =

@@ -1,23 +1,22 @@
-(* Batch analyzer: parse a program (file or workload), run full
-   analysis on every unit, and print a parallelization report — the
-   non-interactive counterpart of the editor, useful in scripts. *)
+(* Batch analyzer: load a program (file or workload) into an editor
+   session, whose engine analyzes every unit with interprocedural
+   facts, and print a parallelization report — the non-interactive
+   counterpart of the editor, useful in scripts. *)
 
 open Fortran_front
 
-let report (program : Ast.program) =
-  let summary = Interproc.Summary.analyze program in
+let report sess =
   List.iter
     (fun (u : Ast.program_unit) ->
       Printf.printf "unit %s\n" u.Ast.uname;
-      let env = Interproc.Summary.env_for summary u in
-      let ddg = Dependence.Ddg.compute env in
-      let loops = Dependence.Loopnest.loops env.Dependence.Depenv.nest in
+      ignore (Ped.Session.focus sess u.Ast.uname);
+      let loops = Ped.Session.loops sess in
       if loops = [] then print_endline "  (no loops)"
       else
         List.iter
           (fun (lp : Dependence.Loopnest.loop) ->
             let sid = lp.Dependence.Loopnest.lstmt.Ast.sid in
-            let blockers = Dependence.Ddg.blocking env ddg sid in
+            let blockers = Ped.Session.blocking sess sid in
             Printf.printf "  %sDO %s (s%d): %s\n"
               (String.make ((lp.Dependence.Loopnest.depth - 1) * 2) ' ')
               lp.Dependence.Loopnest.header.Ast.dvar sid
@@ -31,24 +30,36 @@ let report (program : Ast.program) =
                             (fun (d : Dependence.Ddg.dep) -> d.Dependence.Ddg.var)
                             blockers)))))
           loops;
-      let s = ddg.Dependence.Ddg.stats in
+      let s = (Ped.Session.ddg sess).Dependence.Ddg.stats in
       Printf.printf "  pairs tested %d; deps proven %d, pending %d\n"
         s.Dependence.Ddg.pairs_tested s.Dependence.Ddg.proven
         s.Dependence.Ddg.pending)
-    program.Ast.punits
+    (Ped.Session.program sess).Ast.punits
+
+(* Bad input exits 1 with an error that says where it is, as ped's
+   does: a syntax or lexical error, a GOTO to a missing label, an
+   unreadable file. *)
+let load_file path =
+  match
+    Parser.guard (fun () ->
+        Ped.Session.load_source ~file:path
+          (In_channel.with_open_bin path In_channel.input_all)
+          ~unit_name:None)
+  with
+  | Ok sess -> sess
+  | Error msg | (exception (Invalid_argument msg | Sys_error msg)) ->
+    prerr_endline ("error: " ^ msg);
+    exit 1
 
 let main file workload =
-  let program =
+  let sess =
     match (file, workload) with
-    | Some path, _ ->
-      let ic = open_in path in
-      let n = in_channel_length ic in
-      let src = really_input_string ic n in
-      close_in ic;
-      Parser.parse_program ~file:path src
+    | Some path, _ -> load_file path
     | None, Some wname -> (
       match Workloads.by_name wname with
-      | Some w -> Workloads.program w
+      | Some w ->
+        let program = Workloads.program w in
+        Ped.Session.load program ~unit_name:(Ast.entry_unit program).Ast.uname
       | None ->
         prerr_endline
           ("unknown workload (available: " ^ String.concat ", " Workloads.names ^ ")");
@@ -57,7 +68,7 @@ let main file workload =
       prerr_endline "give a Fortran file or a workload name (-w)";
       exit 1
   in
-  report program
+  report sess
 
 open Cmdliner
 

@@ -28,18 +28,11 @@ let read_file path =
    file; a syntax, lexical or load error is reported with where it is,
    and ped exits 1 *)
 let parse_or_exit f =
-  let fail msg =
+  match Parser.guard f with
+  | Ok v -> v
+  | Error msg | (exception Invalid_argument msg) ->
     prerr_endline ("error: " ^ msg);
     exit 1
-  in
-  let at what msg loc =
-    Format.asprintf "%s error at %a: %s" what Loc.pp loc msg
-  in
-  match f () with
-  | v -> v
-  | exception Parser.Error (msg, loc) -> fail (at "syntax" msg loc)
-  | exception Lexer.Error (msg, loc) -> fail (at "lexical" msg loc)
-  | exception Invalid_argument msg -> fail msg
 
 let run_session sess script ~engine_stats =
   (match script with
@@ -67,38 +60,17 @@ let run_session sess script ~engine_stats =
 (* Execute mode: run on the multicore runtime                          *)
 (* ------------------------------------------------------------------ *)
 
-let main_unit_of (program : Ast.program) =
-  match
-    List.find_opt
-      (fun (u : Ast.program_unit) -> u.Ast.kind = Ast.Main)
-      program.Ast.punits
-  with
-  | Some u -> u.Ast.uname
-  | None -> (List.hd program.Ast.punits).Ast.uname
-
 (* Apply the assertion script, then mark every provably-safe loop of
    every unit PARALLEL DO — the editor's workflow, automated. *)
 let auto_parallelize ?telemetry (program : Ast.program)
     (assertion_script : string list) =
   let sess =
-    Ped.Session.load ?telemetry program ~unit_name:(main_unit_of program)
+    Ped.Session.load ?telemetry program
+      ~unit_name:(Ast.entry_unit program).Ast.uname
   in
   List.iter (fun cmd -> ignore (Ped.Command.run sess cmd)) assertion_script;
-  List.iter
-    (fun (u : Ast.program_unit) ->
-      match Ped.Session.focus sess u.Ast.uname with
-      | Ok () ->
-        List.iter
-          (fun (l : Dependence.Loopnest.loop) ->
-            let sid = l.Dependence.Loopnest.lstmt.Ast.sid in
-            if Ped.Session.is_parallelizable sess sid then
-              ignore
-                (Ped.Session.transform sess "parallelize"
-                   (Transform.Catalog.On_loop sid)))
-          (Ped.Session.loops sess)
-      | Error _ -> ())
-    (Ped.Session.program sess).Ast.punits;
-  (Ped.Session.program sess)
+  ignore (Ped.Session.parallelize_safe_loops sess);
+  Ped.Session.program sess
 
 (* The validator's static predictor: a (loop, variable, kind) -> dep id
    map over every unit's dependence graph, so each observed conflict is
@@ -113,7 +85,8 @@ let build_predictor ?telemetry (program : Ast.program) =
   in
   let tag = Explain.Tag.create () in
   let sess =
-    Ped.Session.load ?telemetry program ~unit_name:(main_unit_of program)
+    Ped.Session.load ?telemetry program
+      ~unit_name:(Ast.entry_unit program).Ast.uname
   in
   List.iter
     (fun (u : Ast.program_unit) ->
@@ -470,7 +443,7 @@ let main file workload unit_name script no_interproc exec domains schedule
               let unit_name =
                 match unit_name with
                 | Some u -> String.uppercase_ascii u
-                | None -> main_unit_of program
+                | None -> (Ast.entry_unit program).Ast.uname
               in
               Ped.Session.load ~interproc ?runner ?telemetry:sink program
                 ~unit_name

@@ -20,14 +20,7 @@ let story title workload ~unit_name script =
 
 (* Mark every now-parallelizable loop PARALLEL DO and simulate. *)
 let parallelize_all_and_simulate sess =
-  List.iter
-    (fun (lp : Dependence.Loopnest.loop) ->
-      let sid = lp.Dependence.Loopnest.lstmt.Fortran_front.Ast.sid in
-      if Ped.Session.is_parallelizable sess sid then
-        ignore
-          (Ped.Session.transform sess "parallelize"
-             (Transform.Catalog.On_loop sid)))
-    (Ped.Session.loops sess);
+  ignore (Ped.Session.parallelize_safe_loops sess);
   print_endline (Ped.Command.run sess "simulate 8")
 
 let () =

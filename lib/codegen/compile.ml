@@ -152,70 +152,3 @@ let run ?telemetry built ~pool ~schedule =
       | exception Failure m -> Error (Failed ("runtime error: " ^ m))
       | exception e ->
         Error (Failed ("runtime error: " ^ Printexc.to_string e)))
-
-type check_report = {
-  ok : bool;
-  seq_exact : bool;
-  detail : string;
-}
-
-let stores_equal_exact a b =
-  List.length a = List.length b
-  && List.for_all2
-       (fun (n1, v1) (n2, v2) ->
-         n1 = n2
-         && List.length v1 = List.length v2
-         && List.for_all2
-              (fun (x : float) y ->
-                x = y || (Float.is_nan x && Float.is_nan y))
-              v1 v2)
-       a b
-
-let check ?telemetry ?(domains = 3) ?(schedule = Runtime.Pool.Chunk)
-    ?(tol = 1e-6) ?(keep = false) ?(dir = ".ped-codegen") prog =
-  let sink = match telemetry with Some s -> s | None -> Telemetry.default () in
-  let* interp =
-    try Ok (Sim.Interp.run ~honor_parallel:false prog)
-    with Sim.Interp.Runtime_error m ->
-      Error (Failed ("interpreter baseline: " ^ m))
-  in
-  let* built = build ~telemetry:sink ~keep ~dir prog in
-  let* seq = run ~telemetry:sink built ~pool:None ~schedule in
-  let seq_exact =
-    seq.out_lines = interp.Sim.Interp.output
-    && stores_equal_exact seq.store interp.Sim.Interp.final_store
-  in
-  let* par =
-    Runtime.Pool.with_pool domains (fun pool ->
-        run ~telemetry:sink built ~pool:(Some pool) ~schedule)
-  in
-  let mism what = Printf.sprintf "%s diverges from the interpreter" what in
-  if not seq_exact then
-    Ok
-      {
-        ok = false;
-        seq_exact = false;
-        detail = mism "compiled sequential run";
-      }
-  else if
-    not
-      (Sim.Abi.outputs_match ~tol par.out_lines interp.Sim.Interp.output
-      && Sim.Abi.stores_match ~tol par.store interp.Sim.Interp.final_store)
-  then
-    Ok
-      {
-        ok = false;
-        seq_exact = true;
-        detail = mism (Printf.sprintf "compiled parallel run (%d domains)" domains);
-      }
-  else
-    Ok
-      {
-        ok = true;
-        seq_exact = true;
-        detail =
-          Printf.sprintf
-            "compiled output matches the interpreter (sequential exact, %d \
-             domains within %g)"
-            domains tol;
-      }

@@ -57,25 +57,3 @@ val run :
   pool:Runtime.Pool.t option ->
   schedule:Runtime.Pool.schedule ->
   (run_result, error) result
-
-type check_report = {
-  ok : bool;
-  seq_exact : bool;
-      (** sequential compiled run matched the interpreter bit-for-bit
-          (same operation order, so anything less is suspicious) *)
-  detail : string;
-}
-
-(** Differential check: sequential interpreter vs compiled-sequential
-    (exact) and compiled-parallel on [domains] domains (within [tol],
-    since parallel reduction order differs).  [ok = false] means a real
-    divergence. *)
-val check :
-  ?telemetry:Telemetry.sink ->
-  ?domains:int ->
-  ?schedule:Runtime.Pool.schedule ->
-  ?tol:float ->
-  ?keep:bool ->
-  ?dir:string ->
-  Fortran_front.Ast.program ->
-  (check_report, error) result

@@ -106,17 +106,7 @@ let load_source ?config ?interproc ?caching ?sharing ?runner ?history_limit
   let unit_name =
     match unit_name with
     | Some n -> n
-    | None -> (
-      match
-        List.find_opt
-          (fun (u : Ast.program_unit) -> u.Ast.kind = Ast.Main)
-          program.Ast.punits
-      with
-      | Some u -> u.Ast.uname
-      | None -> (
-        match program.Ast.punits with
-        | u :: _ -> u.Ast.uname
-        | [] -> invalid_arg "empty program"))
+    | None -> (Ast.entry_unit program).Ast.uname
   in
   load ?config ?interproc ?caching ?sharing ?runner ?history_limit ?telemetry
     program ~unit_name
@@ -302,16 +292,44 @@ let transform ?(force = false) t name args =
       end
       else Ok (diag, false))
 
+(* The editor's workflow, automated: every loop the editor would let
+   the user mark PARALLEL DO, marked, unit by unit.  Each transform
+   refreshes the analyses, so a later loop's check sees the earlier
+   loops' PARALLEL bits. *)
+let parallelize_safe_loops t =
+  let home = t.unit_name and selected = t.selected in
+  let count =
+    List.fold_left
+      (fun n (u : Ast.program_unit) ->
+        t.unit_name <- u.Ast.uname;
+        refresh t;
+        List.fold_left
+          (fun n (lp : Loopnest.loop) ->
+            let sid = lp.Loopnest.lstmt.Ast.sid in
+            if not (is_parallelizable t sid) then n
+            else
+              match
+                transform t "parallelize" (Transform.Catalog.On_loop sid)
+              with
+              | Ok (_, true) -> n + 1
+              | Ok (_, false) | Error _ -> n)
+          n (loops t))
+      0 (program t).Ast.punits
+  in
+  t.unit_name <- home;
+  t.selected <- selected;
+  refresh t;
+  count
+
 let edit_stmt t sid text =
   match Depenv.stmt t.env sid with
   | None -> Error (Printf.sprintf "no statement s%d" sid)
   | Some _ -> (
-    match Parser.parse_stmts_string ~file:"<edit>" text with
-    | exception Parser.Error (msg, loc) ->
-      Error (Format.asprintf "syntax error at %a: %s" Loc.pp loc msg)
-    | exception Lexer.Error (msg, loc) ->
-      Error (Format.asprintf "lexical error at %a: %s" Loc.pp loc msg)
-    | stmts -> (
+    match
+      Parser.guard (fun () -> Parser.parse_stmts_string ~file:"<edit>" text)
+    with
+    | Error e -> Error e
+    | Ok stmts -> (
       match Transform.Rewrite.replace_stmt (focus_unit t) sid stmts with
       | u' ->
         Result.map

@@ -173,6 +173,15 @@ val transform :
   ?force:bool -> t -> string -> Transform.Catalog.args ->
   (Transform.Diagnosis.t * bool, string) result
 
+(** [parallelize_safe_loops t] — visit every unit and, in {!loops}
+    order, apply [transform "parallelize"] to each loop
+    {!is_parallelizable} approves (so an outer loop is marked before
+    its inner ones, each check seeing the marks made before it).
+    Restores the focus unit and selected loop, and returns the number
+    of loops it marked.  [ped --execute], [ped compile], the bench
+    and the fuzzer's runtime oracle all parallelize through it. *)
+val parallelize_safe_loops : t -> int
+
 (** [edit_stmt t sid text] — replace a statement with re-parsed
     [text] (the source pane's editing), then refresh.  An edit that
     leaves a GOTO without its label, by adding the GOTO or deleting the

@@ -121,6 +121,12 @@ let check_labels (u : program_unit) =
       (Printf.sprintf "%s:%d: GOTO %d: no statement labelled %d in unit %s"
          loc.Loc.file loc.Loc.line l l u.uname)
 
+let entry_unit (p : program) =
+  match List.find_opt (fun u -> u.kind = Main) p.punits with
+  | Some u -> u
+  | None -> (
+    match p.punits with u :: _ -> u | [] -> invalid_arg "empty program")
+
 let rec map_stmts f stmts =
   List.map
     (fun s ->

@@ -121,6 +121,11 @@ val fold_stmts : ('a -> stmt -> 'a) -> 'a -> stmt list -> 'a
 
 val iter_stmts : (stmt -> unit) -> stmt list -> unit
 
+(** [entry_unit p] — the unit [p] runs from: its main program, else
+    its first unit.  Raises [Invalid_argument "empty program"] when
+    [p] has no unit. *)
+val entry_unit : program -> program_unit
+
 (** [check_labels u] — [Error "file:line: GOTO 99: no statement
     labelled 99 in unit P"] for the first GOTO in [u] whose label no
     statement of [u] carries, else [Ok ()]. *)

@@ -745,3 +745,12 @@ let parse_stmts_string ~file s =
   | Token.EOF -> ()
   | t -> error st (Printf.sprintf "unexpected %s" (Token.to_string t)));
   stmts
+
+let guard f =
+  let at what msg loc =
+    Format.asprintf "%s error at %a: %s" what Loc.pp loc msg
+  in
+  match f () with
+  | v -> Ok v
+  | exception Error (msg, loc) -> Error (at "syntax" msg loc)
+  | exception Lexer.Error (msg, loc) -> Error (at "lexical" msg loc)

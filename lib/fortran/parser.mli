@@ -31,3 +31,8 @@ val parse_expr_string : string -> Ast.expr
     enclosing program unit) — used by the editor to parse text typed
     into the source pane. *)
 val parse_stmts_string : file:string -> string -> Ast.stmt list
+
+(** [guard f] — [Ok (f ())], or the syntax or lexical error [f] raised
+    as ["syntax error at FILE:LINE:COL: MSG"] (["lexical error at …"]):
+    how every front end reports bad source. *)
+val guard : (unit -> 'a) -> ('a, string) result

@@ -1,6 +1,4 @@
 open Fortran_front
-open Dependence
-open Transform
 
 type failure = { r_stage : string; r_what : string }
 
@@ -10,41 +8,12 @@ type result = { parallel_loops : int; failures : failure list }
 
 let tol = 1e-4
 
-let main_unit (p : Ast.program) =
-  List.find (fun u -> u.Ast.kind = Ast.Main) p.Ast.punits
-
-let with_main (p : Ast.program) (u' : Ast.program_unit) =
-  {
-    Ast.punits =
-      List.map (fun u -> if u.Ast.kind = Ast.Main then u' else u) p.Ast.punits;
-  }
-
-(* flip every analysis-approved loop to PARALLEL DO, outermost-first
-   so an approved outer loop subsumes its children (the simulator and
-   runtime only spread the outermost parallel loop anyway) *)
+(* The editor's own auto-parallelizer: what the oracle runs in parallel
+   is exactly what [ped --execute] would. *)
 let parallelize_approved (p : Ast.program) : Ast.program * int =
-  let u0 = main_unit p in
-  let loops =
-    List.rev
-      (Ast.fold_stmts
-         (fun acc s ->
-           match s.Ast.node with Ast.Do _ -> s.Ast.sid :: acc | _ -> acc)
-         [] u0.Ast.body)
-  in
-  let u, n =
-    List.fold_left
-      (fun (u, n) sid ->
-        let env = Depenv.make u in
-        let ddg = Ddg.compute env in
-        let d = Parallelize.diagnose env ddg sid in
-        if Diagnosis.ok d then
-          match Parallelize.apply u sid with
-          | u' -> (u', n + 1)
-          | exception Invalid_argument _ -> (u, n)
-        else (u, n))
-      (u0, 0) loops
-  in
-  (with_main p u, n)
+  let sess = Ped.Session.load p ~unit_name:(Ast.entry_unit p).Ast.uname in
+  let n = Ped.Session.parallelize_safe_loops sess in
+  (Ped.Session.program sess, n)
 
 let observably_equal (base : Sim.Interp.outcome) ~output ~final_store =
   Sim.Interp.outputs_match ~tol base.Sim.Interp.output output

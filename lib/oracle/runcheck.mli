@@ -1,9 +1,9 @@
 (** The runtime oracle.
 
-    Parallelizes every loop the analysis approves (flipping its
-    PARALLEL bit through the catalog's [parallelize] entry), then
-    cross-checks three executions of the resulting program against the
-    sequential original:
+    Parallelizes every loop the editor approves, in every unit
+    ({!Ped.Session.parallelize_safe_loops}, the path [ped --execute]
+    takes), then cross-checks three executions of the resulting
+    program against the sequential original:
 
     - {b validation}: {!Runtime.Exec.run} with shadow-memory conflict
       detection — any reported conflict on an analysis-approved DOALL
@@ -25,7 +25,7 @@ type failure = {
 val failure_to_string : failure -> string
 
 type result = {
-  parallel_loops : int;  (** loops the analysis approved and we flipped *)
+  parallel_loops : int;  (** loops the editor approved and marked *)
   failures : failure list;
 }
 
@@ -38,9 +38,10 @@ val check :
   Ast.program ->
   result
 
-(** Flip every analysis-approved DO of the main unit to PARALLEL DO,
-    outermost-first; returns the flipped-loop count.  Exposed for the
-    codegen oracle ({!Cgcheck}), which compiles exactly this program. *)
+(** Mark every loop the editor approves PARALLEL DO, through
+    {!Ped.Session.parallelize_safe_loops}; returns the marked-loop
+    count.  Exposed for the codegen oracle ({!Cgcheck}), which compiles
+    exactly this program. *)
 val parallelize_approved : Ast.program -> Ast.program * int
 
 (** Same PRINT output (within the run tolerance) and the generator's

@@ -107,9 +107,6 @@ let observably_equal ~observe (base : Sim.Interp.outcome)
        (restrict observe base.Sim.Interp.final_store)
        (restrict observe other.Sim.Interp.final_store)
 
-let main_unit (p : Ast.program) =
-  List.find (fun u -> u.Ast.kind = Ast.Main) p.Ast.punits
-
 let with_main (p : Ast.program) (u' : Ast.program_unit) =
   {
     Ast.punits =
@@ -146,7 +143,7 @@ let check_one ~observe ~max_steps ~base p name argdesc (u' : Ast.program_unit) :
 
 let check_instances ?(observe = Gen.observed_arrays) ?(factors = [ 3; 4 ])
     ?only ?(max_steps = 2_000_000) (p : Ast.program) : int * failure list =
-  let u = main_unit p in
+  let u = Ast.entry_unit p in
   let env = Depenv.make u in
   let ddg = Ddg.compute env in
   let base = run_main ~max_steps p in
@@ -194,7 +191,7 @@ let check_sequence ?(observe = Gen.observed_arrays) ?(len = 3)
   let rec go steps_done p k =
     if k = 0 then (List.rev steps_done, None)
     else
-      let u = main_unit p in
+      let u = Ast.entry_unit p in
       let env = Depenv.make u in
       let ddg = Ddg.compute env in
       let sites = shuffle rng (Catalog.sites ~factors:[ 3 ] env) in
@@ -236,7 +233,7 @@ let replay_steps ?(observe = Gen.observed_arrays) ?(max_steps = 2_000_000)
       match Catalog.find name with
       | None -> Error (Printf.sprintf "unknown transformation %S" name)
       | Some entry -> (
-        let u = main_unit p in
+        let u = Ast.entry_unit p in
         let env = Depenv.make u in
         match parse_args env argdesc with
         | None ->

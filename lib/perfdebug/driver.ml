@@ -1,5 +1,4 @@
 open Fortran_front
-open Dependence
 
 type t = {
   findings : Detect.finding list;
@@ -12,24 +11,16 @@ type t = {
   schedule : Runtime.Pool.schedule;
 }
 
-let main_unit (prog : Ast.program) =
-  match
-    List.find_opt
-      (fun (u : Ast.program_unit) -> u.Ast.kind = Ast.Main)
-      prog.Ast.punits
-  with
-  | Some u -> u
-  | None -> List.hd prog.Ast.punits
-
 (* Static side of every diagnosis: for each PARALLEL DO, the
    estimator's per-loop promise and the execution plan's
    privatization shape, keyed by statement id. *)
 let static_of ?(machine = Perf.Machine.default) ~processors
     (prog : Ast.program) : (int * Detect.loop_static) list =
   let plans = Runtime.Plan.build prog in
+  let summary = Interproc.Summary.analyze prog in
   List.concat_map
     (fun (u : Ast.program_unit) ->
-      let env = Depenv.make u in
+      let env = Interproc.Summary.env_for summary u in
       let out = ref [] in
       Ast.iter_stmts
         (fun (s : Ast.stmt) ->
@@ -62,7 +53,10 @@ let static_of ?(machine = Perf.Machine.default) ~processors
 
 let predicted_of ?(machine = Perf.Machine.default) ~processors
     (prog : Ast.program) : float =
-  let env = Depenv.make (main_unit prog) in
+  let env =
+    Interproc.Summary.env_for (Interproc.Summary.analyze prog)
+      (Ast.entry_unit prog)
+  in
   Perf.Estimator.predicted_speedup ~machine env ~processors
 
 (* The analysis core, shared by the interpreter path below and the

@@ -25,12 +25,15 @@ type t = {
 }
 
 (** Estimator promise and plan shape for every PARALLEL DO of the
-    program, keyed by statement id. *)
+    program, keyed by statement id.  Both read the unit environments
+    of the interprocedural summary, as the editor and
+    {!Runtime.Plan.build} do. *)
 val static_of :
   ?machine:Perf.Machine.t -> processors:int -> Ast.program ->
   (int * Detect.loop_static) list
 
-(** The estimator's whole-unit predicted speedup (main unit). *)
+(** The estimator's whole-unit predicted speedup of the entry unit
+    ({!Fortran_front.Ast.entry_unit}). *)
 val predicted_of :
   ?machine:Perf.Machine.t -> processors:int -> Ast.program -> float
 

@@ -56,6 +56,7 @@ let of_loop (env : Depenv.t) (lp : Loopnest.loop) =
 
 let build (program : Ast.program) =
   let plans = Hashtbl.create 16 in
+  let summary = lazy (Interproc.Summary.analyze program) in
   List.iter
     (fun (u : Ast.program_unit) ->
       let has_parallel =
@@ -68,7 +69,7 @@ let build (program : Ast.program) =
           false u.Ast.body
       in
       if has_parallel then begin
-        let env = Depenv.make u in
+        let env = Interproc.Summary.env_for (Lazy.force summary) u in
         List.iter
           (fun (lp : Loopnest.loop) ->
             if lp.Loopnest.header.Ast.parallel then

@@ -12,7 +12,6 @@
 
 open Fortran_front
 open Scalar_analysis
-open Dependence
 
 type t = {
   p_iv : string;  (** the loop's induction variable *)
@@ -29,11 +28,12 @@ type t = {
   p_arrays : string list;  (** privatizable work arrays *)
 }
 
-(** Plan for one loop given its unit's analysis bundle. *)
-val of_loop : Depenv.t -> Loopnest.loop -> t
-
 (** Plans for every PARALLEL DO loop of the program, keyed by the
-    loop statement id.  Runs the per-unit scalar analyses once. *)
+    loop statement id.  Each unit's environment comes from the
+    interprocedural summary ({!Interproc.Summary.env_for}), the one the
+    editor approved the loop with, so a scalar a CALL kills in every
+    iteration is private here as it is there.  Runs the per-unit scalar
+    analyses once. *)
 val build : Ast.program -> (Ast.stmt_id, t) Hashtbl.t
 
 (** An empty fallback plan (privatizes only the induction

@@ -114,42 +114,29 @@ let is_edit (line : string) =
   | verb :: _ -> List.mem verb [ "edit"; "apply"; "undo"; "redo" ]
   | [] -> false
 
-let resolve_unit (program : Ast.program) = function
-  | Some n -> Ok n
-  | None -> (
-    match
-      List.find_opt
-        (fun (u : Ast.program_unit) -> u.Ast.kind = Ast.Main)
-        program.Ast.punits
-    with
-    | Some u -> Ok u.Ast.uname
-    | None -> (
-      match program.Ast.punits with
-      | u :: _ -> Ok u.Ast.uname
-      | [] -> Error "empty program"))
-
 (* Canonical renumbering at open — the same normalization the server
    applies — is what lets two jobs over identical source share cache
    entries, and what makes the from-scratch replay byte-comparable. *)
 let open_job ?sharing ?caching ?runner ~sink ~history_limit (j : job) :
     (Session.t, string) result =
-  match Parser.parse_program ~file:j.j_file j.j_source with
-  | exception Parser.Error (msg, loc) ->
-    Error (Format.asprintf "syntax error at %a: %s" Loc.pp loc msg)
-  | exception Lexer.Error (msg, loc) ->
-    Error (Format.asprintf "lexical error at %a: %s" Loc.pp loc msg)
-  | program -> (
+  match
+    Parser.guard (fun () -> Parser.parse_program ~file:j.j_file j.j_source)
+  with
+  | Error e -> Error e
+  | Ok program -> (
     let program = Ast.renumber_program program in
-    match resolve_unit program j.j_unit with
-    | Error e -> Error e
-    | Ok unit_name -> (
-      match
-        Session.load ?sharing ?caching ?runner ~history_limit ~telemetry:sink
-          program ~unit_name
-      with
-      | exception Invalid_argument e -> Error e
-      | exception Failure e -> Error e
-      | s -> Ok s))
+    match
+      let unit_name =
+        match j.j_unit with
+        | Some n -> n
+        | None -> (Ast.entry_unit program).Ast.uname
+      in
+      Session.load ?sharing ?caching ?runner ~history_limit ~telemetry:sink
+        program ~unit_name
+    with
+    | exception Invalid_argument e -> Error e
+    | exception Failure e -> Error e
+    | s -> Ok s)
 
 let failed_result (j : job) e =
   {

@@ -168,8 +168,10 @@ let report t =
 (* ---- persistence ---- *)
 
 (* Bump when the on-disk layout changes.  The compiler version is
-   folded in because the payload is Marshal output. *)
-let format_version = "1"
+   folded in because the payload is Marshal output.  Version 2 added
+   the payload's MD5 line: Marshal trusts its input, so a damaged
+   payload must be refused before it is unmarshalled. *)
+let format_version = "2"
 
 let version_fingerprint () =
   Digest.to_hex
@@ -187,6 +189,8 @@ let save t ~dir : (int, string) result =
     Out_channel.with_open_bin file (fun oc ->
         Out_channel.output_string oc (magic ^ "\n");
         Out_channel.output_string oc (version_fingerprint () ^ "\n");
+        Out_channel.output_string oc
+          (Digest.to_hex (Digest.string payload) ^ "\n");
         Out_channel.output_string oc payload);
     count
   with
@@ -210,12 +214,17 @@ let load t ~dir : (int, string) result =
               cache rejected"
              file fp
              (version_fingerprint ()))
-      | _ :: fp :: _ -> (
-        let header = String.length magic + 1 + String.length fp + 1 in
+      | _ :: fp :: sum :: _ -> (
+        let header =
+          String.length magic + String.length fp + String.length sum + 3
+        in
         let payload = String.sub raw header (String.length raw - header) in
-        match
-          locked t (fun () -> Ddg.import_cache payload ~into:t.buckets)
-        with
-        | added -> Ok added
-        | exception _ -> Error (Printf.sprintf "%s: corrupt payload" file))
+        let corrupt = Error (Printf.sprintf "%s: corrupt payload" file) in
+        if sum <> Digest.to_hex (Digest.string payload) then corrupt
+        else
+          match
+            locked t (fun () -> Ddg.import_cache payload ~into:t.buckets)
+          with
+          | added -> Ok added
+          | exception _ -> corrupt)
       | _ -> Error (Printf.sprintf "%s: truncated header" file))

@@ -21,7 +21,8 @@
     data, where summaries and scalar environments carry closures —
     and the file is guarded by a format fingerprint (layout version +
     compiler version), so a stale or foreign file is rejected rather
-    than misread. *)
+    than misread, and by the payload's MD5, so a damaged file is
+    rejected before it is unmarshalled. *)
 
 open Dependence
 
@@ -78,14 +79,15 @@ val report : t -> string
 val cache_file : dir:string -> string
 
 (** [save t ~dir] — write the bucket memo to [dir] (created if
-    missing), guarded by the format fingerprint.  Returns the number
-    of buckets written. *)
+    missing), guarded by the format fingerprint and the payload's
+    MD5.  Returns the number of buckets written. *)
 val save : t -> dir:string -> (int, string) result
 
 (** [load t ~dir] — merge a previously saved bucket memo into [t].
     Returns the number of buckets added; [Ok 0] when no cache file
     exists.  A file whose format fingerprint does not match this
-    binary's is rejected with [Error] and left unread. *)
+    binary's, or whose payload does not match its MD5, is rejected
+    with [Error] and left unread. *)
 val load : t -> dir:string -> (int, string) result
 
 (** The format fingerprint {!save} stamps and {!load} verifies

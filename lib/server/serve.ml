@@ -30,49 +30,31 @@ let sessions t =
 
 let find_session t id = Hashtbl.find_opt t.sessions id
 
-(* Same default-unit rule as Session.load_source: the main program,
-   else the first unit. *)
-let resolve_unit (program : Ast.program) = function
-  | Some n -> Ok n
-  | None -> (
-    match
-      List.find_opt
-        (fun (u : Ast.program_unit) -> u.Ast.kind = Ast.Main)
-        program.Ast.punits
-    with
-    | Some u -> Ok u.Ast.uname
-    | None -> (
-      match program.Ast.punits with
-      | u :: _ -> Ok u.Ast.uname
-      | [] -> Error "empty program"))
-
 let open_session t ~id ~file ~source ~unit_name =
   if Hashtbl.mem t.sessions id then
     Error (Printf.sprintf "session %s is already open" id)
   else
-    match Parser.parse_program ~file source with
-    | exception Parser.Error (msg, loc) ->
-      Error (Format.asprintf "syntax error at %a: %s" Loc.pp loc msg)
-    | exception Lexer.Error (msg, loc) ->
-      Error (Format.asprintf "lexical error at %a: %s" Loc.pp loc msg)
-    | program -> (
+    match Parser.guard (fun () -> Parser.parse_program ~file source) with
+    | Error e -> Error e
+    | Ok program -> (
       (* Canonical statement ids: identical source in two sessions (or
          two processes) now fingerprints identically, so the shared
          cache actually dedups their work. *)
       let program = Ast.renumber_program program in
-      match resolve_unit program unit_name with
-      | Error e -> Error e
-      | Ok unit_name -> (
-        match
-          Session.load ~sharing:(Cache.sharing t.cache) ?runner:t.runner
-            ~history_limit:t.history_limit ~telemetry:t.sink program
-            ~unit_name
-        with
-        | exception Invalid_argument e -> Error e
-        | s ->
-          Hashtbl.replace t.sessions id s;
-          t.order <- t.order @ [ id ];
-          Ok s))
+      match
+        let unit_name =
+          match unit_name with
+          | Some n -> n
+          | None -> (Ast.entry_unit program).Ast.uname
+        in
+        Session.load ~sharing:(Cache.sharing t.cache) ?runner:t.runner
+          ~history_limit:t.history_limit ~telemetry:t.sink program ~unit_name
+      with
+      | exception Invalid_argument e -> Error e
+      | s ->
+        Hashtbl.replace t.sessions id s;
+        t.order <- t.order @ [ id ];
+        Ok s)
 
 let close_session t id =
   if not (Hashtbl.mem t.sessions id) then

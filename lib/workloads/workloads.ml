@@ -884,11 +884,4 @@ let stress ?(seed = 42) name =
         in
         Ok (Oracle.Stress.generate ~seed p))
 
-let main_unit w =
-  let p = program w in
-  match
-    List.find_opt (fun (u : Ast.program_unit) -> u.Ast.kind = Ast.Main)
-      p.Ast.punits
-  with
-  | Some u -> u.Ast.uname
-  | None -> (List.hd p.Ast.punits).Ast.uname
+let main_unit w = (Ast.entry_unit (program w)).Ast.uname

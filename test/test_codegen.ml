@@ -10,38 +10,9 @@
    (printing the reason) — the pipeline's graceful degradation is
    itself asserted by the toolchain case. *)
 
-open Fortran_front
 open Util
 
 let toolchain_available = Result.is_ok (Codegen.Toolchain.find ())
-
-(* Auto-parallelize every approved loop of every unit — the program
-   shape ped compile feeds the pipeline. *)
-let auto_par (program : Ast.program) =
-  let unit_name =
-    match
-      List.find_opt
-        (fun (u : Ast.program_unit) -> u.Ast.kind = Ast.Main)
-        program.Ast.punits
-    with
-    | Some u -> u.Ast.uname
-    | None -> (List.hd program.Ast.punits).Ast.uname
-  in
-  let sess = Ped.Session.load program ~unit_name in
-  List.iter
-    (fun (u : Ast.program_unit) ->
-      match Ped.Session.focus sess u.Ast.uname with
-      | Ok () ->
-        List.iter
-          (fun (l : Dependence.Loopnest.loop) ->
-            if Ped.Session.is_parallelizable sess (loop_sid l) then
-              ignore
-                (Ped.Session.transform sess "parallelize"
-                   (Transform.Catalog.On_loop (loop_sid l))))
-          (Ped.Session.loops sess)
-      | Error _ -> ())
-    (Ped.Session.program sess).Ast.punits;
-  Ped.Session.program sess
 
 let skip_or_fail name = function
   | Codegen.Compile.Toolchain m ->
@@ -96,7 +67,8 @@ let all_workloads () =
 let stress_smoke () =
   match Workloads.stress "stress:deep@smoke" with
   | Error e -> Alcotest.fail e
-  | Ok p -> check_compiled "stress:deep@smoke" (auto_par p) ~domains:2
+  | Ok p ->
+    check_compiled "stress:deep@smoke" (editor_parallelized p) ~domains:2
 
 let corpus_through_codegen () =
   (* every persisted counterexample, whatever oracle recorded it, must
@@ -114,6 +86,29 @@ let corpus_through_codegen () =
             (String.concat "; "
                (List.map Oracle.Runcheck.failure_to_string fs))))
     (Oracle.Corpus.files "corpus")
+
+(* The lowered PARALLEL DO carries the plan the editor approved: X,
+   killed by the CALL in every iteration, is private to each worker. *)
+let lowered_plan_is_interprocedural () =
+  match Codegen.Lower.program (editor_parallelized (interproc_private ())) with
+  | Error e -> Alcotest.fail e
+  | Ok ir ->
+    let main =
+      List.find
+        (fun (u : Codegen.Ir.unitdef) ->
+          u.Codegen.Ir.u_name = ir.Codegen.Ir.p_main)
+        ir.Codegen.Ir.p_units
+    in
+    let par =
+      List.find_map
+        (function Codegen.Ir.Spar (_, pp, _) -> Some pp | _ -> None)
+        main.Codegen.Ir.u_body
+    in
+    match par with
+    | None -> Alcotest.fail "the outer loop was not lowered as a PARALLEL DO"
+    | Some pp ->
+      check_bool "X is a private of the outer loop" true
+        (List.mem_assoc "X" pp.Codegen.Ir.pp_privates)
 
 let unsupported_is_error () =
   (* a recursive call graph is outside the compilable subset: the
@@ -192,6 +187,8 @@ let suite =
     case "unsupported program is a clean error" unsupported_is_error;
     case "missing toolchain is a clean error" missing_toolchain_is_error;
     case "generated source is inspectable" generate_source;
+    case "a CALL-killed scalar lowers as a private"
+      lowered_plan_is_interprocedural;
   ]
   @
   if not toolchain_available then begin

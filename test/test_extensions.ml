@@ -67,14 +67,8 @@ let suite =
           Ped.Session.load (Workloads.program w)
             ~unit_name:(Workloads.main_unit w)
         in
-        List.iter
-          (fun (l : Loopnest.loop) ->
-            if Ped.Session.is_parallelizable sess (loop_sid l) then
-              ignore
-                (Ped.Session.transform sess "parallelize"
-                   (Transform.Catalog.On_loop (loop_sid l))))
-          (Ped.Session.loops sess);
-        let p = (Ped.Session.program sess) in
+        ignore (Ped.Session.parallelize_safe_loops sess);
+        let p = Ped.Session.program sess in
         let a = Sim.Interp.run ~par_order:Sim.Interp.Seq p in
         let b = Sim.Interp.run ~par_order:Sim.Interp.Reverse p in
         (* NOTE: the privatized work array is still shared storage in

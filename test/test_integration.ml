@@ -67,13 +67,7 @@ let suite =
     case "write, reload, behaviour identical" (fun () ->
         let sess = session "jacobi" ~unit_name:"JACOBI" in
         (* transform: parallelize everything safe *)
-        List.iter
-          (fun (l : Dependence.Loopnest.loop) ->
-            if Ped.Session.is_parallelizable sess (loop_sid l) then
-              ignore
-                (Ped.Session.transform sess "parallelize"
-                   (Transform.Catalog.On_loop (loop_sid l))))
-          (Ped.Session.loops sess);
+        ignore (Ped.Session.parallelize_safe_loops sess);
         let path = Filename.temp_file "ped_it" ".f" in
         ignore (Ped.Command.run sess (Printf.sprintf "write %s" path));
         let ic = open_in path in

@@ -1,3 +1,4 @@
+open Fortran_front
 open Dependence
 open Util
 
@@ -223,8 +224,52 @@ let suite =
         | Error e -> Alcotest.fail e);
         check_bool "J loop visible" true
           (List.exists
-             (fun (l : Loopnest.loop) -> l.Loopnest.header.Fortran_front.Ast.dvar = "J")
+             (fun (l : Loopnest.loop) -> l.Loopnest.header.Ast.dvar = "J")
              (Ped.Session.loops sess)));
+    case "parallelize_safe_loops restores focus and is idempotent"
+      (fun () ->
+        let w = Option.get (Workloads.by_name "callnest") in
+        let sess = Ped.Session.load (Workloads.program w) ~unit_name:"ROWOP" in
+        check_bool "marked some" true
+          (Ped.Session.parallelize_safe_loops sess > 0);
+        check_string "focus restored" "ROWOP" (Ped.Session.unit_name sess);
+        check_int "nothing left to mark" 0
+          (Ped.Session.parallelize_safe_loops sess));
+    case "parallelize_safe_loops marks what ped --execute marks" (fun () ->
+        (* the "N PARALLEL DO loops" line ped --execute prints for
+           each workload *)
+        let expected =
+          [ ("matmul", 6); ("jacobi", 8); ("sor", 4); ("recur", 2);
+            ("daxpy", 4); ("tridiag", 2); ("sumred", 2); ("symbounds", 3);
+            ("indexarr", 3); ("callnest", 4); ("arrpriv", 7);
+            ("redblack", 4); ("gauss", 6); ("linesweep", 6);
+            ("spec77x", 4); ("sympro", 4); ("shallow", 10) ]
+        in
+        check_int "every workload pinned" (List.length Workloads.all)
+          (List.length expected);
+        List.iter
+          (fun (w : Workloads.t) ->
+            let sess =
+              Ped.Session.load (Workloads.program w)
+                ~unit_name:(Workloads.main_unit w)
+            in
+            ignore (Ped.Command.script sess w.Workloads.assertion_script);
+            let n = Ped.Session.parallelize_safe_loops sess in
+            let marked =
+              List.fold_left
+                (fun acc (u : Ast.program_unit) ->
+                  Ast.fold_stmts
+                    (fun acc (s : Ast.stmt) ->
+                      match s.Ast.node with
+                      | Ast.Do (h, _) when h.Ast.parallel -> acc + 1
+                      | _ -> acc)
+                    acc u.Ast.body)
+                0 (Ped.Session.program sess).Ast.punits
+            in
+            check_int (w.Workloads.name ^ " count")
+              (List.assoc w.Workloads.name expected) n;
+            check_int (w.Workloads.name ^ " marked") n marked)
+          Workloads.all);
     case "full display renders all panes" (fun () ->
         let sess = mk_session ~name:"matmul" () in
         ignore (Ped.Command.run sess (Printf.sprintf "select s%d"

@@ -14,20 +14,8 @@ let parallelized (w : Workloads.t) =
   List.iter
     (fun cmd -> ignore (Ped.Command.run sess cmd))
     w.Workloads.assertion_script;
-  List.iter
-    (fun (u : Ast.program_unit) ->
-      match Ped.Session.focus sess u.Ast.uname with
-      | Ok () ->
-        List.iter
-          (fun (l : Dependence.Loopnest.loop) ->
-            if Ped.Session.is_parallelizable sess (loop_sid l) then
-              ignore
-                (Ped.Session.transform sess "parallelize"
-                   (Transform.Catalog.On_loop (loop_sid l))))
-          (Ped.Session.loops sess)
-      | Error _ -> ())
-    (Ped.Session.program sess).Ast.punits;
-  (Ped.Session.program sess)
+  ignore (Ped.Session.parallelize_safe_loops sess);
+  Ped.Session.program sess
 
 let seq_reference program = Sim.Interp.run ~honor_parallel:false program
 
@@ -428,4 +416,22 @@ let suite =
                       (fun i v -> check_int "after failure" ((3 * i) + 3) v)
                       got)
                   [ a; b ])));
+    case "plan: a CALL-killed scalar is private, the run conflict-free"
+      (fun () ->
+        let p = editor_parallelized (interproc_private ()) in
+        let outer =
+          List.find_map
+            (fun (s : Ast.stmt) ->
+              match s.Ast.node with
+              | Ast.Do (h, _) when h.Ast.parallel -> Some s.Ast.sid
+              | _ -> None)
+            (Ast.entry_unit p).Ast.body
+        in
+        let plan = Hashtbl.find (Runtime.Plan.build p) (Option.get outer) in
+        check_bool "X privatized" true
+          (List.mem "X" plan.Runtime.Plan.p_privates);
+        let out = Runtime.Exec.run ~validate:true p in
+        check_int "no conflicts" 0 (List.length out.Runtime.Exec.conflicts);
+        check_string "every element right" "0"
+          (List.hd out.Runtime.Exec.output));
   ]

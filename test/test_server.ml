@@ -3,8 +3,8 @@
    What must hold: the shared cache is a real LRU under its byte
    budget; a second session over identical (renumbered) source is
    served entirely from the cache; the persisted bucket memo
-   round-trips and a stale format fingerprint is rejected rather than
-   misread; the line protocol parses its grammar; the batch driver's
+   round-trips, and a stale format fingerprint or a damaged payload is
+   rejected rather than misread; the line protocol parses its grammar; the batch driver's
    shared-cache runs stay byte-identical to from-scratch analysis in
    both interleaved and partitioned modes. *)
 
@@ -281,6 +281,42 @@ let version_mismatch_rejected () =
   match Server.Cache.load (Server.Cache.create ()) ~dir with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "foreign file accepted"
+
+(* Marshal trusts its input, so a damaged payload must be refused by
+   its checksum: flip three bits past the three header lines, many
+   times over, and every load is an [Error] that leaves the cache
+   serving sessions. *)
+let flipped_payload_rejected () =
+  let cache = Server.Cache.create () in
+  let _ = session_with cache "jacobi" in
+  let dir = fresh_dir () in
+  let _ = ok_exn "save" (Server.Cache.save cache ~dir) in
+  let file = Server.Cache.cache_file ~dir in
+  let contents = read_whole file in
+  let rec nth_newline i n =
+    let j = String.index_from contents i '\n' in
+    if n = 1 then j else nth_newline (j + 1) (n - 1)
+  in
+  let payload_at = nth_newline 0 3 + 1 in
+  for seed = 0 to 19 do
+    let rng = Random.State.make [| seed |] in
+    let b = Bytes.of_string contents in
+    for _ = 1 to 3 do
+      let at = payload_at + Random.State.int rng (Bytes.length b - payload_at) in
+      Bytes.set b at
+        (Char.chr (Char.code (Bytes.get b at) lxor (1 lsl Random.State.int rng 8)))
+    done;
+    write_file file (Bytes.to_string b);
+    let fresh = Server.Cache.create () in
+    (match Server.Cache.load fresh ~dir with
+    | Error _ -> ()
+    | Ok n -> Alcotest.failf "seed %d: damaged payload loaded %d buckets" seed n);
+    let sess = session_with fresh "jacobi" in
+    check_bool
+      (Printf.sprintf "seed %d: session answers loops" seed)
+      true
+      (contains ~needle:"DO" (Ped.Command.run sess "loops"))
+  done
 
 (* --- sessions: bounded history ------------------------------------ *)
 
@@ -600,6 +636,8 @@ let suite =
       load_missing_is_empty;
     case "cache: stale fingerprints and foreign files are rejected"
       version_mismatch_rejected;
+    case "cache: a payload with flipped bits is rejected"
+      flipped_payload_rejected;
     case "session: the undo history is bounded" history_is_bounded;
     case "protocol: the request grammar" protocol_grammar;
     case "serve: open, command, stats, close" serve_session_flow;

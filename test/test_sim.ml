@@ -138,15 +138,8 @@ let suite =
               Ped.Session.load (Workloads.program w)
                 ~unit_name:(Workloads.main_unit w)
             in
-            List.iter
-              (fun (l : Dependence.Loopnest.loop) ->
-                let sid = loop_sid l in
-                if Ped.Session.is_parallelizable sess sid then
-                  ignore
-                    (Ped.Session.transform sess "parallelize"
-                       (Transform.Catalog.On_loop sid)))
-              (Ped.Session.loops sess);
-            let p = (Ped.Session.program sess) in
+            ignore (Ped.Session.parallelize_safe_loops sess);
+            let p = Ped.Session.program sess in
             let a = Sim.Interp.run ~par_order:Sim.Interp.Seq p in
             let b = Sim.Interp.run ~par_order:(Sim.Interp.Shuffled 7) p in
             check_bool (w.Workloads.name ^ " order independent") true

@@ -113,9 +113,6 @@ let flagship_round_trips () =
 (* engine and analyzer identity                                        *)
 (* ------------------------------------------------------------------ *)
 
-let main_unit_of (p : Ast.program) =
-  (List.find (fun u -> u.Ast.kind = Ast.Main) p.Ast.punits).Ast.uname
-
 let first_assign_of (sess : Ped.Session.t) =
   let name = Ped.Session.unit_name sess in
   let u =
@@ -140,7 +137,7 @@ let incremental_equals_scratch () =
       let program = Oracle.Stress.generate ~seed:42 (Oracle.Stress.smoke p) in
       let sess =
         Ped.Session.load ~caching:true program
-          ~unit_name:(main_unit_of program)
+          ~unit_name:(Ast.entry_unit program).Ast.uname
       in
       ignore (Ped.Session.ddg sess);
       (* the redo leaves the edited statement with a fresh id, so each

@@ -20,6 +20,16 @@ let env_of ?config ?asserts src = Dependence.Depenv.make ?config ?asserts (parse
 
 let ddg_of env = Dependence.Ddg.compute env
 
+(* A loop whose scalar X only the interprocedural kill of CALL F(X, I)
+   makes private; the suites run from the build's test directory. *)
+let interproc_private () =
+  Parser.parse_program ~file:"interproc_private.f"
+    (In_channel.with_open_bin "cli/interproc_private.f" In_channel.input_all)
+
+(* Every loop of every unit the editor approves, marked PARALLEL DO. *)
+let editor_parallelized program =
+  fst (Oracle.Runcheck.parallelize_approved program)
+
 (* The i-th loop (preorder) of the unit. *)
 let nth_loop env i =
   List.nth (Dependence.Loopnest.loops env.Dependence.Depenv.nest) i
