@@ -25,6 +25,7 @@ let () =
       ("sim", Test_sim.suite);
       ("marking", Test_marking.suite);
       ("filter", Test_filter.suite);
+      ("panes", Test_panes.suite);
       ("ped", Test_ped.suite);
       ("command", Test_command.suite);
       ("workloads", Test_workloads.suite);
