@@ -112,9 +112,7 @@ let targets file workload =
   | Some path, _ ->
     let load () =
       let p = Parser.parse_program ~file:path (read_file path) in
-      List.iter
-        (fun u -> Result.iter_error invalid_arg (Ast.check_labels u))
-        p.Ast.punits;
+      Result.iter_error invalid_arg (Ast.check_program_labels p);
       p
     in
     [ (Filename.basename path, parse_or_exit load, []) ]

@@ -36,7 +36,7 @@ let advise (t : Session.t) : suggestion list =
       let sid = lp.Loopnest.lstmt.Ast.sid in
       if not lp.Loopnest.header.Ast.parallel then begin
         (* 1. direct parallelization *)
-        (match Session.preview t "parallelize" (Transform.Catalog.On_loop sid) with
+        (match Session.explain t "parallelize" (Transform.Catalog.On_loop sid) with
         | Ok d when Transform.Diagnosis.ok d && d.Transform.Diagnosis.profitable ->
           add
             { loop = sid; action = "parallelize"; why = "no carried dependences";
@@ -113,7 +113,7 @@ let advise (t : Session.t) : suggestion list =
               blockers <> []
               && List.for_all
                    (fun (d : Ddg.dep) ->
-                     Marking.status_of (Session.marking t) d = Marking.Pending)
+                     View.status (Session.view t) d = Marking.Pending)
                    blockers
             then
               add

@@ -26,7 +26,7 @@ let default_dep_filter =
 
 let show_all = { default_dep_filter with f_hide_control = false }
 
-let apply_dep_filter f marking deps =
+let apply_dep_filter f status deps =
   List.filter
     (fun (d : Ddg.dep) ->
       (match f.f_var with Some v -> String.equal d.Ddg.var v | None -> true)
@@ -39,7 +39,7 @@ let apply_dep_filter f marking deps =
          | Some sid -> d.Ddg.src = sid || d.Ddg.dst = sid
          | None -> true)
       && (match f.f_status with
-         | Some s -> Marking.status_of marking d = s
+         | Some s -> status d = s
          | None -> true)
       && ((not f.f_hide_scalar) || not d.Ddg.is_scalar)
       && ((not f.f_hide_control) || d.Ddg.kind <> Ddg.Control))

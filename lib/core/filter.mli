@@ -26,8 +26,10 @@ val default_dep_filter : dep_filter
 (** No concealment at all. *)
 val show_all : dep_filter
 
+(** [apply_dep_filter f status deps] — [status] gives each edge's
+    marking status ({!View.status} in a session). *)
 val apply_dep_filter :
-  dep_filter -> Marking.t -> Ddg.dep list -> Ddg.dep list
+  dep_filter -> (Ddg.dep -> Marking.status) -> Ddg.dep list -> Ddg.dep list
 
 type src_filter =
   | Src_all

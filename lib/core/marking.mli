@@ -20,13 +20,19 @@ val status_to_string : status -> string
 type t
 
 val empty : t
+val is_empty : t -> bool
 
-(** The signature key of a dependence. *)
-val key_of : Ddg.dep -> string
+(** The analysis's own status, ignoring user marks: Proven when an
+    exact test established the dependence, else Pending. *)
+val unmarked : Ddg.dep -> status
 
-(** Current status: user mark if any, else Proven/Pending from the
-    analysis. *)
+(** Current status: user mark if any, else {!unmarked}.  Each call is
+    one lookup, counted by {!lookups}. *)
 val status_of : t -> Ddg.dep -> status
+
+(** Calls of {!status_of} so far, process-wide.  {!View} looks each
+    edge up at most once per graph version; tests check it here. *)
+val lookups : unit -> int
 
 (** [mark t dep status] — record a user mark ([Accepted]/[Rejected]);
     marking [Proven]/[Pending] clears the user's mark. *)

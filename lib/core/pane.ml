@@ -25,7 +25,7 @@ let source_pane (t : Session.t) =
       lines;
     Buffer.contents buf
 
-let dep_row (t : Session.t) (d : Ddg.dep) =
+let dep_row view (d : Ddg.dep) =
   let dirs =
     match d.Ddg.dirs with
     | [] -> "-"
@@ -53,7 +53,7 @@ let dep_row (t : Session.t) (d : Ddg.dep) =
     (Ddg.kind_to_string d.Ddg.kind)
     (if d.Ddg.var = "" then "-" else d.Ddg.var)
     d.Ddg.src d.Ddg.dst dirs level
-    (Marking.status_to_string (Marking.status_of (Session.marking t) d))
+    (Marking.status_to_string (View.status view d))
     dist
 
 let dependence_pane (t : Session.t) =
@@ -62,7 +62,8 @@ let dependence_pane (t : Session.t) =
   Buffer.add_string buf
     (Printf.sprintf "dependences (%d shown, filter: %s)\n" (List.length deps)
        (Filter.dep_filter_to_string (Session.dep_filter t)));
-  List.iter (fun d -> Buffer.add_string buf (dep_row t d ^ "\n")) deps;
+  let view = Session.view t in
+  List.iter (fun d -> Buffer.add_string buf (dep_row view d ^ "\n")) deps;
   Buffer.contents buf
 
 let variable_pane (t : Session.t) =

@@ -15,6 +15,8 @@ type t = {
   mutable undo_stack : (Ast.program * string) list;
   mutable redo_stack : (Ast.program * string) list;
   mutable sim_order : Sim.Interp.order;
+  mutable view : View.t option;
+  mutable callee_costs : (Ast.program * (string, float) Hashtbl.t) option;
   original : Ast.program;
 }
 
@@ -71,9 +73,7 @@ let load ?(config = Depenv.full_config) ?(interproc = true) ?caching
   | Some _ -> ()
   | None -> invalid_arg ("no such unit: " ^ unit_name));
   if history_limit < 1 then invalid_arg "history_limit must be >= 1";
-  List.iter
-    (fun u -> Result.iter_error invalid_arg (Ast.check_labels u))
-    program.Ast.punits;
+  Result.iter_error invalid_arg (Ast.check_program_labels program);
   let engine =
     Engine.create ?caching ~config ~interproc ?sharing ?runner ?telemetry
       program
@@ -97,6 +97,8 @@ let load ?(config = Depenv.full_config) ?(interproc = true) ?caching
     undo_stack = [];
     redo_stack = [];
     sim_order = Sim.Interp.Seq;
+    view = None;
+    callee_costs = None;
     original = program;
   }
 
@@ -129,31 +131,21 @@ let select t sid =
     Ok ()
   | None -> Error (Printf.sprintf "s%d is not a loop of %s" sid t.unit_name)
 
-let rejected t = Marking.rejected_ids t.marking t.ddg
+(* One view per (graph, marking, user-private) version: every mutation
+   replaces at least one of these inputs, so a view built from all four
+   of the current ones is never stale. *)
+let view t =
+  let env = t.env and ddg = t.ddg and marking = t.marking
+  and user_private = t.user_private in
+  match t.view with
+  | Some v when View.built_from v ~env ~ddg ~marking ~user_private -> v
+  | _ ->
+    let v = View.make ~env ~ddg ~marking ~user_private in
+    t.view <- Some v;
+    v
 
-let user_private_blocks t (d : Ddg.dep) =
-  (* a scalar dependence on a user-privatized variable of its carrying
-     loop is discounted *)
-  d.Ddg.is_scalar
-  && (match d.Ddg.carrier with
-     | Some loop_sid -> List.mem (loop_sid, d.Ddg.var) t.user_private
-     | None -> false)
-
-let blocking t sid =
-  Ddg.blocking ~ignore:(rejected t) t.env t.ddg sid
-  |> List.filter (fun d -> not (user_private_blocks t d))
-
-(* scalars whose last value escapes: block parallelization unless the
-   user declared them private *)
-let escapees t sid =
-  match Depenv.stmt t.env sid with
-  | Some ({ Ast.node = Ast.Do _; _ } as loop) ->
-    Transform.Parallelize.last_value_escapees t.env loop
-    @ Transform.Indsub.needed t.env loop
-    |> List.filter (fun v -> not (List.mem (sid, v) t.user_private))
-  | _ -> []
-
-let is_parallelizable t sid = blocking t sid = [] && escapees t sid = []
+let blocking t sid = View.blocking (view t) sid
+let is_parallelizable t sid = View.parallelizable (view t) sid
 
 let parallelizable_loops t =
   List.filter
@@ -166,7 +158,7 @@ let visible_deps t =
     | Some sid -> Ddg.deps_in_loop t.env t.ddg sid
     | None -> t.ddg.Ddg.deps
   in
-  Filter.apply_dep_filter t.dep_filter t.marking base
+  Filter.apply_dep_filter t.dep_filter (View.status (view t)) base
 
 let mark_dep t dep_id status =
   match
@@ -265,8 +257,9 @@ let diagnose_in_session t name args =
         t.user_private
     in
     Ok
-      (Transform.Parallelize.diagnose ~ignore_deps:(rejected t) ~user_private
-         t.env t.ddg sid)
+      (Transform.Parallelize.diagnose
+         ~ignore_deps:(View.rejected_in (view t) sid)
+         ~user_private t.env t.ddg sid)
   | _ -> preview t name args
 
 let explain = diagnose_in_session
@@ -358,9 +351,22 @@ let redo t =
     refresh t;
     Ok ()
 
+(* The costs depend on the program alone: keep them while the program
+   is physically the one they were computed for. *)
 let callee_cost t =
-  let costs = Perf.Estimator.program_costs (program t) in
-  fun name -> List.assoc_opt name costs
+  let p = program t in
+  let costs =
+    match t.callee_costs with
+    | Some (q, costs) when q == p -> costs
+    | _ ->
+      let costs = Hashtbl.create 16 in
+      List.iter
+        (fun (name, c) -> Hashtbl.replace costs name c)
+        (List.rev (Perf.Estimator.program_costs p));
+      t.callee_costs <- Some (p, costs);
+      costs
+  in
+  Hashtbl.find_opt costs
 
 let simulate ?(processors = 8) t =
   let machine = Perf.Machine.with_processors processors Perf.Machine.default in

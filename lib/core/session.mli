@@ -121,6 +121,10 @@ val select : t -> Ast.stmt_id -> (unit, string) result
     loop's (or the whole unit's), through the active filter. *)
 val visible_deps : t -> Ddg.dep list
 
+(** The pane view of the current (graph, marking, user-private)
+    version: built on first use, kept until one of those changes. *)
+val view : t -> View.t
+
 (** Dependences blocking parallelization of a loop, after markings and
     user privatization. *)
 val blocking : t -> Ast.stmt_id -> Ddg.dep list
@@ -199,5 +203,6 @@ val simulate :
   ?processors:int -> t -> (float * float * string list, string) result
 
 (** Interprocedural callee-cost oracle over the session's program —
-    feeds the estimator so calls are priced by their callee's body. *)
+    feeds the estimator so calls are priced by their callee's body.
+    The costs are computed once per program version. *)
 val callee_cost : t -> string -> float option

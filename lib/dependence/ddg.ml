@@ -973,17 +973,20 @@ let deps_in_loop (env : Depenv.t) t loop_sid =
   in
   List.filter (fun d -> inside d.src && inside d.dst) t.deps
 
-let blocking ?(ignore = []) (env : Depenv.t) t loop_sid =
+let carried_blocking (env : Depenv.t) loop_sid carried =
   let private_arrays = lazy (Arrayprivate.in_loop env loop_sid) in
   List.filter
     (fun d ->
-      d.carrier = Some loop_sid
-      && d.kind <> Control
-      && (not (List.mem d.dep_id ignore))
+      d.kind <> Control
       && not
            ((not d.is_scalar)
            && List.mem d.var (Lazy.force private_arrays)))
-    t.deps
+    carried
+
+let blocking ?(ignore = []) env t loop_sid =
+  carried_by t loop_sid
+  |> List.filter (fun d -> not (List.mem d.dep_id ignore))
+  |> carried_blocking env loop_sid
 
 let parallelizable ?ignore env t loop_sid =
   blocking ?ignore env t loop_sid = []

@@ -220,6 +220,11 @@ val parallelizable :
     parallelizable). *)
 val blocking : ?ignore:int list -> Depenv.t -> t -> Ast.stmt_id -> dep list
 
+(** [carried_blocking env loop_sid carried] — those of [carried], edges
+    the loop carries, that block its parallelization: {!blocking} for
+    a caller that already holds the loop's carried edges. *)
+val carried_blocking : Depenv.t -> Ast.stmt_id -> dep list -> dep list
+
 (** Graphviz rendering of the dependences inside a loop (or, with no
     loop, the whole unit): statements are nodes, dependences are
     labeled edges — the graphical dependence display Ped users asked

@@ -121,6 +121,11 @@ let check_labels (u : program_unit) =
       (Printf.sprintf "%s:%d: GOTO %d: no statement labelled %d in unit %s"
          loc.Loc.file loc.Loc.line l l u.uname)
 
+let check_program_labels (p : program) =
+  List.fold_left
+    (fun acc u -> Result.bind acc (fun () -> check_labels u))
+    (Ok ()) p.punits
+
 let entry_unit (p : program) =
   match List.find_opt (fun u -> u.kind = Main) p.punits with
   | Some u -> u

@@ -131,6 +131,10 @@ val entry_unit : program -> program_unit
     statement of [u] carries, else [Ok ()]. *)
 val check_labels : program_unit -> (unit, string) result
 
+(** {!check_labels} over every unit: the first unit's error, in program
+    order, else [Ok ()]. *)
+val check_program_labels : program -> (unit, string) result
+
 (** [map_stmts f stmts] rebuilds the statement tree bottom-up, applying
     [f] to each statement after its children have been rewritten. *)
 val map_stmts : (stmt -> stmt) -> stmt list -> stmt list

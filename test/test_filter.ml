@@ -34,7 +34,7 @@ let sample =
   ]
 
 let ids f =
-  Ped.Filter.apply_dep_filter f Ped.Marking.empty sample
+  Ped.Filter.apply_dep_filter f (Ped.Marking.status_of Ped.Marking.empty) sample
   |> List.map (fun (d : Ddg.dep) -> d.Ddg.dep_id)
 
 let suite =
