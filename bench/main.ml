@@ -67,7 +67,8 @@ let count_parallel envs =
       + List.length
           (List.filter
              (fun (l : Loopnest.loop) ->
-               Ddg.parallelizable env ddg l.Loopnest.lstmt.Ast.sid)
+               Transform.Parallelize.parallelizable env ddg
+                 l.Loopnest.lstmt.Ast.sid)
              (Loopnest.loops env.Depenv.nest)))
     0 envs
 

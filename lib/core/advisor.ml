@@ -71,46 +71,43 @@ let advise (t : Session.t) : suggestion list =
                   why = "enables interchange for a wavefront"; share;
                   diagnosis = Some ds }
             | _ -> ());
+            let scalars f = List.filter_map f d.Transform.Diagnosis.reasons in
+            let escapees =
+              scalars (function Transform.Diagnosis.Last_value v -> Some v | _ -> None)
+            and inductions =
+              scalars (function Transform.Diagnosis.Induction v -> Some v | _ -> None)
+            in
             (* 3. last-value escapees: scalar expansion fixes them *)
-            (match Depenv.stmt (Session.env t) sid with
-            | Some ({ Ast.node = Ast.Do _; _ } as loop_stmt) ->
-              List.iter
-                (fun v ->
-                  match
-                    Session.preview t "expand"
-                      (Transform.Catalog.With_var (sid, v))
-                  with
-                  | Ok de when Transform.Diagnosis.ok de ->
-                    add
-                      { loop = sid; action = "expand";
-                        why =
-                          Printf.sprintf
-                            "%s's last value escapes: expansion removes the blocker"
-                            v;
-                        share; diagnosis = Some de }
-                  | _ -> ())
-                (Transform.Parallelize.last_value_escapees (Session.env t)
-                   loop_stmt)
-            | _ -> ());
-            (* 3b. induction accumulators: substitution fixes them *)
-            (match Depenv.stmt (Session.env t) sid with
-            | Some ({ Ast.node = Ast.Do _; _ } as loop_stmt) ->
-              List.iter
-                (fun v ->
+            List.iter
+              (fun v ->
+                match
+                  Session.preview t "expand" (Transform.Catalog.With_var (sid, v))
+                with
+                | Ok de when Transform.Diagnosis.ok de ->
                   add
-                    { loop = sid; action = "indsub";
+                    { loop = sid; action = "expand";
                       why =
                         Printf.sprintf
-                          "%s is an induction accumulator: substitution makes \
-                           the loop order independent"
-                          v;
-                      share; diagnosis = None })
-                (Transform.Indsub.needed (Session.env t) loop_stmt)
-            | _ -> ());
-            (* 4. assertion hints: only pending dependences block *)
+                          "%s's last value escapes: expansion removes the blocker" v;
+                      share; diagnosis = Some de }
+                | _ -> ())
+              escapees;
+            (* 3b. induction accumulators: substitution fixes them *)
+            List.iter
+              (fun v ->
+                add
+                  { loop = sid; action = "indsub";
+                    why =
+                      Printf.sprintf
+                        "%s is an induction accumulator: substitution makes the \
+                         loop order independent"
+                        v;
+                    share; diagnosis = None })
+              inductions;
+            (* 4. assertion hints: every blocking reason is a pending edge *)
             let blockers = Session.blocking t sid in
             if
-              blockers <> []
+              blockers <> [] && escapees = [] && inductions = []
               && List.for_all
                    (fun (d : Ddg.dep) ->
                      View.status (Session.view t) d = Marking.Pending)

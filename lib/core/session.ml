@@ -247,19 +247,14 @@ let preview t name args =
   | Some entry -> Ok (entry.Transform.Catalog.diagnose t.env t.ddg args)
 
 (* Parallelize must respect the session's user contributions, which
-   the catalog's generic diagnose cannot see; special-case it. *)
+   the catalog's generic diagnose cannot see: it renders the view's
+   verdict. *)
 let diagnose_in_session t name args =
   match (name, args) with
   | "parallelize", Transform.Catalog.On_loop sid ->
-    let user_private =
-      List.filter_map
-        (fun (l, v) -> if l = sid then Some v else None)
-        t.user_private
-    in
     Ok
-      (Transform.Parallelize.diagnose
-         ~ignore_deps:(View.rejected_in (view t) sid)
-         ~user_private t.env t.ddg sid)
+      (Transform.Parallelize.diagnose ~verdict:(View.verdict (view t) sid) t.env
+         t.ddg sid)
   | _ -> preview t name args
 
 let explain = diagnose_in_session

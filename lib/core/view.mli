@@ -29,16 +29,12 @@ val built_from :
     up once per edge). *)
 val status : t -> Ddg.dep -> Marking.status
 
-(** The edges the loop carries, in graph order. *)
-val carried : t -> Ast.stmt_id -> Ddg.dep list
+(** The loop's DOALL verdict ({!Transform.Parallelize.verdict}) after
+    the user's rejections and privatizations, computed once. *)
+val verdict : t -> Ast.stmt_id -> Transform.Parallelize.verdict
 
-(** Ids of the loop's carried edges the user rejected. *)
-val rejected_in : t -> Ast.stmt_id -> int list
-
-(** The loop's carried edges that block its parallelization after the
-    user's rejections and privatizations. *)
+(** The verdict's blocking edges. *)
 val blocking : t -> Ast.stmt_id -> Ddg.dep list
 
-(** No blocking edge, and no scalar whose last value escapes or that
-    needs induction substitution, short of those the user privatized. *)
+(** The verdict is {!Transform.Parallelize.safe}. *)
 val parallelizable : t -> Ast.stmt_id -> bool

@@ -210,15 +210,11 @@ val carried_by : t -> Ast.stmt_id -> dep list
     (the dependence-pane contents when that loop is selected). *)
 val deps_in_loop : Depenv.t -> t -> Ast.stmt_id -> dep list
 
-(** [parallelizable ?ignore env t loop_sid] — no flow/anti/output
-    dependence is carried by the loop.  [ignore] lists dependence ids
-    the user rejected. *)
-val parallelizable :
-  ?ignore:int list -> Depenv.t -> t -> Ast.stmt_id -> bool
-
-(** The carried dependences blocking parallelization (empty means
-    parallelizable). *)
-val blocking : ?ignore:int list -> Depenv.t -> t -> Ast.stmt_id -> dep list
+(** The carried flow/anti/output dependences, short of privatizable
+    arrays: the edges that block parallelization.  Whether the loop
+    may run in parallel is [Transform.Parallelize]'s verdict, which
+    also weighs its scalars. *)
+val blocking : Depenv.t -> t -> Ast.stmt_id -> dep list
 
 (** [carried_blocking env loop_sid carried] — those of [carried], edges
     the loop carries, that block its parallelization: {!blocking} for

@@ -112,7 +112,7 @@ let diagnose (env : Depenv.t) (ddg : Ddg.t) sid1 sid2 : Diagnosis.t =
       in
       let safe = preventing = [] in
       let profitable =
-        Ddg.parallelizable env' ddg' sid1 || List.length (b1 @ b2) > 1
+        Parallelize.parallelizable env' ddg' sid1 || List.length (b1 @ b2) > 1
       in
       let reasons =
         (* ids refer to the re-analyzed fused candidate's graph *)

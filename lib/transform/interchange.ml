@@ -83,8 +83,8 @@ let diagnose (env : Depenv.t) (ddg : Ddg.t) sid : Diagnosis.t =
       let blockers = List.filter prevents deps in
       let safe = blockers = [] in
       let profitable =
-        Ddg.parallelizable env ddg inner.Ast.sid
-        && not (Ddg.parallelizable env ddg outer.Ast.sid)
+        Parallelize.parallelizable env ddg inner.Ast.sid
+        && not (Parallelize.parallelizable env ddg outer.Ast.sid)
       in
       let reasons =
         List.map

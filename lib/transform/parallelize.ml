@@ -2,50 +2,53 @@ open Fortran_front
 open Scalar_analysis
 open Dependence
 
-(* Scalars whose last value escapes the loop: a parallel or reversed
-   execution would observe a different final value.  Includes the
-   induction variable when it is read after the loop (the simulator
-   pins the parallel case, but reversal genuinely changes it). *)
-let last_value_escapees (env : Depenv.t) (loop : Ast.stmt) =
-  let classes =
-    Varclass.classify ~cfg:env.Depenv.cfg env.Depenv.ctx env.Depenv.liveness
-      loop
-  in
-  List.filter_map
-    (fun (v, c) ->
-      match c with
-      | Varclass.Private { needs_last_value = true } -> Some v
-      | _ -> None)
-    (Varclass.all classes)
+type verdict = {
+  blockers : Ddg.dep list;
+  escapees : string list Lazy.t;
+  inductions : string list Lazy.t;
+}
 
-let diagnose ?(ignore_deps = []) ?(user_private = []) (env : Depenv.t)
-    (ddg : Ddg.t) sid : Diagnosis.t =
+(* Scalars whose last value escapes the loop: a parallel execution
+   would observe a different final value.  Includes the induction
+   variable when it is read after the loop. *)
+let last_value_escapees (env : Depenv.t) loop =
+  Varclass.classify ~cfg:env.Depenv.cfg env.Depenv.ctx env.Depenv.liveness loop
+  |> Varclass.all
+  |> List.filter_map (function
+       | v, Varclass.Private { needs_last_value = true } -> Some v
+       | _ -> None)
+
+let verdict ?(user_private = []) (env : Depenv.t) ~carried sid =
+  let shared v = not (List.mem v user_private) in
+  let of_loop f =
+    lazy
+      (match Depenv.stmt env sid with
+      | Some ({ Ast.node = Ast.Do _; _ } as loop) -> List.filter shared (f env loop)
+      | _ -> [])
+  in
+  {
+    blockers =
+      List.filter
+        (fun (d : Ddg.dep) -> not d.Ddg.is_scalar || shared d.Ddg.var)
+        (Ddg.carried_blocking env sid carried);
+    escapees = of_loop last_value_escapees;
+    inductions = of_loop Indsub.needed;
+  }
+
+let safe v =
+  v.blockers = [] && Lazy.force v.escapees = [] && Lazy.force v.inductions = []
+
+let parallelizable env ddg sid =
+  safe (verdict env ~carried:(Ddg.carried_by ddg sid) sid)
+
+let diagnose ?verdict:given (env : Depenv.t) (ddg : Ddg.t) sid : Diagnosis.t =
   match Rewrite.find_do env.Depenv.punit sid with
   | None -> Diagnosis.inapplicable "not a DO loop"
   | Some (loop, h, body) ->
-    let blockers =
-      Ddg.blocking ~ignore:ignore_deps env ddg sid
-      |> List.filter (fun (d : Ddg.dep) ->
-             not (d.Ddg.is_scalar && List.mem d.Ddg.var user_private))
-    in
-    let escapees =
-      List.filter
-        (fun v -> not (List.mem v user_private))
-        (last_value_escapees env loop)
-    in
-    (* auxiliary induction variables read in the body: a bare PARALLEL
-       DO computes them in iteration-execution order — substitute the
-       closed form first (indsub) *)
-    let aux_blockers =
-      List.filter
-        (fun v -> not (List.mem v user_private))
-        (Indsub.needed env loop)
-    in
-    let safe = blockers = [] && escapees = [] && aux_blockers = [] in
-    let trip =
-      match Depenv.int_at env sid (Ast.Bin (Ast.Sub, h.Ast.hi, h.Ast.lo)) with
-      | Some d -> Some (d + 1)
-      | None -> None
+    let v =
+      match given with
+      | Some v -> v
+      | None -> verdict env ~carried:(Ddg.carried_by ddg sid) sid
     in
     (* profitable when the machine model predicts parallel execution
        beats sequential: the loop's work spread over the processors
@@ -54,10 +57,11 @@ let diagnose ?(ignore_deps = []) ?(user_private = []) (env : Depenv.t)
       body <> []
       &&
       let m = Perf.Machine.default in
-      let loop_stmt = loop in
-      let seq = (Perf.Estimator.stmt_cost ~machine:m env loop_stmt).Perf.Estimator.cycles in
+      let seq = (Perf.Estimator.stmt_cost ~machine:m env loop).Perf.Estimator.cycles in
       let t =
-        match trip with Some t -> max 1 t | None -> Perf.Estimator.default_trip
+        match Depenv.int_at env sid (Ast.Bin (Ast.Sub, h.Ast.hi, h.Ast.lo)) with
+        | Some d -> max 1 (d + 1)
+        | None -> Perf.Estimator.default_trip
       in
       let per_iter = seq /. float_of_int t in
       let chunks = (t + m.Perf.Machine.processors - 1) / m.Perf.Machine.processors in
@@ -72,17 +76,17 @@ let diagnose ?(ignore_deps = []) ?(user_private = []) (env : Depenv.t)
             Diagnosis.Dep
               { dep_id = d.Ddg.dep_id;
                 text = Format.asprintf "blocked by %a" Ddg.pp_dep d })
-          blockers
-      @ List.map (fun v -> Diagnosis.Last_value v) escapees
-      @ List.map (fun v -> Diagnosis.Induction v) aux_blockers
+          v.blockers
+      @ List.map (fun v -> Diagnosis.Last_value v) (Lazy.force v.escapees)
+      @ List.map (fun v -> Diagnosis.Induction v) (Lazy.force v.inductions)
       @
       if profitable then []
       else
         [ Diagnosis.Granularity
             "fork/join overhead exceeds the parallel gain (granularity)" ]
     in
-    Diagnosis.make ~applicable:(not h.Ast.parallel) ~safe ~profitable ~reasons
-      ()
+    Diagnosis.make ~applicable:(not h.Ast.parallel) ~safe:(safe v) ~profitable
+      ~reasons ()
 
 let set_parallel value u sid =
   Rewrite.update_stmt u sid (fun s ->

@@ -24,7 +24,7 @@ let rec diagnose (env : Depenv.t) (ddg : Ddg.t) sid ~factor : Diagnosis.t =
         match skew_then_interchange env sid ~factor with
         | Some env2 ->
           let ddg2 = Ddg.compute env2 in
-          if Ddg.parallelizable env2 ddg2 inner.Ast.sid then
+          if Parallelize.parallelizable env2 ddg2 inner.Ast.sid then
             (true, "after interchange the inner loop parallelizes (wavefront)")
           else (false, "inner loop still carries dependences after the recipe")
         | None -> (false, "interchange is not possible after skewing")

@@ -16,7 +16,7 @@ let suite =
         let i = loop_sid (loop_by_iv env "I") in
         check_bool "W private" true (Arrayprivate.privatizable env i "W");
         let ddg = ddg_of env in
-        check_bool "loop parallel" true (Ddg.parallelizable env ddg i));
+        check_bool "loop parallel" true (Ddg.blocking env ddg i = []));
     case "array privatization: live-after array is not private" (fun () ->
         let env =
           env_of
@@ -50,7 +50,7 @@ let suite =
         let i = loop_sid (loop_by_iv env "I") in
         check_bool "W private (rule A)" true (Arrayprivate.privatizable env i "W");
         let ddg = ddg_of env in
-        check_bool "parallel" true (Ddg.parallelizable env ddg i));
+        check_bool "parallel" true (Ddg.blocking env ddg i = []));
     case "array privatization: config switch disables" (fun () ->
         let config =
           { Depenv.full_config with Depenv.use_array_privatization = false }
@@ -167,7 +167,7 @@ let suite =
               + List.length
                   (List.filter
                      (fun (l : Loopnest.loop) ->
-                       Ddg.parallelizable env ddg (loop_sid l))
+                       Ddg.blocking env ddg (loop_sid l) = [])
                      (Loopnest.loops env.Depenv.nest)))
             0 p.Ast.punits
         in
@@ -253,7 +253,7 @@ let range_suite =
         (* ranges bound trip counts only; a symbolic subscript offset
            still defeats the tests (conservative) *)
         check_bool "blocked (symbolic offset)" false
-          (Ddg.parallelizable env ddg (loop_sid (loop_by_iv env "I"))));
+          (Ddg.blocking env ddg (loop_sid (loop_by_iv env "I")) = []));
     case "asserted trip range alone cannot prove existence" (fun () ->
         (* N in [4,60]: trip bounded above by 60; A(I) vs A(I+30) may
            or may not overlap depending on the true N — the dep must
@@ -283,7 +283,7 @@ let range_suite =
         in
         let ddg = ddg_of env in
         check_bool "parallel" true
-          (Ddg.parallelizable env ddg (loop_sid (loop_by_iv env "I"))));
+          (Ddg.blocking env ddg (loop_sid (loop_by_iv env "I")) = []));
     case "assert in command" (fun () ->
         let sess =
           Ped.Session.load_source ~file:"t.f"

@@ -98,12 +98,12 @@ let suite =
         let env = Interproc.Summary.env_for summ u in
         let ddg = Dependence.Ddg.compute env in
         check_bool "parallel" true
-          (Dependence.Ddg.parallelizable env ddg (loop_sid (loop_by_iv env "I")));
+          (Dependence.Ddg.blocking env ddg (loop_sid (loop_by_iv env "I")) = []);
         (* without interprocedural analysis the same loop blocks *)
         let env0 = Dependence.Depenv.make u in
         let ddg0 = Dependence.Ddg.compute env0 in
         check_bool "blocked without" false
-          (Dependence.Ddg.parallelizable env0 ddg0 (loop_sid (loop_by_iv env0 "I"))));
+          (Dependence.Ddg.blocking env0 ddg0 (loop_sid (loop_by_iv env0 "I")) = []));
     case "sections: row writes are disjoint across iterations" (fun () ->
         let w = Option.get (Workloads.by_name "callnest") in
         let p = Workloads.program w in
@@ -114,7 +114,7 @@ let suite =
         List.iter
           (fun (l : Dependence.Loopnest.loop) ->
             check_bool "parallel" true
-              (Dependence.Ddg.parallelizable env ddg (loop_sid l)))
+              (Dependence.Ddg.blocking env ddg (loop_sid l) = []))
           (Dependence.Loopnest.loops env.Dependence.Depenv.nest));
     case "sections summary shape" (fun () ->
         let w = Option.get (Workloads.by_name "callnest") in
@@ -172,7 +172,7 @@ let suite =
         let env = Interproc.Summary.env_for summ u in
         let ddg = Dependence.Ddg.compute env in
         check_bool "blocked" false
-          (Dependence.Ddg.parallelizable env ddg (loop_sid (loop_by_iv env "I"))));
+          (Dependence.Ddg.blocking env ddg (loop_sid (loop_by_iv env "I")) = []));
   ]
 
 let alias_suite =
@@ -193,12 +193,12 @@ let alias_suite =
         let env = Interproc.Summary.env_for summ s_unit in
         let ddg = Dependence.Ddg.compute env in
         check_bool "blocked via alias" false
-          (Dependence.Ddg.parallelizable env ddg (loop_sid (loop_by_iv env "I")));
+          (Dependence.Ddg.blocking env ddg (loop_sid (loop_by_iv env "I")) = []);
         (* without the alias information the loop would look parallel *)
         let env0 = Dependence.Depenv.make s_unit in
         let ddg0 = Dependence.Ddg.compute env0 in
         check_bool "looks parallel without" true
-          (Dependence.Ddg.parallelizable env0 ddg0 (loop_sid (loop_by_iv env0 "I"))));
+          (Dependence.Ddg.blocking env0 ddg0 (loop_sid (loop_by_iv env0 "I")) = []));
     case "aligned alias still allows disproof by subscripts" (fun () ->
         (* X(I) vs Y(I): aligned alias means same element — only a
            same-iteration relation, so the loop stays parallel *)
@@ -214,7 +214,7 @@ let alias_suite =
         let env = Interproc.Summary.env_for summ s_unit in
         let ddg = Dependence.Ddg.compute env in
         check_bool "parallel" true
-          (Dependence.Ddg.parallelizable env ddg (loop_sid (loop_by_iv env "I"))));
+          (Dependence.Ddg.blocking env ddg (loop_sid (loop_by_iv env "I")) = []));
     case "offset actual degrades to may-alias" (fun () ->
         (* CALL S(A, A(3)): unknown overlap — even same subscripts must
            be assumed dependent *)
@@ -230,7 +230,7 @@ let alias_suite =
         let env = Interproc.Summary.env_for summ s_unit in
         let ddg = Dependence.Ddg.compute env in
         check_bool "blocked" false
-          (Dependence.Ddg.parallelizable env ddg (loop_sid (loop_by_iv env "I"))));
+          (Dependence.Ddg.blocking env ddg (loop_sid (loop_by_iv env "I")) = []));
     case "alias propagates through wrappers" (fun () ->
         let src =
           "      PROGRAM P\n      REAL A(20)\n      CALL MID(A, A)\n      END\n\

@@ -168,8 +168,7 @@ let data_suite =
         (* with K=20 the loop would be independent; with K=1 it is a real
            dependence — constant propagation must find K=1 and keep it *)
         check_bool "carried dep present" false
-          (Dependence.Ddg.parallelizable env ddg
-             (loop_sid (loop_by_iv env "I"))));
+          (Dependence.Ddg.blocking env ddg (loop_sid (loop_by_iv env "I")) = []));
   ]
 
 let suite = suite @ data_suite

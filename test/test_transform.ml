@@ -81,7 +81,13 @@ let suite =
         let sid = loop_sid (loop_by_iv env "I") in
         let blockers = Ddg.blocking env ddg sid in
         let ids = List.map (fun (d : Ddg.dep) -> d.Ddg.dep_id) blockers in
-        let d = Transform.Parallelize.diagnose ~ignore_deps:ids env ddg sid in
+        let carried =
+          List.filter
+            (fun (d : Ddg.dep) -> not (List.mem d.Ddg.dep_id ids))
+            (Ddg.carried_by ddg sid)
+        in
+        let verdict = Transform.Parallelize.verdict env ~carried sid in
+        let d = Transform.Parallelize.diagnose ~verdict env ddg sid in
         check_bool "safe after rejection" true d.Transform.Diagnosis.safe);
     case "interchange: matmul K/I swap is safe and preserves" (fun () ->
         let env = env_of matmul_src in
@@ -95,7 +101,7 @@ let suite =
         (* after the swap the outer loop (same sid) is parallelizable *)
         let env' = Depenv.remake env u' in
         let ddg' = ddg_of env' in
-        check_bool "outer now parallel" true (Ddg.parallelizable env' ddg' k));
+        check_bool "outer now parallel" true (Ddg.blocking env' ddg' k = []));
     case "interchange: (<,>) dependence prevents" (fun () ->
         let env =
           env_of
@@ -127,7 +133,7 @@ let suite =
         let ddg' = ddg_of env' in
         let pars =
           List.filter
-            (fun (l : Loopnest.loop) -> Ddg.parallelizable env' ddg' (loop_sid l))
+            (fun (l : Loopnest.loop) -> Ddg.blocking env' ddg' (loop_sid l) = [])
             (Loopnest.loops env'.Depenv.nest)
         in
         check_int "one of two parallel" 1 (List.length pars));
