@@ -170,8 +170,9 @@ let report t =
 (* Bump when the on-disk layout changes.  The compiler version is
    folded in because the payload is Marshal output.  Version 2 added
    the payload's MD5 line: Marshal trusts its input, so a damaged
-   payload must be refused before it is unmarshalled. *)
-let format_version = "2"
+   payload must be refused before it is unmarshalled.  Version 3 keys
+   buckets by unshared bytes, so version 2 keys can never hit. *)
+let format_version = "3"
 
 let version_fingerprint () =
   Digest.to_hex
