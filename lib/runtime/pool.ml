@@ -2,10 +2,8 @@ type schedule = Chunk | Self
 
 let schedule_to_string = function Chunk -> "chunk" | Self -> "self"
 
-let schedule_of_string = function
-  | "chunk" | "block" -> Some Chunk
-  | "self" | "dynamic" -> Some Self
-  | _ -> None
+let schedule_names =
+  [ ("chunk", Chunk); ("block", Chunk); ("self", Self); ("dynamic", Self) ]
 
 type job = {
   trip : int;

@@ -32,7 +32,10 @@ type t
 type schedule = Chunk | Self
 
 val schedule_to_string : schedule -> string
-val schedule_of_string : string -> schedule option
+
+(** Every name a schedule answers to, aliases ([block], [dynamic])
+    included. *)
+val schedule_names : (string * schedule) list
 
 (** [create n] — spawn [n] worker domains ([n] is clamped to at
     least 1).  [telemetry] (default: the process {!Telemetry.default}

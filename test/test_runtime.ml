@@ -131,10 +131,10 @@ let suite =
             check_int "all iterations" 10 (Atomic.get n)));
     case "schedule names parse" (fun () ->
         check_bool "chunk" true
-          (Runtime.Pool.schedule_of_string "chunk" = Some Runtime.Pool.Chunk);
+          (List.assoc_opt "chunk" Runtime.Pool.schedule_names = Some Runtime.Pool.Chunk);
         check_bool "self" true
-          (Runtime.Pool.schedule_of_string "self" = Some Runtime.Pool.Self);
-        check_bool "junk" true (Runtime.Pool.schedule_of_string "junk" = None));
+          (List.assoc_opt "self" Runtime.Pool.schedule_names = Some Runtime.Pool.Self);
+        check_bool "junk" true (List.assoc_opt "junk" Runtime.Pool.schedule_names = None));
     case "every workload matches the simulator on 2 and 4 domains" (fun () ->
         List.iter
           (fun (w : Workloads.t) ->
