@@ -167,13 +167,16 @@ type runner = { run_tasks : 'a. (unit -> 'a) array -> 'a array }
     emission order) — the invariant the determinism tests pin.
 
     [telemetry] (default: the process {!Telemetry.default} sink)
-    receives a [ddg.compute] span, one [ddg.bucket] span per computed
-    bucket (on the domain that ran it), and counters:
+    receives a [ddg.compute] span holding a [ddg.plan] and a
+    [ddg.assemble] span, one [ddg.bucket] span per computed bucket (on
+    the domain that ran it), and counters:
     [ddg.pairs_tested] (all pairs, including cache-replayed),
     [ddg.tests_executed] (pair tests actually run),
     [ddg.bucket_hits]/[ddg.bucket_misses], [ddg.deps_proven]/
-    [ddg.deps_pending], [dtest.disproved.<test>], and the per-tier
-    provenance tallies [dtest.assumed.<tier>] / [dtest.proven.<tier>]. *)
+    [ddg.deps_pending], [ddg.defuse_queries] (the [Defuse.uses]/
+    [may_defs] queries of the scalar passes), [dtest.disproved.<test>],
+    and the per-tier provenance tallies [dtest.assumed.<tier>] /
+    [dtest.proven.<tier>]. *)
 val compute :
   ?cache:cache -> ?telemetry:Telemetry.sink -> ?runner:runner -> Depenv.t -> t
 
