@@ -447,12 +447,9 @@ let main file workload unit_name script no_interproc exec domains schedule
             exit 1
         in
         (match order with
-        | "seq" -> ()
-        | "reverse" -> Ped.Session.set_sim_order sess Sim.Interp.Reverse
-        | "shuffle" -> Ped.Session.set_sim_order sess (Sim.Interp.Shuffled seed)
-        | o ->
-          prerr_endline ("bad --order " ^ o ^ " (seq, reverse or shuffle)");
-          exit 1);
+        | `Seq -> ()
+        | `Reverse -> Ped.Session.set_sim_order sess Sim.Interp.Reverse
+        | `Shuffle -> Ped.Session.set_sim_order sess (Sim.Interp.Shuffled seed));
         run_session sess script ~engine_stats);
     finish true
   end
@@ -534,7 +531,9 @@ let exec_backend =
                against the sequential simulator)")
 
 let order =
-  Arg.(value & opt string "seq" & info [ "order" ] ~docv:"ORDER"
+  Arg.(value
+       & opt (enum [ ("seq", `Seq); ("reverse", `Reverse); ("shuffle", `Shuffle) ]) `Seq
+       & info [ "order" ] ~docv:"ORDER" ~absent:"seq"
          ~doc:"Iteration order for simulated parallel loops in the editor: \
                seq, reverse or shuffle")
 
