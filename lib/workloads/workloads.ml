@@ -853,35 +853,30 @@ let stress ?(seed = 42) name =
       String.sub name (String.length stress_prefix)
         (String.length name - String.length stress_prefix)
     in
-    let pname, scale =
+    let pname, resize =
       match String.index_opt rest '@' with
-      | None -> (rest, None)
+      | None -> (rest, Ok Fun.id)
       | Some i ->
         let s = String.sub rest (i + 1) (String.length rest - i - 1) in
-        let f =
+        let resize =
           (* named sizes for scripts and CI, numeric for everything else *)
-          match String.lowercase_ascii s with
-          | "tiny" -> Some 0.05
-          | "smoke" -> Some 0.15
-          | "full" -> Some 1.0
-          | _ -> float_of_string_opt s
+          match (String.lowercase_ascii s, float_of_string_opt s) with
+          | "tiny", _ -> Ok (Oracle.Stress.scale 0.05)
+          | "smoke", _ -> Ok Oracle.Stress.smoke
+          | "full", _ -> Ok (Oracle.Stress.scale 1.0)
+          | _, None -> Error (Printf.sprintf "bad scale in %s" name)
+          | _, Some f when f <= 0.0 ->
+            Error (Printf.sprintf "scale must be positive in %s" name)
+          | _, Some f -> Ok (Oracle.Stress.scale f)
         in
-        (String.sub rest 0 i, f)
+        (String.sub rest 0 i, resize)
     in
     match Oracle.Stress.by_name pname with
     | None ->
       Error
         (Printf.sprintf "unknown stress profile %s (available: %s)" pname
            (String.concat ", " Oracle.Stress.names))
-    | Some p -> (
-      match (String.contains rest '@', scale) with
-      | true, None -> Error (Printf.sprintf "bad scale in %s" name)
-      | _, Some f when f <= 0.0 ->
-        Error (Printf.sprintf "scale must be positive in %s" name)
-      | has_scale, _ ->
-        let p =
-          if has_scale then Oracle.Stress.scale (Option.get scale) p else p
-        in
-        Ok (Oracle.Stress.generate ~seed p))
+    | Some p ->
+      Result.map (fun resize -> Oracle.Stress.generate ~seed (resize p)) resize
 
 let main_unit w = (Ast.entry_unit (program w)).Ast.uname

@@ -2,8 +2,8 @@
    the full pipeline (lower → emit → ocamlopt → Dynlink) and diffed
    against the sequential simulator — bit-identical sequentially,
    tolerance-matched in parallel; the persisted oracle corpus pushed
-   through the codegen oracle; a stress-factory program at smoke
-   scale; and the failure modes: unsupported programs and a missing
+   through the codegen oracle; a stress-factory program at scale
+   0.15; and the failure modes: unsupported programs and a missing
    toolchain must come back as [Error], never an exception.
 
    Hosts without ocamlopt on PATH skip the compile-and-run cases
@@ -65,10 +65,10 @@ let all_workloads () =
     Workloads.all
 
 let stress_smoke () =
-  match Workloads.stress "stress:deep@smoke" with
+  match Workloads.stress "stress:deep@0.15" with
   | Error e -> Alcotest.fail e
   | Ok p ->
-    check_compiled "stress:deep@smoke" (editor_parallelized p) ~domains:2
+    check_compiled "stress:deep@0.15" (editor_parallelized p) ~domains:2
 
 let corpus_through_codegen () =
   (* every persisted counterexample, whatever oracle recorded it, must
@@ -175,9 +175,10 @@ let stress_named_scales () =
     (Result.is_ok (Workloads.stress "stress:many-units@full"));
   check_bool "junk scale still rejected" true
     (Result.is_error (Workloads.stress "stress:deep@huge"));
-  (* named sizes are sugar for numeric scales: same generated program *)
-  check_bool "smoke = 0.15" true
-    (Workloads.stress "stress:deep@smoke" = Workloads.stress "stress:deep@0.15")
+  (* smoke is the size the pins and the stress tests name *)
+  check_bool "smoke = Stress.smoke" true
+    (Workloads.stress "stress:deep@smoke"
+    = Ok (Oracle.Stress.generate ~seed:42 (Oracle.Stress.smoke Oracle.Stress.deep)))
 
 let case name f = Alcotest.test_case name `Quick f
 
