@@ -318,9 +318,15 @@ let table4 () =
   in
   List.iter
     (fun (w : Workloads.t) ->
+      (* one engine per workload: it analyses each unit
+         interprocedurally, and each candidate rewrite the same way *)
+      let engine = Engine.create (Workloads.program w) in
+      let analyze = Engine.candidate engine in
       List.iter
-        (fun env ->
-          let ddg = Ddg.compute env in
+        (fun (u : Ast.program_unit) ->
+          let env, ddg =
+            Option.get (Engine.analysis engine ~unit_name:u.Ast.uname)
+          in
           let loops = Loopnest.loops env.Depenv.nest in
           List.iter
             (fun (l : Loopnest.loop) ->
@@ -329,10 +335,10 @@ let table4 () =
               record "interchange" (Transform.Interchange.diagnose env ddg sid);
               record "distribute" (Transform.Distribute.diagnose env ddg sid);
               record "reverse" (Transform.Reverse.diagnose env ddg sid);
-              record "skew" (Transform.Skew.diagnose env ddg sid ~factor:1);
+              record "skew" (Transform.Skew.diagnose ~analyze env ddg sid ~factor:1);
               record "strip" (Transform.Strip_mine.diagnose env ddg sid ~block:4);
               record "unroll" (Transform.Unroll.diagnose env ddg sid ~factor:2);
-              record "tile" (Transform.Tile.diagnose env ddg sid ~block:4);
+              record "tile" (Transform.Tile.diagnose ~analyze env ddg sid ~block:4);
               record "normalize" (Transform.Normalize_loop.diagnose env ddg sid);
               record "peel" (Transform.Peel.diagnose env ddg sid ~which:Transform.Peel.First))
             loops;
@@ -341,13 +347,14 @@ let table4 () =
             | ({ Ast.node = Ast.Do _; _ } as a)
               :: ({ Ast.node = Ast.Do _; _ } as b)
               :: rest ->
-              record "fuse" (Transform.Fuse.diagnose env ddg a.Ast.sid b.Ast.sid);
+              record "fuse"
+                (Transform.Fuse.diagnose ~analyze env ddg a.Ast.sid b.Ast.sid);
               pairs (b :: rest)
             | _ :: rest -> pairs rest
             | [] -> ()
           in
           pairs env.Depenv.punit.Ast.body)
-        (envs_of w))
+        (all_units w))
     Workloads.all;
   Printf.printf "%-14s %10s %10s %10s\n" "transformation" "applicable" "safe"
     "profitable";

@@ -36,7 +36,7 @@ let advise (t : Session.t) : suggestion list =
       let sid = lp.Loopnest.lstmt.Ast.sid in
       if not lp.Loopnest.header.Ast.parallel then begin
         (* 1. direct parallelization *)
-        (match Session.explain t "parallelize" (Transform.Catalog.On_loop sid) with
+        (match Session.diagnose t "parallelize" (Transform.Catalog.On_loop sid) with
         | Ok d when Transform.Diagnosis.ok d && d.Transform.Diagnosis.profitable ->
           add
             { loop = sid; action = "parallelize"; why = "no carried dependences";
@@ -45,7 +45,7 @@ let advise (t : Session.t) : suggestion list =
           -> begin
             (* 2. enabling transformations *)
             (match
-               Session.preview t "interchange" (Transform.Catalog.On_loop sid)
+               Session.diagnose t "interchange" (Transform.Catalog.On_loop sid)
              with
             | Ok di when Transform.Diagnosis.ok di && di.Transform.Diagnosis.profitable ->
               add
@@ -54,7 +54,7 @@ let advise (t : Session.t) : suggestion list =
                   diagnosis = Some di }
             | _ -> ());
             (match
-               Session.preview t "distribute" (Transform.Catalog.On_loop sid)
+               Session.diagnose t "distribute" (Transform.Catalog.On_loop sid)
              with
             | Ok dd when Transform.Diagnosis.ok dd && dd.Transform.Diagnosis.profitable ->
               add
@@ -63,7 +63,7 @@ let advise (t : Session.t) : suggestion list =
                   diagnosis = Some dd }
             | _ -> ());
             (match
-               Session.preview t "skew" (Transform.Catalog.With_factor (sid, 1))
+               Session.diagnose t "skew" (Transform.Catalog.With_factor (sid, 1))
              with
             | Ok ds when Transform.Diagnosis.ok ds && ds.Transform.Diagnosis.profitable ->
               add
@@ -81,7 +81,7 @@ let advise (t : Session.t) : suggestion list =
             List.iter
               (fun v ->
                 match
-                  Session.preview t "expand" (Transform.Catalog.With_var (sid, v))
+                  Session.diagnose t "expand" (Transform.Catalog.With_var (sid, v))
                 with
                 | Ok de when Transform.Diagnosis.ok de ->
                   add

@@ -146,13 +146,13 @@ let why_dep t id =
       d.Ddg.prov
   | None -> Printf.sprintf "error: no dependence #%d" id
 
-(* The explain command walks from a diagnosis to the provenance of
-   each blocking edge it names. *)
-let explain_transform t name args =
-  match Session.explain t name args with
+(* preview prints the diagnosis; explain adds the provenance of each
+   blocking edge it names. *)
+let diagnose_transform ~chains t name args =
+  match Session.diagnose t name args with
   | Error e -> "error: " ^ e
   | Ok d ->
-    let blocking = Transform.Diagnosis.blocking d in
+    let blocking = if chains then Transform.Diagnosis.blocking d else [] in
     let chains =
       List.map
         (fun id ->
@@ -385,16 +385,10 @@ let run (t : Session.t) (line : string) : string =
     match int_of_string_opt n with
     | Some id -> why_dep t id
     | None -> "error: usage: why N | why sA:sB")
-  | "explain" :: name :: rest -> (
+  | (("preview" | "explain") as verb) :: name :: rest -> (
     match parse_transform_args t rest with
-    | Some args -> explain_transform t name args
-    | None -> "error: bad transformation arguments")
-  | "preview" :: name :: rest -> (
-    match parse_transform_args t rest with
-    | Some args -> (
-      match Session.preview t name args with
-      | Ok d -> Transform.Diagnosis.to_string d
-      | Error e -> "error: " ^ e)
+    | Some args ->
+      diagnose_transform ~chains:(String.equal verb "explain") t name args
     | None -> "error: bad transformation arguments")
   | "apply" :: name :: rest -> (
     let force, rest =

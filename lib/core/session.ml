@@ -241,44 +241,36 @@ let replaced_program t (u : Ast.program_unit) =
         (program t).Ast.punits;
   }
 
-let preview t name args =
+(* The one diagnosis behind preview, explain, apply and advise:
+   parallelize renders the view's verdict, which honours the user's
+   rejections and privatizations; the other transformations ask the
+   catalog, which analyses their candidates through the engine. *)
+let diagnose t name args =
   match Transform.Catalog.find name with
   | None -> Error (Printf.sprintf "unknown transformation %s" name)
-  | Some entry -> Ok (entry.Transform.Catalog.diagnose t.env t.ddg args)
-
-(* Parallelize must respect the session's user contributions, which
-   the catalog's generic diagnose cannot see: it renders the view's
-   verdict. *)
-let diagnose_in_session t name args =
-  match (name, args) with
-  | "parallelize", Transform.Catalog.On_loop sid ->
+  | Some entry ->
     Ok
-      (Transform.Parallelize.diagnose ~verdict:(View.verdict (view t) sid) t.env
-         t.ddg sid)
-  | _ -> preview t name args
-
-let explain = diagnose_in_session
+      (match (name, args) with
+      | "parallelize", Transform.Catalog.On_loop sid ->
+        Transform.Parallelize.diagnose ~verdict:(View.verdict (view t) sid)
+          t.env t.ddg sid
+      | _ ->
+        entry.Transform.Catalog.diagnose ~analyze:(Engine.candidate t.engine)
+          t.env t.ddg args)
 
 let transform ?(force = false) t name args =
-  match Transform.Catalog.find name with
-  | None -> Error (Printf.sprintf "unknown transformation %s" name)
-  | Some entry -> (
-    match diagnose_in_session t name args with
-    | Error e -> Error e
-    | Ok diag ->
-      if
-        diag.Transform.Diagnosis.applicable
-        && (diag.Transform.Diagnosis.safe || force)
-      then begin
-        match entry.Transform.Catalog.apply t.env t.ddg args with
-        | Ok u ->
-          commit t name (replaced_program t u);
-          Ok (diag, true)
-        | Error refusal ->
-          (* the apply's own refusal is the more precise diagnosis *)
-          Ok (refusal, false)
-      end
-      else Ok (diag, false))
+  match (diagnose t name args, Transform.Catalog.find name) with
+  | Ok diag, Some entry
+    when diag.Transform.Diagnosis.applicable
+         && (diag.Transform.Diagnosis.safe || force) -> (
+    match entry.Transform.Catalog.apply t.env t.ddg args with
+    | Ok u ->
+      commit t name (replaced_program t u);
+      Ok (diag, true)
+    | Error refusal ->
+      (* the apply's own refusal is the more precise diagnosis *)
+      Ok (refusal, false))
+  | result, _ -> Result.map (fun diag -> (diag, false)) result
 
 (* The editor's workflow, automated: every loop the editor would let
    the user mark PARALLEL DO, marked, unit by unit.  Each transform
@@ -357,7 +349,9 @@ let callee_cost t =
       let costs = Hashtbl.create 16 in
       List.iter
         (fun (name, c) -> Hashtbl.replace costs name c)
-        (List.rev (Perf.Estimator.program_costs p));
+        (List.rev
+           (Telemetry.span (telemetry t) "session.callee_costs" (fun () ->
+                Perf.Estimator.program_costs p)));
       t.callee_costs <- Some (p, costs);
       costs
   in

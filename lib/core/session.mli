@@ -156,17 +156,15 @@ val privatize : t -> Ast.stmt_id -> string -> unit
 
 (** {2 Transformation and editing} *)
 
-(** [preview t name args] — the power-steering diagnosis, without
-    changing anything. *)
-val preview :
-  t -> string -> Transform.Catalog.args -> (Transform.Diagnosis.t, string) result
-
-(** [explain t name args] — the diagnosis exactly as [transform] would
-    compute it: unlike [preview], it respects the session's user
-    contributions (rejected dependences, privatized scalars).  The
-    [explain] command pairs it with each blocking dependence's
-    provenance chain. *)
-val explain :
+(** [diagnose t name args] — the power-steering diagnosis, without
+    changing anything: what the [preview] and [explain] commands print,
+    what [transform] checks and what [advise] reads.  It respects the
+    session's user contributions: parallelize renders the view's
+    verdict (rejected dependences, privatized scalars).  Skew, tile
+    and fuse analyse their candidate rewrites through the engine
+    ({!Engine.candidate}), which leaves the focus unit's analysis as
+    it was. *)
+val diagnose :
   t -> string -> Transform.Catalog.args -> (Transform.Diagnosis.t, string) result
 
 (** [transform ?force t name args] — diagnose and, when applicable and
@@ -204,5 +202,6 @@ val simulate :
 
 (** Interprocedural callee-cost oracle over the session's program —
     feeds the estimator so calls are priced by their callee's body.
-    The costs are computed once per program version. *)
+    The costs are computed once per program version, in a
+    [session.callee_costs] span. *)
 val callee_cost : t -> string -> float option

@@ -54,7 +54,6 @@ type t = {
   asserts : assertions;
   call_refs : call_refs;
   alias : alias_oracle;
-  oracle : Defuse.call_oracle option;
 }
 
 (* Without interprocedural sections: a call wholly reads and writes
@@ -72,7 +71,6 @@ let default_call_refs tbl ctx (s : Ast.stmt) =
 let make ?oracle ?call_refs ?(alias = fun _ _ -> `No)
     ?(config = full_config) ?(asserts = no_assertions)
     (punit : Ast.program_unit) : t =
-  let oracle_opt = oracle in
   (* scalar-analysis passes emit to the process-default sink: the
      environment is rebuilt from many call sites (engine, interproc,
      oracle) that have no sink of their own to thread through *)
@@ -94,11 +92,7 @@ let make ?oracle ?call_refs ?(alias = fun _ _ -> `No)
     | None -> default_call_refs tbl ctx
   in
   { punit; tbl; ctx; cfg; reaching; liveness; constants; control; nest;
-    config; asserts; call_refs; alias; oracle = oracle_opt }
-
-let remake t punit =
-  make ?oracle:t.oracle ~call_refs:t.call_refs ~alias:t.alias ~config:t.config
-    ~asserts:t.asserts punit
+    config; asserts; call_refs; alias }
 
 let stmt t sid = Cfg.stmt_of t.cfg (Cfg.Stmt sid)
 

@@ -73,7 +73,6 @@ type t = {
   asserts : assertions;
   call_refs : call_refs;
   alias : alias_oracle;
-  oracle : Defuse.call_oracle option;  (** kept for {!remake} *)
 }
 
 val make :
@@ -87,12 +86,6 @@ val make :
 
 (** Statement lookup by id. *)
 val stmt : t -> Ast.stmt_id -> Ast.stmt option
-
-(** [remake t u] — re-run all analyses on a rewritten unit, keeping
-    the oracle, configuration and assertions.  Transformations use it
-    to re-analyze after (or to evaluate) a rewrite, as Ped reanalyzes
-    incrementally after edits. *)
-val remake : t -> Ast.program_unit -> t
 
 (** Constant value of an expression at a statement, honouring the
     config switch and asserted values. *)

@@ -273,6 +273,13 @@ let analysis t ~unit_name : (Depenv.t * Ddg.t) option =
           Some (env, ddg))
     end
 
+(* A rewrite of a unit, analysed the way the unit itself would be,
+   under the current summary, config and assertions and through the
+   same bucket cache, but never stored as the unit's analysis. *)
+let candidate t (u : Ast.program_unit) =
+  Telemetry.span t.sink "engine.candidate" ~args:[ ("unit", u.Ast.uname) ]
+  @@ fun () -> compute_unit t (summary t) u
+
 let seconds c = float_of_int (Telemetry.value c) /. 1e9
 
 (* Absolute counter readings (since engine creation). *)

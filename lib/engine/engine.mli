@@ -119,6 +119,12 @@ val summary : t -> Interproc.Summary.t option
     analysis, whatever mix of caches served it. *)
 val analysis : t -> unit_name:string -> (Depenv.t * Ddg.t) option
 
+(** [candidate t u] — environment and graph of [u], a rewrite that
+    would replace the unit of the same name: {!analysis}'s summary
+    view, config, assertions, bucket cache and runner, in an
+    [engine.candidate] span, never cached as the unit's analysis. *)
+val candidate : t -> Ast.program_unit -> Depenv.t * Ddg.t
+
 val stats : t -> stats
 val reset_stats : t -> unit
 

@@ -113,10 +113,18 @@ let with_main (p : Ast.program) (u' : Ast.program_unit) =
       List.map (fun u -> if u.Ast.kind = Ast.Main then u' else u) p.Ast.punits;
   }
 
+(* The entry unit's analysis and the analyzer of its candidate
+   rewrites, from an intraprocedural engine over [p] *)
+let analysis p =
+  let engine = Engine.create ~interproc:false p in
+  let unit_name = (Ast.entry_unit p).Ast.uname in
+  let env, ddg = Option.get (Engine.analysis engine ~unit_name) in
+  (env, ddg, Engine.candidate engine)
+
 (* apply one diagnosed-safe instance; [Ok None] = instance not live *)
-let try_instance env ddg (entry : Catalog.entry) args :
+let try_instance ~analyze env ddg (entry : Catalog.entry) args :
     (Ast.program_unit option, string) result =
-  let d = entry.Catalog.diagnose env ddg args in
+  let d = entry.Catalog.diagnose ~analyze env ddg args in
   if not (Diagnosis.ok d) then Ok None
   else
     match entry.Catalog.apply env ddg args with
@@ -143,9 +151,7 @@ let check_one ~observe ~max_steps ~base p name argdesc (u' : Ast.program_unit) :
 
 let check_instances ?(observe = Gen.observed_arrays) ?(factors = [ 3; 4 ])
     ?only ?(max_steps = 2_000_000) (p : Ast.program) : int * failure list =
-  let u = Ast.entry_unit p in
-  let env = Depenv.make u in
-  let ddg = Ddg.compute env in
+  let env, ddg, analyze = analysis p in
   let base = run_main ~max_steps p in
   let live = ref 0 in
   let sites =
@@ -160,7 +166,7 @@ let check_instances ?(observe = Gen.observed_arrays) ?(factors = [ 3; 4 ])
         | None -> None
         | Some entry -> (
           let argdesc = describe_args env args in
-          match try_instance env ddg entry args with
+          match try_instance ~analyze env ddg entry args with
           | Error what -> Some { f_name = name; f_args = argdesc; f_what = what }
           | Ok None -> None
           | Ok (Some u') ->
@@ -191,9 +197,7 @@ let check_sequence ?(observe = Gen.observed_arrays) ?(len = 3)
   let rec go steps_done p k =
     if k = 0 then (List.rev steps_done, None)
     else
-      let u = Ast.entry_unit p in
-      let env = Depenv.make u in
-      let ddg = Ddg.compute env in
+      let env, ddg, analyze = analysis p in
       let sites = shuffle rng (Catalog.sites ~factors:[ 3 ] env) in
       (* take the first live instance under this shuffle *)
       let rec first = function
@@ -203,7 +207,7 @@ let check_sequence ?(observe = Gen.observed_arrays) ?(len = 3)
           | None -> first rest
           | Some entry -> (
             let argdesc = describe_args env args in
-            match try_instance env ddg entry args with
+            match try_instance ~analyze env ddg entry args with
             | Error what ->
               Some (`Contract { f_name = name; f_args = argdesc; f_what = what })
             | Ok None -> first rest
@@ -233,16 +237,14 @@ let replay_steps ?(observe = Gen.observed_arrays) ?(max_steps = 2_000_000)
       match Catalog.find name with
       | None -> Error (Printf.sprintf "unknown transformation %S" name)
       | Some entry -> (
-        let u = Ast.entry_unit p in
-        let env = Depenv.make u in
+        let env, ddg, analyze = analysis p in
         match parse_args env argdesc with
         | None ->
           Error
             (Printf.sprintf "step %s %s no longer resolves against the program"
                name argdesc)
         | Some args -> (
-          let ddg = Ddg.compute env in
-          let d = entry.Catalog.diagnose env ddg args in
+          let d = entry.Catalog.diagnose ~analyze env ddg args in
           if not (Diagnosis.ok d) then
             Ok () (* the analysis now refuses the step: bug fixed *)
           else

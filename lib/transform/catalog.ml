@@ -7,11 +7,13 @@ type args =
   | With_factor of Ast.stmt_id * int
   | With_var of Ast.stmt_id * string
 
+type analyzer = Ast.program_unit -> Depenv.t * Ddg.t
+
 type entry = {
   name : string;
   describe : string;
   needs : string;
-  diagnose : Depenv.t -> Ddg.t -> args -> Diagnosis.t;
+  diagnose : analyze:analyzer -> Depenv.t -> Ddg.t -> args -> Diagnosis.t;
   apply : Depenv.t -> Ddg.t -> args -> (Ast.program_unit, Diagnosis.t) result;
 }
 
@@ -32,7 +34,7 @@ let all =
       describe = "convert a DO loop into a PARALLEL DO";
       needs = "<loop>";
       diagnose =
-        (fun env ddg -> function
+        (fun ~analyze:_ env ddg -> function
           | On_loop sid -> Parallelize.diagnose env ddg sid
           | _ -> bad);
       apply =
@@ -45,7 +47,7 @@ let all =
       describe = "convert a PARALLEL DO back into a DO";
       needs = "<loop>";
       diagnose =
-        (fun env _ -> function
+        (fun ~analyze:_ env _ -> function
           | On_loop sid -> (
             match Rewrite.find_do env.Depenv.punit sid with
             | Some (_, h, _) when h.Ast.parallel ->
@@ -64,7 +66,7 @@ let all =
       describe = "swap the headers of a perfect loop pair";
       needs = "<outer-loop>";
       diagnose =
-        (fun env ddg -> function
+        (fun ~analyze:_ env ddg -> function
           | On_loop sid -> Interchange.diagnose env ddg sid
           | _ -> bad);
       apply =
@@ -77,7 +79,7 @@ let all =
       describe = "split a loop along dependence components";
       needs = "<loop>";
       diagnose =
-        (fun env ddg -> function
+        (fun ~analyze:_ env ddg -> function
           | On_loop sid -> Distribute.diagnose env ddg sid
           | _ -> bad);
       apply =
@@ -90,8 +92,8 @@ let all =
       describe = "merge two adjacent conformable loops";
       needs = "<loop> <loop>";
       diagnose =
-        (fun env ddg -> function
-          | On_pair (a, b) -> Fuse.diagnose env ddg a b
+        (fun ~analyze env ddg -> function
+          | On_pair (a, b) -> Fuse.diagnose ~analyze env ddg a b
           | _ -> bad);
       apply =
         (fun env _ -> function
@@ -103,7 +105,7 @@ let all =
       describe = "run the loop's iterations backwards";
       needs = "<loop>";
       diagnose =
-        (fun env ddg -> function
+        (fun ~analyze:_ env ddg -> function
           | On_loop sid -> Reverse.diagnose env ddg sid
           | _ -> bad);
       apply =
@@ -116,8 +118,8 @@ let all =
       describe = "skew the inner loop of a perfect pair by a factor";
       needs = "<outer-loop> <factor>";
       diagnose =
-        (fun env ddg -> function
-          | With_factor (sid, f) -> Skew.diagnose env ddg sid ~factor:f
+        (fun ~analyze env ddg -> function
+          | With_factor (sid, f) -> Skew.diagnose ~analyze env ddg sid ~factor:f
           | _ -> bad);
       apply =
         (fun env _ -> function
@@ -130,7 +132,7 @@ let all =
       describe = "strip-mine a loop into fixed-size blocks";
       needs = "<loop> <block>";
       diagnose =
-        (fun env ddg -> function
+        (fun ~analyze:_ env ddg -> function
           | With_factor (sid, b) -> Strip_mine.diagnose env ddg sid ~block:b
           | _ -> bad);
       apply =
@@ -143,7 +145,7 @@ let all =
       describe = "unroll a loop by a constant factor";
       needs = "<loop> <factor>";
       diagnose =
-        (fun env ddg -> function
+        (fun ~analyze:_ env ddg -> function
           | With_factor (sid, f) -> Unroll.diagnose env ddg sid ~factor:f
           | _ -> bad);
       apply =
@@ -156,7 +158,7 @@ let all =
       describe = "scalar-expand a private temporary into an array";
       needs = "<loop> <variable>";
       diagnose =
-        (fun env ddg -> function
+        (fun ~analyze:_ env ddg -> function
           | With_var (sid, v) -> Scalar_expand.diagnose env ddg sid ~var:v
           | _ -> bad);
       apply =
@@ -169,7 +171,7 @@ let all =
       describe = "substitute an induction accumulator's closed form";
       needs = "<loop> <variable>";
       diagnose =
-        (fun env ddg -> function
+        (fun ~analyze:_ env ddg -> function
           | With_var (sid, v) -> Indsub.diagnose env ddg sid ~var:v
           | _ -> bad);
       apply =
@@ -182,7 +184,7 @@ let all =
       describe = "split a reused temporary's independent def-use webs";
       needs = "<loop> <variable>";
       diagnose =
-        (fun env ddg -> function
+        (fun ~analyze:_ env ddg -> function
           | With_var (sid, v) -> Rename_scalar.diagnose env ddg sid ~var:v
           | _ -> bad);
       apply =
@@ -195,7 +197,7 @@ let all =
       describe = "collapse a perfect nest into one product loop";
       needs = "<outer-loop>";
       diagnose =
-        (fun env ddg -> function
+        (fun ~analyze:_ env ddg -> function
           | On_loop sid -> Coalesce.diagnose env ddg sid
           | _ -> bad);
       apply =
@@ -208,7 +210,7 @@ let all =
       describe = "rewrite a loop to run from 1 with unit stride";
       needs = "<loop>";
       diagnose =
-        (fun env ddg -> function
+        (fun ~analyze:_ env ddg -> function
           | On_loop sid -> Normalize_loop.diagnose env ddg sid
           | _ -> bad);
       apply =
@@ -221,8 +223,8 @@ let all =
       describe = "tile a perfect loop pair with a block size";
       needs = "<outer-loop> <block>";
       diagnose =
-        (fun env ddg -> function
-          | With_factor (sid, b) -> Tile.diagnose env ddg sid ~block:b
+        (fun ~analyze env ddg -> function
+          | With_factor (sid, b) -> Tile.diagnose ~analyze env ddg sid ~block:b
           | _ -> bad);
       apply =
         (fun env ddg -> function
@@ -234,7 +236,7 @@ let all =
       describe = "peel the first iteration out of a loop";
       needs = "<loop>";
       diagnose =
-        (fun env ddg -> function
+        (fun ~analyze:_ env ddg -> function
           | On_loop sid -> Peel.diagnose env ddg sid ~which:Peel.First
           | _ -> bad);
       apply =
@@ -247,7 +249,7 @@ let all =
       describe = "peel the last iteration out of a loop";
       needs = "<loop>";
       diagnose =
-        (fun env ddg -> function
+        (fun ~analyze:_ env ddg -> function
           | On_loop sid -> Peel.diagnose env ddg sid ~which:Peel.Last
           | _ -> bad);
       apply =
@@ -260,7 +262,7 @@ let all =
       describe = "interchange two adjacent statements";
       needs = "<stmt> <stmt>";
       diagnose =
-        (fun env ddg -> function
+        (fun ~analyze:_ env ddg -> function
           | On_pair (a, b) -> Stmt_interchange.diagnose env ddg a b
           | _ -> bad);
       apply =
@@ -278,10 +280,10 @@ let instrument e =
   {
     e with
     diagnose =
-      (fun env ddg args ->
+      (fun ~analyze env ddg args ->
         Telemetry.span (Telemetry.default ())
           ("transform." ^ e.name ^ ".diagnose")
-          (fun () -> e.diagnose env ddg args));
+          (fun () -> e.diagnose ~analyze env ddg args));
     apply =
       (fun env ddg args ->
         Telemetry.span (Telemetry.default ())

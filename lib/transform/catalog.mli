@@ -14,11 +14,16 @@ type args =
   | With_factor of Ast.stmt_id * int          (** skew/unroll/strip factor *)
   | With_var of Ast.stmt_id * string          (** scalar expansion target *)
 
+(** The environment and graph of a candidate rewrite of the unit, as
+    if it replaced the unit: skew, tile and fuse judge their rewrites
+    so.  The editor passes its engine's candidate analysis. *)
+type analyzer = Ast.program_unit -> Depenv.t * Ddg.t
+
 type entry = {
   name : string;        (** command name, e.g. ["interchange"] *)
   describe : string;    (** one-line description for the editor's menu *)
   needs : string;       (** argument syntax help, e.g. ["<loop>"] *)
-  diagnose : Depenv.t -> Ddg.t -> args -> Diagnosis.t;
+  diagnose : analyze:analyzer -> Depenv.t -> Ddg.t -> args -> Diagnosis.t;
   apply : Depenv.t -> Ddg.t -> args -> (Ast.program_unit, Diagnosis.t) result;
       (** [Error] carries the diagnosis explaining the refusal — both
           "wrong argument shape" and "called on something the

@@ -41,8 +41,7 @@ let apply (u : Ast.program_unit) sid1 sid2 : Ast.program_unit =
     Rewrite.replace_stmt u sid1 [ fused ]
   | _ -> invalid_arg "Fuse.apply: not two DO loops"
 
-let diagnose (env : Depenv.t) (ddg : Ddg.t) sid1 sid2 : Diagnosis.t =
-  ignore ddg;
+let diagnose ~analyze (env : Depenv.t) (_ : Ddg.t) sid1 sid2 : Diagnosis.t =
   match (Rewrite.find_do env.Depenv.punit sid1, Rewrite.find_do env.Depenv.punit sid2) with
   | None, _ | _, None -> Diagnosis.inapplicable "both operands must be DO loops"
   | Some (_, h1, b1), Some (_, h2, b2) ->
@@ -98,9 +97,7 @@ let diagnose (env : Depenv.t) (ddg : Ddg.t) sid1 sid2 : Diagnosis.t =
       let body1_sids =
         Ast.fold_stmts (fun acc s -> s.Ast.sid :: acc) [] b1
       in
-      let candidate = apply env.Depenv.punit sid1 sid2 in
-      let env' = Depenv.remake env candidate in
-      let ddg' = Ddg.compute env' in
+      let env', ddg' = analyze (apply env.Depenv.punit sid1 sid2) in
       let preventing =
         List.filter
           (fun (d : Ddg.dep) ->

@@ -13,7 +13,9 @@
 open Fortran_front
 open Dependence
 
+(** [analyze] re-analyses the fused candidate. *)
 val diagnose :
+  analyze:(Ast.program_unit -> Depenv.t * Ddg.t) ->
   Depenv.t -> Ddg.t -> Ast.stmt_id -> Ast.stmt_id -> Diagnosis.t
 
 (** [apply u sid1 sid2] — the fused unit; the first loop's statement

@@ -8,41 +8,7 @@ let perfect_pair u sid =
     Some (outer, h1, inner, h2, inner_body)
   | Some _ | None -> None
 
-(* forward declaration dance: [apply] is defined below but diagnose
-   evaluates the actual candidate *)
-let rec diagnose (env : Depenv.t) (ddg : Ddg.t) sid ~factor : Diagnosis.t =
-  ignore ddg;
-  match perfect_pair env.Depenv.punit sid with
-  | None -> Diagnosis.inapplicable "not a perfect two-deep loop nest"
-  | Some (_, _, inner, _, _) ->
-    if factor = 0 then Diagnosis.inapplicable "skew factor must be nonzero"
-    else begin
-      (* Skewing is always safe; it pays off when the wavefront recipe
-         (skew, interchange, parallelize the new inner loop) works.
-         Evaluate the recipe on the candidate directly. *)
-      let profitable, why =
-        match skew_then_interchange env sid ~factor with
-        | Some env2 ->
-          let ddg2 = Ddg.compute env2 in
-          if Parallelize.parallelizable env2 ddg2 inner.Ast.sid then
-            (true, "after interchange the inner loop parallelizes (wavefront)")
-          else (false, "inner loop still carries dependences after the recipe")
-        | None -> (false, "interchange is not possible after skewing")
-      in
-      Diagnosis.make ~applicable:true ~safe:true ~profitable ~notes:[ why ] ()
-    end
-
-and skew_then_interchange env sid ~factor : Depenv.t option =
-  let candidate1 = apply_unit env.Depenv.punit sid ~factor in
-  let env1 = Depenv.remake env candidate1 in
-  let ddg1 = Ddg.compute env1 in
-  let di = Interchange.diagnose env1 ddg1 sid in
-  if di.Diagnosis.applicable && di.Diagnosis.safe then
-    let candidate2 = Interchange.apply candidate1 sid in
-    Some (Depenv.remake env candidate2)
-  else None
-
-and apply_unit (u : Ast.program_unit) sid ~factor : Ast.program_unit =
+let apply (u : Ast.program_unit) sid ~factor : Ast.program_unit =
   match perfect_pair u sid with
   | None -> invalid_arg "Skew.apply: not a perfect nest"
   | Some (outer, h1, inner, h2, inner_body) ->
@@ -61,4 +27,33 @@ and apply_unit (u : Ast.program_unit) sid ~factor : Ast.program_unit =
     let outer' = { outer with Ast.node = Ast.Do (h1, [ inner' ]) } in
     Rewrite.replace_stmt u sid [ outer' ]
 
-let apply u sid ~factor = apply_unit u sid ~factor
+(* The wavefront recipe's second candidate: the skewed nest,
+   interchanged, when interchange is safe on the skewed one. *)
+let skew_then_interchange ~analyze (u : Ast.program_unit) sid ~factor =
+  let skewed = apply u sid ~factor in
+  let env1, ddg1 = analyze skewed in
+  let di = Interchange.diagnose env1 ddg1 sid in
+  if di.Diagnosis.applicable && di.Diagnosis.safe then
+    Some (Interchange.apply skewed sid)
+  else None
+
+let diagnose ~analyze (env : Depenv.t) (_ : Ddg.t) sid ~factor : Diagnosis.t =
+  match perfect_pair env.Depenv.punit sid with
+  | None -> Diagnosis.inapplicable "not a perfect two-deep loop nest"
+  | Some (_, _, inner, _, _) ->
+    if factor = 0 then Diagnosis.inapplicable "skew factor must be nonzero"
+    else begin
+      (* Skewing is always safe; it pays off when the wavefront recipe
+         (skew, interchange, parallelize the new inner loop) works.
+         Evaluate the recipe on the candidate directly. *)
+      let profitable, why =
+        match skew_then_interchange ~analyze env.Depenv.punit sid ~factor with
+        | Some candidate ->
+          let env2, ddg2 = analyze candidate in
+          if Parallelize.parallelizable env2 ddg2 inner.Ast.sid then
+            (true, "after interchange the inner loop parallelizes (wavefront)")
+          else (false, "inner loop still carries dependences after the recipe")
+        | None -> (false, "interchange is not possible after skewing")
+      in
+      Diagnosis.make ~applicable:true ~safe:true ~profitable ~notes:[ why ] ()
+    end

@@ -11,5 +11,8 @@
 open Fortran_front
 open Dependence
 
-val diagnose : Depenv.t -> Ddg.t -> Ast.stmt_id -> factor:int -> Diagnosis.t
+(** [analyze] re-analyses the skewed and the interchanged candidates. *)
+val diagnose :
+  analyze:(Ast.program_unit -> Depenv.t * Ddg.t) ->
+  Depenv.t -> Ddg.t -> Ast.stmt_id -> factor:int -> Diagnosis.t
 val apply : Ast.program_unit -> Ast.stmt_id -> factor:int -> Ast.program_unit

@@ -12,7 +12,7 @@ let stripped_candidate (env : Depenv.t) sid ~block =
   | None -> None
   | Some inner -> Some (Strip_mine.apply env inner.Ast.sid ~block)
 
-let diagnose (env : Depenv.t) (ddg : Ddg.t) sid ~block : Diagnosis.t =
+let diagnose ~analyze (env : Depenv.t) (ddg : Ddg.t) sid ~block : Diagnosis.t =
   match inner_of env.Depenv.punit sid with
   | None -> Diagnosis.inapplicable "not a perfect two-deep loop nest"
   | Some inner -> (
@@ -24,8 +24,7 @@ let diagnose (env : Depenv.t) (ddg : Ddg.t) sid ~block : Diagnosis.t =
         match stripped_candidate env sid ~block with
         | None -> Diagnosis.inapplicable "could not strip the inner loop"
         | Some candidate ->
-          let env1 = Depenv.remake env candidate in
-          let ddg1 = Ddg.compute env1 in
+          let env1, ddg1 = analyze candidate in
           let di = Interchange.diagnose env1 ddg1 sid in
           let reasons =
             Diagnosis.Note "tiling = strip inner + interchange strip loop outward"

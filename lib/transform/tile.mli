@@ -10,5 +10,8 @@
 open Fortran_front
 open Dependence
 
-val diagnose : Depenv.t -> Ddg.t -> Ast.stmt_id -> block:int -> Diagnosis.t
+(** [analyze] re-analyses the stripped candidate. *)
+val diagnose :
+  analyze:(Ast.program_unit -> Depenv.t * Ddg.t) ->
+  Depenv.t -> Ddg.t -> Ast.stmt_id -> block:int -> Diagnosis.t
 val apply : Depenv.t -> Ddg.t -> Ast.stmt_id -> block:int -> Ast.program_unit

@@ -325,9 +325,113 @@ let summary_cases =
 
 let delta (a : Engine.stats) (b : Engine.stats) f = f b - f a
 
+(* --- candidate analyses ------------------------------------------- *)
+
+let smoke_deep () =
+  Oracle.Stress.generate (Oracle.Stress.smoke Oracle.Stress.deep)
+
+let unit_names (p : Ast.program) =
+  List.map (fun (u : Ast.program_unit) -> u.Ast.uname) p.Ast.punits
+
+(* Every skew, tile and fuse diagnosis of every unit, as printed. *)
+let candidate_diagnoses sess =
+  List.concat_map
+    (fun name ->
+      ok_exn "focus" (Ped.Session.focus sess name);
+      Transform.Catalog.sites (Ped.Session.env sess)
+      |> List.filter (fun (t, _) -> List.mem t [ "skew"; "tile"; "fuse" ])
+      |> List.map (fun (t, args) ->
+             match Ped.Session.diagnose sess t args with
+             | Ok d -> t ^ ": " ^ Transform.Diagnosis.to_string d
+             | Error e -> e))
+    (unit_names (Ped.Session.program sess))
+
+(* A warm session (every unit analysed, buckets shared with the
+   candidates) prints the diagnoses a from-scratch session prints. *)
+let warm_candidates_match_scratch (name, program) =
+  let load caching =
+    Ped.Session.load ~caching program
+      ~unit_name:(Ast.entry_unit program).Ast.uname
+  in
+  let warm = load true in
+  List.iter (fun u -> ok_exn "focus" (Ped.Session.focus warm u))
+    (unit_names program);
+  let scratch = candidate_diagnoses (load false) in
+  check_bool (name ^ " has candidates") true (scratch <> []);
+  Alcotest.(check (list string)) name scratch (candidate_diagnoses warm)
+
+(* Advise analyses candidates without touching the unit's cached
+   analysis: a refresh afterwards is a hit on the very same graph. *)
+let candidates_leave_the_unit_alone () =
+  let tel = Telemetry.make ~record_spans:true () in
+  let program = smoke_deep () in
+  let sess = Ped.Session.load ~telemetry:tel program ~unit_name:"STRESS" in
+  List.iter
+    (fun name ->
+      ok_exn "focus" (Ped.Session.focus sess name);
+      let ddg = Ped.Session.ddg sess and s0 = Ped.Session.engine_stats sess in
+      ignore (Ped.Command.run sess "advise");
+      Ped.Session.reanalyze sess;
+      let s1 = Ped.Session.engine_stats sess in
+      check_bool (name ^ ": same graph") true (Ped.Session.ddg sess == ddg);
+      check_int (name ^ ": no env miss") 0
+        (delta s0 s1 (fun s -> s.Engine.env_misses));
+      check_int (name ^ ": no invalidation") 0
+        (delta s0 s1 (fun s -> s.Engine.invalidations)))
+    (unit_names program);
+  check_bool "advise analysed candidates" true
+    (List.exists
+       (fun (r : Telemetry.span_record) -> r.Telemetry.sp_name = "engine.candidate")
+       (Telemetry.spans tel))
+
+(* Candidates share the engine's bucket cache.  One advise per unit of
+   smoke:deep ran 3,559 pair tests when each candidate graph was built
+   uncached, and runs 545 through the engine. *)
+let advise_tests_bounded () =
+  let tel = Telemetry.make () in
+  let prev = Telemetry.default () in
+  Fun.protect ~finally:(fun () -> Telemetry.set_default prev) @@ fun () ->
+  Telemetry.set_default tel;
+  let program = smoke_deep () in
+  let sess = Ped.Session.load ~telemetry:tel program ~unit_name:"STRESS" in
+  let tests = Telemetry.counter tel "ddg.tests_executed" in
+  let n =
+    List.fold_left
+      (fun n name ->
+        ok_exn "focus" (Ped.Session.focus sess name);
+        let before = Telemetry.value tests in
+        ignore (Ped.Command.run sess "advise");
+        n + Telemetry.value tests - before)
+      0 (unit_names program)
+  in
+  check_bool (Printf.sprintf "%d pair tests (bound 1000)" n) true (n <= 1000)
+
+let candidate_cases =
+  List.map
+    (fun (w : Workloads.t) ->
+      case ("candidates on " ^ w.Workloads.name ^ ": warm = scratch")
+        (fun () ->
+          warm_candidates_match_scratch
+            (w.Workloads.name, Ast.renumber_program (Workloads.program w))))
+    Workloads.all
+  @ List.map
+      (fun (p : Oracle.Stress.profile) ->
+        let name = "smoke:" ^ p.Oracle.Stress.sp_name in
+        case ("candidates on " ^ name ^ ": warm = scratch") (fun () ->
+            warm_candidates_match_scratch
+              (name, Oracle.Stress.generate (Oracle.Stress.smoke p))))
+      Oracle.Stress.all
+  @ [
+      case "candidates: advise leaves the unit's analysis alone"
+        candidates_leave_the_unit_alone;
+      case "candidates: advise on smoke:deep shares the bucket cache"
+        advise_tests_bounded;
+    ]
+
 let suite =
   List.map burst_case Workloads.all
   @ summary_cases
+  @ candidate_cases
   @ [
       case "stats: clean refresh is a pure cache hit" (fun () ->
           let _, sess = load "matmul" in

@@ -131,7 +131,7 @@ let suite =
         let lp = List.hd (Ped.Session.loops sess) in
         let sid = lp.Dependence.Loopnest.lstmt.Ast.sid in
         (match
-           Ped.Session.explain sess "parallelize"
+           Ped.Session.diagnose sess "parallelize"
              (Transform.Catalog.On_loop sid)
          with
         | Error e -> Alcotest.failf "explain failed: %s" e

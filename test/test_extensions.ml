@@ -83,7 +83,7 @@ let suite =
         in
         let ddg = ddg_of env in
         let i = loop_sid (loop_by_iv env "I") in
-        let d = Transform.Tile.diagnose env ddg i ~block:4 in
+        let d = Transform.Tile.diagnose ~analyze:(analyzer env) env ddg i ~block:4 in
         check_bool "ok" true (Transform.Diagnosis.ok d);
         let u' = Transform.Tile.apply env ddg i ~block:4 in
         let before = Sim.Interp.run { Ast.punits = [ env.Depenv.punit ] } in
@@ -92,7 +92,7 @@ let suite =
           (Sim.Interp.outputs_match before.Sim.Interp.output
              after.Sim.Interp.output);
         (* the tiled program has three loops *)
-        let env' = Depenv.remake env u' in
+        let env' = fst (analyzer env u') in
         check_int "three loops" 3
           (List.length (Loopnest.loops env'.Depenv.nest)));
     case "tile: refuses non-nests" (fun () ->
@@ -102,7 +102,7 @@ let suite =
         in
         let ddg = ddg_of env in
         let d =
-          Transform.Tile.diagnose env ddg (loop_sid (loop_by_iv env "I"))
+          Transform.Tile.diagnose ~analyze:(analyzer env) env ddg (loop_sid (loop_by_iv env "I"))
             ~block:4
         in
         check_bool "inapplicable" false d.Transform.Diagnosis.applicable);

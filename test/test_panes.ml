@@ -253,6 +253,35 @@ let callee_costs_once () =
   ignore (Ped.Pane.loops_pane t);
   check_int "later reads" 0 (envs ())
 
+(* No dark time: the environments a loops read builds to price the
+   callees sit under a named span, as ped --profile records them (one
+   sink, the session's and the process default). *)
+let callee_costs_named () =
+  let tel = Telemetry.make ~record_spans:true () in
+  let prev = Telemetry.default () in
+  Fun.protect ~finally:(fun () -> Telemetry.set_default prev) @@ fun () ->
+  Telemetry.set_default tel;
+  let w = Option.get (Workloads.by_name "callnest") in
+  let t =
+    Ped.Session.load ~telemetry:tel (Workloads.program w)
+      ~unit_name:(Workloads.main_unit w)
+  in
+  ignore (Telemetry.drain_spans tel);
+  ignore (run t "loops");
+  let envs =
+    List.filter
+      (fun (s : Telemetry.span_record) -> s.Telemetry.sp_name = "analysis.depenv")
+      (Telemetry.drain_spans tel)
+  in
+  check_bool "the read builds environments" true (envs <> []);
+  List.iter
+    (fun (s : Telemetry.span_record) ->
+      check_bool
+        (String.concat " > " s.Telemetry.sp_path ^ " is under a named span")
+        true
+        (List.length s.Telemetry.sp_path > 1))
+    envs
+
 (* A fresh session on the same program, with the same marks on its
    graph's edges, the same private variables and the same selection. *)
 let fresh_like t =
@@ -432,6 +461,7 @@ let suite =
           (List.map (fun (name, p) -> (name, fun () -> digest p marked)) (workloads ())));
       case "a loops read looks each edge up at most once" lookups_per_read;
     case "callee costs build one Depenv per unit per version" callee_costs_once;
+    case "callee costs run under a named span" callee_costs_named;
     case "the view is never stale" never_stale;
     case "every advice holds" every_advice_holds;
   ]

@@ -99,8 +99,7 @@ let suite =
         let u' = Transform.Interchange.apply env.Depenv.punit k in
         check_preserved "interchange" env u';
         (* after the swap the outer loop (same sid) is parallelizable *)
-        let env' = Depenv.remake env u' in
-        let ddg' = ddg_of env' in
+        let env', ddg' = analyzer env u' in
         check_bool "outer now parallel" true (Ddg.blocking env' ddg' k = []));
     case "interchange: (<,>) dependence prevents" (fun () ->
         let env =
@@ -129,8 +128,7 @@ let suite =
         check_int "two components" 2 (List.length parts);
         let u' = Transform.Distribute.apply env ddg sid in
         check_preserved "distribute" env u';
-        let env' = Depenv.remake env u' in
-        let ddg' = ddg_of env' in
+        let env', ddg' = analyzer env u' in
         let pars =
           List.filter
             (fun (l : Loopnest.loop) -> Ddg.blocking env' ddg' (loop_sid l) = [])
@@ -154,11 +152,11 @@ let suite =
         let ddg = ddg_of env in
         let l1 = loop_sid (loop_by_iv env "I") in
         let l2 = loop_sid (loop_by_iv env "J") in
-        let d = Transform.Fuse.diagnose env ddg l1 l2 in
+        let d = Transform.Fuse.diagnose ~analyze:(analyzer env) env ddg l1 l2 in
         check_bool "safe" true d.Transform.Diagnosis.safe;
         let u' = Transform.Fuse.apply env.Depenv.punit l1 l2 in
         check_preserved "fuse" env u';
-        let env' = Depenv.remake env u' in
+        let env' = fst (analyzer env u') in
         check_int "one loop left" 1 (List.length (Loopnest.loops env'.Depenv.nest)));
     case "fuse: backward dependence prevents" (fun () ->
         (* the first loop reads A(I-1), which the second loop writes:
@@ -170,7 +168,7 @@ let suite =
         let ddg = ddg_of env in
         let l1 = loop_sid (loop_by_iv env "I") in
         let l2 = loop_sid (loop_by_iv env "J") in
-        let d = Transform.Fuse.diagnose env ddg l1 l2 in
+        let d = Transform.Fuse.diagnose ~analyze:(analyzer env) env ddg l1 l2 in
         check_bool "unsafe" false d.Transform.Diagnosis.safe);
     case "fuse: nonconformable bounds inapplicable" (fun () ->
         let env =
@@ -179,7 +177,7 @@ let suite =
         in
         let ddg = ddg_of env in
         let d =
-          Transform.Fuse.diagnose env ddg
+          Transform.Fuse.diagnose ~analyze:(analyzer env) env ddg
             (loop_sid (loop_by_iv env "I"))
             (loop_sid (loop_by_iv env "J"))
         in
@@ -219,14 +217,12 @@ let suite =
           | None -> i
         in
         let ddg = ddg_of env in
-        let d = Transform.Skew.diagnose env ddg i ~factor:1 in
+        let d = Transform.Skew.diagnose ~analyze:(analyzer env) env ddg i ~factor:1 in
         check_bool "profitable" true d.Transform.Diagnosis.profitable;
         let u1 = Transform.Skew.apply env.Depenv.punit i ~factor:1 in
         check_preserved "skew" env u1;
-        let env1 = Depenv.remake env u1 in
         let u2 = Transform.Interchange.apply u1 i in
-        check_preserved "skew+interchange" env u2;
-        ignore env1);
+        check_preserved "skew+interchange" env u2);
     case "strip mining preserves" (fun () ->
         let env =
           env_of
@@ -313,7 +309,7 @@ let suite =
         List.iter
           (fun (e : Transform.Catalog.entry) ->
             let d =
-              e.Transform.Catalog.diagnose env ddg
+              e.Transform.Catalog.diagnose ~analyze:(analyzer env) env ddg
                 (Transform.Catalog.With_var (99999, "ZZ"))
             in
             (* either rejects the shape or reports not-a-loop *)
@@ -341,7 +337,7 @@ let extra_suite =
         let u' = Transform.Normalize_loop.apply env sid in
         check_preserved "normalize" env u';
         (* the rewritten loop runs from 1 with unit stride *)
-        let env' = Depenv.remake env u' in
+        let env' = fst (analyzer env u') in
         let lp = loop_by_iv env' "I" in
         check_bool "lo is 1" true
           (Ast.expr_equal lp.Loopnest.header.Ast.lo (Ast.Int 1));
@@ -418,8 +414,7 @@ let indsub_suite =
         check_preserved "indsub" env u';
         (* after substitution the loop parallelizes and stays order
            independent *)
-        let env' = Depenv.remake env u' in
-        let ddg' = ddg_of env' in
+        let env', ddg' = analyzer env u' in
         let sid' = loop_sid (loop_by_iv env' "I") in
         let dp' = Transform.Parallelize.diagnose env' ddg' sid' in
         check_bool "parallelize safe now" true dp'.Transform.Diagnosis.safe;
@@ -463,7 +458,7 @@ let coalesce_suite =
         check_bool "ok" true (Transform.Diagnosis.ok d);
         let u' = Transform.Coalesce.apply env sid in
         check_preserved "coalesce" env u';
-        let env' = Depenv.remake env u' in
+        let env' = fst (analyzer env u') in
         check_int "one loop" 1 (List.length (Loopnest.loops env'.Depenv.nest)));
     case "coalesce: lower bounds other than 1 preserved" (fun () ->
         let env =
@@ -516,7 +511,7 @@ let exercise ?(expect_live = false) name args_of src =
   let ddg = ddg_of env in
   let entry = Option.get (Transform.Catalog.find name) in
   let args = args_of env in
-  let d = entry.Transform.Catalog.diagnose env ddg args in
+  let d = entry.Transform.Catalog.diagnose ~analyze:(analyzer env) env ddg args in
   if Transform.Diagnosis.ok d then (
     match entry.Transform.Catalog.apply env ddg args with
     | Ok u' ->

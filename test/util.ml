@@ -20,6 +20,17 @@ let env_of ?config ?asserts src = Dependence.Depenv.make ?config ?asserts (parse
 
 let ddg_of env = Dependence.Ddg.compute env
 
+(* The analyzer of candidate rewrites of [env]'s unit, as a session
+   has it: an intraprocedural engine over the one-unit program, under
+   [env]'s config and assertions. *)
+let analyzer (env : Dependence.Depenv.t) =
+  let engine =
+    Engine.create ~interproc:false ~config:env.Dependence.Depenv.config
+      { Ast.punits = [ env.Dependence.Depenv.punit ] }
+  in
+  Engine.set_assertions engine env.Dependence.Depenv.asserts;
+  Engine.candidate engine
+
 (* A loop whose scalar X only the interprocedural kill of CALL F(X, I)
    makes private; the suites run from the build's test directory. *)
 let interproc_private () =
