@@ -49,20 +49,18 @@ let single_core cores what =
 
 let all_units (w : Workloads.t) = (Workloads.program w).Ast.punits
 
-(* every (unit, analysis env) pair of a workload under a config *)
-let envs_of ?config ?(interproc = true) (w : Workloads.t) =
-  let p = Workloads.program w in
-  if interproc then
-    let summary = Interproc.Summary.analyze p in
-    List.map
-      (fun u -> Interproc.Summary.env_for ?config summary u)
-      p.Ast.punits
-  else List.map (fun u -> Depenv.make ?config u) p.Ast.punits
+(* every unit's (environment, graph) pair of a program, from one
+   engine under a config *)
+let analyses ?config ?interproc (p : Ast.program) =
+  let engine = Engine.create ?config ?interproc p in
+  List.map
+    (fun (u : Ast.program_unit) ->
+      Option.get (Engine.analysis engine ~unit_name:u.Ast.uname))
+    p.Ast.punits
 
-let count_parallel envs =
+let count_parallel analyses =
   List.fold_left
-    (fun acc env ->
-      let ddg = Ddg.compute env in
+    (fun acc (env, ddg) ->
       acc
       + List.length
           (List.filter
@@ -70,12 +68,7 @@ let count_parallel envs =
                Transform.Parallelize.parallelizable env ddg
                  l.Loopnest.lstmt.Ast.sid)
              (Loopnest.loops env.Depenv.nest)))
-    0 envs
-
-let count_loops envs =
-  List.fold_left
-    (fun acc env -> acc + List.length (Loopnest.loops env.Depenv.nest))
-    0 envs
+    0 analyses
 
 (* A workload after its assertion script and auto-parallelization —
    the same pipeline ped --execute uses. *)
@@ -143,7 +136,7 @@ let table2 () =
   List.iter
     (fun (w : Workloads.t) ->
       let stats =
-        List.map (fun env -> (Ddg.compute env).Ddg.stats) (envs_of w)
+        List.map (fun (_, g) -> g.Ddg.stats) (analyses (Workloads.program w))
       in
       let pairs = List.fold_left (fun a s -> a + s.Ddg.pairs_tested) 0 stats in
       let by t =
@@ -176,7 +169,28 @@ let table2 () =
      pattern, showing the deciding test. *)
   Printf.printf "\nsubscript-pair corpus (which test decides):\n";
   Printf.printf "  %-34s %-12s %s\n" "pattern" "outcome" "decided by";
-  let corpus =
+  let decide (label, src) =
+    let p = Parser.parse_program ~file:"c.f" src in
+    let st = (snd (List.hd (analyses ~interproc:false p))).Ddg.stats in
+    let outcome, why =
+      if st.Ddg.disproved <> [] then
+        ( "independent",
+          String.concat ","
+            (List.map (fun (t, n) -> Printf.sprintf "%s x%d" t n)
+               st.Ddg.disproved) )
+      else if st.Ddg.proven > 0 then ("dependent", "exact (proven)")
+      else if st.Ddg.pending > 0 then ("assumed", "no test applies (pending)")
+      else ("independent", "same-iteration only")
+    in
+    Printf.printf "  %-34s %-12s %s\n" label outcome why
+  in
+  List.iter
+    (fun (label, stmt, bounds) ->
+      decide
+        ( label,
+          Printf.sprintf
+            "      PROGRAM T\n      REAL A(200)\n      INTEGER IDX(200), M\n      DO I = %s\n        %s\n      ENDDO\n      END\n"
+            bounds stmt ))
     [
       ("A(I) vs A(I)", "A(I) = A(I) + 1.0", "1, 10");
       ("A(I) vs A(I-1)", "A(I) = A(I-1) + 1.0", "2, 10");
@@ -187,54 +201,15 @@ let table2 () =
       ("A(2I) vs A(I+100), trip 10", "A(2*I) = A(I+100) + 1.0", "1, 10");
       ("A(I) vs A(I+M), M unknown", "A(I) = A(I+M) + 1.0", "1, 10");
       ("A(IDX(I)) vs A(IDX(I))", "A(IDX(I)) = A(IDX(I)) + 1.0", "1, 10");
-    ]
-  in
-  List.iter
-    (fun (label, stmt, bounds) ->
-      let src =
-        Printf.sprintf
-          "      PROGRAM T\n      REAL A(200)\n      INTEGER IDX(200), M\n      DO I = %s\n        %s\n      ENDDO\n      END\n"
-          bounds stmt
-      in
-      let u = List.hd (Parser.parse_program ~file:"c.f" src).Ast.punits in
-      let env = Depenv.make u in
-      let g = Ddg.compute env in
-      let st = g.Ddg.stats in
-      let outcome, why =
-        if st.Ddg.disproved <> [] then
-          ( "independent",
-            String.concat ","
-              (List.map (fun (t, n) -> Printf.sprintf "%s x%d" t n)
-                 st.Ddg.disproved) )
-        else if st.Ddg.proven > 0 then ("dependent", "exact (proven)")
-        else if st.Ddg.pending > 0 then ("assumed", "no test applies (pending)")
-        else ("independent", "same-iteration only")
-      in
-      Printf.printf "  %-34s %-12s %s\n" label outcome why)
-    corpus;
+    ];
   (* two-loop patterns *)
   List.iter
     (fun (label, stmt) ->
-      let src =
-        Printf.sprintf
-          "      PROGRAM T\n      REAL A(200), B(40,40)\n      DO I = 1, 10\n        DO J = 1, 10\n          %s\n        ENDDO\n      ENDDO\n      END\n"
-          stmt
-      in
-      let u = List.hd (Parser.parse_program ~file:"c.f" src).Ast.punits in
-      let env = Depenv.make u in
-      let g = Ddg.compute env in
-      let st = g.Ddg.stats in
-      let outcome, why =
-        if st.Ddg.disproved <> [] then
-          ( "independent",
-            String.concat ","
-              (List.map (fun (t, n) -> Printf.sprintf "%s x%d" t n)
-                 st.Ddg.disproved) )
-        else if st.Ddg.proven > 0 then ("dependent", "exact (proven)")
-        else if st.Ddg.pending > 0 then ("assumed", "no test applies (pending)")
-        else ("independent", "same-iteration only")
-      in
-      Printf.printf "  %-34s %-12s %s\n" label outcome why)
+      decide
+        ( label,
+          Printf.sprintf
+            "      PROGRAM T\n      REAL A(200), B(40,40)\n      DO I = 1, 10\n        DO J = 1, 10\n          %s\n        ENDDO\n      ENDDO\n      END\n"
+            stmt ))
     [
       ("A(2I+4J) vs A(2I+4J+1)", "A(2*I + 4*J) = A(2*I + 4*J + 1) + 1.0");
       ("A(I+J) vs A(I+J+100)", "A(I + J) = A(I + J + 100) + 1.0");
@@ -267,11 +242,16 @@ let table3 () =
   Printf.printf " %8s\n" "+assert";
   List.iter
     (fun (w : Workloads.t) ->
-      let total = count_loops (envs_of w) in
+      let total =
+        List.fold_left
+          (fun acc u -> acc + List.length (Loopnest.loops (Loopnest.build u)))
+          0 (all_units w)
+      in
       Printf.printf "%-10s %6d" w.Workloads.name total;
       List.iter
         (fun (_, config, interproc) ->
-          Printf.printf " %8d" (count_parallel (envs_of ~config ~interproc w)))
+          Printf.printf " %8d"
+            (count_parallel (analyses ~config ~interproc (Workloads.program w))))
         stages;
       (* +assertions: run the workload's assertion script in a session,
          then count across all units *)

@@ -16,7 +16,8 @@ type t = {
   mutable redo_stack : (Ast.program * string) list;
   mutable sim_order : Sim.Interp.order;
   mutable view : View.t option;
-  mutable callee_costs : (Ast.program * (string, float) Hashtbl.t) option;
+  mutable callee_costs :
+    (Ast.program * Depenv.assertions * (string -> float option)) option;
   original : Ast.program;
 }
 
@@ -338,24 +339,22 @@ let redo t =
     refresh t;
     Ok ()
 
-(* The costs depend on the program alone: keep them while the program
-   is physically the one they were computed for. *)
-let callee_cost t =
-  let p = program t in
-  let costs =
+(* A price holds while the program and the assertions are physically
+   the ones the engine's environments were built under. *)
+let callee_cost t name =
+  let p = program t and asserts = assertions t in
+  let price =
     match t.callee_costs with
-    | Some (q, costs) when q == p -> costs
+    | Some (q, a, price) when q == p && a == asserts -> price
     | _ ->
-      let costs = Hashtbl.create 16 in
-      List.iter
-        (fun (name, c) -> Hashtbl.replace costs name c)
-        (List.rev
-           (Telemetry.span (telemetry t) "session.callee_costs" (fun () ->
-                Perf.Estimator.program_costs p)));
-      t.callee_costs <- Some (p, costs);
-      costs
+      let price =
+        Perf.Estimator.callee_costs ~env_of:(fun unit_name ->
+            Engine.env t.engine ~unit_name)
+      in
+      t.callee_costs <- Some (p, asserts, price);
+      price
   in
-  Hashtbl.find_opt costs
+  Telemetry.span (telemetry t) "session.callee_cost" (fun () -> price name)
 
 let simulate ?(processors = 8) t =
   let machine = Perf.Machine.with_processors processors Perf.Machine.default in

@@ -202,6 +202,6 @@ val simulate :
 
 (** Interprocedural callee-cost oracle over the session's program —
     feeds the estimator so calls are priced by their callee's body.
-    The costs are computed once per program version, in a
-    [session.callee_costs] span. *)
+    Callees are priced on demand from {!Engine.env}, once per program
+    value and assertions, in a [session.callee_cost] span. *)
 val callee_cost : t -> string -> float option

@@ -30,7 +30,13 @@ let zero_stats =
     ddg_s = 0.;
   }
 
-type entry = { e_fp : Fingerprint.t; e_env : Depenv.t; e_ddg : Ddg.t }
+(* A unit's environment, and its graph once something asked for one:
+   {!env} fills only the environment, {!analysis} adds the graph. *)
+type entry = {
+  e_fp : Fingerprint.t;
+  e_env : Depenv.t;
+  mutable e_ddg : Ddg.t option;
+}
 
 (* Cross-session sharing hooks.  The engine stays ignorant of the
    cache behind them (lib/server owns the LRU/persistence policy);
@@ -67,8 +73,9 @@ type t = {
   (* interprocedural summaries, keyed by whole-program fingerprint,
      most recently used first, at most [summary_cap] *)
   mutable summaries : (Fingerprint.t * Interproc.Summary.t) list;
-  (* the summary most recently returned: the reuse base of the next build *)
-  mutable last_summary : Interproc.Summary.t option;
+  (* the summary most recently returned and its program: the answer
+     while that program value is held, else the reuse base of a build *)
+  mutable last_summary : (Ast.program * Interproc.Summary.t) option;
   (* per-unit content digests, by name, valid for the unit value held *)
   digests : (string, Ast.program_unit * Fingerprint.t) Hashtbl.t;
   ddg_cache : Ddg.cache;
@@ -162,123 +169,144 @@ let remember t key s =
   let rest = List.filter (fun (k, _) -> not (String.equal k key)) t.summaries in
   t.summaries <- List.filteri (fun i _ -> i < summary_cap) ((key, s) :: rest)
 
-(* Caching mode builds on the last summary, re-solving only the units
-   an edit reaches; baseline mode builds from nothing, the reference
-   the incremental result must equal. *)
+let build_summary t base =
+  Telemetry.incr t.c_summary_builds;
+  let s =
+    Telemetry.timed t.sink ~span_name:"engine.summary" t.c_summary_ns
+      (fun () -> Interproc.Summary.analyze ?base t.program)
+  in
+  Telemetry.add t.c_summary_units (List.length (Interproc.Summary.recomputed s));
+  s
+
+(* Caching mode: a recent program's summary, another session's, or one
+   built on [base], re-solving only the units an edit reaches. *)
+let cached_summary t base =
+  let key = Fingerprint.program ~content:(unit_digest t) t.program in
+  let s =
+    match List.assoc_opt key t.summaries with
+    | Some s ->
+      Telemetry.incr t.c_summary_hits;
+      s
+    | None -> (
+      match Option.bind t.sharing (fun sh -> sh.sh_find_summary key) with
+      | Some s ->
+        (* served by another session's work *)
+        Telemetry.incr t.c_summary_hits;
+        s
+      | None ->
+        let s = build_summary t base in
+        Option.iter (fun sh -> sh.sh_add_summary key s) t.sharing;
+        s)
+  in
+  remember t key s;
+  s
+
+(* Either mode answers from the last summary while its program is the
+   one held.  Baseline mode builds from nothing, the reference the
+   incremental result must equal. *)
 let summary t : Interproc.Summary.t option =
   if not t.use_interproc then None
-  else begin
-    let build () =
-      Telemetry.incr t.c_summary_builds;
-      let base = if t.caching then t.last_summary else None in
-      let s =
-        Telemetry.timed t.sink ~span_name:"engine.summary" t.c_summary_ns
-          (fun () -> Interproc.Summary.analyze ?base t.program)
-      in
-      Telemetry.add t.c_summary_units
-        (List.length (Interproc.Summary.recomputed s));
-      s
-    in
-    if not t.caching then Some (build ())
-    else begin
-      let key = Fingerprint.program ~content:(unit_digest t) t.program in
-      let s =
-        match List.assoc_opt key t.summaries with
-        | Some s ->
-          Telemetry.incr t.c_summary_hits;
-          s
-        | None -> (
-          match
-            Option.bind t.sharing (fun sh -> sh.sh_find_summary key)
-          with
-          | Some s ->
-            (* served by another session's work *)
-            Telemetry.incr t.c_summary_hits;
-            s
-          | None ->
-            let s = build () in
-            Option.iter (fun sh -> sh.sh_add_summary key s) t.sharing;
-            s)
-      in
-      remember t key s;
-      t.last_summary <- Some s;
+  else
+    match t.last_summary with
+    | Some (p, s) when p == t.program ->
+      Telemetry.incr t.c_summary_hits;
       Some s
-    end
-  end
+    | last ->
+      let s =
+        if t.caching then cached_summary t (Option.map snd last)
+        else build_summary t None
+      in
+      t.last_summary <- Some (t.program, s);
+      Some s
 
 let find_unit t name =
   List.find_opt
     (fun (u : Ast.program_unit) -> String.equal u.Ast.uname name)
     t.program.Ast.punits
 
-let compute_unit t summary (u : Ast.program_unit) =
-  let env =
-    Telemetry.timed t.sink ~span_name:"engine.env" t.c_env_ns (fun () ->
-        match summary with
-        | Some s ->
-          Interproc.Summary.env_for ~config:t.config ~asserts:t.asserts s u
-        | None -> Depenv.make ~config:t.config ~asserts:t.asserts u)
-  in
-  let ddg =
-    Telemetry.timed t.sink ~span_name:"engine.ddg" t.c_ddg_ns (fun () ->
-        if t.caching then
-          Ddg.compute ~cache:t.ddg_cache ?runner:t.runner ~telemetry:t.sink
-            env
-        else
-          (* baseline mode: no memo table, but the sink still counts
-             every pair test executed *)
-          Ddg.compute ?runner:t.runner ~telemetry:t.sink env)
-  in
-  (env, ddg)
+let build_env t summary (u : Ast.program_unit) =
+  Telemetry.timed t.sink ~span_name:"engine.env" t.c_env_ns (fun () ->
+      match summary with
+      | Some s ->
+        Interproc.Summary.env_for ~config:t.config ~asserts:t.asserts s u
+      | None -> Depenv.make ~config:t.config ~asserts:t.asserts u)
 
-(* Demand-driven analysis of one unit: served from cache when the
-   unit's fingerprint (content + config + assertions + interprocedural
-   facet) is unchanged, recomputed — and re-cached — otherwise. *)
-let analysis t ~unit_name : (Depenv.t * Ddg.t) option =
-  Telemetry.span t.sink "engine.analysis" ~args:[ ("unit", unit_name) ]
-  @@ fun () ->
-  match find_unit t unit_name with
-  | None -> None
-  | Some u ->
-    let summary = summary t in
-    if not t.caching then Some (compute_unit t summary u)
-    else begin
-      let facet =
-        Option.map (fun s -> Fingerprint.interproc_facet s u) summary
-      in
-      let fp =
-        Fingerprint.analysis_key ~config:t.config ~asserts:t.asserts ~facet
-          ~content:(unit_digest t u)
-      in
-      match Hashtbl.find_opt t.units unit_name with
-      | Some e when String.equal e.e_fp fp ->
-        Telemetry.incr t.c_env_hits;
-        Some (e.e_env, e.e_ddg)
-      | prior -> (
+let build_ddg t env =
+  Telemetry.timed t.sink ~span_name:"engine.ddg" t.c_ddg_ns (fun () ->
+      if t.caching then
+        Ddg.compute ~cache:t.ddg_cache ?runner:t.runner ~telemetry:t.sink env
+      else
+        (* baseline mode: no memo table, but the sink still counts
+           every pair test executed *)
+        Ddg.compute ?runner:t.runner ~telemetry:t.sink env)
+
+(* The unit's entry: kept while its fingerprint (content + config +
+   assertions + interprocedural facet) is unchanged, else another
+   session's analysis of the same key, else a fresh environment.
+   Baseline mode builds a fresh entry every time and keeps none. *)
+let entry t (u : Ast.program_unit) =
+  let summary = summary t in
+  if not t.caching then
+    { e_fp = ""; e_env = build_env t summary u; e_ddg = None }
+  else begin
+    let facet = Option.map (fun s -> Fingerprint.interproc_facet s u) summary in
+    let fp =
+      Fingerprint.analysis_key ~config:t.config ~asserts:t.asserts ~facet
+        ~content:(unit_digest t u)
+    in
+    match Hashtbl.find_opt t.units u.Ast.uname with
+    | Some e when String.equal e.e_fp fp ->
+      Telemetry.incr t.c_env_hits;
+      e
+    | prior ->
+      let e =
         match Option.bind t.sharing (fun sh -> sh.sh_find_unit fp) with
         | Some (env, ddg) ->
           (* another session already analyzed this exact unit under
              this exact config/assertion/interproc view *)
           Telemetry.incr t.c_env_hits;
-          Hashtbl.replace t.units unit_name
-            { e_fp = fp; e_env = env; e_ddg = ddg };
-          Some (env, ddg)
+          { e_fp = fp; e_env = env; e_ddg = Some ddg }
         | None ->
           if prior <> None then Telemetry.incr t.c_invalidations;
           Telemetry.incr t.c_env_misses;
-          let env, ddg = compute_unit t summary u in
-          Hashtbl.replace t.units unit_name
-            { e_fp = fp; e_env = env; e_ddg = ddg };
-          Option.iter (fun sh -> sh.sh_add_unit fp (env, ddg)) t.sharing;
-          Some (env, ddg))
-    end
+          { e_fp = fp; e_env = build_env t summary u; e_ddg = None }
+      in
+      Hashtbl.replace t.units u.Ast.uname e;
+      e
+  end
+
+(* The entry's graph, built on first demand; only then does the unit,
+   environment and graph, go to the shared cache. *)
+let graph t e =
+  match e.e_ddg with
+  | Some ddg -> ddg
+  | None ->
+    let ddg = build_ddg t e.e_env in
+    e.e_ddg <- Some ddg;
+    if t.caching then
+      Option.iter (fun sh -> sh.sh_add_unit e.e_fp (e.e_env, ddg)) t.sharing;
+    ddg
+
+let env t ~unit_name =
+  Option.map (fun u -> (entry t u).e_env) (find_unit t unit_name)
+
+let analysis t ~unit_name : (Depenv.t * Ddg.t) option =
+  Telemetry.span t.sink "engine.analysis" ~args:[ ("unit", unit_name) ]
+  @@ fun () ->
+  Option.map
+    (fun u ->
+      let e = entry t u in
+      (e.e_env, graph t e))
+    (find_unit t unit_name)
 
 (* A rewrite of a unit, analysed the way the unit itself would be,
    under the current summary, config and assertions and through the
    same bucket cache, but never stored as the unit's analysis. *)
 let candidate t (u : Ast.program_unit) =
   Telemetry.span t.sink "engine.candidate" ~args:[ ("unit", u.Ast.uname) ]
-  @@ fun () -> compute_unit t (summary t) u
+  @@ fun () ->
+  let env = build_env t (summary t) u in
+  (env, build_ddg t env)
 
 let seconds c = float_of_int (Telemetry.value c) /. 1e9
 

@@ -20,7 +20,8 @@
       unit's {e view} of the interprocedural summary (per-CALL
       effects, section pseudo-references, formal constants, alias
       pairs) — a summary rebuild that left this view intact does not
-      invalidate the unit;
+      invalidate the unit.  {!env} fills an entry's environment only;
+      {!analysis} adds the graph when first asked for it;
     - {e dependence-test buckets} inside {!Dependence.Ddg}, so that
       when a unit {e is} recomputed, only the loop nests whose
       statements or reaching scalar environment changed get their
@@ -29,8 +30,9 @@
     All mutation funnels through {!set_program} and
     {!set_assertions}; nothing recomputes eagerly, stale entries are
     detected by fingerprint mismatch at the next query.  Created with
-    [~caching:false] the engine recomputes everything on every query,
-    summaries included — the from-scratch baseline the bench harness
+    [~caching:false] the engine recomputes every environment and graph
+    on every query, and builds the summary from nothing once per
+    program it is given — the from-scratch baseline the bench harness
     and the tests compare against. *)
 
 open Fortran_front
@@ -42,8 +44,8 @@ type t
     creation (or the last {!reset_stats}) — a thin view over the
     engine's telemetry counters. *)
 type stats = {
-  env_hits : int;        (** unit analyses served from cache *)
-  env_misses : int;      (** unit analyses computed *)
+  env_hits : int;        (** unit environments served from cache *)
+  env_misses : int;      (** unit environments computed *)
   invalidations : int;   (** misses caused by a stale cached entry *)
   summary_hits : int;
   summary_builds : int;
@@ -62,7 +64,8 @@ type stats = {
     fingerprints guarding the local tables (whole-program fingerprint
     for summaries, the full per-unit analysis key for unit results),
     so two sessions over identical units dedup their dependence work
-    and a hit can never be stale.  [sh_ddg_cache], when present,
+    and a hit can never be stale.  A unit is published once it has
+    both its environment and its graph.  [sh_ddg_cache], when present,
     replaces the engine's private dependence-test bucket memo so even
     {e partially} overlapping units share pair-test results. *)
 type sharing = {
@@ -110,7 +113,8 @@ val set_program : t -> Ast.program -> unit
 val set_assertions : t -> Depenv.assertions -> unit
 
 (** The current interprocedural summary ([None] when interprocedural
-    analysis is off), built or served from cache on demand. *)
+    analysis is off), built or served from cache on demand, and kept
+    until the next {!set_program}. *)
 val summary : t -> Interproc.Summary.t option
 
 (** [analysis t ~unit_name] — scalar environment and dependence graph
@@ -118,6 +122,10 @@ val summary : t -> Interproc.Summary.t option
     [None] if no such unit.  Structurally identical to a from-scratch
     analysis, whatever mix of caches served it. *)
 val analysis : t -> unit_name:string -> (Depenv.t * Ddg.t) option
+
+(** [env t ~unit_name] — {!analysis}'s environment, from the same
+    cache entry, without building the graph. *)
+val env : t -> unit_name:string -> Depenv.t option
 
 (** [candidate t u] — environment and graph of [u], a rewrite that
     would replace the unit of the same name: {!analysis}'s summary

@@ -120,10 +120,7 @@ let files dir =
 let replay (e : entry) : (unit, string) result =
   match e.e_oracle with
   | "dependence" -> (
-    let u = List.find (fun u -> u.Ast.kind = Ast.Main) e.e_program.Ast.punits in
-    let env = Dependence.Depenv.make u in
-    let ddg = Dependence.Ddg.compute env in
-    match Depcheck.check env ddg e.e_program with
+    match Depcheck.check_main e.e_program with
     | { misses = []; _ } -> Ok ()
     | { misses; _ } ->
       Error

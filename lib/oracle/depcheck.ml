@@ -88,8 +88,8 @@ let subsample cap l =
     in
     (picked, true)
 
-let check ?(max_steps = 2_000_000) ?(cell_cap = 160) (_env : Depenv.t)
-    (ddg : Ddg.t) (program : Ast.program) : report =
+let check ?(max_steps = 2_000_000) ?(cell_cap = 160) (ddg : Ddg.t)
+    (program : Ast.program) : report =
   (* 1. trace *)
   let acc = ref [] in
   let (_ : Sim.Interp.outcome) =
@@ -228,3 +228,8 @@ let check ?(max_steps = 2_000_000) ?(cell_cap = 160) (_env : Depenv.t)
       |> List.sort compare;
     truncated = !truncated;
   }
+
+let check_main program =
+  let engine = Engine.create ~interproc:false program in
+  let unit_name = (Ast.entry_unit program).Ast.uname in
+  check (snd (Option.get (Engine.analysis engine ~unit_name))) program

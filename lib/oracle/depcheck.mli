@@ -20,7 +20,7 @@
     coincides with flattened source order, matching how the DDG
     orients loop-independent edges.
 
-    The oracle's scope is the Main unit, whose [env]/[ddg] the driver
+    The oracle's scope is the Main unit, whose graph the caller
     passes: on multi-unit programs (the stress factory's), accesses
     attributed to callee statements are dropped from the trace.  The
     generators keep CALLs at statement level — never inside a loop —
@@ -63,9 +63,14 @@ type report = {
 
 val miss_to_string : miss -> string
 
-(** [check env ddg program] — trace and compare.
+(** [check ddg program] — trace and compare.
     @param max_steps simulator budget (default 2_000_000)
     @param cell_cap per-element access-list cap before even
       subsampling (default 160) *)
-val check :
-  ?max_steps:int -> ?cell_cap:int -> Depenv.t -> Ddg.t -> Ast.program -> report
+val check : ?max_steps:int -> ?cell_cap:int -> Ddg.t -> Ast.program -> report
+
+(** [check_main program] — {!check} against the graph of the Main
+    unit, analysed through an intraprocedural {!Engine} as
+    {!Semcheck} analyses it: the fuzz driver's and the corpus
+    replay's dependence oracle. *)
+val check_main : Ast.program -> report

@@ -1,5 +1,4 @@
 open Fortran_front
-open Dependence
 
 type oracle = Dep | Sem | Run | Cg
 
@@ -124,15 +123,6 @@ let minimize ~budget pred p0 =
   in
   go p0
 
-let env_of p =
-  let u = List.find (fun u -> u.Ast.kind = Ast.Main) p.Ast.punits in
-  Depenv.make u
-
-let dep_misses p =
-  let env = env_of p in
-  let ddg = Ddg.compute env in
-  Depcheck.check env ddg p
-
 let run (cfg : config) : stats =
   let enabled o = List.mem o cfg.oracles in
   let rejected = ref 0 and programs = ref 0 in
@@ -176,7 +166,7 @@ let run (cfg : config) : stats =
         cfg.progress (Printf.sprintf "program %d/%d" i cfg.n);
       (* --- brute-force dependence oracle ----------------------- *)
       if enabled Dep then begin
-        let r = dep_misses p in
+        let r = Depcheck.check_main p in
         dep_classes := !dep_classes + r.Depcheck.classes;
         dep_realized := !dep_realized + r.Depcheck.realized;
         dep_spurious := !dep_spurious + r.Depcheck.spurious;
@@ -192,11 +182,11 @@ let run (cfg : config) : stats =
           let q =
             if cfg.shrink then
               minimize ~budget:250
-                (fun c -> (dep_misses c).Depcheck.misses <> [])
+                (fun c -> (Depcheck.check_main c).Depcheck.misses <> [])
                 p
             else p
           in
-          let final = dep_misses q in
+          let final = Depcheck.check_main q in
           List.iter
             (fun m ->
               record_failure

@@ -110,9 +110,7 @@ let rec cost_stmt ~parallel_ok ~callee_cost (m : Machine.t) (env : Depenv.t)
     let per_iter = body_est.cycles +. m.Machine.loop_overhead in
     let cycles =
       if runs_parallel then
-        let p = float_of_int m.Machine.processors in
         let chunks = Float.of_int ((trip + m.Machine.processors - 1) / m.Machine.processors) in
-        ignore p;
         m.Machine.fork_join +. header_cost +. (chunks *. per_iter)
       else header_cost +. (float_of_int trip *. per_iter)
     in
@@ -167,37 +165,25 @@ let rank_loops ?(machine = Machine.default) ?(callee_cost = no_callees) env =
          (lp, c, c /. total))
   |> List.sort (fun (_, a, _) (_, b, _) -> compare b a)
 
-let program_costs ?(machine = Machine.default) (p : Ast.program) :
-    (string * float) list =
+let callee_costs ~env_of =
   let costs : (string, float) Hashtbl.t = Hashtbl.create 8 in
   let in_progress = Hashtbl.create 8 in
-  let env_of = Hashtbl.create 8 in
-  List.iter
-    (fun (u : Ast.program_unit) ->
-      Hashtbl.replace env_of u.Ast.uname (lazy (Depenv.make u)))
-    p.Ast.punits;
   let rec cost_of name : float option =
     match Hashtbl.find_opt costs name with
     | Some c -> Some c
     | None ->
       if Hashtbl.mem in_progress name then None (* recursion: linkage only *)
       else (
-        match Hashtbl.find_opt env_of name with
+        match env_of name with
         | None -> None
-        | Some envl ->
+        | Some env ->
           Hashtbl.replace in_progress name ();
-          let env = Lazy.force envl in
-          let c =
-            (unit_cost ~machine ~callee_cost:cost_of env).cycles
-          in
+          let c = (unit_cost ~callee_cost:cost_of env).cycles in
           Hashtbl.remove in_progress name;
           Hashtbl.replace costs name c;
           Some c)
   in
-  List.map
-    (fun (u : Ast.program_unit) ->
-      (u.Ast.uname, Option.value ~default:0.0 (cost_of u.Ast.uname)))
-    p.Ast.punits
+  cost_of
 
 let predicted_speedup ?(machine = Machine.default) env ~processors =
   let machine = Machine.with_processors processors machine in

@@ -51,11 +51,12 @@ val rank_loops :
   ?machine:Machine.t -> ?callee_cost:(string -> float option) -> Depenv.t ->
   (Loopnest.loop * float * float) list
 
-(** Bottom-up interprocedural estimate for a whole program: the
-    sequential cost of each unit's body, with CALL sites charged their
-    callee's cost.  Recursive cycles fall back to linkage cost. *)
-val program_costs :
-  ?machine:Machine.t -> Ast.program -> (string * float) list
+(** [callee_costs ~env_of] — the price of a unit by name, on demand:
+    the sequential cost of its body (on {!Machine.default}) under the
+    environment [env_of] gives, each CALL charged its callee's price,
+    each unit priced once per [callee_costs ~env_of] value.  A unit
+    already being priced, or unknown to [env_of], costs linkage only. *)
+val callee_costs : env_of:(string -> Depenv.t option) -> string -> float option
 
 (** Predicted speedup of the unit as currently annotated (parallel
     loops honoured) on [processors]. *)

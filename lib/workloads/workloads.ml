@@ -861,7 +861,7 @@ let stress ?(seed = 42) name =
         let resize =
           (* named sizes for scripts and CI, numeric for everything else *)
           match (String.lowercase_ascii s, float_of_string_opt s) with
-          | "tiny", _ -> Ok (Oracle.Stress.scale 0.05)
+          | "tiny", _ -> Ok Oracle.Stress.tiny
           | "smoke", _ -> Ok Oracle.Stress.smoke
           | "full", _ -> Ok (Oracle.Stress.scale 1.0)
           | _, None -> Error (Printf.sprintf "bad scale in %s" name)

@@ -46,9 +46,9 @@ val wide_nests : nests:int -> seed_const:float -> string
     pressure).  Addressable wherever a workload name is accepted as
     ["stress:PROFILE[@SCALE]"] — e.g. ["stress:deep"],
     ["stress:many-units@0.2"].  SCALE is a positive float or a named
-    size: [tiny] (0.05), [smoke] ({!Oracle.Stress.smoke}, the CI size
-    the tests pin: deep at 0.25, wide at 0.3, many-units at 0.15),
-    [full] (1.0). *)
+    size: [tiny] ({!Oracle.Stress.tiny}, the fuzzer's capped size),
+    [smoke] ({!Oracle.Stress.smoke}, the CI size the tests pin: deep
+    at 0.25, wide at 0.3, many-units at 0.15), [full] (1.0). *)
 
 val is_stress_name : string -> bool
 

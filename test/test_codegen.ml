@@ -171,6 +171,10 @@ let stress_named_scales () =
     (Result.is_ok (Workloads.stress "stress:deep@smoke"));
   check_bool "tiny parses" true
     (Result.is_ok (Workloads.stress "stress:wide@tiny"));
+  (* tiny is the fuzzer's size, the one test_stress names PROFILE@tiny *)
+  check_bool "tiny = Stress.tiny" true
+    (Workloads.stress "stress:wide@tiny"
+    = Ok (Oracle.Stress.generate ~seed:42 (Oracle.Stress.tiny Oracle.Stress.wide)));
   check_bool "full parses" true
     (Result.is_ok (Workloads.stress "stress:many-units@full"));
   check_bool "junk scale still rejected" true

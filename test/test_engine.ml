@@ -361,7 +361,9 @@ let warm_candidates_match_scratch (name, program) =
   Alcotest.(check (list string)) name scratch (candidate_diagnoses warm)
 
 (* Advise analyses candidates without touching the unit's cached
-   analysis: a refresh afterwards is a hit on the very same graph. *)
+   analysis: a refresh afterwards is a hit on the very same graph.
+   A loops read first builds the callees' environments, which advise
+   prices the loops with, so no environment is left to build. *)
 let candidates_leave_the_unit_alone () =
   let tel = Telemetry.make ~record_spans:true () in
   let program = smoke_deep () in
@@ -369,6 +371,7 @@ let candidates_leave_the_unit_alone () =
   List.iter
     (fun name ->
       ok_exn "focus" (Ped.Session.focus sess name);
+      ignore (Ped.Pane.loops_pane sess);
       let ddg = Ped.Session.ddg sess and s0 = Ped.Session.engine_stats sess in
       ignore (Ped.Command.run sess "advise");
       Ped.Session.reanalyze sess;
@@ -522,4 +525,12 @@ let suite =
           check_int "refresh pays full price again" full
             (delta s0 s1 (fun s -> s.Engine.tests_run));
           check_scratch "baseline" sess);
+      case "baseline mode builds one summary per program" (fun () ->
+          let sess =
+            Ped.Session.load ~caching:false (smoke_deep ()) ~unit_name:"S0001"
+          in
+          ignore (Ped.Command.run sess "loops");
+          ignore (Ped.Command.run sess "advise");
+          check_int "summaries built" 1
+            (Ped.Session.engine_stats sess).Engine.summary_builds);
     ]

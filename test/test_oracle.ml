@@ -81,7 +81,7 @@ let weakened_ddg_caught () =
   let p = parse src in
   let env = main_env p in
   let ddg = Dependence.Ddg.compute env in
-  let intact = Oracle.Depcheck.check env ddg p in
+  let intact = Oracle.Depcheck.check ddg p in
   check_bool "intact DDG has no misses" true
     (intact.Oracle.Depcheck.misses = []);
   check_bool "the carried flow dep is concretely realized" true
@@ -97,7 +97,7 @@ let weakened_ddg_caught () =
           ddg.Dependence.Ddg.deps;
     }
   in
-  let r = Oracle.Depcheck.check env weakened p in
+  let r = Oracle.Depcheck.check weakened p in
   check_bool "weakened DDG is caught" true (r.Oracle.Depcheck.misses <> [])
 
 let fuzz_smoke () =

@@ -231,11 +231,12 @@ let lookups_per_read () =
   check_int "second deps read" 0 (lookups Ped.Pane.dependence_pane);
   check_int "loops after deps" 0 (lookups Ped.Pane.loops_pane)
 
-(* The callee costs cost one Depenv per unit per program version: two
-   loops reads of one version build each unit's environment once. *)
+(* The callees are priced from the engine's environments, one per unit
+   version: a loops read builds the callees' environments once, and
+   after an edit of the focus unit the unchanged callees' environments
+   are cache hits, so the next loops read builds none. *)
 let callee_costs_once () =
   let t = deep_s0001 () in
-  let units = List.length (Ped.Session.program t).Ast.punits in
   let prev = Telemetry.default () in
   Fun.protect ~finally:(fun () -> Telemetry.set_default prev) @@ fun () ->
   let tel = Telemetry.retained () in
@@ -247,11 +248,25 @@ let callee_costs_once () =
          (Telemetry.drain_spans tel))
   in
   ignore (Ped.Pane.loops_pane t);
-  check_int "first read" units (envs ());
+  check_bool "first read prices the callees" true (envs () > 0);
   ignore (Ped.Pane.loops_pane t);
   ignore (Ped.Pane.dependence_pane t);
   ignore (Ped.Pane.loops_pane t);
-  check_int "later reads" 0 (envs ())
+  check_int "later reads" 0 (envs ());
+  (* retype S0001's first assignment: same text, fresh statement ids *)
+  let first =
+    Ast.fold_stmts
+      (fun acc (s : Ast.stmt) ->
+        match (acc, s.Ast.node) with None, Ast.Assign _ -> Some s | _ -> acc)
+      None (Ped.Session.env t).Depenv.punit.Ast.body
+    |> Option.get
+  in
+  (match Ped.Session.edit_stmt t first.Ast.sid (Pretty.stmt_to_string first) with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e);
+  check_int "the edit rebuilds S0001 only" 1 (envs ());
+  ignore (Ped.Pane.loops_pane t);
+  check_int "loops read after the edit" 0 (envs ())
 
 (* No dark time: the environments a loops read builds to price the
    callees sit under a named span, as ped --profile records them (one

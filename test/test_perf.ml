@@ -66,15 +66,39 @@ let suite =
 
 let interproc_suite =
   [
-    case "program_costs charges callees" (fun () ->
+    case "callee pricing charges callees" (fun () ->
         let p =
           parse
             "      PROGRAM P\n      DO I = 1, 10\n        CALL WORK\n      ENDDO\n      END\n      SUBROUTINE WORK\n      REAL A(100)\n      DO J = 1, 100\n        A(J) = FLOAT(J) * 2.0\n      ENDDO\n      END\n"
         in
-        let costs = Perf.Estimator.program_costs p in
-        let main = List.assoc "P" costs and work = List.assoc "WORK" costs in
+        let engine = Engine.create p in
+        let cost =
+          Perf.Estimator.callee_costs ~env_of:(fun unit_name ->
+              Engine.env engine ~unit_name)
+        in
+        let main = Option.get (cost "P") and work = Option.get (cost "WORK") in
         check_bool "work nontrivial" true (work > 100.0);
         check_bool "main includes 10 calls" true (main > 10.0 *. work));
+    case "an assertion on a callee's trip count reprices it" (fun () ->
+        let p =
+          parse
+            "      PROGRAM P\n      COMMON /C/ N\n      DO I = 1, 10\n        CALL WORK\n      ENDDO\n      END\n      SUBROUTINE WORK\n      COMMON /C/ N\n      REAL A(1000)\n      DO J = 1, N\n        A(J) = FLOAT(J) * 2.0\n      ENDDO\n      END\n"
+        in
+        let t = Ped.Session.load p ~unit_name:"P" in
+        let before = Option.get (Ped.Session.callee_cost t "WORK") in
+        Ped.Session.assert_value t "N" 500;
+        let after = Option.get (Ped.Session.callee_cost t "WORK") in
+        check_bool "500 trips cost more than the assumed 32" true
+          (after > 10.0 *. before);
+        let fresh = Ped.Session.load p ~unit_name:"P" in
+        Ped.Session.assert_value fresh "N" 500;
+        List.iter
+          (fun name ->
+            Alcotest.(check (option (float 0.0)))
+              (name ^ " as in a fresh session")
+              (Ped.Session.callee_cost fresh name)
+              (Ped.Session.callee_cost t name))
+          [ "P"; "WORK" ]);
     case "session loops pane uses callee costs" (fun () ->
         let w = Option.get (Workloads.by_name "spec77x") in
         let sess =

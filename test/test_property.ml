@@ -42,7 +42,7 @@ let ddg_sound =
       else
         let env = main_env p in
         let ddg = Dependence.Ddg.compute env in
-        let r = Oracle.Depcheck.check env ddg p in
+        let r = Oracle.Depcheck.check ddg p in
         match r.Oracle.Depcheck.misses with
         | [] -> true
         | m :: _ ->
