@@ -119,16 +119,16 @@ let pinned_panes =
     ("daxpy", "c1cf7e454b20b5b9d6a28f11f716a762");
     ("tridiag", "103b6f089ddfb540d1976d9fcc088428");
     ("sumred", "67135517a44d1c576c81dae887242132");
-    ("symbounds", "86a93cc4199233f59cfda95f9cd7ddb5");
+    ("symbounds", "180f5ac2ca02058a07e373b40c1fd19a");
     ("indexarr", "a3dfcbc901fb720928727bdb035a63b1");
-    ("callnest", "84a0a44d0856c5a4d54420c50688b009");
+    ("callnest", "69ed768bb80ca8faca51c57deec7fe05");
     ("arrpriv", "e215bed7e4c9f1c541812205fba62775");
     ("redblack", "3d88feacee7700a05c02df3239fbc6af");
     ("gauss", "526530914b78c2317c690a2422b71eeb");
     ("linesweep", "9e6831c8a886c3982c7d76aef5048911");
-    ("spec77x", "1876ae2cd5294f085934764d71530c42");
-    ("sympro", "fb005530c71d01cd15735fb6d92e47e9");
-    ("shallow", "246820975979af088f11b548c3f531de");
+    ("spec77x", "630379ea261c04bf67b6f9bd1b15e7a0");
+    ("sympro", "c6a7028a7b2427c54eff371628890ea2");
+    ("shallow", "106251a82040decc01373c62ee4a820f");
     ("smoke:deep", "0cc2b630b306b1730eda06f50e9b7f98");
     ("smoke:wide", "bad19a9e229f2d5d4d15b1ee3a1d270c");
     ("smoke:many-units", "689a26816b04707301e30d918dd90387");
@@ -144,16 +144,16 @@ let pinned_advise =
     ("daxpy", "9b100745de494022f48d042d9e68d106");
     ("tridiag", "cca560e9b605cd629a407acefeebf1c5");
     ("sumred", "84c2669cd10510c0830d6af690f8ee27");
-    ("symbounds", "1abb88174524a558ba2c19abff4b418c");
+    ("symbounds", "6ed6cda59b9b1d11280ff8309b775255");
     ("indexarr", "ccd6366354c30ffbdfb9376fde1756ff");
     ("callnest", "15ac26d6618e314d6f518493d6a77185");
     ("arrpriv", "ea0d84e2a2c5de636e4c0b6f1a6e54f4");
     ("redblack", "5dbe699652da74eb1bae7462050dde70");
     ("gauss", "37107e43050cdb1a7f203dc98ed63478");
     ("linesweep", "c8561618608c8a68d28fb54aecb7b980");
-    ("spec77x", "dea373bbcd47ca088cb17f0e94c986f1");
-    ("sympro", "c9df2790e841d61cb440d45a71da03f2");
-    ("shallow", "3acfa07bce9ee8c5d72f2b0d36e2bf5d");
+    ("spec77x", "6765a87f9f2b23764e51fdaaf1ced9e5");
+    ("sympro", "063e032151554d05ce9418f12cf1ae1b");
+    ("shallow", "257f851acf07da11ce3149a45df7db37");
     ("smoke:deep", "24091a62fee8d13903e79b03348646eb");
     ("smoke:wide", "aa91f440e3412b676d4610eeac271ade");
     ("smoke:many-units", "6285747eb7f7f22a6fa301991a6c969c");
@@ -168,16 +168,16 @@ let pinned_marked =
     ("daxpy", "e6a33a7db2107b3b67e3110a9fe6f9c4");
     ("tridiag", "200cc49ab8051e7446a4c4932ea7ec19");
     ("sumred", "dddeaeace1d8fc208cd36070d763c82b");
-    ("symbounds", "b78e1c030d3c378f493f738016cf7dbe");
+    ("symbounds", "c8c714f1a9d5cb3c1c18b1e5947492c7");
     ("indexarr", "d0a43e00c23c04674a4fd12a0aa89845");
-    ("callnest", "9530a3c548177a5b7fe309b7b8f3db9a");
+    ("callnest", "db1d608c1335afb681c6872ab00aee87");
     ("arrpriv", "df8fd4975100df634128c8a164400e0f");
     ("redblack", "4f2409f8273680ee44ceec5cfcb19f8b");
     ("gauss", "88801d311b0044814a964675c096bdb1");
     ("linesweep", "300c7b6704da284e9b964e2727204435");
-    ("spec77x", "242dafe1b49fde6cd17c93cef7fc78ee");
-    ("sympro", "1192d48d474a4694119200325eaa6731");
-    ("shallow", "f2862b1584cf538660769b7a0f6a9d9c");
+    ("spec77x", "bef5bb355a5233265ffce22bc5fec177");
+    ("sympro", "2cad0386d1e97fac2f31bfae3b9887ec");
+    ("shallow", "7474b2e0d0ca7aeb18ae95441ceaca34");
   ]
 
 (* Compare every target's digest with its pin; on any difference, fail
