@@ -173,7 +173,7 @@ let build_summary t base =
   Telemetry.incr t.c_summary_builds;
   let s =
     Telemetry.timed t.sink ~span_name:"engine.summary" t.c_summary_ns
-      (fun () -> Interproc.Summary.analyze ?base t.program)
+      (fun () -> Interproc.Summary.analyze ~telemetry:t.sink ?base t.program)
   in
   Telemetry.add t.c_summary_units (List.length (Interproc.Summary.recomputed s));
   s

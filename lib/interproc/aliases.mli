@@ -15,7 +15,12 @@ type t
 
 type kind = Aligned | May
 
-val compute : Callgraph.t -> t
+(** [compute ?base cg] — top-down over {!Propagate.run}: a unit is
+    re-solved when it or a caller changed since [base]. *)
+val compute : ?base:t -> Callgraph.t -> t
+
+(** Units this build solved, sorted. *)
+val solved : t -> string list
 
 (** Alias pairs among a unit's formals/COMMON names. *)
 val pairs_of : t -> string -> (string * string * kind) list

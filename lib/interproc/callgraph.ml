@@ -17,7 +17,8 @@ type t = {
   all_sites : site list;
   by_caller : (string, site list) Hashtbl.t;
   by_callee : (string, site list) Hashtbl.t;
-  order : string list;
+  components : string list list;
+  rebuilt : string list;
 }
 
 let sites_of (u : Ast.program_unit) =
@@ -54,19 +55,82 @@ let callees_in by_caller name =
 let unit_names_of (prog : Ast.program) =
   List.map (fun (u : Ast.program_unit) -> u.Ast.uname) prog.Ast.punits
 
-(* postorder DFS over the call graph from every unit, callees first *)
-let postorder by_name by_caller names =
-  let visited = Hashtbl.create 64 in
-  let order = ref [] in
-  let rec dfs name =
-    if not (Hashtbl.mem visited name) then begin
-      Hashtbl.replace visited name ();
-      List.iter dfs (callees_in by_caller name);
-      if Hashtbl.mem by_name name then order := name :: !order
+(* Tarjan's algorithm over the units, roots in program order and each
+   unit's callees in name order.  Components come out callees first;
+   for an acyclic graph each is one unit, in the postorder of that
+   depth-first walk.  A component lists its members in the order they
+   leave the stack, the unit the walk entered it by last. *)
+let tarjan by_name by_caller names =
+  let index = Hashtbl.create 64 and low = Hashtbl.create 64 in
+  let on_stack = Hashtbl.create 64 in
+  let stack = ref [] and next = ref 0 and out = ref [] in
+  let rec visit v =
+    Hashtbl.replace index v !next;
+    Hashtbl.replace low v !next;
+    incr next;
+    stack := v :: !stack;
+    Hashtbl.replace on_stack v ();
+    List.iter
+      (fun w ->
+        if Hashtbl.mem by_name w then
+          match Hashtbl.find_opt index w with
+          | None ->
+            visit w;
+            Hashtbl.replace low v (min (Hashtbl.find low v) (Hashtbl.find low w))
+          | Some i ->
+            if Hashtbl.mem on_stack w then
+              Hashtbl.replace low v (min (Hashtbl.find low v) i))
+      (callees_in by_caller v);
+    if Hashtbl.find low v = Hashtbl.find index v then begin
+      let rec pop acc =
+        match !stack with
+        | w :: rest ->
+          stack := rest;
+          Hashtbl.remove on_stack w;
+          if String.equal w v then List.rev (w :: acc) else pop (w :: acc)
+        | [] -> List.rev acc
+      in
+      out := pop [] :: !out
     end
   in
-  List.iter dfs names;
-  List.rev !order
+  List.iter
+    (fun n -> if Hashtbl.mem by_name n && not (Hashtbl.mem index n) then visit n)
+    names;
+  List.rev !out
+
+(* The names whose node was not taken from [base]: every unit when
+   there is no base. *)
+let rebuilt_from base by_name nodes =
+  let name n = n.unit_.Ast.uname in
+  match base with
+  | None -> List.map name nodes
+  | Some b ->
+    let fresh =
+      List.filter
+        (fun n ->
+          match Hashtbl.find_opt b.by_name (name n) with
+          | Some bn -> bn != n
+          | None -> true)
+        nodes
+    in
+    let gone =
+      Hashtbl.fold
+        (fun n _ acc -> if Hashtbl.mem by_name n then acc else n :: acc)
+        b.by_name []
+    in
+    List.map name fresh @ List.sort String.compare gone
+
+(* The components depend only on the unit names, in order, and on
+   each unit's callees: a build that changes neither keeps [base]'s. *)
+let components_from base by_name by_caller names rebuilt =
+  match base with
+  | Some b
+    when unit_names_of b.prog = names
+         && List.for_all
+              (fun n -> callees_in by_caller n = callees_in b.by_caller n)
+              rebuilt ->
+    b.components
+  | _ -> tarjan by_name by_caller names
 
 let build ?base (prog : Ast.program) : t =
   let nodes = List.map (node_of base) prog.Ast.punits in
@@ -74,13 +138,15 @@ let build ?base (prog : Ast.program) : t =
   List.iter (fun n -> Hashtbl.replace by_name n.unit_.Ast.uname n) nodes;
   let all_sites = List.concat_map (fun n -> n.own_sites) nodes in
   let by_caller = index (fun s -> s.caller) all_sites in
+  let rebuilt = rebuilt_from base by_name nodes in
   {
     prog;
     by_name;
     all_sites;
     by_caller;
     by_callee = index (fun s -> s.callee) all_sites;
-    order = postorder by_name by_caller (unit_names_of prog);
+    components = components_from base by_name by_caller (unit_names_of prog) rebuilt;
+    rebuilt;
   }
 
 let program t = t.prog
@@ -102,7 +168,9 @@ let callees_of t name = callees_in t.by_caller name
 let callers_of t name =
   sites_to t name |> List.map (fun s -> s.caller) |> List.sort_uniq String.compare
 
-let bottom_up t = t.order
+let components t = t.components
+let bottom_up t = List.concat t.components
+let rebuilt t = t.rebuilt
 
 let formals_of t name =
   match unit_named t name with

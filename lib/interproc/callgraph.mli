@@ -2,9 +2,9 @@
 
     Nodes are program units; edges are CALL sites with their actual
     arguments.  Fortran 77 forbids recursion, so the graph is expected
-    to be acyclic; {!bottom_up} breaks any cycle arbitrarily (the
-    analyses that consume the order iterate to a fixed point anyway,
-    so a broken cycle only costs precision, not soundness). *)
+    to be acyclic; {!components} groups any cycle into one strongly
+    connected component, which the analyses iterate to a fixed
+    point. *)
 
 open Fortran_front
 
@@ -42,8 +42,18 @@ val sites_to : t -> string -> site list
 val callees_of : t -> string -> string list
 val callers_of : t -> string -> string list
 
-(** Unit names ordered callees-first. *)
+(** Strongly connected components of the units, callees first: a
+    component's callees outside it all come in earlier components.
+    An acyclic graph has one unit per component. *)
+val components : t -> string list list
+
+(** Unit names ordered callees-first: {!components}, flattened. *)
 val bottom_up : t -> string list
+
+(** The names [build ~base] did not take from [base]: each unit added
+    or rewritten since [base], and each unit of [base] that is gone.
+    Built without [base], every unit. *)
+val rebuilt : t -> string list
 
 (** Formal parameter names of a unit ([None] if unknown/external). *)
 val formals_of : t -> string -> string list option

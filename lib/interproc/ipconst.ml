@@ -1,7 +1,7 @@
 open Fortran_front
 open Scalar_analysis
 
-type t = { consts : (string, (string * int) list) Hashtbl.t }
+type t = (string * int) list Propagate.t
 
 (* Evaluate an actual argument using the caller's PARAMETER constants
    and its already-known interprocedural formal constants. *)
@@ -18,57 +18,35 @@ let eval_actual tbl caller_consts (e : Ast.expr) : int option =
   | Some (Constants.Cint n) -> Some n
   | _ -> None
 
-let compute (cg : Callgraph.t) : t =
-  let consts : (string, (string * int) list) Hashtbl.t = Hashtbl.create 16 in
-  let changed = ref true in
-  let rounds = ref 0 in
-  while !changed && !rounds < 10 do
-    changed := false;
-    incr rounds;
-    List.iter
-      (fun callee ->
-        match Callgraph.formals_of cg callee with
-        | None | Some [] -> ()
-        | Some formals ->
-          let sites = Callgraph.sites_to cg callee in
-          if sites <> [] then begin
-            (* a formal is constant iff all sites agree on a value *)
-            let per_formal =
-              List.mapi
-                (fun i f ->
-                  let vals =
-                    List.map
-                      (fun (site : Callgraph.site) ->
-                        match
-                          (Callgraph.symbols_named cg site.Callgraph.caller,
-                           List.nth_opt site.Callgraph.actuals i)
-                        with
-                        | Some tbl, Some a ->
-                          let caller_consts =
-                            Option.value ~default:[]
-                              (Hashtbl.find_opt consts site.Callgraph.caller)
-                          in
-                          eval_actual tbl caller_consts a
-                        | _ -> None)
-                      sites
-                  in
-                  match vals with
-                  | Some v :: rest
-                    when List.for_all (fun x -> x = Some v) rest ->
-                    Some (f, v)
-                  | _ -> None)
-                formals
-              |> List.filter_map Fun.id
-            in
-            let old = Option.value ~default:[] (Hashtbl.find_opt consts callee) in
-            if per_formal <> old then begin
-              Hashtbl.replace consts callee per_formal;
-              changed := true
-            end
-          end)
-      (Callgraph.unit_names cg)
-  done;
-  { consts }
+(* A formal is constant when every site passes it the same value. *)
+let solve cg find (u : Ast.program_unit) =
+  match (Callgraph.formals_of cg u.Ast.uname, Callgraph.sites_to cg u.Ast.uname) with
+  | (None | Some []), _ | _, [] -> None
+  | Some formals, sites -> (
+    let value i (site : Callgraph.site) =
+      match
+        (Callgraph.symbols_named cg site.Callgraph.caller,
+         List.nth_opt site.Callgraph.actuals i)
+      with
+      | Some tbl, Some a ->
+        let caller_consts =
+          Option.value ~default:[] (find site.Callgraph.caller)
+        in
+        eval_actual tbl caller_consts a
+      | _ -> None
+    in
+    let constant i f =
+      match List.map (value i) sites with
+      | Some v :: rest when List.for_all (fun x -> x = Some v) rest -> Some (f, v)
+      | _ -> None
+    in
+    match List.filter_map Fun.id (List.mapi constant formals) with
+    | [] -> None
+    | consts -> Some consts)
 
-let constants_of t name =
-  Option.value ~default:[] (Hashtbl.find_opt t.consts name)
+let compute ?base (cg : Callgraph.t) : t =
+  Propagate.run ?base Propagate.Callers_first ~equal:( = ) ~solve:(solve cg) cg
+
+let solved = Propagate.solved
+
+let constants_of t name = Option.value ~default:[] (Propagate.find t name)

@@ -10,7 +10,12 @@
 
 type t
 
-val compute : Callgraph.t -> t
+(** [compute ?base cg] — top-down over {!Propagate.run}: a unit is
+    re-solved when it or a caller changed since [base]. *)
+val compute : ?base:t -> Callgraph.t -> t
+
+(** Units this build solved, sorted. *)
+val solved : t -> string list
 
 (** Formal-parameter constants of a unit: [(formal, value)]. *)
 val constants_of : t -> string -> (string * int) list

@@ -10,15 +10,13 @@ open Fortran_front
 
 type t
 
-(** [compute cg modref] — fixed point over the call graph so kills
-    propagate through wrapper routines.  A unit's kills are taken
-    from [base] when the unit is physically the one [base] analyzed
-    and every callee input it reads (callee kills, callee formals) is
-    unchanged. *)
+(** [compute ?base cg modref] — bottom-up over {!Propagate.run}, so
+    kills propagate through wrapper routines; a unit is re-solved
+    when it or a callee changed since [base]. *)
 val compute : ?base:t -> Callgraph.t -> Modref.t -> t
 
-(** Units whose kills this build computed, sorted. *)
-val recomputed : t -> string list
+(** Units this build solved, sorted. *)
+val solved : t -> string list
 
 (** Scalars (formals and COMMON variables, callee name space) killed
     by the unit. *)

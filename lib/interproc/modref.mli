@@ -19,15 +19,15 @@ type summary = { mods : SSet.t; refs : SSet.t }
 
 type t
 
-(** [compute ?base cg] — a unit's call-free effects are taken from
-    [base] when the unit is physically the one [base] analyzed. *)
+(** [compute ?base cg] — bottom-up over {!Propagate.run}: a unit is
+    re-solved when it or a callee changed since [base]. *)
 val compute : ?base:t -> Callgraph.t -> t
 
 (** Summary of a unit; [None] for external routines (assume worst). *)
 val summary_of : t -> string -> summary option
 
-(** Units whose call-free effects this build computed, sorted. *)
-val recomputed : t -> string list
+(** Units this build solved, sorted. *)
+val solved : t -> string list
 
 (** [translate t ~site ~tbl] — the effect of one call site in the
     caller's name space: [(mods, refs)].  [tbl] is the caller's symbol

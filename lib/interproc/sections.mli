@@ -25,13 +25,12 @@ type access = { sec_w : section option; sec_r : section option }
 
 type t
 
-(** [compute ?base cg] — a unit's summary is taken from [base] when
-    the unit is physically the one [base] analyzed and every callee
-    input it reads (callee summaries, callee formals) is unchanged. *)
+(** [compute ?base cg] — bottom-up over {!Propagate.run}: a unit is
+    re-solved when it or a callee changed since [base]. *)
 val compute : ?base:t -> Callgraph.t -> t
 
-(** Units whose summary this build computed, sorted. *)
-val recomputed : t -> string list
+(** Units this build solved, sorted. *)
+val solved : t -> string list
 
 (** Per-array accesses of a unit (callee name space). *)
 val summary_of : t -> string -> (string * access) list

@@ -8,28 +8,51 @@ type t = {
   sections_ : Sections.t;
   ipconst_ : Ipconst.t;
   aliases_ : Aliases.t;
-  recomputed : string list;
 }
 
-(* The bottom-up analyses reuse [base]'s per-unit results wherever
-   their inputs are unchanged; the top-down ones (constants, aliases)
-   run in full over the shared symbol tables. *)
-let analyze ?base (prog : Ast.program) : t =
-  let from f = Option.map f base in
-  let cg = Callgraph.build ?base:(from (fun b -> b.cg)) prog in
-  let modref_ = Modref.compute ?base:(from (fun b -> b.modref_)) cg in
-  let kills_ = Ipkill.compute ?base:(from (fun b -> b.kills_)) cg modref_ in
-  let sections_ = Sections.compute ?base:(from (fun b -> b.sections_)) cg in
-  let ipconst_ = Ipconst.compute cg in
-  let aliases_ = Aliases.compute cg in
-  let recomputed =
-    List.sort_uniq String.compare
-      (Modref.recomputed modref_ @ Ipkill.recomputed kills_
-     @ Sections.recomputed sections_)
+(* Each pass re-solves only the units the edit since [base] reaches
+   and shares [base]'s facts for the rest. *)
+let analyze ?telemetry ?base (prog : Ast.program) : t =
+  let sink =
+    match telemetry with Some s -> s | None -> Telemetry.default ()
   in
-  { cg; modref_; kills_; sections_; ipconst_; aliases_; recomputed }
+  let from f = Option.map f base in
+  let cg =
+    Telemetry.span sink "interproc.callgraph" (fun () ->
+        Callgraph.build ?base:(from (fun b -> b.cg)) prog)
+  in
+  let modref_ =
+    Telemetry.span sink "interproc.modref" (fun () ->
+        Modref.compute ?base:(from (fun b -> b.modref_)) cg)
+  in
+  let kills_ =
+    Telemetry.span sink "interproc.ipkill" (fun () ->
+        Ipkill.compute ?base:(from (fun b -> b.kills_)) cg modref_)
+  in
+  let sections_ =
+    Telemetry.span sink "interproc.sections" (fun () ->
+        Sections.compute ?base:(from (fun b -> b.sections_)) cg)
+  in
+  let ipconst_ =
+    Telemetry.span sink "interproc.ipconst" (fun () ->
+        Ipconst.compute ?base:(from (fun b -> b.ipconst_)) cg)
+  in
+  let aliases_ =
+    Telemetry.span sink "interproc.aliases" (fun () ->
+        Aliases.compute ?base:(from (fun b -> b.aliases_)) cg)
+  in
+  Telemetry.add
+    (Telemetry.counter sink "interproc.units_solved")
+    (List.fold_left
+       (fun n l -> n + List.length l)
+       0
+       [ Modref.solved modref_; Ipkill.solved kills_; Sections.solved sections_;
+         Ipconst.solved ipconst_; Aliases.solved aliases_ ]);
+  { cg; modref_; kills_; sections_; ipconst_; aliases_ }
 
-let recomputed t = t.recomputed
+let recomputed t =
+  List.sort_uniq String.compare
+    (Modref.solved t.modref_ @ Ipkill.solved t.kills_ @ Sections.solved t.sections_)
 
 let equal a b =
   let names = Callgraph.unit_names a.cg in

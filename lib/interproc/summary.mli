@@ -1,8 +1,8 @@
 (** Whole-program interprocedural analysis coordinator.
 
-    Runs the call graph, Mod/Ref, Kill, regular sections and
-    interprocedural constants once, then hands each program unit the
-    oracles the intraprocedural machinery consumes:
+    Runs the call graph, Mod/Ref, Kill, regular sections,
+    interprocedural constants and aliases once, then hands each
+    program unit the oracles the intraprocedural machinery consumes:
 
     - a {!Scalar_analysis.Defuse.call_oracle} giving each CALL's
       mods/refs/kills in caller space,
@@ -16,18 +16,24 @@ open Fortran_front
 
 type t
 
-(** [analyze ?base prog] — the summary of [prog].  With [base] (the
-    summary of an earlier version of the program), each bottom-up
-    per-unit result (call-free Mod/Ref effects, kills, sections) is
-    reused when its unit is physically the one [base] analyzed and
-    every input it reads from other units is unchanged, so an edit
-    re-solves only the units it reaches.  The fixed-point loops and
-    their visiting order are the same with or without [base], so the
-    result always equals [analyze prog]. *)
-val analyze : ?base:t -> Ast.program -> t
+(** [analyze ?telemetry ?base prog] — the summary of [prog].  With
+    [base] (the summary of an earlier version of the program), each
+    pass re-solves only the units an edit reaches ({!Propagate.run}):
+    a unit that is not physically the one [base] analyzed, a caller
+    of a unit whose bottom-up facts (Mod/Ref, kills, sections)
+    changed, a callee of a unit whose top-down facts (constants,
+    aliases) changed.  Every other unit keeps [base]'s facts.  The
+    result always equals [analyze prog].
 
-(** Units for which this build ran a bottom-up per-unit analysis
-    instead of reusing a result, sorted. *)
+    [telemetry] (default: the process {!Telemetry.default} sink) gets
+    a span per step ([interproc.callgraph], [interproc.modref],
+    [interproc.ipkill], [interproc.sections], [interproc.ipconst],
+    [interproc.aliases]) and the counter [interproc.units_solved]:
+    the units solved, summed over the five passes. *)
+val analyze : ?telemetry:Telemetry.sink -> ?base:t -> Ast.program -> t
+
+(** Units a bottom-up pass (Mod/Ref, kills, sections) solved in this
+    build, sorted. *)
 val recomputed : t -> string list
 
 (** Same per-unit facts for every unit: Mod/Ref, kills, sections,
