@@ -9,11 +9,13 @@
       fingerprint, so undo/redo — which restore a previous program
       value — hit without any invalidation protocol; only the 8 most
       recently used are kept, so an undo further back rebuilds one;
-      a miss builds on
-      the last summary the engine returned, re-solving only the units
-      whose inputs the edit changed ({!Interproc.Summary.analyze}
-      [~base]; counted by the [engine.summary_units_recomputed]
-      counter);
+      a miss builds on the last summary the engine returned: each
+      pass re-solves only the units the edit reaches and shares that
+      summary's facts for the rest ({!Interproc.Summary.analyze}
+      [~base], spans and counters on the engine's sink;
+      [interproc.units_solved] counts the units solved over all five
+      passes, [engine.summary_units_recomputed] the units a bottom-up
+      pass solved);
     - {e per-unit scalar environments and dependence graphs}, keyed by
       unit name and guarded by a fingerprint of the unit's statements,
       the analysis configuration, the user's assertions, and the
