@@ -2,7 +2,14 @@ open Fortran_front
 
 type node = Entry | Exit | Stmt of Ast.stmt_id
 
-let node_compare (a : node) (b : node) = compare a b
+(* Entry < Exit < Stmt, statements by id: the polymorphic order,
+   without its runtime type dispatch on every map and set operation. *)
+let node_compare (a : node) (b : node) =
+  match (a, b) with
+  | Stmt x, Stmt y -> Int.compare x y
+  | Entry, Entry | Exit, Exit -> 0
+  | Entry, _ | Exit, Stmt _ -> -1
+  | (Exit | Stmt _), _ -> 1
 let node_equal a b = node_compare a b = 0
 
 let pp_node ppf = function

@@ -5,8 +5,8 @@ type t = {
   engine : Engine.t;
   history_limit : int;
   mutable unit_name : string;
-  mutable env : Depenv.t;
-  mutable ddg : Ddg.t;
+  mutable analysed :
+    (Ast.program * Depenv.assertions * string * Depenv.t * Ddg.t) option;
   mutable marking : Marking.t;
   mutable user_private : (Ast.stmt_id * string) list;
   mutable selected : Ast.stmt_id option;
@@ -25,8 +25,6 @@ type t = {
 
 let program t = Engine.program t.engine
 let unit_name t = t.unit_name
-let env t = t.env
-let ddg t = t.ddg
 let marking t = t.marking
 let assertions t = Engine.assertions t.engine
 let user_private t = t.user_private
@@ -56,16 +54,30 @@ let focus_unit t =
   | Some u -> u
   | None -> failwith ("unit disappeared: " ^ t.unit_name)
 
-(* The engine decides what actually needs recomputing; this just
-   refreshes the session's view of the focus unit. *)
+(* The engine decides what actually needs recomputing; the session
+   keeps its last answer for the focus unit. *)
 let refresh t =
   match Engine.analysis t.engine ~unit_name:t.unit_name with
   | Some (env, ddg) ->
-    t.env <- env;
-    t.ddg <- ddg
+    t.analysed <- Some (program t, assertions t, t.unit_name, env, ddg);
+    (env, ddg)
   | None -> failwith ("unit disappeared: " ^ t.unit_name)
 
-let reanalyze = refresh
+let reanalyze t = ignore (refresh t)
+
+(* Mutations only change state; the focus unit is analysed when a
+   command first reads it.  The last answer holds while the program,
+   the assertions and the unit name are the ones it was asked under. *)
+let analysis t =
+  match t.analysed with
+  | Some (p, a, name, env, ddg)
+    when p == program t && a == assertions t && String.equal name t.unit_name
+    ->
+    (env, ddg)
+  | _ -> refresh t
+
+let env t = fst (analysis t)
+let ddg t = snd (analysis t)
 
 let load ?(config = Depenv.full_config) ?(interproc = true) ?caching
     ?sharing ?runner ?(history_limit = 1000) ?telemetry
@@ -79,29 +91,28 @@ let load ?(config = Depenv.full_config) ?(interproc = true) ?caching
     Engine.create ?caching ~config ~interproc ?sharing ?runner ?telemetry
       program
   in
-  let env, ddg =
-    match Engine.analysis engine ~unit_name with
-    | Some r -> r
-    | None -> assert false
+  let t =
+    {
+      engine;
+      history_limit;
+      unit_name;
+      analysed = None;
+      marking = Marking.empty;
+      user_private = [];
+      selected = None;
+      dep_filter = Filter.default_dep_filter;
+      src_filter = Filter.Src_all;
+      undo_stack = [];
+      redo_stack = [];
+      sim_order = Sim.Interp.Seq;
+      view = None;
+      callee_costs = None;
+      original = program;
+    }
   in
-  {
-    engine;
-    history_limit;
-    unit_name;
-    env;
-    ddg;
-    marking = Marking.empty;
-    user_private = [];
-    selected = None;
-    dep_filter = Filter.default_dep_filter;
-    src_filter = Filter.Src_all;
-    undo_stack = [];
-    redo_stack = [];
-    sim_order = Sim.Interp.Seq;
-    view = None;
-    callee_costs = None;
-    original = program;
-  }
+  (* the first analysis is part of loading *)
+  reanalyze t;
+  t
 
 let load_source ?config ?interproc ?caching ?sharing ?runner ?history_limit
     ?telemetry ~file src ~unit_name : t =
@@ -119,14 +130,13 @@ let focus t name =
   | Some _ ->
     t.unit_name <- name;
     t.selected <- None;
-    refresh t;
     Ok ()
   | None -> Error (Printf.sprintf "no unit named %s" name)
 
-let loops t = Loopnest.loops t.env.Depenv.nest
+let loops t = Loopnest.loops (env t).Depenv.nest
 
 let select t sid =
-  match Loopnest.find t.env.Depenv.nest sid with
+  match Loopnest.find (env t).Depenv.nest sid with
   | Some _ ->
     t.selected <- Some sid;
     Ok ()
@@ -136,8 +146,8 @@ let select t sid =
    replaces at least one of these inputs, so a view built from all four
    of the current ones is never stale. *)
 let view t =
-  let env = t.env and ddg = t.ddg and marking = t.marking
-  and user_private = t.user_private in
+  let env, ddg = analysis t in
+  let marking = t.marking and user_private = t.user_private in
   match t.view with
   | Some v when View.built_from v ~env ~ddg ~marking ~user_private -> v
   | _ ->
@@ -154,25 +164,22 @@ let parallelizable_loops t =
     (loops t)
 
 let visible_deps t =
+  let env, ddg = analysis t in
   let base =
     match t.selected with
-    | Some sid -> Ddg.deps_in_loop t.env t.ddg sid
-    | None -> t.ddg.Ddg.deps
+    | Some sid -> Ddg.deps_in_loop env ddg sid
+    | None -> ddg.Ddg.deps
   in
   Filter.apply_dep_filter t.dep_filter (View.status (view t)) base
 
 let mark_dep t dep_id status =
   match
-    List.find_opt (fun (d : Ddg.dep) -> d.Ddg.dep_id = dep_id) t.ddg.Ddg.deps
+    List.find_opt (fun (d : Ddg.dep) -> d.Ddg.dep_id = dep_id) (ddg t).Ddg.deps
   with
   | None -> Error (Printf.sprintf "no dependence #%d" dep_id)
   | Some d ->
-    (match status with
-    | Marking.Rejected when d.Ddg.exact ->
-      (* Ped lets the user reject even proven deps, but warns; we
-         record the mark — the warning is the caller's to print *)
-      ()
-    | _ -> ());
+    (* Ped lets the user reject even a proven dependence; the warning
+       is the caller's to print *)
     t.marking <- Marking.mark t.marking d status;
     Ok ()
 
@@ -195,12 +202,9 @@ let commit t what new_program =
   t.undo_stack <-
     truncate_history t.history_limit ((program t, what) :: t.undo_stack);
   t.redo_stack <- [];
-  Engine.set_program t.engine new_program;
-  refresh t
+  Engine.set_program t.engine new_program
 
-let set_asserts t asserts =
-  Engine.set_assertions t.engine asserts;
-  refresh t
+let set_asserts t asserts = Engine.set_assertions t.engine asserts
 
 let assert_value t var n =
   let a = assertions t in
@@ -250,21 +254,23 @@ let diagnose t name args =
   match Transform.Catalog.find name with
   | None -> Error (Printf.sprintf "unknown transformation %s" name)
   | Some entry ->
+    let env, ddg = analysis t in
     Ok
       (match (name, args) with
       | "parallelize", Transform.Catalog.On_loop sid ->
         Transform.Parallelize.diagnose ~verdict:(View.verdict (view t) sid)
-          t.env t.ddg sid
+          env ddg sid
       | _ ->
         entry.Transform.Catalog.diagnose ~analyze:(Engine.candidate t.engine)
-          t.env t.ddg args)
+          env ddg args)
 
 let transform ?(force = false) t name args =
   match (diagnose t name args, Transform.Catalog.find name) with
   | Ok diag, Some entry
     when diag.Transform.Diagnosis.applicable
          && (diag.Transform.Diagnosis.safe || force) -> (
-    match entry.Transform.Catalog.apply t.env t.ddg args with
+    let env, ddg = analysis t in
+    match entry.Transform.Catalog.apply env ddg args with
     | Ok u ->
       commit t name (replaced_program t u);
       Ok (diag, true)
@@ -275,15 +281,14 @@ let transform ?(force = false) t name args =
 
 (* The editor's workflow, automated: every loop the editor would let
    the user mark PARALLEL DO, marked, unit by unit.  Each transform
-   refreshes the analyses, so a later loop's check sees the earlier
-   loops' PARALLEL bits. *)
+   changes the program, so a later loop's check reads analyses that
+   see the earlier loops' PARALLEL bits. *)
 let parallelize_safe_loops t =
   let home = t.unit_name and selected = t.selected in
   let count =
     List.fold_left
       (fun n (u : Ast.program_unit) ->
         t.unit_name <- u.Ast.uname;
-        refresh t;
         List.fold_left
           (fun n (lp : Loopnest.loop) ->
             let sid = lp.Loopnest.lstmt.Ast.sid in
@@ -299,25 +304,20 @@ let parallelize_safe_loops t =
   in
   t.unit_name <- home;
   t.selected <- selected;
-  refresh t;
   count
 
 let edit_stmt t sid text =
-  match Depenv.stmt t.env sid with
+  let u = focus_unit t in
+  match Ast.find_stmt sid u.Ast.body with
   | None -> Error (Printf.sprintf "no statement s%d" sid)
-  | Some _ -> (
-    match
-      Parser.guard (fun () -> Parser.parse_stmts_string ~file:"<edit>" text)
-    with
-    | Error e -> Error e
-    | Ok stmts -> (
-      match Transform.Rewrite.replace_stmt (focus_unit t) sid stmts with
-      | u' ->
+  | Some _ ->
+    Result.bind
+      (Parser.guard (fun () -> Parser.parse_stmts_string ~file:"<edit>" text))
+      (fun stmts ->
+        let u' = Transform.Rewrite.replace_stmt u sid stmts in
         Result.map
           (fun () -> commit t "edit" (replaced_program t u'))
-          (Ast.check_labels u')
-      | exception Not_found ->
-        Error (Printf.sprintf "statement s%d not in unit %s" sid t.unit_name)))
+          (Ast.check_labels u'))
 
 let undo t =
   match t.undo_stack with
@@ -326,7 +326,6 @@ let undo t =
     t.undo_stack <- rest;
     t.redo_stack <- (program t, what) :: t.redo_stack;
     Engine.set_program t.engine restored;
-    refresh t;
     Ok ()
 
 let redo t =
@@ -336,7 +335,6 @@ let redo t =
     t.redo_stack <- rest;
     t.undo_stack <- (program t, what) :: t.undo_stack;
     Engine.set_program t.engine restored;
-    refresh t;
     Ok ()
 
 (* A price holds while the program and the assertions are physically

@@ -9,6 +9,14 @@
     bypass invalidation by poking state directly — and no command can
     forget (or double-pay for) reanalysis.
 
+    Mutations (focus, edit, transformation, undo, redo, assertion)
+    only change state.  The focus unit is analysed when a command
+    first reads it ({!env}, {!ddg}, the panes, {!diagnose}, ...), and
+    that answer is kept while the program, the assertions and the
+    focus unit are the ones it was asked under: an edit followed by
+    an undo, or three focuses in a row, analyse nothing.  Only
+    {!load} analyses eagerly.
+
     Parallelizability as the editor reports it respects the user's
     contributions: rejected dependences are ignored and
     user-privatized scalars drop their dependences — exactly the
@@ -103,10 +111,11 @@ val telemetry : t -> Telemetry.sink
 
 (** {2 Analysis} *)
 
-(** Force-refresh the focus unit's analyses through the engine (a
-    cache-served no-op unless something actually changed).  Scripts
-    and tests use it; commands never need to — every mutation already
-    refreshes. *)
+(** Ask the engine for the focus unit's analyses now (a cache-served
+    no-op unless something actually changed), even when the session
+    holds a current answer.  Scripts and tests use it to take the
+    analysis cost at a chosen point; commands never need to, as every
+    read asks for what is stale. *)
 val reanalyze : t -> unit
 
 (** Switch the focus unit. *)
@@ -168,7 +177,7 @@ val diagnose :
   t -> string -> Transform.Catalog.args -> (Transform.Diagnosis.t, string) result
 
 (** [transform ?force t name args] — diagnose and, when applicable and
-    safe (or [force]d by the user, as Ped permits), apply and refresh.
+    safe (or [force]d by the user, as Ped permits), apply.
     Returns the diagnosis and whether it was applied; when the
     rewrite itself refuses, its diagnosis is returned with [false]. *)
 val transform :
@@ -184,8 +193,9 @@ val transform :
     and the fuzzer's runtime oracle all parallelize through it. *)
 val parallelize_safe_loops : t -> int
 
-(** [edit_stmt t sid text] — replace a statement with re-parsed
-    [text] (the source pane's editing), then refresh.  An edit that
+(** [edit_stmt t sid text] — replace a statement of the focus unit
+    with re-parsed [text] (the source pane's editing); [Error "no
+    statement sN"] when the unit has no statement [sid].  An edit that
     leaves a GOTO without its label, by adding the GOTO or deleting the
     label, is refused with {!Ast.check_labels}'s message. *)
 val edit_stmt : t -> Ast.stmt_id -> string -> (unit, string) result

@@ -17,6 +17,20 @@ let sid_of_assign cfg var =
 
 let suite =
   [
+    case "node_compare orders nodes as Stdlib.compare does" (fun () ->
+        let nodes =
+          Cfg.[ Entry; Exit; Stmt min_int; Stmt (-1); Stmt 0; Stmt 1; Stmt 7;
+                Stmt max_int ]
+        in
+        List.iter
+          (fun a ->
+            List.iter
+              (fun b ->
+                check_int
+                  (Format.asprintf "%a vs %a" Cfg.pp_node a Cfg.pp_node b)
+                  (Stdlib.compare a b) (Cfg.node_compare a b))
+              nodes)
+          nodes);
     case "straight line chains" (fun () ->
         let cfg = build "      PROGRAM P\n      X = 1\n      Y = 2\n      END\n" in
         let x = Cfg.Stmt (sid_of_assign cfg "X") in

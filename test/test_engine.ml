@@ -342,6 +342,7 @@ let summary_cases =
           ok_exn "focus" (Ped.Session.focus sess "S0000");
           let before = recomputed () in
           identity_edit sess;
+          Ped.Session.reanalyze sess;
           check_int "one unit re-solved" 1 (recomputed () - before);
           check_scratch "after the edit" sess);
     ]
@@ -588,7 +589,10 @@ let warm_candidates_match_scratch (name, program) =
       ~unit_name:(Ast.entry_unit program).Ast.uname
   in
   let warm = load true in
-  List.iter (fun u -> ok_exn "focus" (Ped.Session.focus warm u))
+  List.iter
+    (fun u ->
+      ok_exn "focus" (Ped.Session.focus warm u);
+      Ped.Session.reanalyze warm)
     (unit_names program);
   let scratch = candidate_diagnoses (load false) in
   check_bool (name ^ " has candidates") true (scratch <> []);
@@ -636,6 +640,7 @@ let advise_tests_bounded () =
     List.fold_left
       (fun n name ->
         ok_exn "focus" (Ped.Session.focus sess name);
+        Ped.Session.reanalyze sess;
         let before = Telemetry.value tests in
         ignore (Ped.Command.run sess "advise");
         n + Telemetry.value tests - before)
@@ -665,11 +670,168 @@ let candidate_cases =
         advise_tests_bounded;
     ]
 
+(* --- the lazy session ------------------------------------------------ *)
+
+(* Mutations only change state: nothing is analysed until a command
+   reads the focus unit, and then it is analysed once.  A changed
+   assertion or focus is read afresh, never from the last answer. *)
+let mutations_build_nothing () =
+  let _, sess = load "callnest" in
+  let built s0 s1 what =
+    check_int (what ^ ": environments") 1
+      (delta s0 s1 (fun s -> s.Engine.env_misses))
+  in
+  let s0 = Ped.Session.engine_stats sess in
+  ok_exn "focus" (Ped.Session.focus sess "ROWOP");
+  identity_edit sess;
+  ok_exn "undo" (Ped.Session.undo sess);
+  ok_exn "redo" (Ped.Session.redo sess);
+  Ped.Session.assert_value sess "N" 8;
+  let s1 = Ped.Session.engine_stats sess in
+  List.iter
+    (fun (what, f) -> check_int ("mutations: " ^ what) 0 (delta s0 s1 f))
+    [
+      ("environments", fun s -> s.Engine.env_misses);
+      ("summaries", fun s -> s.Engine.summary_builds);
+      ("pair tests", fun s -> s.Engine.tests_run);
+    ];
+  ignore (Ped.Session.ddg sess);
+  let s2 = Ped.Session.engine_stats sess in
+  built s1 s2 "first read";
+  check_int "first read: summaries" 1
+    (delta s1 s2 (fun s -> s.Engine.summary_builds));
+  ignore (Ped.Pane.dependence_pane sess);
+  ignore (Ped.Session.env sess);
+  let s3 = Ped.Session.engine_stats sess in
+  check_int "later reads: environments" 0
+    (delta s2 s3 (fun s -> s.Engine.env_misses));
+  check_int "later reads: pair tests" 0
+    (delta s2 s3 (fun s -> s.Engine.tests_run));
+  Ped.Session.assert_value sess "N" 9;
+  ignore (Ped.Session.ddg sess);
+  let s4 = Ped.Session.engine_stats sess in
+  built s3 s4 "read after an assertion";
+  ok_exn "focus" (Ped.Session.focus sess "CALLNE");
+  ignore (Ped.Session.ddg sess);
+  built s4 (Ped.Session.engine_stats sess) "read after a focus";
+  check_scratch "lazy" sess
+
+(* A seeded editor command drawn from the session's program alone, so
+   drawing it reads no analysis. *)
+let random_command rng sess =
+  let pick l = List.nth l (Random.State.int rng (List.length l)) in
+  let stmts =
+    Ast.fold_stmts (fun acc s -> s :: acc) [] (focus_unit_of sess).Ast.body
+  in
+  let loops =
+    List.filter_map
+      (fun (s : Ast.stmt) ->
+        match s.Ast.node with Ast.Do _ -> Some s.Ast.sid | _ -> None)
+      stmts
+  and assigns =
+    List.filter_map
+      (fun (s : Ast.stmt) ->
+        match s.Ast.node with Ast.Assign (lhs, _) -> Some (s, lhs) | _ -> None)
+      stmts
+  and scalars =
+    List.sort_uniq String.compare
+      (List.concat_map
+         (fun (s : Ast.stmt) ->
+           List.concat_map
+             (Ast.fold_expr
+                (fun acc e -> match e with Ast.Var v -> v :: acc | _ -> acc)
+                [])
+             (Ast.stmt_exprs s.Ast.node))
+         stmts)
+  in
+  let units = unit_names (Ped.Session.program sess) in
+  let draw = function
+    | 0 -> Some ("unit " ^ pick units)
+    | 1 when assigns <> [] ->
+      let s, lhs = pick assigns in
+      Some
+        (if Random.State.bool rng then
+           Printf.sprintf "edit s%d %s" s.Ast.sid
+             (String.trim (Pretty.stmt_to_string s))
+         else
+           Printf.sprintf "edit s%d %s = %d" s.Ast.sid
+             (Pretty.expr_to_string lhs) (Random.State.int rng 9))
+    | 2 -> Some "undo"
+    | 3 -> Some "redo"
+    | 4 when scalars <> [] ->
+      Some
+        (Printf.sprintf "assert %s = %d" (pick scalars)
+           (1 + Random.State.int rng 64))
+    | 5 when loops <> [] && scalars <> [] ->
+      Some (Printf.sprintf "private s%d %s" (pick loops) (pick scalars))
+    | 6 ->
+      Some
+        (Printf.sprintf "mark %d %s"
+           (1 + Random.State.int rng 8)
+           (pick [ "reject"; "accept"; "pending" ]))
+    | 7 when loops <> [] -> Some (Printf.sprintf "select s%d" (pick loops))
+    | 8 when loops <> [] ->
+      Some (Printf.sprintf "apply parallelize s%d" (pick loops))
+    | _ -> None
+  in
+  let rec go () =
+    match draw (Random.State.int rng 9) with Some c -> c | None -> go ()
+  in
+  go ()
+
+(* A lazy session prints what a session analysed after every command
+   prints: each command's output and then every pane.  The twin replays
+   the lazy session's commands from the same statement-id supply, so
+   its edits and rewrites number their statements alike. *)
+let lazy_matches_eager (name, program) =
+  let rng = Random.State.make [| 31; Hashtbl.hash name |] in
+  let load () =
+    Ped.Session.load program ~unit_name:(Ast.entry_unit program).Ast.uname
+  in
+  let first = Ast.fresh_sid () in
+  let lazy_sess = load () in
+  let transcript =
+    List.init 24 (fun _ ->
+        let cmd = random_command rng lazy_sess in
+        let out = Ped.Command.run lazy_sess cmd in
+        (cmd, out, Ped.Command.run lazy_sess "display"))
+  in
+  let last = Ast.fresh_sid () in
+  Ast.reset_sids ();
+  Ast.ensure_sids_above first;
+  let eager = load () in
+  List.iteri
+    (fun i (cmd, out, display) ->
+      let what = Printf.sprintf "%s, step %d (%s)" name i cmd in
+      Alcotest.(check string) what out (Ped.Command.run eager cmd);
+      Ped.Session.reanalyze eager;
+      Alcotest.(check string) (what ^ ": panes") display
+        (Ped.Command.run eager "display"))
+    transcript;
+  Ast.ensure_sids_above last
+
+let lazy_cases =
+  case "lazy: mutations build nothing until a read" mutations_build_nothing
+  :: List.map
+       (fun (w : Workloads.t) ->
+         case ("lazy = eager on " ^ w.Workloads.name) (fun () ->
+             lazy_matches_eager
+               (w.Workloads.name, Ast.renumber_program (Workloads.program w))))
+       Workloads.all
+  @ List.map
+      (fun (p : Oracle.Stress.profile) ->
+        let name = "smoke:" ^ p.Oracle.Stress.sp_name in
+        case ("lazy = eager on " ^ name) (fun () ->
+            lazy_matches_eager
+              (name, Oracle.Stress.generate (Oracle.Stress.smoke p))))
+      Oracle.Stress.all
+
 let suite =
   List.map burst_case Workloads.all
   @ summary_cases
   @ propagation_cases
   @ candidate_cases
+  @ lazy_cases
   @ [
       case "stats: clean refresh is a pure cache hit" (fun () ->
           let _, sess = load "matmul" in
@@ -685,6 +847,7 @@ let suite =
           let full = (Ped.Session.engine_stats sess).Engine.tests_run in
           let s0 = Ped.Session.engine_stats sess in
           identity_edit sess;
+          Ped.Session.reanalyze sess;
           let s1 = Ped.Session.engine_stats sess in
           check_bool "invalidated" true
             (delta s0 s1 (fun s -> s.Engine.invalidations) >= 1);
@@ -698,8 +861,10 @@ let suite =
       case "stats: undo and redo run no dependence tests" (fun () ->
           let _, sess = load "jacobi" in
           identity_edit sess;
+          Ped.Session.reanalyze sess;
           let s0 = Ped.Session.engine_stats sess in
           ok_exn "undo" (Ped.Session.undo sess);
+          Ped.Session.reanalyze sess;
           let s1 = Ped.Session.engine_stats sess in
           check_int "undo: no tests" 0
             (delta s0 s1 (fun s -> s.Engine.tests_run));
@@ -708,6 +873,7 @@ let suite =
           check_int "undo: no summary rebuild" 0
             (delta s0 s1 (fun s -> s.Engine.summary_builds));
           ok_exn "redo" (Ped.Session.redo sess);
+          Ped.Session.reanalyze sess;
           let s2 = Ped.Session.engine_stats sess in
           check_int "redo: no tests" 0
             (delta s1 s2 (fun s -> s.Engine.tests_run)));
@@ -719,13 +885,15 @@ let suite =
             | Some { Ast.sid; node = Ast.Assign (lhs, _); _ } ->
               ok_exn "edit"
                 (Ped.Session.edit_stmt sess sid
-                   (Printf.sprintf "%s = %d" (Pretty.expr_to_string lhs) k))
+                   (Printf.sprintf "%s = %d" (Pretty.expr_to_string lhs) k));
+              Ped.Session.reanalyze sess
             | _ -> failwith "no assignment"
           done;
           (* the engine holds edits 3..10; undo 8 reaches edit 2 *)
           for k = 1 to 10 do
             let s0 = Ped.Session.engine_stats sess in
             ok_exn "undo" (Ped.Session.undo sess);
+            Ped.Session.reanalyze sess;
             let s1 = Ped.Session.engine_stats sess in
             check_int
               (Printf.sprintf "undo %d: summaries built" k)
@@ -736,8 +904,10 @@ let suite =
       case "stats: refocus back to a cached unit is a hit" (fun () ->
           let _, sess = load "callnest" in
           ok_exn "focus" (Ped.Session.focus sess "ROWOP");
+          Ped.Session.reanalyze sess;
           let s0 = Ped.Session.engine_stats sess in
           ok_exn "refocus" (Ped.Session.focus sess "CALLNE");
+          Ped.Session.reanalyze sess;
           let s1 = Ped.Session.engine_stats sess in
           check_int "env hit" 1 (delta s0 s1 (fun s -> s.Engine.env_hits));
           check_int "no tests" 0 (delta s0 s1 (fun s -> s.Engine.tests_run));
@@ -746,6 +916,7 @@ let suite =
           let _, sess = load "symbounds" in
           let s0 = Ped.Session.engine_stats sess in
           Ped.Session.assert_value sess "M" 64;
+          Ped.Session.reanalyze sess;
           let s1 = Ped.Session.engine_stats sess in
           check_bool "invalidated" true
             (delta s0 s1 (fun s -> s.Engine.invalidations) >= 1);

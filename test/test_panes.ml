@@ -264,6 +264,7 @@ let callee_costs_once () =
   (match Ped.Session.edit_stmt t first.Ast.sid (Pretty.stmt_to_string first) with
   | Ok () -> ()
   | Error e -> Alcotest.fail e);
+  Ped.Session.reanalyze t;
   check_int "the edit rebuilds S0001 only" 1 (envs ());
   ignore (Ped.Pane.loops_pane t);
   check_int "loops read after the edit" 0 (envs ())
