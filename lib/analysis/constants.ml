@@ -14,32 +14,20 @@ let value_equal a b =
   | Clog x, Clog y -> x = y
   | (Cint _ | Creal _ | Clog _), _ -> false
 
-type lat = Const of value | Bot
-
-module SMap = Map.Make (String)
-
-(* absent key = Top (optimistically undefined) *)
-type env = lat SMap.t
+(* One scalar's lattice value; [Top] is optimistically undefined. *)
+type lat = Top | Const of value | Bot
 
 let join_lat a b =
   match (a, b) with
-  | Const x, Const y -> if value_equal x y then Const x else Bot
+  | Top, x | x, Top -> x
+  | Const x, Const y -> if value_equal x y then a else Bot
   | Bot, _ | _, Bot -> Bot
 
-let join_env (a : env) (b : env) : env =
-  SMap.merge
-    (fun _ x y ->
-      match (x, y) with
-      | Some x, Some y -> Some (join_lat x y)
-      | Some x, None | None, Some x -> Some x
-      | None, None -> None)
-    a b
-
-let equal_env (a : env) (b : env) =
-  SMap.equal (fun x y -> match (x, y) with
-    | Const u, Const v -> value_equal u v
-    | Bot, Bot -> true
-    | (Const _ | Bot), _ -> false) a b
+let lat_equal a b =
+  match (a, b) with
+  | Const u, Const v -> value_equal u v
+  | Top, Top | Bot, Bot -> true
+  | (Top | Const _ | Bot), _ -> false
 
 let to_float = function
   | Cint n -> float_of_int n
@@ -138,79 +126,127 @@ let eval_with (lookup : string -> value option) (e : Ast.expr) : value option =
   in
   go e
 
+(* The unit's variables are numbered once; an environment is an array
+   of lattice values by number, never mutated once built, so the solver
+   may share it between nodes.  A name without a number has no
+   definition the analysis sees and stays [Top]. *)
+type env = lat array
+
+(* what a node does to the environment *)
+type action =
+  | Keep
+  | Assign of int * Ast.expr  (* a scalar takes the value of an expression *)
+  | Vary of int list  (* these variables become varying *)
+
 type t = {
-  ctx : Defuse.ctx;
+  tbl : Symbol.table;
+  number : (string, int) Hashtbl.t;
   result : env Dataflow.result;
 }
 
 let analyze (ctx : Defuse.ctx) (cfg : Cfg.t) : t =
   let tbl = Defuse.table ctx in
-  let boundary =
-    List.fold_left
-      (fun acc (i : Symbol.info) ->
-        match i.kind with
-        | Symbol.Scalar | Symbol.Array _ ->
-          if i.param <> None then
-            match Symbol.param_value tbl i.name with
-            | Some n -> SMap.add i.name (Const (Cint n)) acc
-            | None -> acc
-          else if i.formal || i.common <> None then SMap.add i.name Bot acc
-          else acc
-        | Symbol.Routine | Symbol.External_fun | Symbol.Intrinsic -> acc)
-      SMap.empty (Symbol.infos tbl)
+  let number = Hashtbl.create 64 and names = ref [] and count = ref 0 in
+  let num v =
+    match Hashtbl.find_opt number v with
+    | Some k -> k
+    | None ->
+      let k = !count in
+      Hashtbl.replace number v k;
+      names := v :: !names;
+      incr count;
+      k
   in
-  let lookup_in env v =
-    match Symbol.param_value tbl v with
-    | Some n -> Some (Cint n)
-    | None -> (
-      match SMap.find_opt v env with
-      | Some (Const c) -> Some c
-      | Some Bot | None -> None)
+  let vars =
+    List.filter
+      (fun (i : Symbol.info) ->
+        match i.kind with
+        | Symbol.Scalar | Symbol.Array _ -> true
+        | Symbol.Routine | Symbol.External_fun | Symbol.Intrinsic -> false)
+      (Symbol.infos tbl)
+  in
+  List.iter (fun (i : Symbol.info) -> ignore (num i.name)) vars;
+  let actions =
+    Array.init (Cfg.size cfg) (fun i ->
+        match Cfg.stmt_of cfg (Cfg.node_at cfg i) with
+        | None -> Keep
+        | Some s -> (
+          match s.Ast.node with
+          | Ast.Assign (Ast.Var v, rhs) -> Assign (num v, rhs)
+          | Ast.Do (h, _) ->
+            (* the induction variable varies; a proven single-trip loop
+               could keep it constant, but Ped treats it as varying *)
+            Vary [ num h.Ast.dvar ]
+          | Ast.Assign _ | Ast.Call _ | Ast.If _ | Ast.Goto _ | Ast.Continue
+          | Ast.Return | Ast.Stop | Ast.Print _ -> (
+            match Defuse.may_defs ctx s with
+            | [] -> Keep
+            | vs -> Vary (List.map num vs))))
+  in
+  let n = !count in
+  let params =
+    Array.of_list
+      (List.rev_map
+         (fun v -> Option.map (fun n -> Cint n) (Symbol.param_value tbl v))
+         !names)
+  in
+  let boundary = Array.make n Top in
+  List.iter
+    (fun (i : Symbol.info) ->
+      let k = Hashtbl.find number i.name in
+      if i.param <> None then
+        match params.(k) with Some c -> boundary.(k) <- Const c | None -> ()
+      else if i.formal || i.common <> None then boundary.(k) <- Bot)
+    vars;
+  let init = Array.make n Top in
+  let lookup_in (env : env) v =
+    match Hashtbl.find_opt number v with
+    | Some k -> (
+      match params.(k) with
+      | Some _ as c -> c
+      | None -> ( match env.(k) with Const c -> Some c | Top | Bot -> None))
+    | None -> Option.map (fun n -> Cint n) (Symbol.param_value tbl v)
+  in
+  let set (env : env) k x =
+    if lat_equal env.(k) x then env
+    else
+      let env = Array.copy env in
+      env.(k) <- x;
+      env
   in
   let transfer node (env : env) =
-    match node with
-    | Cfg.Entry | Cfg.Exit -> env
-    | Cfg.Stmt _ -> (
-      match Cfg.stmt_of cfg node with
-      | None -> env
-      | Some s -> (
-        match s.Ast.node with
-        | Ast.Assign (Ast.Var v, rhs) -> (
-          match eval_with (lookup_in env) rhs with
-          | Some c -> SMap.add v (Const c) env
-          | None -> SMap.add v Bot env)
-        | Ast.Do (h, _) ->
-          (* the induction variable varies; a proven single-trip loop
-             could keep it constant, but Ped treats it as varying *)
-          SMap.add h.Ast.dvar Bot env
-        | Ast.Assign _ | Ast.Call _ | Ast.If _ | Ast.Goto _ | Ast.Continue
-        | Ast.Return | Ast.Stop | Ast.Print _ ->
-          List.fold_left
-            (fun env v -> SMap.add v Bot env)
-            env (Defuse.may_defs ctx s)))
+    match Option.map (Array.get actions) (Cfg.index cfg node) with
+    | None | Some Keep -> env
+    | Some (Assign (k, rhs)) ->
+      set env k
+        (match eval_with (lookup_in env) rhs with Some c -> Const c | None -> Bot)
+    | Some (Vary ks) ->
+      if List.for_all (fun k -> lat_equal env.(k) Bot) ks then env
+      else
+        let env = Array.copy env in
+        List.iter (fun k -> env.(k) <- Bot) ks;
+        env
+  in
+  let join (a : env) (b : env) =
+    if a == init then b else if b == init then a else Array.map2 join_lat a b
+  in
+  let equal (a : env) (b : env) =
+    let rec from k = k = n || (lat_equal a.(k) b.(k) && from (k + 1)) in
+    from 0
   in
   let problem =
-    {
-      Dataflow.direction = Dataflow.Forward;
-      boundary;
-      init = SMap.empty;
-      join = join_env;
-      equal = equal_env;
-      transfer;
-    }
+    { Dataflow.direction = Dataflow.Forward; boundary; init; join; equal; transfer }
   in
-  { ctx; result = Dataflow.solve cfg problem }
-
-let env_at t sid = Dataflow.input t.result (Cfg.Stmt sid)
+  { tbl; number; result = Dataflow.solve cfg problem }
 
 let const_of_var t sid var =
-  let tbl = Defuse.table t.ctx in
-  match Symbol.param_value tbl var with
+  match Symbol.param_value t.tbl var with
   | Some n -> Some (Cint n)
   | None -> (
-    match SMap.find_opt var (env_at t sid) with
-    | Some (Const c) -> Some c
-    | Some Bot | None -> None)
+    let env = Dataflow.input t.result (Cfg.Stmt sid) in
+    match Hashtbl.find_opt t.number var with
+    | Some k -> ( match env.(k) with Const c -> Some c | Top | Bot -> None)
+    | None -> None)
 
 let const_at t sid e = eval_with (fun v -> const_of_var t sid v) e
 

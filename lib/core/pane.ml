@@ -3,6 +3,7 @@ open Scalar_analysis
 open Dependence
 
 let source_pane (t : Session.t) =
+  Telemetry.span (Session.telemetry t) "pane.source" @@ fun () ->
   match List.find_opt (fun (u : Ast.program_unit) ->
       String.equal u.Ast.uname (Session.unit_name t)) (Session.program t).Ast.punits
   with
@@ -25,48 +26,113 @@ let source_pane (t : Session.t) =
       lines;
     Buffer.contents buf
 
-let dep_row view (d : Ddg.dep) =
-  let dirs =
-    match d.Ddg.dirs with
-    | [] -> "-"
-    | dv :: _ ->
-      Printf.sprintf "(%s)"
-        (String.concat ","
-           (Array.to_list (Array.map Dtest.direction_to_string dv)))
-  in
-  let dist =
-    if Array.exists Option.is_some d.Ddg.dist then
-      Printf.sprintf " d=(%s)"
-        (String.concat ","
-           (Array.to_list
-              (Array.map
-                 (function Some n -> string_of_int n | None -> "*")
-                 d.Ddg.dist)))
-    else ""
-  in
-  let level =
-    match d.Ddg.level with
-    | Some l -> Printf.sprintf "L%d" l
-    | None -> "indep"
-  in
-  Printf.sprintf "#%-4d %-7s %-8s s%-4d -> s%-4d %-10s %-6s %s%s" d.Ddg.dep_id
-    (Ddg.kind_to_string d.Ddg.kind)
-    (if d.Ddg.var = "" then "-" else d.Ddg.var)
-    d.Ddg.src d.Ddg.dst dirs level
-    (Marking.status_to_string (View.status view d))
-    dist
+(* ---- the dependence pane's row writer ----
+
+   A deps read prints thousands of rows, so each is written straight
+   into the pane's buffer: padding from a constant run of spaces,
+   integers digit by digit, directions one character at a time.  The
+   bytes are those of the format
+   ["#%-4d %-7s %-8s s%-4d -> s%-4d %-10s %-6s %s%s"]. *)
+
+let spaces = "          "  (* the widest pad: the 10-column vector *)
+
+let pad buf width used =
+  if used < width then Buffer.add_substring buf spaces 0 (width - used)
+
+let add_padded buf width s =
+  Buffer.add_string buf s;
+  pad buf width (String.length s)
+
+(* digits of [n <= 0], most significant first; working on the negative
+   side keeps [min_int] exact *)
+let rec add_neg_digits buf n =
+  if n <= -10 then add_neg_digits buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 - (n mod 10)))
+
+let add_int buf n =
+  if n < 0 then begin
+    Buffer.add_char buf '-';
+    add_neg_digits buf n
+  end
+  else add_neg_digits buf (-n)
+
+let add_padded_int buf width n =
+  let start = Buffer.length buf in
+  add_int buf n;
+  pad buf width (Buffer.length buf - start)
+
+let dir_char = function Dtest.Dlt -> '<' | Dtest.Deq -> '=' | Dtest.Dgt -> '>'
+
+let add_dep_row buf ~status (d : Ddg.dep) =
+  Buffer.add_char buf '#';
+  add_padded_int buf 4 d.Ddg.dep_id;
+  Buffer.add_char buf ' ';
+  add_padded buf 7 (Ddg.kind_to_string d.Ddg.kind);
+  Buffer.add_char buf ' ';
+  add_padded buf 8 (if d.Ddg.var = "" then "-" else d.Ddg.var);
+  Buffer.add_string buf " s";
+  add_padded_int buf 4 d.Ddg.src;
+  Buffer.add_string buf " -> s";
+  add_padded_int buf 4 d.Ddg.dst;
+  Buffer.add_char buf ' ';
+  (match d.Ddg.dirs with
+  | [] -> add_padded buf 10 "-"
+  | dv :: _ ->
+    Buffer.add_char buf '(';
+    Array.iteri
+      (fun k dir ->
+        if k > 0 then Buffer.add_char buf ',';
+        Buffer.add_char buf (dir_char dir))
+      dv;
+    Buffer.add_char buf ')';
+    let n = Array.length dv in
+    pad buf 10 (n + max 0 (n - 1) + 2));
+  Buffer.add_char buf ' ';
+  (match d.Ddg.level with
+  | Some l ->
+    Buffer.add_char buf 'L';
+    add_padded_int buf 5 l
+  | None -> Buffer.add_string buf "indep ");
+  Buffer.add_char buf ' ';
+  Buffer.add_string buf (Marking.status_to_string status);
+  if Array.exists Option.is_some d.Ddg.dist then begin
+    Buffer.add_string buf " d=(";
+    Array.iteri
+      (fun k dist ->
+        if k > 0 then Buffer.add_char buf ',';
+        match dist with
+        | Some n -> add_int buf n
+        | None -> Buffer.add_char buf '*')
+      d.Ddg.dist;
+    Buffer.add_char buf ')'
+  end
+
+(* The pane is written into one buffer per domain, kept between reads:
+   a fresh buffer the size of a deep unit's pane cost more than writing
+   its rows.  One past [kept_bytes] is dropped after the read. *)
+let scratch = Domain.DLS.new_key (fun () -> Buffer.create 4096)
+let kept_bytes = 1 lsl 20
 
 let dependence_pane (t : Session.t) =
+  Telemetry.span (Session.telemetry t) "pane.deps" @@ fun () ->
   let deps = Session.visible_deps t in
-  let buf = Buffer.create 512 in
+  let buf = Domain.DLS.get scratch in
+  Buffer.clear buf;
   Buffer.add_string buf
     (Printf.sprintf "dependences (%d shown, filter: %s)\n" (List.length deps)
        (Filter.dep_filter_to_string (Session.dep_filter t)));
   let view = Session.view t in
-  List.iter (fun d -> Buffer.add_string buf (dep_row view d ^ "\n")) deps;
-  Buffer.contents buf
+  List.iter
+    (fun d ->
+      add_dep_row buf ~status:(View.status view d) d;
+      Buffer.add_char buf '\n')
+    deps;
+  let pane = Buffer.contents buf in
+  if Buffer.length buf > kept_bytes then Buffer.reset buf;
+  pane
 
 let variable_pane (t : Session.t) =
+  Telemetry.span (Session.telemetry t) "pane.vars" @@ fun () ->
   match (Session.selected t) with
   | None -> "select a loop to see its variables\n"
   | Some sid -> (
@@ -97,6 +163,7 @@ let variable_pane (t : Session.t) =
     | _ -> "selection is not a loop\n")
 
 let loops_pane (t : Session.t) =
+  Telemetry.span (Session.telemetry t) "pane.loops" @@ fun () ->
   let ranked =
     Perf.Estimator.rank_loops ~callee_cost:(Session.callee_cost t)
       (Session.env t)

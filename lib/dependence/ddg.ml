@@ -403,6 +403,36 @@ let run_pairs ~tel (env : Depenv.t) (refs : aref array) (idx_a : int array)
     let bump tbl k =
       Hashtbl.replace tbl k (1 + Option.value ~default:0 (Hashtbl.find_opt tbl k))
     in
+    (* A bucket holds |A|+|B| references but tests up to |A|·|B| pairs,
+       so what depends on one reference alone is computed once per
+       reference: its rendering, the normalized common nest, and its
+       subscripts analysed against that nest.  A common nest is a
+       prefix of each reference's enclosing loops, so its innermost
+       loop names it.  The memos live for one bucket only. *)
+    let memo tbl key f =
+      match Hashtbl.find_opt tbl key with
+      | Some v -> v
+      | None ->
+        let v = f () in
+        Hashtbl.replace tbl key v;
+        v
+    in
+    let rendered = Hashtbl.create 16 in
+    let render i = memo rendered i (fun () -> render_ref refs.(i)) in
+    let nest_key common =
+      match List.rev common with
+      | [] -> -1
+      | (lp : Loopnest.loop) :: _ -> lp.Loopnest.lstmt.Ast.sid
+    in
+    let normalized = Hashtbl.create 8 in
+    let normalize common =
+      memo normalized (nest_key common) (fun () -> Subscript.normalize env common)
+    in
+    let analyzed = Hashtbl.create 16 in
+    let analyze_ref ~norm common i =
+      memo analyzed (i, nest_key common) (fun () ->
+          Subscript.analyze_ref env ~norm refs.(i).r_sid refs.(i).r_subs)
+    in
     let do_pair i j =
       let r1 = refs.(i) and r2 = refs.(j) in
       let self_pair = i = j in
@@ -422,7 +452,7 @@ let run_pairs ~tel (env : Depenv.t) (refs : aref array) (idx_a : int array)
         (* ddg-level provenance context the pure tester cannot see:
            the rendered pair, alias uncertainty, call summaries *)
         let enrich ~swap (prov : Explain.Provenance.t) =
-          let a, b = (render_ref r1, render_ref r2) in
+          let a, b = (render i, render j) in
           let extra =
             (if alias_kind = `May then
                [ Explain.Provenance.May_alias (r1.r_array, r2.r_array) ]
@@ -443,12 +473,12 @@ let run_pairs ~tel (env : Depenv.t) (refs : aref array) (idx_a : int array)
         in
         let result =
           match
-            (if alias_kind = `Aligned then Subscript.normalize env common
+            (if alias_kind = `Aligned then normalize common
              else None (* unknown offset: subscripts incomparable *))
           with
           | Some norm ->
-            let d1 = Subscript.analyze_ref env ~norm r1.r_sid r1.r_subs in
-            let d2 = Subscript.analyze_ref env ~norm r2.r_sid r2.r_subs in
+            let d1 = analyze_ref ~norm common i in
+            let d2 = analyze_ref ~norm common j in
             Dtest.test_pair ~telemetry:tel env ~common:norm
               ~src:(r1.r_sid, d1) ~dst:(r2.r_sid, d2)
           | None -> (

@@ -1,6 +1,7 @@
 (* Reference oracles for the scalar analyses: the set-based reaching
-   definitions and dominator algorithms that the bit-vector and
-   Cooper–Harvey–Kennedy versions in lib/analysis replaced.  They are
+   definitions, dominator algorithms and constant propagation that the
+   bit-vector, Cooper–Harvey–Kennedy and numbered-variable versions in
+   lib/analysis replaced.  They are
    slow and plainly correct; the dataflow suite checks the library
    against them on random programs. *)
 
@@ -118,3 +119,87 @@ let idom dom_set n =
       then Some cand
       else acc)
     strict None
+
+(* Constant propagation over string-keyed maps, one per node: an absent
+   key is unknown (top), PARAMETERs seed the entry, formals and COMMON
+   variables enter varying, and every may-definition the transfer
+   cannot evaluate makes its variable varying. *)
+module SMap = Map.Make (String)
+
+type lat = Const of Constants.value | Bot
+
+let value_equal (a : Constants.value) (b : Constants.value) =
+  match (a, b) with
+  | Cint x, Cint y -> x = y
+  | Creal x, Creal y -> x = y
+  | Clog x, Clog y -> x = y
+  | (Cint _ | Creal _ | Clog _), _ -> false
+
+let join_lat a b =
+  match (a, b) with
+  | Const x, Const y -> if value_equal x y then Const x else Bot
+  | Bot, _ | _, Bot -> Bot
+
+let constants_problem (ctx : Defuse.ctx) (cfg : Cfg.t) : lat SMap.t Dataflow.problem =
+  let tbl = Defuse.table ctx in
+  let boundary =
+    List.fold_left
+      (fun acc (i : Symbol.info) ->
+        match i.kind with
+        | Symbol.Scalar | Symbol.Array _ ->
+          if i.param <> None then
+            match Symbol.param_value tbl i.name with
+            | Some n -> SMap.add i.name (Const (Cint n)) acc
+            | None -> acc
+          else if i.formal || i.common <> None then SMap.add i.name Bot acc
+          else acc
+        | Symbol.Routine | Symbol.External_fun | Symbol.Intrinsic -> acc)
+      SMap.empty (Symbol.infos tbl)
+  in
+  let lookup_in env v =
+    match Symbol.param_value tbl v with
+    | Some n -> Some (Constants.Cint n)
+    | None -> (
+      match SMap.find_opt v env with Some (Const c) -> Some c | Some Bot | None -> None)
+  in
+  let transfer node env =
+    match Cfg.stmt_of cfg node with
+    | None -> env
+    | Some s -> (
+      match s.Ast.node with
+      | Ast.Assign (Ast.Var v, rhs) -> (
+        match Constants.eval_with (lookup_in env) rhs with
+        | Some c -> SMap.add v (Const c) env
+        | None -> SMap.add v Bot env)
+      | Ast.Do (h, _) -> SMap.add h.Ast.dvar Bot env
+      | Ast.Assign _ | Ast.Call _ | Ast.If _ | Ast.Goto _ | Ast.Continue
+      | Ast.Return | Ast.Stop | Ast.Print _ ->
+        List.fold_left (fun env v -> SMap.add v Bot env) env (Defuse.may_defs ctx s))
+  in
+  {
+    Dataflow.direction = Dataflow.Forward;
+    boundary;
+    init = SMap.empty;
+    join =
+      SMap.merge (fun _ x y ->
+          match (x, y) with
+          | Some x, Some y -> Some (join_lat x y)
+          | Some x, None | None, Some x -> Some x
+          | None, None -> None);
+    equal =
+      SMap.equal (fun x y ->
+          match (x, y) with
+          | Const u, Const v -> value_equal u v
+          | Bot, Bot -> true
+          | (Const _ | Bot), _ -> false);
+    transfer;
+  }
+
+(* The constant of [var] on entry to statement [sid]. *)
+let const_of_var ctx result sid var =
+  match Symbol.param_value (Defuse.table ctx) var with
+  | Some n -> Some (Constants.Cint n)
+  | None -> (
+    match SMap.find_opt var (Dataflow.input result (Cfg.Stmt sid)) with
+    | Some (Const c) -> Some c
+    | Some Bot | None -> None)

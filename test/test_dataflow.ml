@@ -418,6 +418,53 @@ let matches_references =
           true)
         (units_of p))
 
+(* The first statement and symbol where constant propagation differs
+   from the map-based reference, if any: every symbol of the unit at
+   every statement. *)
+let constants_mismatch (ctx, cfg) =
+  let c = Constants.analyze ctx cfg in
+  let reference = Dataflow.solve cfg (Ref_scalar.constants_problem ctx cfg) in
+  let names = List.map (fun (i : Symbol.info) -> i.Symbol.name) (Symbol.infos (Defuse.table ctx)) in
+  List.find_map
+    (fun n ->
+      match Cfg.stmt_of cfg n with
+      | None -> None
+      | Some s ->
+        let sid = s.Ast.sid in
+        List.find_map
+          (fun v ->
+            let got = Constants.const_of_var c sid v
+            and want = Ref_scalar.const_of_var ctx reference sid v in
+            (* [compare], not [=]: a NaN constant equals itself *)
+            if compare got want = 0 then None
+            else Some (Printf.sprintf "%s at s%d" v sid))
+          names)
+    (Cfg.nodes cfg)
+
+let constants_match_reference =
+  QCheck2.Test.make ~count:60 ~name:"constant propagation equals the map-based reference"
+    ~print:Pretty.program_to_string gen_goto_program (fun p ->
+      List.for_all
+        (fun unit ->
+          match constants_mismatch unit with
+          | None -> true
+          | Some where -> QCheck2.Test.fail_reportf "const_of_var differs: %s" where)
+        (units_of p))
+
+(* The same on the stress profiles, smoke and full. *)
+let constants_match_reference_stress () =
+  List.iter
+    (fun (name, prog) ->
+      List.iter
+        (fun unit ->
+          Option.iter
+            (Alcotest.failf "%s: const_of_var differs from the reference: %s" name)
+            (constants_mismatch unit))
+        (units_of prog))
+    (List.filter
+       (fun (name, _) -> String.starts_with ~prefix:"stress:" name)
+       (scalar_programs ()))
+
 (* A solution is a fixed point when every node's input is the join of
    its flow predecessors' outputs (from the boundary value at the
    boundary node, from [init] elsewhere) and its output is the
@@ -705,5 +752,8 @@ let suite =
       case "scalar analyses match pinned digests" scalar_digests_pinned;
       case "no solve on stress:deep visits over 10x its nodes" deep_visit_bound;
     qcheck_case matches_references;
+    qcheck_case constants_match_reference;
+    case "constant propagation equals the reference on the stress profiles"
+      constants_match_reference_stress;
     qcheck_case solutions_are_fixed_points;
   ]

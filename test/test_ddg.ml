@@ -379,3 +379,83 @@ let defuse_queries_linear () =
 
 let suite =
   suite @ [ case "scalar passes query Defuse once per statement" defuse_queries_linear ]
+
+(* Provenance names the tested references.  Every array dependence's
+   pair is its own references, rendered here independently (a CALL's
+   whole-array summary prints a star per dimension; a backward edge
+   lists its destination's reference second); every no-dependence's
+   pair is a reference of its variable at its source and a reference
+   at its destination, on the 17 workloads' interprocedural graphs. *)
+let render_ref name subs =
+  Printf.sprintf "%s(%s)" name
+    (String.concat ","
+       (List.map
+          (function Ast.Index ("%STAR", []) -> "*" | e -> Pretty.expr_to_string e)
+          subs))
+
+let refs_at (env : Depenv.t) sid =
+  match Depenv.stmt env sid with
+  | None -> []
+  | Some s ->
+    List.map (fun (a, subs) -> (a, render_ref a subs))
+      (Scalar_analysis.Defuse.array_writes env.Depenv.ctx s
+       @ Scalar_analysis.Defuse.array_reads env.Depenv.ctx s)
+    @ List.map
+        (fun (a, subs, _) ->
+          let subs =
+            match subs with
+            | Some subs -> subs
+            | None ->
+              List.init
+                (max 1 (List.length (Symbol.array_dims env.Depenv.tbl a)))
+                (fun _ -> Ast.Index ("%STAR", []))
+          in
+          (a, render_ref a subs))
+        (env.Depenv.call_refs s)
+
+let provenance_pairs_are_the_tested_refs () =
+  List.iter
+    (fun (w : Workloads.t) ->
+      let prog = Workloads.program w in
+      let summary = Interproc.Summary.analyze prog in
+      List.iter
+        (fun (u : Ast.program_unit) ->
+          let env = Interproc.Summary.env_for summary u in
+          let g = Ddg.compute env in
+          let where = Printf.sprintf "%s %s" w.Workloads.name u.Ast.uname in
+          let pair_str = function
+            | Some (a, b) -> Printf.sprintf "(%s, %s)" a b
+            | None -> "none"
+          in
+          List.iter
+            (fun (d : Ddg.dep) ->
+              match (d.Ddg.src_ref, d.Ddg.dst_ref) with
+              | Some (Ast.Index (a, sa)), Some (Ast.Index (b, sb))
+                when (not d.Ddg.is_scalar) && d.Ddg.kind <> Ddg.Control ->
+                check_string
+                  (Printf.sprintf "%s s%d->s%d %s" where d.Ddg.src d.Ddg.dst d.Ddg.var)
+                  (pair_str (Some (render_ref a sa, render_ref b sb)))
+                  (pair_str d.Ddg.prov.Explain.Provenance.pair)
+              | _ -> ())
+            g.Ddg.deps;
+          List.iter
+            (fun (nd : Ddg.nodep) ->
+              let ok =
+                match nd.Ddg.nd_prov.Explain.Provenance.pair with
+                | Some (a, b) ->
+                  List.mem (nd.Ddg.nd_var, a) (refs_at env nd.Ddg.nd_src)
+                  && List.exists (fun (_, r) -> String.equal r b) (refs_at env nd.Ddg.nd_dst)
+                | None -> false
+              in
+              check_bool
+                (Printf.sprintf "%s no dependence s%d->s%d %s: %s" where nd.Ddg.nd_src
+                   nd.Ddg.nd_dst nd.Ddg.nd_var
+                   (pair_str nd.Ddg.nd_prov.Explain.Provenance.pair))
+                true ok)
+            g.Ddg.nodeps)
+        prog.Ast.punits)
+    Workloads.all
+
+let suite =
+  suite
+  @ [ case "provenance pairs are the tested references" provenance_pairs_are_the_tested_refs ]

@@ -392,6 +392,116 @@ let never_stale () =
   ignore (Ped.Session.mark_dep t (List.hd (carried_edges t)).Ddg.dep_id Ped.Marking.Pending);
   same_as_fresh "clear a mark" t
 
+(* ---- the row writer ---- *)
+
+(* The dependence pane's row as the Printf format prints it: the
+   reference the buffer writer must match byte for byte. *)
+let printf_row status (d : Ddg.dep) =
+  let dirs =
+    match d.Ddg.dirs with
+    | [] -> "-"
+    | dv :: _ ->
+      Printf.sprintf "(%s)"
+        (String.concat "," (Array.to_list (Array.map Dtest.direction_to_string dv)))
+  in
+  let dist =
+    if Array.exists Option.is_some d.Ddg.dist then
+      Printf.sprintf " d=(%s)"
+        (String.concat ","
+           (Array.to_list
+              (Array.map (function Some n -> string_of_int n | None -> "*") d.Ddg.dist)))
+    else ""
+  in
+  let level = match d.Ddg.level with Some l -> Printf.sprintf "L%d" l | None -> "indep" in
+  Printf.sprintf "#%-4d %-7s %-8s s%-4d -> s%-4d %-10s %-6s %s%s" d.Ddg.dep_id
+    (Ddg.kind_to_string d.Ddg.kind)
+    (if d.Ddg.var = "" then "-" else d.Ddg.var)
+    d.Ddg.src d.Ddg.dst dirs level
+    (Ped.Marking.status_to_string status)
+    dist
+
+let written_row status d =
+  let buf = Buffer.create 80 in
+  Ped.Pane.add_dep_row buf ~status d;
+  Buffer.contents buf
+
+let printf_pane t =
+  let deps = Ped.Session.visible_deps t in
+  let view = Ped.Session.view t in
+  Printf.sprintf "dependences (%d shown, filter: %s)\n" (List.length deps)
+    (Ped.Filter.dep_filter_to_string (Ped.Session.dep_filter t))
+  ^ String.concat ""
+      (List.map (fun d -> printf_row (Ped.View.status view d) d ^ "\n") deps)
+
+(* Every edge of the unit's graph, with the status the view gives it,
+   and the pane as the session shows it. *)
+let rows_match what t =
+  let view = Ped.Session.view t in
+  List.iter
+    (fun (d : Ddg.dep) ->
+      let status = Ped.View.status view d in
+      check_string
+        (Printf.sprintf "%s #%d" what d.Ddg.dep_id)
+        (printf_row status d) (written_row status d))
+    (Ped.Session.ddg t).Ddg.deps;
+  check_string (what ^ ": pane") (printf_pane t) (Ped.Pane.dependence_pane t)
+
+let writer_matches_printf_programs () =
+  List.iter
+    (fun (name, (program : Ast.program)) ->
+      List.iter
+        (fun (u : Ast.program_unit) ->
+          let unit_name = u.Ast.uname in
+          let t = Ped.Session.load program ~unit_name in
+          rows_match (name ^ " " ^ unit_name) t;
+          ignore (transcript t (mark_lines t));
+          rows_match (name ^ " " ^ unit_name ^ " marked") t)
+        program.Ast.punits)
+    (workloads () @ smoke_profiles ())
+
+let crafted ?(dirs = []) ?(dist = [||]) ?(level = None) ?(var = "A")
+    ?(kind = Ddg.Flow) ~id ~src ~dst () : Ddg.dep =
+  { Ddg.dep_id = id; kind; var; src; dst; src_ref = None; dst_ref = None; level;
+    carrier = None; dirs; dist; exact = false; test = "crafted"; is_scalar = false;
+    prov = Explain.Provenance.simple ~tier:"crafted" Explain.Provenance.Assumed }
+
+(* Edges the programs may never produce: negative and unknown
+   distances, ids and statements of five digits or more, long names,
+   vectors wider than their column, control edges, every status. *)
+let writer_matches_printf_crafted () =
+  let open Dtest in
+  let edges =
+    [
+      crafted ~id:1 ~src:2 ~dst:3 ();
+      crafted ~id:12 ~src:3 ~dst:3 ~dirs:[ [| Dlt |] ] ~dist:[| Some 1 |] ~level:(Some 1) ();
+      crafted ~id:123 ~src:4 ~dst:5 ~dirs:[ [| Deq; Dgt |]; [| Dlt; Dlt |] ]
+        ~dist:[| Some 0; Some (-3) |] ~level:(Some 2) ~kind:Ddg.Anti ();
+      crafted ~id:9999 ~src:10_000 ~dst:123_456 ~dirs:[ [| Dlt; Deq; Dgt |] ]
+        ~dist:[| None; Some (-12); None |] ~level:(Some 1) ~kind:Ddg.Output ();
+      crafted ~id:10_000 ~src:99_999 ~dst:1 ~dirs:[ [| Dlt; Deq; Deq; Deq; Dgt |] ]
+        ~dist:[| Some 1; Some 0; None; Some 0; Some (-1) |] ~level:(Some 1) ();
+      crafted ~id:1_000_000 ~src:7 ~dst:8
+        ~dirs:[ [| Deq; Deq; Deq; Deq; Deq; Deq; Dlt |] ]
+        ~dist:[| None; None; None; None; None; None; None |] ~level:(Some 7)
+        ~var:"AVERYLONGNAME" ();
+      crafted ~id:42 ~src:1 ~dst:2 ~dist:[| None; None |] ~var:"ABCDEFGH" ();
+      crafted ~id:43 ~src:1 ~dst:2 ~dirs:[ [||] ] ~var:"ABCDEFGHI" ();
+      crafted ~id:44 ~src:(-5) ~dst:0 ~dist:[| Some min_int; Some max_int |]
+        ~level:(Some 123_456) ();
+      crafted ~id:7 ~src:11 ~dst:12 ~var:"" ~kind:Ddg.Control ();
+      crafted ~id:8 ~src:11 ~dst:13 ~var:"" ~kind:Ddg.Control ~level:(Some 1) ();
+    ]
+  in
+  List.iter
+    (fun (d : Ddg.dep) ->
+      List.iter
+        (fun status ->
+          check_string
+            (Printf.sprintf "#%d %s" d.Ddg.dep_id (Ped.Marking.status_to_string status))
+            (printf_row status d) (written_row status d))
+        Ped.Marking.[ Proven; Pending; Accepted; Rejected ])
+    edges
+
 (* ---- every advice holds ---- *)
 
 (* The loop directly inside [sid]. *)
@@ -480,4 +590,7 @@ let suite =
     case "callee costs run under a named span" callee_costs_named;
     case "the view is never stale" never_stale;
     case "every advice holds" every_advice_holds;
+    case "the row writer prints every program's edges as Printf does"
+      writer_matches_printf_programs;
+    case "the row writer prints crafted edges as Printf does" writer_matches_printf_crafted;
   ]
