@@ -144,20 +144,44 @@ let first_non_eq (dv : Dtest.direction array) : (int * Dtest.direction) option =
 (* Array dependence testing — the expensive part of graph building —  *)
 (* is performed in buckets: the unit body is partitioned into top-    *)
 (* level statement groups (a whole DO nest is one group) and every     *)
-(* ordered pair of groups is tested as one unit of work.  A bucket's   *)
-(* result depends only on the two groups' contents (statements, ids,   *)
-(* call side effects) and on the scalar environment the subscript      *)
-(* machinery can observe from their statements (reaching definitions,  *)
-(* constants, assertions, aliases, config) — so a bucket keyed by a    *)
-(* digest of exactly those inputs can be replayed from a cache when    *)
-(* an edit elsewhere in the unit left them untouched.                  *)
+(* ordered pair of groups is tested as one unit of work.  A bucket is  *)
+(* keyed on exactly the facts its pair tests read, so an edit re-tests *)
+(* only the buckets whose references or scalar facts it changed, and   *)
+(* any change of a fact the tests read changes the key.  Per group:    *)
+(*                                                                     *)
+(*   content  each statement's parent (by ordinal in the group), kind, *)
+(*            DO header, auxiliary inductions and may-defs (loop       *)
+(*            normalization, invariance, CALL Mod effects); each       *)
+(*            reference's statement ordinal, array, subscripts, write  *)
+(*            and CALL-summary flags;                                  *)
+(*   context  per statement with references: each subscript's forward- *)
+(*            substituted form ([Subscript.dim_form]), and for every   *)
+(*            scalar of the subscripts, of those forms and of the      *)
+(*            enclosing loop headers its constant there and its        *)
+(*            reaching definitions; per DO, its bound scalars'         *)
+(*            constants at the loop.                                   *)
+(*                                                                     *)
+(* The key holds no statement id and no source location, so a bucket   *)
+(* replays under renumbered ids: it is stored with bucket-local        *)
+(* statement indices and [assemble] maps them back.  A reaching        *)
+(* definition is encoded by its statement's position in the unit, not *)
+(* by id or group ordinal, so one definition reads the same in both    *)
+(* groups' keys (the tests compare the two ends' definitions) and      *)
+(* across renumbered programs sharing a cache.  A global part covers   *)
+(* the config, assertions and alias relation, and the key records      *)
+(* whether the two groups are one (a self-bucket tests only j >= i).   *)
 (* ------------------------------------------------------------------ *)
 
 type bucket = {
-  b_deps : dep list;  (* emission order; dep_ids are renumbered on merge *)
-  b_nodeps : nodep list;  (* disproved pairs, emission order *)
+  b_deps : dep list list;
+      (* one list per oriented reference pair, its levels in order of
+         first appearance; endpoints and carriers are bucket-local
+         statement indices (the first group's statements in preorder,
+         then the second's); dep_ids are assigned on merge *)
+  b_nodeps : nodep list;  (* disproved pairs, emission order, local indices *)
   b_pairs : int;
   b_disproved : (string * int) list;
+  b_origin : int;  (* hash of the statement ids the bucket was tested under *)
 }
 
 (* The memo table is shared by concurrent bucket tests (several
@@ -220,63 +244,167 @@ let import_cache (s : string) ~(into : cache) : int =
         imported;
       !added)
 
-(* A definition site's analysis-relevant content: forward substitution
-   reads an assignment's right-hand side, induction rewriting reads a
-   DO header — bodies of nested statements are covered by their own
-   statements' signatures. *)
-let shallow_sig (s : Ast.stmt) =
-  let bytes x = Marshal.to_string x [ Marshal.No_sharing ] in
-  match s.Ast.node with
-  | Ast.Do (h, _) -> bytes (s.Ast.sid, h.Ast.dvar, h.Ast.lo, h.Ast.hi, h.Ast.step)
-  | Ast.If (branches, _) -> bytes (s.Ast.sid, List.map fst branches)
-  | node -> bytes (s.Ast.sid, node)
+(* ---- key writing: straight into a buffer, self-delimiting ---- *)
 
-(* Scalar facts a group's dependence tests can consume: for every
-   scalar used at each statement, its propagated constant and the
-   contents of the definitions reaching it (forward substitution and
-   symbol cancellation read those). *)
-let group_ctx_sig (env : Depenv.t) (top : Ast.stmt) =
-  let buf = Buffer.create 512 in
-  Ast.iter_stmts
-    (fun s ->
-      let vars =
-        Defuse.uses env.Depenv.ctx s
-        |> List.filter (fun v -> not (Symbol.is_array env.Depenv.tbl v))
-        |> List.sort_uniq String.compare
-      in
+let add_int buf n =
+  Buffer.add_string buf (string_of_int n);
+  Buffer.add_char buf ';'
+
+let add_name buf v =
+  Buffer.add_string buf v;
+  Buffer.add_char buf ';'
+
+let binop_char : Ast.binop -> char = function
+  | Ast.Add -> '+' | Ast.Sub -> '-' | Ast.Mul -> '*' | Ast.Div -> '/'
+  | Ast.Pow -> '^' | Ast.Lt -> '<' | Ast.Le -> 'l' | Ast.Gt -> '>'
+  | Ast.Ge -> 'g' | Ast.Eq -> '=' | Ast.Ne -> '!' | Ast.And -> '&'
+  | Ast.Or -> '|'
+
+let rec add_expr buf (e : Ast.expr) =
+  match e with
+  | Ast.Int n ->
+    Buffer.add_char buf 'i';
+    add_int buf n
+  | Ast.Real f ->
+    Buffer.add_char buf 'r';
+    Buffer.add_int64_le buf (Int64.bits_of_float f)
+  | Ast.Logic b -> Buffer.add_char buf (if b then 'T' else 'F')
+  | Ast.Str s ->
+    Buffer.add_char buf 's';
+    add_int buf (String.length s);
+    Buffer.add_string buf s
+  | Ast.Var v ->
+    Buffer.add_char buf 'v';
+    add_name buf v
+  | Ast.Index (b, args) ->
+    Buffer.add_char buf 'x';
+    add_name buf b;
+    List.iter (add_expr buf) args;
+    Buffer.add_char buf ')'
+  | Ast.Bin (op, a, b) ->
+    Buffer.add_char buf 'b';
+    Buffer.add_char buf (binop_char op);
+    add_expr buf a;
+    add_expr buf b
+  | Ast.Un (op, a) ->
+    Buffer.add_char buf 'u';
+    Buffer.add_char buf (match op with Ast.Neg -> '-' | Ast.Not -> '!');
+    add_expr buf a
+
+(* The scalars an expression reads.  Linearization and substitution
+   only ever resolve [Var]s, so index bases are left out. *)
+let rec expr_scalars acc (e : Ast.expr) =
+  match e with
+  | Ast.Var v -> v :: acc
+  | Ast.Index (_, args) -> List.fold_left expr_scalars acc args
+  | Ast.Bin (_, a, b) -> expr_scalars (expr_scalars acc a) b
+  | Ast.Un (_, a) -> expr_scalars acc a
+  | Ast.Int _ | Ast.Real _ | Ast.Logic _ | Ast.Str _ -> acc
+
+let header_scalars (h : Ast.do_header) =
+  List.fold_left expr_scalars [] (h.Ast.lo :: h.Ast.hi :: Option.to_list h.Ast.step)
+  |> List.sort_uniq String.compare
+
+(* One group's part of its buckets' keys (see the section comment).
+   [idx] are the group's reference indices, in preorder; [index] maps
+   a statement id to its position in the unit's preorder, of which the
+   group occupies [base ..]. *)
+let group_sig (env : Depenv.t) ~(index : Ast.stmt_id -> int) ~base
+    (refs : aref array) (idx : int array) (top : Ast.stmt) : string =
+  let buf = Buffer.create 1024 in
+  let const_at sid v =
+    match Depenv.const_var_at env sid v with
+    | Some n -> add_int buf n
+    | None -> Buffer.add_char buf '?'
+  in
+  let defs_at sid v =
+    Reaching.defs_of_use env.Depenv.reaching sid v
+    |> List.map (fun (d : Reaching.def) ->
+           match d.Reaching.def_at with
+           | Cfg.Stmt dsid -> index dsid
+           | Cfg.Entry -> -1
+           | Cfg.Exit -> -2)
+    |> List.sort Int.compare
+    |> List.iter (add_int buf)
+  in
+  let next = ref 0 in
+  let ordinal = ref 0 in
+  let rec walk parent loop_scalars (s : Ast.stmt) =
+    let me = !ordinal in
+    incr ordinal;
+    Buffer.add_char buf 'S';
+    add_int buf parent;
+    let loop_scalars =
+      match s.Ast.node with
+      | Ast.Do (h, _) ->
+        let hs = header_scalars h in
+        Buffer.add_char buf 'D';
+        add_name buf h.Ast.dvar;
+        add_expr buf h.Ast.lo;
+        add_expr buf h.Ast.hi;
+        Option.iter (add_expr buf) h.Ast.step;
+        Buffer.add_char buf 'a';
+        List.iter
+          (fun (v, stride, inc) ->
+            add_name buf v;
+            add_int buf stride;
+            add_int buf (index inc - base))
+          (Varclass.aux_inductions env.Depenv.ctx s);
+        Buffer.add_char buf 'k';
+        List.iter
+          (fun v ->
+            add_name buf v;
+            const_at s.Ast.sid v)
+          hs;
+        hs @ loop_scalars
+      | Ast.Assign _ -> Buffer.add_char buf 'A'; loop_scalars
+      | Ast.If _ -> Buffer.add_char buf 'I'; loop_scalars
+      | Ast.Call _ -> Buffer.add_char buf 'C'; loop_scalars
+      | Ast.Goto _ | Ast.Continue | Ast.Return | Ast.Stop | Ast.Print _ ->
+        Buffer.add_char buf 'O';
+        loop_scalars
+    in
+    Buffer.add_char buf 'M';
+    List.iter (add_name buf) (Defuse.may_defs env.Depenv.ctx s);
+    (* the statement's references, then what their tests read *)
+    let first = !next in
+    while !next < Array.length idx && refs.(idx.(!next)).r_pos - 1 = base + me do
+      let r = refs.(idx.(!next)) in
+      Buffer.add_char buf (if r.r_write then 'W' else 'R');
+      Buffer.add_char buf (if r.r_call then 'c' else 's');
+      add_name buf r.r_array;
+      List.iter (add_expr buf) r.r_subs;
+      Buffer.add_char buf ')';
+      incr next
+    done;
+    if !next > first then begin
+      let scalars = ref loop_scalars in
+      for j = first to !next - 1 do
+        List.iter
+          (fun e ->
+            let form = Subscript.dim_form env s.Ast.sid e in
+            Buffer.add_char buf 'F';
+            add_expr buf form;
+            scalars := expr_scalars (expr_scalars !scalars e) form)
+          refs.(idx.(j)).r_subs
+      done;
       List.iter
         (fun v ->
-          Buffer.add_string buf (Printf.sprintf "%d:%s=" s.Ast.sid v);
-          (match Depenv.const_var_at env s.Ast.sid v with
-          | Some n -> Buffer.add_string buf (string_of_int n)
-          | None -> Buffer.add_char buf '?');
-          List.iter
-            (fun (d : Reaching.def) ->
-              match d.Reaching.def_at with
-              | Cfg.Stmt dsid -> (
-                match Depenv.stmt env dsid with
-                | Some ds -> Buffer.add_string buf (shallow_sig ds)
-                | None -> Buffer.add_string buf (Printf.sprintf "@%d" dsid))
-              | Cfg.Entry -> Buffer.add_string buf "@entry"
-              | Cfg.Exit -> Buffer.add_string buf "@exit")
-            (Reaching.defs_of_use env.Depenv.reaching s.Ast.sid v))
-        vars)
-    [ top ];
-  Digest.string (Buffer.contents buf)
-
-(* Content of a group: its statements (with ids) plus the array side
-   effects interprocedural analysis reports for its CALLs. *)
-let group_content_sig (env : Depenv.t) (top : Ast.stmt) =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf (Marshal.to_string top [ Marshal.No_sharing ]);
-  Ast.iter_stmts
-    (fun s ->
-      match s.Ast.node with
-      | Ast.Call _ ->
-        Buffer.add_string buf
-          (Marshal.to_string (env.Depenv.call_refs s) [ Marshal.No_sharing ])
-      | _ -> ())
-    [ top ];
+          Buffer.add_char buf 'V';
+          add_name buf v;
+          const_at s.Ast.sid v;
+          defs_at s.Ast.sid v)
+        (List.sort_uniq String.compare !scalars)
+    end;
+    match s.Ast.node with
+    | Ast.Do (_, body) -> List.iter (walk me loop_scalars) body
+    | Ast.If (branches, els) ->
+      List.iter (fun (_, body) -> List.iter (walk me loop_scalars) body) branches;
+      List.iter (walk me loop_scalars) els
+    | Ast.Assign _ | Ast.Call _ | Ast.Goto _ | Ast.Continue | Ast.Return
+    | Ast.Stop | Ast.Print _ -> ()
+  in
+  walk (-1) [] top;
   Digest.string (Buffer.contents buf)
 
 (* ------------------------------------------------------------------ *)
@@ -305,6 +433,11 @@ type task = { t_g1 : int; t_g2 : int; t_key : string option }
 type plan = {
   p_env : Depenv.t;
   p_refs : aref array;
+  p_stmts : Ast.stmt array;  (* the unit's statements in preorder *)
+  p_index : (Ast.stmt_id, int) Hashtbl.t;  (* id -> position in [p_stmts] *)
+  p_base : int array;  (* each top-level group's first position *)
+  p_size : int array;  (* statements per group *)
+  p_ids : int array;  (* hash of each group's statement ids, when keyed *)
   p_groups : int array array;  (* ref indices of each top-level group *)
   p_tasks : task array;  (* canonical (g1, g2) lexicographic order *)
   p_keyed : bool;
@@ -325,56 +458,81 @@ let plan ?telemetry ?(keyed = false) (env : Depenv.t) : plan =
   let refs = Array.of_list (collect_refs env) in
   let n_refs = Array.length refs in
 
-  (* ---- partition references into top-level statement groups ---- *)
-  let tops = Array.of_list env.Depenv.punit.Ast.body in
-  let ngroups = Array.length tops in
-  let group_of_sid = Hashtbl.create 64 in
-  Array.iteri
-    (fun g top ->
-      Ast.iter_stmts (fun s -> Hashtbl.replace group_of_sid s.Ast.sid g) [ top ])
-    tops;
+  (* ---- the unit's statements, partitioned into top-level groups:
+     a group is a contiguous run of the preorder ---- *)
+  let body = env.Depenv.punit.Ast.body in
+  let stmts =
+    Array.of_list (List.rev (Ast.fold_stmts (fun acc s -> s :: acc) [] body))
+  in
+  let n_stmts = Array.length stmts in
+  let index = Hashtbl.create (2 * n_stmts) in
+  Array.iteri (fun i (s : Ast.stmt) -> Hashtbl.replace index s.Ast.sid i) stmts;
+  let size =
+    Array.of_list
+      (List.map (fun top -> Ast.fold_stmts (fun n _ -> n + 1) 0 [ top ]) body)
+  in
+  let ngroups = Array.length size in
+  let base = Array.make ngroups 0 in
+  for g = 1 to ngroups - 1 do
+    base.(g) <- base.(g - 1) + size.(g - 1)
+  done;
+  let group_of = Array.make n_stmts 0 in
+  Array.iteri (fun g b -> Array.fill group_of b size.(g) g) base;
   let by_group = Array.make ngroups [] in
   for i = n_refs - 1 downto 0 do
-    match Hashtbl.find_opt group_of_sid refs.(i).r_sid with
-    | Some g -> by_group.(g) <- i :: by_group.(g)
-    | None -> ()
+    let g = group_of.(refs.(i).r_pos - 1) in
+    by_group.(g) <- i :: by_group.(g)
   done;
   let by_group = Array.map Array.of_list by_group in
 
   (* ---- bucket cache keys (computed only when requested) ---- *)
-  let content_sig = lazy (Array.map (fun top -> group_content_sig env top) tops) in
-  let ctx_sig = lazy (Array.map (fun top -> group_ctx_sig env top) tops) in
-  let global_sig =
-    lazy
-      (let arrays =
-         Array.to_list refs
-         |> List.map (fun r -> r.r_array)
-         |> List.sort_uniq String.compare
-       in
-       let buf = Buffer.create 128 in
-       Buffer.add_string buf
-         (Marshal.to_string (env.Depenv.config, env.Depenv.asserts)
-            [ Marshal.No_sharing ]);
-       List.iter
-         (fun a ->
-           List.iter
-             (fun b ->
-               if String.compare a b < 0 then
-                 Buffer.add_string buf
-                   (match env.Depenv.alias a b with
-                   | `Aligned -> "A"
-                   | `May -> "M"
-                   | `No -> "N"))
-             arrays)
-         arrays;
-       Digest.string (Buffer.contents buf))
+  let keys =
+    if not keyed then None
+    else
+      Telemetry.span tel "ddg.key" (fun () ->
+          let sigs =
+            Array.of_list
+              (List.mapi
+                 (fun g top ->
+                   if Array.length by_group.(g) = 0 then ""
+                   else
+                     group_sig env ~index:(Hashtbl.find index) ~base:base.(g)
+                       refs by_group.(g) top)
+                 body)
+          in
+          let global =
+            let arrays =
+              Array.to_list refs
+              |> List.map (fun r -> r.r_array)
+              |> List.sort_uniq String.compare
+            in
+            let buf = Buffer.create 128 in
+            Buffer.add_string buf
+              (Marshal.to_string (env.Depenv.config, env.Depenv.asserts)
+                 [ Marshal.No_sharing ]);
+            List.iter
+              (fun a ->
+                List.iter
+                  (fun b ->
+                    if String.compare a b < 0 then
+                      Buffer.add_string buf
+                        (match env.Depenv.alias a b with
+                        | `Aligned -> "A"
+                        | `May -> "M"
+                        | `No -> "N"))
+                  arrays)
+              arrays;
+            Digest.string (Buffer.contents buf)
+          in
+          Some (sigs, global))
   in
   let bucket_key g1 g2 =
-    Digest.string
-      (String.concat "|"
-         [ (Lazy.force content_sig).(g1); (Lazy.force content_sig).(g2);
-           (Lazy.force ctx_sig).(g1); (Lazy.force ctx_sig).(g2);
-           Lazy.force global_sig ])
+    Option.map
+      (fun (sigs, global) ->
+        Digest.string
+          (String.concat ""
+             [ sigs.(g1); sigs.(g2); global; (if g1 = g2 then "=" else "<") ]))
+      keys
   in
 
   (* ---- enumerate non-empty buckets in canonical order ---- *)
@@ -382,20 +540,47 @@ let plan ?telemetry ?(keyed = false) (env : Depenv.t) : plan =
   for g1 = ngroups - 1 downto 0 do
     for g2 = ngroups - 1 downto g1 do
       if Array.length by_group.(g1) > 0 && Array.length by_group.(g2) > 0 then
-        tasks :=
-          { t_g1 = g1; t_g2 = g2;
-            t_key = (if keyed then Some (bucket_key g1 g2) else None) }
-          :: !tasks
+        tasks := { t_g1 = g1; t_g2 = g2; t_key = bucket_key g1 g2 } :: !tasks
     done
   done;
-  { p_env = env; p_refs = refs; p_groups = by_group;
+  let ids =
+    if not keyed then [||]
+    else
+      Array.init ngroups (fun g ->
+          let h = ref 0 in
+          for i = base.(g) to base.(g) + size.(g) - 1 do
+            h := ((!h * 31) + stmts.(i).Ast.sid) land max_int
+          done;
+          !h)
+  in
+  { p_env = env; p_refs = refs; p_stmts = stmts; p_index = index;
+    p_base = base; p_size = size; p_ids = ids; p_groups = by_group;
     p_tasks = Array.of_list !tasks; p_keyed = keyed; p_tel = tel }
 
 let tasks p = Array.copy p.p_tasks
 
-(* ---- one bucket of pair tests (pure: reads env and refs only) ---- *)
-let run_pairs ~tel (env : Depenv.t) (refs : aref array) (idx_a : int array)
-    (idx_b : int array) ~same : bucket =
+(* Bucket-local statement indices: the first group's statements in
+   preorder, then the second's.  [to_local] maps a unit position,
+   [of_local] back to the statement id under the current plan. *)
+let to_local p (task : task) i =
+  let b1 = p.p_base.(task.t_g1) and n1 = p.p_size.(task.t_g1) in
+  if i >= b1 && i < b1 + n1 then i - b1 else n1 + i - p.p_base.(task.t_g2)
+
+let of_local p (task : task) x =
+  let n1 = p.p_size.(task.t_g1) in
+  p.p_stmts.(if x < n1 then p.p_base.(task.t_g1) + x
+             else p.p_base.(task.t_g2) + x - n1).Ast.sid
+
+(* Which statement ids a bucket was tested under, for the relocation
+   counter only. *)
+let origin p (task : task) =
+  Hashtbl.hash (p.p_ids.(task.t_g1), p.p_ids.(task.t_g2))
+
+(* ---- one bucket of pair tests (pure: reads env and refs only) ----
+   Endpoints and carriers are emitted as bucket-local indices: [local]
+   maps a unit position, [index] a statement id to its position. *)
+let run_pairs ~tel ~local ~index ~origin (env : Depenv.t) (refs : aref array)
+    (idx_a : int array) (idx_b : int array) ~same : bucket =
     let deps = ref [] in
     let nodeps = ref [] in
     let pairs = ref 0 in
@@ -518,7 +703,8 @@ let run_pairs ~tel (env : Depenv.t) (refs : aref array) (idx_a : int array)
         | Dtest.Independent { test; prov } ->
           bump disproved test;
           nodeps :=
-            { nd_var = r1.r_array; nd_src = r1.r_sid; nd_dst = r2.r_sid;
+            { nd_var = r1.r_array; nd_src = local (r1.r_pos - 1);
+              nd_dst = local (r2.r_pos - 1);
               nd_prov = enrich ~swap:false prov }
             :: !nodeps
         | Dtest.Dependent { dirs; dist; exact; test; prov } ->
@@ -539,7 +725,7 @@ let run_pairs ~tel (env : Depenv.t) (refs : aref array) (idx_a : int array)
             match first_non_eq dv with
             | Some (k, _) ->
               let lp = List.nth common k in
-              (Some (k + 1), Some lp.Loopnest.lstmt.Ast.sid)
+              (Some (k + 1), Some (local (index lp.Loopnest.lstmt.Ast.sid)))
             | None -> (None, None)
           in
           let kind_of ~src_write ~dst_write =
@@ -549,42 +735,41 @@ let run_pairs ~tel (env : Depenv.t) (refs : aref array) (idx_a : int array)
           in
           let emit ~src ~dst ~dvs ~loop_indep ~dist ~prov =
             if dvs <> [] || loop_indep then begin
-              (* group carried vectors by carrying level *)
-              let by_level = Hashtbl.create 4 in
+              (* group carried vectors by carrying level, levels in
+                 order of first appearance ([assemble] orders them) *)
+              let by_level = ref [] in
               List.iter
                 (fun dv ->
                   let key = carrier_of dv in
-                  let cur =
-                    Option.value ~default:[] (Hashtbl.find_opt by_level key)
-                  in
-                  Hashtbl.replace by_level key (dv :: cur))
+                  match List.assoc_opt key !by_level with
+                  | Some cur -> cur := dv :: !cur
+                  | None -> by_level := (key, ref [ dv ]) :: !by_level)
                 dvs;
-              if loop_indep then
-                Hashtbl.replace by_level (None, None)
-                  (Option.value ~default:[] (Hashtbl.find_opt by_level (None, None)));
-              Hashtbl.iter
-                (fun (level, carrier) dvs ->
-                  deps :=
+              if loop_indep && not (List.mem_assoc (None, None) !by_level) then
+                by_level := ((None, None), ref []) :: !by_level;
+              deps :=
+                List.rev_map
+                  (fun ((level, carrier), dvs) ->
                     {
                       dep_id = 0;
                       kind =
                         kind_of ~src_write:src.r_write ~dst_write:dst.r_write;
                       var = src.r_array;
-                      src = src.r_sid;
-                      dst = dst.r_sid;
+                      src = local (src.r_pos - 1);
+                      dst = local (dst.r_pos - 1);
                       src_ref = Some (Ast.Index (src.r_array, src.r_subs));
                       dst_ref = Some (Ast.Index (dst.r_array, dst.r_subs));
                       level;
                       carrier;
-                      dirs = List.rev dvs;
+                      dirs = List.rev !dvs;
                       dist;
                       exact;
                       test;
                       is_scalar = false;
                       prov;
-                    }
-                    :: !deps)
-                by_level
+                    })
+                  !by_level
+                :: !deps
             end
           in
           emit ~src:r1 ~dst:r2 ~dvs:(List.rev !fwd) ~loop_indep:!eq_fwd ~dist
@@ -609,6 +794,7 @@ let run_pairs ~tel (env : Depenv.t) (refs : aref array) (idx_a : int array)
       b_disproved =
         Hashtbl.fold (fun k v acc -> (k, v) :: acc) disproved []
         |> List.sort compare;
+      b_origin = origin;
     }
 
 (* Run one planned bucket.  The [ddg.bucket] span is emitted on the
@@ -618,8 +804,11 @@ let test (p : plan) (task : task) : bucket =
   Telemetry.span p.p_tel "ddg.bucket"
     ~args:[ ("groups", Printf.sprintf "%d,%d" task.t_g1 task.t_g2) ]
     (fun () ->
-      run_pairs ~tel:p.p_tel p.p_env p.p_refs p.p_groups.(task.t_g1)
-        p.p_groups.(task.t_g2) ~same:(task.t_g1 = task.t_g2))
+      run_pairs ~tel:p.p_tel ~local:(to_local p task)
+        ~index:(Hashtbl.find p.p_index)
+        ~origin:(if p.p_keyed then origin p task else 0)
+        p.p_env p.p_refs p.p_groups.(task.t_g1) p.p_groups.(task.t_g2)
+        ~same:(task.t_g1 = task.t_g2))
 
 let assemble (p : plan) (outcomes : outcome array) : t =
   if Array.length outcomes <> Array.length p.p_tasks then
@@ -627,9 +816,8 @@ let assemble (p : plan) (outcomes : outcome array) : t =
   let env = p.p_env in
   let tel = p.p_tel in
 
-  (* ---- merge bucket outcomes in canonical task order ---- *)
-  let array_deps = ref [] in
-  let nodeps_acc = ref [] in
+  (* ---- merge bucket tallies in canonical task order; the edges are
+     mapped and numbered at the end ---- *)
   let pairs_tested = ref 0 in
   let disproved : (string, int) Hashtbl.t = Hashtbl.create 8 in
   let bump_n tbl k n =
@@ -637,19 +825,14 @@ let assemble (p : plan) (outcomes : outcome array) : t =
   in
   Array.iter
     (fun o ->
-      let b = o.o_bucket in
-      pairs_tested := !pairs_tested + b.b_pairs;
-      List.iter (fun (t, n) -> bump_n disproved t n) b.b_disproved;
-      List.iter (fun nd -> nodeps_acc := nd :: !nodeps_acc) b.b_nodeps;
-      List.iter (fun d -> array_deps := d :: !array_deps) b.b_deps)
+      pairs_tested := !pairs_tested + o.o_bucket.b_pairs;
+      List.iter (fun (t, n) -> bump_n disproved t n) o.o_bucket.b_disproved)
     outcomes;
-  let deps = ref !array_deps in
+  (* the scalar and control passes' edges, numbered after the array ones *)
+  let deps = ref [] in
 
   (* ---- per-statement scalar reads and writes, one query each ---- *)
-  let stmts =
-    Array.of_list
-      (List.rev (Ast.fold_stmts (fun acc s -> s :: acc) [] env.Depenv.punit.Ast.body))
-  in
+  let stmts = p.p_stmts in
   let n_stmts = Array.length stmts in
   (* every [Defuse] query of the scalar passes, for the counter *)
   let queries = ref 0 in
@@ -659,9 +842,9 @@ let assemble (p : plan) (outcomes : outcome array) : t =
   in
   let uses = Array.map (query Defuse.uses) stmts in
   let defs = Array.map (query Defuse.may_defs) stmts in
-  let flat_pos = Hashtbl.create (2 * n_stmts) in
-  Array.iteri (fun i (s : Ast.stmt) -> Hashtbl.replace flat_pos s.Ast.sid (i + 1)) stmts;
-  let pos_of sid = Option.value ~default:0 (Hashtbl.find_opt flat_pos sid) in
+  let pos_of sid =
+    match Hashtbl.find_opt p.p_index sid with Some i -> i + 1 | None -> 0
+  in
   let index_of (s : Ast.stmt) = pos_of s.Ast.sid - 1 in
 
   (* ---- scalar dependences ---- *)
@@ -843,9 +1026,45 @@ let assemble (p : plan) (outcomes : outcome array) : t =
         :: !deps)
     env.Depenv.control;
 
-  (* renumber in emission order so a cache-assisted build and a fresh
-     build of the same unit yield structurally identical graphs *)
-  let deps = List.rev !deps |> List.mapi (fun i d -> { d with dep_id = i + 1 }) in
+  (* number every edge in emission order so a cache-assisted build and
+     a fresh build of the same unit yield structurally identical graphs;
+     the array edges come first, their bucket-local indices mapped back
+     to the plan's statement ids as they are copied *)
+  let array_deps = ref [] and nodeps = ref [] and n_array = ref 0 in
+  Array.iteri
+    (fun k o ->
+      let sid = of_local p p.p_tasks.(k) in
+      List.iter
+        (fun nd ->
+          nodeps := { nd with nd_src = sid nd.nd_src; nd_dst = sid nd.nd_dst } :: !nodeps)
+        o.o_bucket.b_nodeps;
+      let push d =
+        incr n_array;
+        array_deps :=
+          { d with dep_id = !n_array; src = sid d.src; dst = sid d.dst;
+            carrier = Option.map sid d.carrier }
+          :: !array_deps
+      in
+      List.iter
+        (function
+          | [ d ] -> push d
+          | group ->
+            (* a pair's levels come out in the order a table keyed on
+               (level, carrier id) iterates them: the order of every
+               graph built so far, which carrier ids decide *)
+            let by_level = Hashtbl.create 4 in
+            List.iter
+              (fun d -> Hashtbl.replace by_level (d.level, Option.map sid d.carrier) d)
+              group;
+            let ordered = ref [] in
+            Hashtbl.iter (fun _ d -> ordered := d :: !ordered) by_level;
+            List.iter push (List.rev !ordered))
+        o.o_bucket.b_deps)
+    outcomes;
+  let deps =
+    List.rev_append !array_deps
+      (List.rev !deps |> List.mapi (fun i d -> { d with dep_id = !n_array + i + 1 }))
+  in
   (* statistics cover the array-dependence pairs (the tested ones) *)
   let data_deps =
     List.filter (fun d -> d.kind <> Control && not d.is_scalar) deps
@@ -871,12 +1090,21 @@ let assemble (p : plan) (outcomes : outcome array) : t =
     in
     let count f = Array.fold_left (fun n o -> if f o then n + 1 else n) 0 outcomes in
     let hits = if p.p_keyed then count (fun o -> o.o_cached) else 0 in
+    (* hits replayed under other statement ids than they were tested under *)
+    let relocated = ref 0 in
+    if p.p_keyed then
+      Array.iteri
+        (fun k o ->
+          if o.o_cached && o.o_bucket.b_origin <> origin p p.p_tasks.(k) then
+            incr relocated)
+        outcomes;
     let misses = if p.p_keyed then count (fun o -> not o.o_cached) else 0 in
     let c name = Telemetry.counter tel name in
     Telemetry.add (c "ddg.pairs_tested") stats.pairs_tested;
     Telemetry.add (c "ddg.tests_executed") executed;
     Telemetry.add (c "ddg.bucket_hits") hits;
     Telemetry.add (c "ddg.bucket_misses") misses;
+    Telemetry.add (c "ddg.bucket_relocated") !relocated;
     Telemetry.add (c "ddg.deps_proven") stats.proven;
     Telemetry.add (c "ddg.deps_pending") stats.pending;
     Telemetry.add (c "ddg.defuse_queries") !queries;
@@ -900,7 +1128,7 @@ let assemble (p : plan) (outcomes : outcome array) : t =
            let prefix = if proven then "dtest.proven." else "dtest.assumed." in
            Telemetry.add (c (prefix ^ tier)) n)
   end;
-  { deps; nodeps = List.rev !nodeps_acc; stats }
+  { deps; nodeps = List.rev !nodeps; stats }
 
 (* ------------------------------------------------------------------ *)
 (* The one-call entry point, staged internally                         *)

@@ -66,13 +66,21 @@ type t = { deps : dep list; nodeps : nodep list; stats : stats }
 
     The unit body is partitioned into top-level statement groups (a
     whole DO nest is one group); every ordered pair of groups is
-    tested as one {e bucket}, keyed by a digest of the two groups'
-    statements, call side effects, reaching scalar environment, and
-    the global assertion/config/alias state.  Passing the same cache
-    to successive {!compute} calls replays unchanged buckets instead
-    of re-running their dependence tests.  A cache may be shared
-    across program versions and units; stale entries are simply never
-    hit again.
+    tested as one {e bucket}, keyed by a digest of exactly what its
+    pair tests read: each group's statement structure, DO headers,
+    auxiliary inductions, may-defs and references; per referencing
+    statement, each subscript's forward-substituted form
+    ({!Subscript.dim_form}) and, for every scalar of the subscripts,
+    of those forms and of the enclosing loop headers, its constant
+    there and its reaching definitions (by position in the unit);
+    whether the two groups are one; and the global assertion, config
+    and alias state.  The key holds no statement id and no source
+    location: buckets are stored with bucket-local statement indices
+    and replayed under the ids of the current program.  Passing the
+    same cache to successive {!compute} calls replays unchanged
+    buckets instead of re-running their dependence tests.  A cache
+    may be shared across program versions and units; stale entries
+    are simply never hit again.
 
     The cache is domain-safe: the bucket table is mutex-guarded and
     the run counters are atomics, so one cache may serve concurrent
@@ -134,7 +142,7 @@ type outcome = { o_bucket : bucket; o_cached : bool }
 
 (** [plan ?keyed env] — stage 1.  With [~keyed:true] every task also
     carries its cache digest (the extra cost is one signature pass
-    over the unit). *)
+    over the unit, in a [ddg.key] span). *)
 val plan : ?telemetry:Telemetry.sink -> ?keyed:bool -> Depenv.t -> plan
 
 (** The planned tasks, in canonical (g1, g2) lexicographic order. *)
@@ -167,12 +175,15 @@ type runner = { run_tasks : 'a. (unit -> 'a) array -> 'a array }
     emission order) — the invariant the determinism tests pin.
 
     [telemetry] (default: the process {!Telemetry.default} sink)
-    receives a [ddg.compute] span holding a [ddg.plan] and a
-    [ddg.assemble] span, one [ddg.bucket] span per computed bucket (on
-    the domain that ran it), and counters:
+    receives a [ddg.compute] span holding a [ddg.plan] span (with a
+    [ddg.key] span inside when [cache] is given) and a [ddg.assemble]
+    span, one [ddg.bucket] span per computed bucket (on the domain
+    that ran it), and counters:
     [ddg.pairs_tested] (all pairs, including cache-replayed),
     [ddg.tests_executed] (pair tests actually run),
-    [ddg.bucket_hits]/[ddg.bucket_misses], [ddg.deps_proven]/
+    [ddg.bucket_hits]/[ddg.bucket_misses], [ddg.bucket_relocated]
+    (hits replayed under other statement ids than they were tested
+    under), [ddg.deps_proven]/
     [ddg.deps_pending], [ddg.defuse_queries] (the [Defuse.uses]/
     [may_defs] queries of the scalar passes), [dtest.disproved.<test>],
     and the per-tier provenance tallies [dtest.assumed.<tier>] /

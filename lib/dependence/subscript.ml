@@ -141,34 +141,35 @@ let normalize (env : Depenv.t) (loops : Loopnest.loop list) :
   in
   go [] loops
 
+(* What [analyze_ref] linearizes for one subscript: its forward-
+   substituted form, unwrapped through asserted-injective index arrays
+   (A(IDX(e)) and A(IDX(e')) touch the same element exactly when
+   e = e', so the inner subscript is tested). *)
+let rec dim_form (env : Depenv.t) sid e =
+  let e' =
+    if env.Depenv.config.Depenv.use_symbolics then
+      Symbolic.substitute env.Depenv.ctx env.Depenv.cfg env.Depenv.reaching
+        sid e
+    else e
+  in
+  match e' with
+  | Ast.Index (b, [ inner ])
+    when List.mem b env.Depenv.asserts.Depenv.asserted_injective ->
+    dim_form env sid inner
+  | _ -> e'
+
 let analyze_ref (env : Depenv.t) ~(norm : norm_loop list) sid
     (subscripts : Ast.expr list) : dim list =
-  let cfgc = env.Depenv.config in
+  let use_symbolics = env.Depenv.config.Depenv.use_symbolics in
   let resolve = resolver env norm sid in
-  let rec analyze_dim e =
-    let e' =
-      if cfgc.Depenv.use_symbolics then
-        Symbolic.substitute env.Depenv.ctx env.Depenv.cfg env.Depenv.reaching
-          sid e
-      else e
-    in
-    match e' with
-    | Ast.Index (b, [ inner ])
-      when List.mem b env.Depenv.asserts.Depenv.asserted_injective ->
-      (* IDX asserted injective: A(IDX(e)) and A(IDX(e')) touch the
-         same element exactly when e = e' — test the inner subscript *)
-      analyze_dim inner
-    | _ -> (
-      match Symbolic.linearize ~resolve e' with
+  List.map
+    (fun e ->
+      match Symbolic.linearize ~resolve (dim_form env sid e) with
       | Some lin ->
-        if
-          cfgc.Depenv.use_symbolics
-          || List.for_all is_tau (Linear.syms lin)
-        then Lin lin
+        if use_symbolics || List.for_all is_tau (Linear.syms lin) then Lin lin
         else Nonlinear (* symbolic terms unusable without symbolic analysis *)
       | None -> Nonlinear)
-  in
-  List.map analyze_dim subscripts
+    subscripts
 
 let syms_ok_impl (env : Depenv.t) ~(common : norm_loop list) ~src ~dst syms =
   let outermost = match common with [] -> None | nl :: _ -> Some nl in

@@ -43,6 +43,12 @@ val normalize : Depenv.t -> Loopnest.loop list -> norm_loop list option
 
 type dim = Lin of Symbolic.Linear.t | Nonlinear
 
+(** [dim_form env sid e] — the expression {!analyze_ref} linearizes
+    for subscript [e] at statement [sid]: [e] forward-substituted
+    (under [use_symbolics]), and unwrapped through an asserted-injective
+    index array.  Dependence-bucket keys record it. *)
+val dim_form : Depenv.t -> Ast.stmt_id -> Ast.expr -> Ast.expr
+
 (** [analyze_ref env ~norm sid subscripts] — the subscripts of an
     array reference at statement [sid], as linear forms over the τ
     symbols of [norm] and residual symbols. *)

@@ -171,8 +171,10 @@ let report t =
    folded in because the payload is Marshal output.  Version 2 added
    the payload's MD5 line: Marshal trusts its input, so a damaged
    payload must be refused before it is unmarshalled.  Version 3 keys
-   buckets by unshared bytes, so version 2 keys can never hit. *)
-let format_version = "3"
+   buckets by unshared bytes, so version 2 keys can never hit.
+   Version 4 keys buckets on what their tests read, with no statement
+   ids, and stores them with bucket-local statement indices. *)
+let format_version = "4"
 
 let version_fingerprint () =
   Digest.to_hex

@@ -826,12 +826,286 @@ let lazy_cases =
               (name, Oracle.Stress.generate (Oracle.Stress.smoke p))))
       Oracle.Stress.all
 
+(* --- bucket keys: what the pair tests read ------------------------ *)
+
+(* A dependence bucket is replayed only when every fact its pair tests
+   read is unchanged.  These programs put those facts one edit away:
+   substitution chains up to three deep, a loop-bound scalar, an
+   auxiliary induction's stride, a CALL's actuals, two identical
+   top-level statements (a self-bucket and a cross-bucket of equal
+   content), and right-hand sides no test reads. *)
+
+let parse_unit_src src =
+  Ast.renumber_program (Parser.parse_program ~file:"keys.f" src)
+
+let session_of_src ?sharing src =
+  let p = parse_unit_src src in
+  Ped.Session.load ?sharing p ~unit_name:(List.hd p.Ast.punits).Ast.uname
+
+(* the statement at a preorder position of the focus unit: an edit
+   replaces one statement by one, so positions outlive ids *)
+let stmt_at sess pos =
+  List.nth
+    (List.rev
+       (Ast.fold_stmts (fun acc s -> s :: acc) [] (focus_unit_of sess).Ast.body))
+    pos
+
+let pos_of_text src_stmts text =
+  let rec go i = function
+    | [] -> failwith ("no statement " ^ text)
+    | (s : Ast.stmt) :: rest ->
+      if String.equal (String.trim (Pretty.stmt_to_string s)) text then i
+      else go (i + 1) rest
+  in
+  go 0 src_stmts
+
+let edit_at sess pos text =
+  ok_exn ("edit " ^ text) (Ped.Session.edit_stmt sess (stmt_at sess pos).Ast.sid text)
+
+let chain_src =
+  {|      SUBROUTINE CHAIN(A, K)
+      INTEGER K, M, L, N, J, I
+      REAL A(100)
+      M = K
+      L = K
+      N = M
+      J = L
+      DO 10 I = 1, 10
+        A(I + N) = A(I + J) + 1
+   10 CONTINUE
+      END
+|}
+
+let chain_loop_blocked sess =
+  match Ped.Session.loops sess with
+  | [ lp ] -> not (Ped.Session.is_parallelizable sess lp.Loopnest.lstmt.Ast.sid)
+  | _ -> failwith "one loop expected"
+
+let second_level_edit () =
+  let sess = session_of_src chain_src in
+  check_bool "parallelizable as loaded" false (chain_loop_blocked sess);
+  edit_at sess 0 "M = K + 1";
+  check_scratch "M = K + 1" sess;
+  check_bool "blocked after M = K + 1" true (chain_loop_blocked sess);
+  edit_at sess 1 "L = K + 1";
+  check_scratch "L = K + 1" sess;
+  check_bool "parallelizable again after L = K + 1" false (chain_loop_blocked sess)
+
+(* Redefining M between N = M and the loop makes N = M immovable, so N
+   stays a symbol in the subscript: the tests read a different form
+   although no definition reaching the loop changed.  The redefinition
+   goes in by editing a bystander statement into two. *)
+let bystander_src =
+  {|      SUBROUTINE CHAIN(A, B, K)
+      INTEGER K, M, L, N, J, I
+      REAL A(100), B(10)
+      M = K
+      L = K
+      N = M
+      J = L
+      B(1) = 0.0
+      DO 10 I = 1, 10
+        A(I + N) = A(I + J) + 1
+   10 CONTINUE
+      END
+|}
+
+let inserted_redefinition () =
+  let sess = session_of_src bystander_src in
+  check_bool "parallelizable as loaded" false (chain_loop_blocked sess);
+  edit_at sess 4 "B(1) = 0.0\nM = 5";
+  check_bool "M redefined" true
+    (match (stmt_at sess 5).Ast.node with
+     | Ast.Assign (Ast.Var "M", _) -> true
+     | _ -> false);
+  check_scratch "M redefined after N = M" sess;
+  check_bool "blocked once N = M is immovable" true (chain_loop_blocked sess);
+  edit_at sess 0 "M = K + 1";
+  check_scratch "then M = K + 1" sess
+
+let keys_src =
+  {|      SUBROUTINE KEYS(A, B, K, NN)
+      INTEGER K, NN, M1, M2, M3, J1, J2, J3, LB, KK, I
+      REAL A(500), B(500)
+      M1 = K
+      M2 = M1
+      M3 = M2
+      J1 = K
+      J2 = J1
+      J3 = J2
+      LB = 10
+      KK = 0
+      B(K) = B(K) + 1.0
+      B(K) = B(K) + 1.0
+      DO 10 I = 1, LB
+        A(I + M3) = A(I + J3) + B(I)
+   10 CONTINUE
+      DO 20 I = 1, 10
+        A(I + M1) = A(I + J1) + 2.0
+   20 CONTINUE
+      DO 30 I = 1, LB
+        KK = KK + 2
+        A(KK + 100) = A(KK + 101) + 1.0
+   30 CONTINUE
+      CALL SUB(A, M2)
+      DO 40 I = 1, 10
+        A(I + 200) = A(I + M2)
+   40 CONTINUE
+      END
+      SUBROUTINE SUB(X, N)
+      INTEGER N
+      REAL X(500)
+      X(N) = 0.0
+      END
+|}
+
+(* Each editable statement (by its text as loaded) and what it may
+   become.  [true] marks the texts that change no fact a test reads. *)
+let key_edits =
+  [
+    ("M1 = K", [ ("M1 = K + 1", false); ("M1 = K + 2", false); ("M1 = 3", false) ]);
+    ("M2 = M1", [ ("M2 = M1 + 1", false); ("M2 = K", false); ("M2 = J1", false) ]);
+    ("M3 = M2", [ ("M3 = M2 - 1", false); ("M3 = J2", false) ]);
+    ("J1 = K", [ ("J1 = K + 1", false); ("J1 = NN", false) ]);
+    ("J2 = J1", [ ("J2 = J1 + 1", false) ]);
+    ("J3 = J2", [ ("J3 = J2 + 1", false); ("J3 = M2", false) ]);
+    ("LB = 10", [ ("LB = NN", false); ("LB = 5", false); ("LB = K", false) ]);
+    ("KK = KK + 2", [ ("KK = KK + 1", false); ("KK = KK - 1", false); ("KK = KK + 3", false) ]);
+    ("CALL SUB(A, M2)", [ ("CALL SUB(A, J2)", false); ("CALL SUB(B, M2)", false); ("CALL SUB(A, 5)", false) ]);
+    ( "A(I + M3) = A(I + J3) + B(I)",
+      [ ("A(I + M3) = A(I + J3) + B(I) + 1.0", true);
+        ("A(I + M3) = 2.0 * A(I + J3) + B(I)", true) ] );
+    ("B(K) = B(K) + 1.0", [ ("B(K) = B(K) + 2.0", true) ]);
+  ]
+
+(* [steps] seeded edits on [keys_src]: each changes one statement to
+   one of its alternatives or its original, or retypes it unchanged
+   (fresh statement ids, same facts).  After every step the engine's
+   graph must equal a from-scratch one, and a step that changes no fact
+   a test reads must run no dependence test. *)
+let key_script ~seed ~steps =
+  let rng = Random.State.make [| 0x6b3e; seed |] in
+  let sess = session_of_src keys_src in
+  let stmts =
+    List.rev
+      (Ast.fold_stmts (fun acc s -> s :: acc) [] (focus_unit_of sess).Ast.body)
+  in
+  let slots =
+    List.map
+      (fun (orig, alts) -> (pos_of_text stmts orig, (orig, true) :: alts))
+      key_edits
+  in
+  let current = Hashtbl.create 16 in
+  List.iter (fun (pos, alts) -> Hashtbl.replace current pos (List.hd alts)) slots;
+  ignore (Ped.Session.ddg sess);
+  for step = 1 to steps do
+    let pos, alts = List.nth slots (Random.State.int rng (List.length slots)) in
+    let cur_text, _ = Hashtbl.find current pos in
+    let text, silent =
+      if Random.State.int rng 4 = 0 then (cur_text, true) (* retype *)
+      else
+        let text, rhs_only = List.nth alts (Random.State.int rng (List.length alts)) in
+        (* an alternative is silent against the original and vice versa *)
+        let _, cur_silent = Hashtbl.find current pos in
+        (text, String.equal text cur_text || (rhs_only && cur_silent))
+    in
+    let what = Printf.sprintf "seed %d step %d: %s" seed step text in
+    let s0 = Ped.Session.engine_stats sess in
+    edit_at sess pos text;
+    Hashtbl.replace current pos
+      (text, List.assoc_opt text alts |> Option.value ~default:true);
+    check_scratch what sess;
+    if silent then
+      check_int (what ^ ": no dependence test")
+        0 (delta s0 (Ped.Session.engine_stats sess) (fun s -> s.Engine.tests_run))
+  done
+
+let key_scripts () =
+  for seed = 1 to 8 do
+    key_script ~seed ~steps:12
+  done
+
+(* Two sessions on one shared cache whose programs differ only in a
+   second-level definition: the second replays what does not read it
+   and re-tests what does. *)
+let shared_cache_second_level () =
+  let cache = Server.Cache.create () in
+  let sharing = Server.Cache.sharing cache in
+  let first = session_of_src ~sharing keys_src in
+  let edited =
+    let needle = "      M1 = K\n" in
+    let i =
+      let rec find i =
+        if String.sub keys_src i (String.length needle) = needle then i
+        else find (i + 1)
+      in
+      find 0
+    in
+    String.sub keys_src 0 i ^ "      M1 = K + 1\n"
+    ^ String.sub keys_src (i + String.length needle)
+        (String.length keys_src - i - String.length needle)
+  in
+  let second = session_of_src ~sharing edited in
+  check_scratch "first session" first;
+  check_scratch "second session" second;
+  let tests s = (Ped.Session.engine_stats s).Engine.tests_run in
+  check_bool "the second session replays some buckets" true
+    (tests second < tests first);
+  check_bool "and re-tests those that read M1" true (tests second > 0)
+
+(* A right-hand-side-only edit on smoke deep: the edited statement's
+   buckets replay under its new id, and no dependence test runs. *)
+let rhs_edit_relocates () =
+  let program = Ast.renumber_program (smoke_deep ()) in
+  let sess = Ped.Session.load program ~unit_name:"S0001" in
+  let target =
+    Ast.fold_stmts
+      (fun acc (s : Ast.stmt) ->
+        match (acc, s.Ast.node) with
+        | None, Ast.Assign (Ast.Index _, _) -> Some s
+        | _ -> acc)
+      None (focus_unit_of sess).Ast.body
+    |> Option.get
+  in
+  let text =
+    match target.Ast.node with
+    | Ast.Assign (lhs, rhs) ->
+      Printf.sprintf "%s = %s + 1" (Pretty.expr_to_string lhs)
+        (Pretty.expr_to_string rhs)
+    | _ -> assert false
+  in
+  let relocated () =
+    Telemetry.value
+      (Telemetry.counter (Ped.Session.telemetry sess) "ddg.bucket_relocated")
+  in
+  let s0 = Ped.Session.engine_stats sess and r0 = relocated () in
+  ok_exn "edit" (Ped.Session.edit_stmt sess target.Ast.sid text);
+  ignore (Ped.Command.run sess "deps");
+  let s1 = Ped.Session.engine_stats sess in
+  check_int "no dependence test" 0 (delta s0 s1 (fun s -> s.Engine.tests_run));
+  check_bool "some bucket relocated" true (relocated () - r0 >= 1);
+  check_scratch "after the edit" sess
+
+let key_cases =
+  [
+    case "keys: an edit of a second-level definition re-tests" second_level_edit;
+    case "keys: a redefinition that makes a definition immovable re-tests"
+      inserted_redefinition;
+    case "keys: seeded edit scripts = from-scratch, silent edits test nothing"
+      key_scripts;
+    case "keys: two sessions differing in a second-level definition"
+      shared_cache_second_level;
+    case "keys: a right-hand-side edit on smoke deep relocates, tests nothing"
+      rhs_edit_relocates;
+  ]
+
 let suite =
   List.map burst_case Workloads.all
   @ summary_cases
   @ propagation_cases
   @ candidate_cases
   @ lazy_cases
+  @ key_cases
   @ [
       case "stats: clean refresh is a pure cache hit" (fun () ->
           let _, sess = load "matmul" in

@@ -461,6 +461,44 @@ let serve_session_flow () =
   let _ = ok_exn "quit" (handle Server.Protocol.Quit) in
   Sys.remove file
 
+(* Byte-identical sources at two paths: no bucket key holds a source
+   location, so opening the copy runs no dependence test and stores no
+   new bucket. *)
+let copy_at_another_path_shares_buckets () =
+  let server = Server.Serve.create () in
+  let src =
+    "      PROGRAM NEST\n      REAL A(100)\n      DO 10 I = 2, 100\n\
+    \        A(I) = A(I - 1) + 1.0\n   10 CONTINUE\n      END\n"
+  in
+  let file dir name =
+    Sys.mkdir dir 0o755;
+    let f = Filename.concat dir name in
+    write_file f src;
+    f
+  in
+  let original = file (fresh_dir ()) "nest.f"
+  and copy = file (fresh_dir ()) "copy.f" in
+  let opened id file =
+    ignore
+      (ok_exn ("open " ^ id)
+         (Server.Serve.handle server
+            (Server.Protocol.Open { rsid = id; file; unit_name = None })))
+  in
+  let tests () =
+    Telemetry.value
+      (Telemetry.counter (Server.Serve.telemetry server) "ddg.tests_executed")
+  in
+  let buckets () =
+    (Server.Cache.stats (Server.Serve.cache server)).Server.Cache.bucket_entries
+  in
+  opened "a" original;
+  let tests_a = tests () and buckets_a = buckets () in
+  check_bool "the original ran tests" true (tests_a > 0);
+  opened "b" copy;
+  check_int "the copy runs no dependence test" tests_a (tests ());
+  check_int "the copy stores no bucket" buckets_a (buckets ());
+  List.iter Sys.remove [ original; copy ]
+
 let serve_lanes_in_trace () =
   let sink = Telemetry.make ~record_spans:true () in
   let server = Server.Serve.create ~telemetry:sink () in
@@ -641,6 +679,8 @@ let suite =
     case "session: the undo history is bounded" history_is_bounded;
     case "protocol: the request grammar" protocol_grammar;
     case "serve: open, command, stats, close" serve_session_flow;
+    case "serve: a copy at another path shares every bucket"
+      copy_at_another_path_shares_buckets;
     case "serve: a bad processor count leaves sibling sessions answering"
       serve_bad_processors_stay_local;
     case "serve: request spans carry per-session lanes"
