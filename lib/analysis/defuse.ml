@@ -100,6 +100,15 @@ let uses ctx (s : Ast.stmt) =
   in
   uniq (base @ call_uses)
 
+type facts = { uses : string list; may_defs : string list; must_defs : string list }
+
+let facts ctx (s : Ast.stmt) =
+  match s.Ast.node with
+  | Ast.Call _ ->
+    let e = call_effects ctx s in
+    { uses = uniq e.ce_refs; may_defs = e.ce_mods; must_defs = e.ce_kills }
+  | _ -> { uses = uses ctx s; may_defs = may_defs ctx s; must_defs = must_defs ctx s }
+
 let is_array ctx name = Symbol.is_array ctx.tbl name
 
 let array_writes ctx (s : Ast.stmt) =

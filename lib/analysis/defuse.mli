@@ -48,6 +48,12 @@ val must_defs : ctx -> Ast.stmt -> string list
     subscripts on the lhs, conditions, bounds, call uses. *)
 val uses : ctx -> Ast.stmt -> string list
 
+(** A statement's own [uses], [may_defs] and [must_defs], from one
+    query: a CALL's effects are looked up once for all three. *)
+type facts = { uses : string list; may_defs : string list; must_defs : string list }
+
+val facts : ctx -> Ast.stmt -> facts
+
 (** [array_writes ctx s] / [array_reads ctx s] — array references
     (name, subscript list) written/read by the statement itself.
     Used by dependence analysis to enumerate reference pairs. *)

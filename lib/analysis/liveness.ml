@@ -1,7 +1,12 @@
 open Fortran_front
-module SSet = Set.Make (String)
 
-type t = { result : SSet.t Dataflow.result }
+(* Sets of variable ids, numbered in name order so a set's elements
+   come out sorted. *)
+type t = {
+  names : string array;
+  id : (string, int) Hashtbl.t;
+  result : Bits.t Dataflow.result;
+}
 
 let analyze ?(all_escape = false) (ctx : Defuse.ctx) (cfg : Cfg.t) : t =
   let tbl = Defuse.table ctx in
@@ -15,32 +20,63 @@ let analyze ?(all_escape = false) (ctx : Defuse.ctx) (cfg : Cfg.t) : t =
         | Symbol.Routine | Symbol.External_fun | Symbol.Intrinsic -> None)
       (Symbol.infos tbl)
   in
-  let boundary = SSet.of_list escaping in
-  let transfer node out_set =
-    match Cfg.stmt_of cfg node with
-    | None -> out_set
-    | Some s ->
-      let defs = SSet.of_list (Defuse.must_defs ctx s) in
-      let uses = SSet.of_list (Defuse.uses ctx s) in
-      SSet.union uses (SSet.diff out_set defs)
+  (* per node: what it reads and what it kills, read once per solve *)
+  let n = Cfg.size cfg in
+  let effects =
+    Array.init n (fun i ->
+        match Cfg.stmt_of cfg (Cfg.node_at cfg i) with
+        | None -> None
+        | Some s ->
+          let f = Defuse.facts ctx s in
+          Some (f.Defuse.uses, f.Defuse.must_defs))
+  in
+  let names =
+    Array.fold_left
+      (fun acc e ->
+        match e with Some (uses, kills) -> uses @ kills @ acc | None -> acc)
+      escaping effects
+    |> List.sort_uniq String.compare |> Array.of_list
+  in
+  let nvars = Array.length names in
+  let id = Hashtbl.create (2 * nvars) in
+  Array.iteri (fun k v -> Hashtbl.replace id v k) names;
+  let bits_of vs = Bits.of_list nvars (List.map (Hashtbl.find id) vs) in
+  let gen_kill =
+    Array.map
+      (Option.map (fun (uses, kills) -> (bits_of uses, bits_of kills)))
+      effects
+  in
+  let transfer node x =
+    match Option.bind (Cfg.index cfg node) (Array.get gen_kill) with
+    | None -> x
+    | Some (gen, kill) -> Bits.transfer ~gen ~kill x
   in
   let problem =
     {
       Dataflow.direction = Dataflow.Backward;
-      boundary;
-      init = SSet.empty;
-      join = SSet.union;
-      equal = SSet.equal;
+      boundary = bits_of escaping;
+      init = Bits.make nvars;
+      join = Bits.union;
+      equal = Bits.equal;
       transfer;
     }
   in
-  { result = Dataflow.solve cfg problem }
+  { names; id; result = Dataflow.solve cfg problem }
+
+let elements t x =
+  let acc = ref [] in
+  for k = Array.length t.names - 1 downto 0 do
+    if Bits.mem x k then acc := t.names.(k) :: !acc
+  done;
+  !acc
+
+let mem t x v = match Hashtbl.find_opt t.id v with Some k -> Bits.mem x k | None -> false
 
 (* With a backward problem, the solver's "output" of a node is the
    value before the node in execution order (live-in), and its "input"
    is live-out. *)
-let live_in t sid = SSet.elements (Dataflow.output t.result (Cfg.Stmt sid))
-let live_at_exit t = SSet.elements (Dataflow.output t.result Cfg.Exit)
+let live_in t sid = elements t (Dataflow.output t.result (Cfg.Stmt sid))
+let live_at_exit t = elements t (Dataflow.output t.result Cfg.Exit)
 
 let live_after t cfg loop_sid =
   match Cfg.stmt_of cfg (Cfg.Stmt loop_sid) with
@@ -56,6 +92,6 @@ let live_after t cfg loop_sid =
            | Cfg.Stmt _ | Cfg.Entry -> [])
     |> List.sort_uniq String.compare
   | Some _ | None -> []
-let live_out t sid = SSet.elements (Dataflow.input t.result (Cfg.Stmt sid))
-let is_live_in t sid v = SSet.mem v (Dataflow.output t.result (Cfg.Stmt sid))
-let is_live_out t sid v = SSet.mem v (Dataflow.input t.result (Cfg.Stmt sid))
+let live_out t sid = elements t (Dataflow.input t.result (Cfg.Stmt sid))
+let is_live_in t sid v = mem t (Dataflow.output t.result (Cfg.Stmt sid)) v
+let is_live_out t sid v = mem t (Dataflow.input t.result (Cfg.Stmt sid)) v

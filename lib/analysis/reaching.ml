@@ -7,46 +7,12 @@ let def_compare a b =
   | 0 -> String.compare a.def_var b.def_var
   | c -> c
 
-(* Sets of definition ids, one bit per id, in bytes padded to whole
-   64-bit words.  A set is never mutated once built, so the solver may
-   share it between nodes. *)
-module Bits = struct
-  let make n = Bytes.make (8 * ((n + 63) / 64)) '\000'
-
-  let add b i =
-    let k = i lsr 3 in
-    Bytes.set b k (Char.unsafe_chr (Char.code (Bytes.get b k) lor (1 lsl (i land 7))))
-
-  let mem b i = Char.code (Bytes.get b (i lsr 3)) land (1 lsl (i land 7)) <> 0
-
-  let union a b =
-    let r = Bytes.create (Bytes.length a) in
-    for w = 0 to (Bytes.length a / 8) - 1 do
-      let o = 8 * w in
-      Bytes.set_int64_ne r o
-        (Int64.logor (Bytes.get_int64_ne a o) (Bytes.get_int64_ne b o))
-    done;
-    r
-
-  (* [gen ∪ (x \ kill)] *)
-  let transfer ~gen ~kill x =
-    let r = Bytes.create (Bytes.length x) in
-    for w = 0 to (Bytes.length x / 8) - 1 do
-      let o = 8 * w in
-      Bytes.set_int64_ne r o
-        (Int64.logor (Bytes.get_int64_ne gen o)
-           (Int64.logand (Bytes.get_int64_ne x o)
-              (Int64.lognot (Bytes.get_int64_ne kill o))))
-    done;
-    r
-end
-
 type t = {
   ctx : Defuse.ctx;
   cfg : Cfg.t;
   defs : def array;  (* by id, ids in [def_compare] order *)
   of_var : (string, int list) Hashtbl.t;  (* ascending ids *)
-  result : Bytes.t Dataflow.result;
+  result : Bits.t Dataflow.result;  (* sets of definition ids *)
 }
 
 let analyze (ctx : Defuse.ctx) (cfg : Cfg.t) : t =
@@ -82,11 +48,7 @@ let analyze (ctx : Defuse.ctx) (cfg : Cfg.t) : t =
     Hashtbl.replace of_var d.def_var
       (k :: Option.value ~default:[] (Hashtbl.find_opt of_var d.def_var))
   done;
-  let bits_of ids =
-    let b = Bits.make ndefs in
-    List.iter (Bits.add b) ids;
-    b
-  in
+  let bits_of = Bits.of_list ndefs in
   let gen_kill =
     Array.mapi
       (fun i (may, must) ->
@@ -115,7 +77,7 @@ let analyze (ctx : Defuse.ctx) (cfg : Cfg.t) : t =
         bits_of (List.map (fun v -> Hashtbl.find id (Cfg.Entry, v)) all_vars);
       init = Bits.make ndefs;
       join = Bits.union;
-      equal = Bytes.equal;
+      equal = Bits.equal;
       transfer;
     }
   in

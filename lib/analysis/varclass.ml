@@ -23,96 +23,48 @@ let classification_to_string = function
 let pp_classification ppf c =
   Format.pp_print_string ppf (classification_to_string c)
 
-module SMap = Map.Make (String)
-module SSet = Set.Make (String)
+(* A variable's class as the walk decides it.  Whether a killed scalar
+   needs its last value is read from liveness only when asked, so
+   callers that look at the unsafe scalars alone never read it. *)
+type entry = Known of classification | Killed
 
-type t = classification SMap.t
-
-(* ------------------------------------------------------------------ *)
-(* Structured region summaries: upward-exposed uses and must-defs.     *)
-(* ------------------------------------------------------------------ *)
-
-exception Unstructured
-
-(* Returns (upward_exposed_uses, must_defs) of the region.  Raises
-   [Unstructured] on GOTO/RETURN/STOP, where the straight-line
-   composition below would be unsound. *)
-let rec region_summary ctx (stmts : Ast.stmt list) : SSet.t * SSet.t =
-  List.fold_left
-    (fun (ue, md) s ->
-      let s_ue, s_md = stmt_summary ctx s in
-      (SSet.union ue (SSet.diff s_ue md), SSet.union md s_md))
-    (SSet.empty, SSet.empty) stmts
-
-and stmt_summary ctx (s : Ast.stmt) : SSet.t * SSet.t =
-  match s.Ast.node with
-  | Ast.Goto _ | Ast.Return | Ast.Stop -> raise Unstructured
-  | Ast.If (branches, els) ->
-    let cond_uses =
-      SSet.of_list
-        (List.concat_map (fun (c, _) -> Ast.expr_vars c) branches)
-    in
-    let bodies = List.map snd branches @ [ els ] in
-    let summaries = List.map (region_summary ctx) bodies in
-    let ue =
-      List.fold_left (fun acc (u, _) -> SSet.union acc u) cond_uses summaries
-    in
-    let md =
-      match summaries with
-      | [] -> SSet.empty
-      | (_, m) :: rest ->
-        List.fold_left (fun acc (_, m') -> SSet.inter acc m') m rest
-    in
-    (ue, md)
-  | Ast.Do (h, body) ->
-    let bound_uses = SSet.of_list (List.concat_map Ast.expr_vars
-      ([ h.Ast.lo; h.Ast.hi ] @ Option.to_list h.Ast.step)) in
-    let body_ue, _body_md = region_summary ctx body in
-    (* the loop may run zero times: only the induction variable is a
-       must-def (the header always assigns it) *)
-    (SSet.union bound_uses (SSet.remove h.Ast.dvar body_ue),
-     SSet.singleton h.Ast.dvar)
-  | Ast.Assign _ | Ast.Call _ | Ast.Continue | Ast.Print _ ->
-    (SSet.of_list (Defuse.uses ctx s), SSet.of_list (Defuse.must_defs ctx s))
+type t = {
+  vars : (string * entry) array;  (* sorted by name *)
+  live_after : unit -> string list;
+}
 
 (* ------------------------------------------------------------------ *)
 (* Auxiliary induction variables                                       *)
 (* ------------------------------------------------------------------ *)
 
+(* A statement K = K + c / K = K - c with a literal (or simplifiable)
+   integer stride. *)
+let aux_candidate (s : Ast.stmt) =
+  match s.Ast.node with
+  | Ast.Assign (Ast.Var v, rhs) -> (
+    match Ast.simplify rhs with
+    | Ast.Bin (Ast.Add, Ast.Var v', Ast.Int c) when String.equal v v' ->
+      Some (v, c, s.Ast.sid)
+    | Ast.Bin (Ast.Add, Ast.Int c, Ast.Var v') when String.equal v v' ->
+      Some (v, c, s.Ast.sid)
+    | Ast.Bin (Ast.Sub, Ast.Var v', Ast.Int c) when String.equal v v' ->
+      Some (v, -c, s.Ast.sid)
+    | _ -> None)
+  | _ -> None
+
 let aux_inductions ctx (loop : Ast.stmt) : (string * int * Ast.stmt_id) list =
   match loop.Ast.node with
   | Ast.Do (h, body) ->
-    (* candidates: top-level statements K = K + c / K = K - c with a
-       literal (or simplifiable) integer stride *)
-    let stride_of v rhs =
-      match Ast.simplify rhs with
-      | Ast.Bin (Ast.Add, Ast.Var v', Ast.Int c) when String.equal v v' -> Some c
-      | Ast.Bin (Ast.Add, Ast.Int c, Ast.Var v') when String.equal v v' -> Some c
-      | Ast.Bin (Ast.Sub, Ast.Var v', Ast.Int c) when String.equal v v' ->
-        Some (-c)
-      | _ -> None
-    in
-    let candidates =
-      List.filter_map
-        (fun (s : Ast.stmt) ->
-          match s.Ast.node with
-          | Ast.Assign (Ast.Var v, rhs) -> (
-            match stride_of v rhs with
-            | Some c -> Some (v, c, s.Ast.sid)
-            | None -> None)
-          | _ -> None)
-        body
-    in
-    (* keep those with no other definition anywhere in the body *)
-    List.filter
-      (fun (v, _, sid) ->
-        String.equal v h.Ast.dvar = false
-        && Ast.fold_stmts
-             (fun acc (s : Ast.stmt) ->
-               acc
-               && (s.Ast.sid = sid || not (List.mem v (Defuse.may_defs ctx s))))
-             true body)
-      candidates
+    (* top-level candidates with no other definition anywhere in the
+       body *)
+    List.filter_map aux_candidate body
+    |> List.filter (fun (v, _, sid) ->
+           String.equal v h.Ast.dvar = false
+           && Ast.fold_stmts
+                (fun acc (s : Ast.stmt) ->
+                  acc
+                  && (s.Ast.sid = sid || not (List.mem v (Defuse.may_defs ctx s))))
+                true body)
   | _ -> []
 
 (* ------------------------------------------------------------------ *)
@@ -159,108 +111,209 @@ let reduction_op_of v (rhs : Ast.expr) : reduction_op option =
       | Ast.Index ("MIN", [ a; b ]) when is_v b && free a -> Some Rmin
       | _ -> None))
 
-(* Is every occurrence of [v] in the body confined to reduction
-   statements of a single operation? *)
-let reduction_class ctx body v : reduction_op option =
-  let ops = ref [] in
-  let ok =
-    Ast.fold_stmts
-      (fun acc (s : Ast.stmt) ->
-        if not acc then false
-        else
-          match s.Ast.node with
-          | Ast.Assign (Ast.Var v', rhs) when String.equal v v' -> (
-            match reduction_op_of v rhs with
-            | Some op ->
-              ops := op :: !ops;
-              true
-            | None -> false)
-          | _ ->
-            (* v must not be read or written by any other statement *)
-            (not (List.mem v (Defuse.uses ctx s)))
-            && not (List.mem v (Defuse.may_defs ctx s)))
-      true body
+let ops = [| Rsum; Rprod; Rmax; Rmin |]
+let op_index = function Rsum -> 0 | Rprod -> 1 | Rmax -> 2 | Rmin -> 3
+
+(* ------------------------------------------------------------------ *)
+(* Classification: one bottom-up walk over a statement list            *)
+(* ------------------------------------------------------------------ *)
+
+type loop_classes = {
+  lc_stmt : Ast.stmt;
+  lc_first : int;
+  lc_stop : int;
+  lc_classes : t;
+}
+
+(* The walk numbers the statements in preorder and the unit's scalars
+   in name order.  Per scalar it keeps the positions of the last
+   statements that mention it, define it (the last two), use it outside
+   a reduction statement, and reduce it with each operation; a loop's
+   body is the positions from [first] on when the walk leaves the loop,
+   so "some statement of the body does X" is "the last one that did X
+   is at or after [first]".  Upward-exposed uses and must-defs are
+   composed region by region in bit sets, and each loop's body summary
+   is folded into its parent's. *)
+let classify_nest ?(recognize_reductions = true) ?facts ~cfg ctx
+    (liveness : Liveness.t) (stmts : Ast.stmt list) : loop_classes list =
+  let facts =
+    match facts with
+    | Some f -> fun pos _ -> f pos
+    | None -> fun _ s -> Defuse.facts ctx s
   in
-  if not ok then None
-  else
-    match List.sort_uniq compare !ops with
-    | [ op ] -> Some op
-    | _ -> None
-
-(* ------------------------------------------------------------------ *)
-(* Classification                                                      *)
-(* ------------------------------------------------------------------ *)
-
-let classify ?(recognize_reductions = true) ?cfg ctx (liveness : Liveness.t)
-    (loop : Ast.stmt) : t =
-  match loop.Ast.node with
-  | Ast.Do (h, body) ->
-    let tbl = Defuse.table ctx in
-    let is_scalar v =
-      match Symbol.lookup tbl v with
-      | Some { kind = Symbol.Scalar; _ } -> true
-      | _ -> false
-    in
-    (* all scalars mentioned in the body or header *)
-    let mentioned =
-      Ast.fold_stmts
-        (fun acc s ->
-          SSet.union acc
-            (SSet.of_list (Defuse.uses ctx s @ Defuse.may_defs ctx s)))
-        (SSet.of_list
-           (List.concat_map Ast.expr_vars
-              ([ h.Ast.lo; h.Ast.hi ] @ Option.to_list h.Ast.step)))
+  let names =
+    List.filter_map
+      (fun (i : Symbol.info) ->
+        match i.kind with Symbol.Scalar -> Some i.name | _ -> None)
+      (Symbol.infos (Defuse.table ctx))
+    |> List.sort_uniq String.compare |> Array.of_list
+  in
+  let n = Array.length names in
+  let id = Hashtbl.create (2 * n) in
+  Array.iteri (fun i v -> Hashtbl.replace id v i) names;
+  let ids = List.filter_map (Hashtbl.find_opt id) in
+  let last_mention = Array.make n (-1)
+  and last_def = Array.make n (-1)
+  and prev_def = Array.make n (-1)
+  and last_other = Array.make n (-1)
+  and last_op = Array.init (Array.length ops) (fun _ -> Array.make n (-1))
+  and last_jump = ref (-1) in
+  let reduction i first =
+    if last_other.(i) >= first then None
+    else
+      match List.filter (fun o -> last_op.(op_index o).(i) >= first) (Array.to_list ops) with
+      | [ op ] -> Some op
+      | _ -> None
+  in
+  let classes (loop : Ast.stmt) (h : Ast.do_header) body bounds first ue =
+    let dvar = Hashtbl.find_opt id h.Ast.dvar in
+    (* a top-level increment is an auxiliary induction when no other
+       statement of the body defines its variable *)
+    let auxs =
+      List.filter_map
+        (fun s ->
+          match aux_candidate s with
+          | Some (v, c, _) -> (
+            match Hashtbl.find_opt id v with
+            | Some i when Some i <> dvar && prev_def.(i) < first -> Some (i, c)
+            | Some _ | None -> None)
+          | None -> None)
         body
-      |> SSet.filter is_scalar
     in
-    let written =
-      Ast.fold_stmts
-        (fun acc s -> SSet.union acc (SSet.of_list (Defuse.may_defs ctx s)))
-        SSet.empty body
-      |> SSet.filter is_scalar
-    in
-    let auxs = aux_inductions ctx loop in
-    let structured, ue =
-      match region_summary ctx body with
-      | ue, _ -> (true, ue)
-      | exception Unstructured -> (false, SSet.empty)
-    in
-    let live_after =
-      match cfg with
-      | Some cfg ->
-        let l = Liveness.live_after liveness cfg loop.Ast.sid in
-        fun v -> List.mem v l
-      | None -> fun v -> Liveness.is_live_out liveness loop.Ast.sid v
-    in
-    let classify_var v =
-      if String.equal v h.Ast.dvar then
-        Induction { stride = None }
+    let structured = !last_jump < first in
+    let classify_var i =
+      if Some i = dvar then Known (Induction { stride = None })
       else
-        match List.find_opt (fun (a, _, _) -> String.equal a v) auxs with
-        | Some (_, c, _) ->
-          Induction { stride = Some (Symbolic.Linear.const c) }
+        match List.assoc_opt i auxs with
+        | Some c -> Known (Induction { stride = Some (Symbolic.Linear.const c) })
         | None ->
-          if not (SSet.mem v written) then Shared_safe
-          else if not structured then Shared_unsafe
-          else if
-            recognize_reductions && reduction_class ctx body v <> None
-          then
-            Reduction (Option.get (reduction_class ctx body v))
-          else if not (SSet.mem v ue) then
-            (* killed on every iteration before any use: privatizable *)
-            Private { needs_last_value = live_after v }
-          else Shared_unsafe
+          if last_def.(i) < first then Known Shared_safe
+          else if not structured then Known Shared_unsafe
+          else
+            match if recognize_reductions then reduction i first else None with
+            | Some op -> Known (Reduction op)
+            | None ->
+              (* killed on every iteration before any use: privatizable *)
+              if Bits.mem ue i then Known Shared_unsafe else Killed
     in
-    SSet.fold (fun v acc -> SMap.add v (classify_var v) acc) mentioned SMap.empty
+    let vars = ref [] in
+    for i = n - 1 downto 0 do
+      if last_mention.(i) >= first || List.mem i bounds then
+        vars := (names.(i), classify_var i) :: !vars
+    done;
+    {
+      vars = Array.of_list !vars;
+      live_after = (fun () -> Liveness.live_after liveness cfg loop.Ast.sid);
+    }
+  in
+  let pos = ref 0 and out = ref [] in
+  (* [ue] and [md] accumulate the region's upward-exposed uses and
+     must-defs; each statement adds its own minus what is already
+     must-defined *)
+  let rec region stmts =
+    let ue = Bits.make n and md = Bits.make n in
+    List.iter (stmt ue md) stmts;
+    (ue, md)
+  and stmt ue md (s : Ast.stmt) =
+    let here = !pos in
+    incr pos;
+    let f = facts here s in
+    let uses = ids f.Defuse.uses and defs = ids f.Defuse.may_defs in
+    List.iter (fun i -> last_mention.(i) <- here) uses;
+    List.iter
+      (fun i ->
+        last_mention.(i) <- here;
+        if last_def.(i) <> here then begin
+          prev_def.(i) <- last_def.(i);
+          last_def.(i) <- here
+        end)
+      defs;
+    if recognize_reductions then begin
+      let lhs =
+        match s.Ast.node with
+        | Ast.Assign (Ast.Var v, rhs) -> (
+          match Hashtbl.find_opt id v with
+          | Some i ->
+            (match reduction_op_of v rhs with
+            | Some op -> last_op.(op_index op).(i) <- here
+            | None -> last_other.(i) <- here);
+            i
+          | None -> -1)
+        | _ -> -1
+      in
+      let other i = if i <> lhs then last_other.(i) <- here in
+      List.iter other uses;
+      List.iter other defs
+    end;
+    let expose = List.iter (fun i -> if not (Bits.mem md i) then Bits.add ue i) in
+    match s.Ast.node with
+    | Ast.Goto _ | Ast.Return | Ast.Stop -> last_jump := here
+    | Ast.Assign _ | Ast.Call _ | Ast.Continue | Ast.Print _ ->
+      expose uses;
+      List.iter (Bits.add md) (ids f.Defuse.must_defs)
+    | Ast.If (branches, els) ->
+      expose uses;
+      (* must-defined only when every branch, the ELSE included, does *)
+      let all_md =
+        List.fold_left
+          (fun acc body ->
+            let ue_b, md_b = region body in
+            Bits.union_diff_into ue ue_b md;
+            match acc with
+            | None -> Some md_b
+            | Some acc ->
+              Bits.inter_into acc md_b;
+              Some acc)
+          None
+          (List.map snd branches @ [ els ])
+      in
+      Option.iter (Bits.union_into md) all_md
+    | Ast.Do (h, body) ->
+      expose uses;
+      let first = !pos in
+      let ue_b, _ = region body in
+      out :=
+        {
+          lc_stmt = s;
+          lc_first = first;
+          lc_stop = !pos;
+          lc_classes = classes s h body uses first ue_b;
+        }
+        :: !out;
+      (* the loop may run zero times: only the induction variable is a
+         must-def (the header always assigns it) *)
+      let must = ids f.Defuse.must_defs in
+      List.iter (Bits.remove ue_b) must;
+      Bits.union_diff_into ue ue_b md;
+      List.iter (Bits.add md) must
+  in
+  ignore (region stmts);
+  List.sort (fun a b -> Int.compare a.lc_first b.lc_first) !out
+
+let classify ?recognize_reductions ~cfg ctx liveness (loop : Ast.stmt) : t =
+  match loop.Ast.node with
+  | Ast.Do _ -> (
+    match classify_nest ?recognize_reductions ~cfg ctx liveness [ loop ] with
+    | lc :: _ -> lc.lc_classes
+    | [] -> assert false)
   | _ -> invalid_arg "Varclass.classify: not a DO loop"
 
-let lookup t v = SMap.find_opt v t
-let all t = SMap.bindings t
+let resolve t =
+  let live = lazy (t.live_after ()) in
+  fun v -> function
+    | Known c -> c
+    | Killed -> Private { needs_last_value = List.mem v (Lazy.force live) }
 
-let parallelizable t =
-  SMap.for_all (fun _ c -> match c with Shared_unsafe -> false | _ -> true) t
+let lookup t v =
+  Array.find_opt (fun (v', _) -> String.equal v v') t.vars
+  |> Option.map (fun (v, e) -> resolve t v e)
+
+let all t =
+  let resolve = resolve t in
+  Array.to_list (Array.map (fun (v, e) -> (v, resolve v e)) t.vars)
+
+let unsafe = function Known Shared_unsafe -> true | Known _ | Killed -> false
+let parallelizable t = not (Array.exists (fun (_, e) -> unsafe e) t.vars)
 
 let blockers t =
-  SMap.bindings t
-  |> List.filter_map (fun (v, c) ->
-         match c with Shared_unsafe -> Some v | _ -> None)
+  Array.to_list t.vars |> List.filter_map (fun (v, e) -> if unsafe e then Some v else None)

@@ -39,16 +39,38 @@ val classification_to_string : classification -> string
 
 type t
 
-(** [classify ?recognize_reductions ?cfg ctx liveness loop] — classify
-    all scalars of [loop]'s body.  [recognize_reductions] defaults to
-    [true]; pass [false] to reproduce original Ped behaviour (sum
-    reductions left as shared, as the evaluation observed).  With
-    [cfg], last-value liveness uses the precise loop-exit paths
-    ({!Liveness.live_after}); without it, the conservative
-    [is_live_out] of the DO statement. *)
+(** [classify ?recognize_reductions ~cfg ctx liveness loop] — classify
+    all scalars of [loop]'s body: the {!classify_nest} walk over the
+    loop alone.  [recognize_reductions] defaults to [true]; pass
+    [false] to reproduce original Ped behaviour (sum reductions left as
+    shared, as the evaluation observed).  Last-value liveness uses the
+    precise loop-exit paths ({!Liveness.live_after}), read only when a
+    private scalar's class is asked for. *)
 val classify :
-  ?recognize_reductions:bool -> ?cfg:Cfg.t -> Defuse.ctx -> Liveness.t ->
+  ?recognize_reductions:bool -> cfg:Cfg.t -> Defuse.ctx -> Liveness.t ->
   Ast.stmt -> t
+
+(** One loop of a {!classify_nest} walk.  Positions count the walked
+    statements in preorder ({!Ast.fold_stmts} order) from 0: the
+    loop's body is [lc_first .. lc_stop - 1], and its DO statement is
+    at [lc_first - 1]. *)
+type loop_classes = {
+  lc_stmt : Ast.stmt;
+  lc_first : int;
+  lc_stop : int;
+  lc_classes : t;
+}
+
+(** [classify_nest ?recognize_reductions ?facts ~cfg ctx liveness
+    stmts] — classify every DO loop of [stmts] in one bottom-up walk,
+    reading each statement's facts once; the loops come out in
+    preorder ({!Loopnest.loops} order for a unit's body).  [facts pos]
+    gives the {!Defuse.facts} of the statement at preorder position
+    [pos], for a caller that holds them already; by default the walk
+    asks [Defuse]. *)
+val classify_nest :
+  ?recognize_reductions:bool -> ?facts:(int -> Defuse.facts) -> cfg:Cfg.t ->
+  Defuse.ctx -> Liveness.t -> Ast.stmt list -> loop_classes list
 
 val lookup : t -> string -> classification option
 
@@ -60,9 +82,15 @@ val all : t -> (string * classification) list
 val parallelizable : t -> bool
 
 (** The variables blocking parallelization, i.e. the
-    [Shared_unsafe] ones. *)
+    [Shared_unsafe] ones, sorted by name. *)
 val blockers : t -> string list
 
 (** Auxiliary induction variables with their per-iteration stride and
     the statement performing the increment. *)
 val aux_inductions : Defuse.ctx -> Ast.stmt -> (string * int * Ast.stmt_id) list
+
+(** [reduction_op_of v rhs] — the operation when [v = rhs] is a
+    reduction statement of [v]: [v] occurs exactly once in [rhs], as a
+    whole positive additive term, a whole factor, or an argument of
+    MAX/MIN. *)
+val reduction_op_of : string -> Ast.expr -> reduction_op option

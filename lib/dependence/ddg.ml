@@ -810,14 +810,20 @@ let test (p : plan) (task : task) : bucket =
         p.p_env p.p_refs p.p_groups.(task.t_g1) p.p_groups.(task.t_g2)
         ~same:(task.t_g1 = task.t_g2))
 
+(* The provenance of the scalar and control passes' edges: one value
+   per tier, shared by every edge that tier emits. *)
+let scalar_prov = Explain.Provenance.simple ~tier:"scalar" Explain.Provenance.Assumed
+let def_use_prov = Explain.Provenance.simple ~tier:"def-use" Explain.Provenance.Proven
+let order_prov = Explain.Provenance.simple ~tier:"order" Explain.Provenance.Assumed
+let control_prov = Explain.Provenance.simple ~tier:"control" Explain.Provenance.Proven
+
 let assemble (p : plan) (outcomes : outcome array) : t =
   if Array.length outcomes <> Array.length p.p_tasks then
     invalid_arg "Ddg.assemble: one outcome per planned task expected";
   let env = p.p_env in
   let tel = p.p_tel in
 
-  (* ---- merge bucket tallies in canonical task order; the edges are
-     mapped and numbered at the end ---- *)
+  (* ---- merge bucket tallies in canonical task order ---- *)
   let pairs_tested = ref 0 in
   let disproved : (string, int) Hashtbl.t = Hashtbl.create 8 in
   let bump_n tbl k n =
@@ -828,95 +834,143 @@ let assemble (p : plan) (outcomes : outcome array) : t =
       pairs_tested := !pairs_tested + o.o_bucket.b_pairs;
       List.iter (fun (t, n) -> bump_n disproved t n) o.o_bucket.b_disproved)
     outcomes;
-  (* the scalar and control passes' edges, numbered after the array ones *)
-  let deps = ref [] in
 
-  (* ---- per-statement scalar reads and writes, one query each ---- *)
+  (* every edge gets its id as it is emitted, in canonical order — the
+     array edges in task order, then the scalar and control passes' —
+     so a cache-assisted build and a fresh build of the same unit
+     yield structurally identical graphs; [deps] holds them newest
+     first *)
+  let deps = ref [] and n_deps = ref 0 in
+  let next_id () =
+    incr n_deps;
+    !n_deps
+  in
+
+  (* ---- array edges, their bucket-local indices mapped back to the
+     plan's statement ids as they are copied ---- *)
+  let nodeps = ref [] and proven = ref 0 in
+  Telemetry.span tel "ddg.copy" (fun () ->
+      Array.iteri
+        (fun k o ->
+          let sid = of_local p p.p_tasks.(k) in
+          List.iter
+            (fun nd ->
+              nodeps := { nd with nd_src = sid nd.nd_src; nd_dst = sid nd.nd_dst } :: !nodeps)
+            o.o_bucket.b_nodeps;
+          let push d =
+            if d.exact then incr proven;
+            deps :=
+              { d with dep_id = next_id (); src = sid d.src; dst = sid d.dst;
+                carrier = Option.map sid d.carrier }
+              :: !deps
+          in
+          List.iter
+            (function
+              | [ d ] -> push d
+              | group ->
+                (* a pair's levels come out in the order a table keyed on
+                   (level, carrier id) iterates them: the order of every
+                   graph built so far, which carrier ids decide *)
+                let by_level = Hashtbl.create 4 in
+                List.iter
+                  (fun d -> Hashtbl.replace by_level (d.level, Option.map sid d.carrier) d)
+                  group;
+                let ordered = ref [] in
+                Hashtbl.iter (fun _ d -> ordered := d :: !ordered) by_level;
+                List.iter push (List.rev !ordered))
+            o.o_bucket.b_deps)
+        outcomes);
+  let n_array = !n_deps in
+
+  (* ---- per-statement facts, one [Defuse] query each, indexed by
+     plan position ---- *)
   let stmts = p.p_stmts in
   let n_stmts = Array.length stmts in
   (* every [Defuse] query of the scalar passes, for the counter *)
   let queries = ref 0 in
-  let query f s =
-    incr queries;
-    f env.Depenv.ctx s
+  let facts =
+    Array.map
+      (fun s ->
+        incr queries;
+        Defuse.facts env.Depenv.ctx s)
+      stmts
   in
-  let uses = Array.map (query Defuse.uses) stmts in
-  let defs = Array.map (query Defuse.may_defs) stmts in
-  let pos_of sid =
-    match Hashtbl.find_opt p.p_index sid with Some i -> i + 1 | None -> 0
-  in
-  let index_of (s : Ast.stmt) = pos_of s.Ast.sid - 1 in
 
-  (* ---- scalar dependences ---- *)
+  (* ---- loop-carried scalar dependences: every loop's classes from
+     one walk, each blocking scalar's writers and readers scanned over
+     the loop's body positions ---- *)
   let cfgc = env.Depenv.config in
-  List.iter
-    (fun (lp : Loopnest.loop) ->
-      let loop_sid = lp.Loopnest.lstmt.Ast.sid in
-      let body = Loopnest.body_stmts env.Depenv.nest loop_sid in
-      let classify =
-        if cfgc.Depenv.use_privatization then
-          Varclass.classify
-            ~recognize_reductions:cfgc.Depenv.recognize_reductions
-            env.Depenv.ctx env.Depenv.liveness lp.Loopnest.lstmt
-          |> Varclass.all
-        else
-          (* without scalar data-flow analysis, every written scalar
-             except the loop's own induction variable is unsafe *)
-          let written =
-            List.concat_map (fun s -> defs.(index_of s)) body
-            |> List.sort_uniq String.compare
-            |> List.filter (fun v ->
-                   (not (Symbol.is_array env.Depenv.tbl v))
-                   && not (String.equal v lp.Loopnest.header.Ast.dvar))
-          in
-          List.map (fun v -> (v, Varclass.Shared_unsafe)) written
+  Telemetry.span tel "ddg.varclass" (fun () ->
+      let classes =
+        Varclass.classify_nest ~recognize_reductions:cfgc.Depenv.recognize_reductions
+          ~facts:(Array.get facts) ~cfg:env.Depenv.cfg env.Depenv.ctx
+          env.Depenv.liveness env.Depenv.punit.Ast.body
       in
-      let level = lp.Loopnest.depth in
-      List.iter
-        (fun (v, cls) ->
-          match cls with
-          | Varclass.Shared_unsafe ->
-            let writes = List.filter (fun s -> List.mem v defs.(index_of s)) body in
-            let reads = List.filter (fun s -> List.mem v uses.(index_of s)) body in
-            let emit kind (s1 : Ast.stmt) (s2 : Ast.stmt) =
-              deps :=
-                {
-                  dep_id = 0;
-                  kind;
-                  var = v;
-                  src = s1.Ast.sid;
-                  dst = s2.Ast.sid;
-                  src_ref = None;
-                  dst_ref = None;
-                  level = Some level;
-                  carrier = Some loop_sid;
-                  dirs = [];
-                  dist = [||];
-                  exact = false;
-                  test = "scalar";
-                  is_scalar = true;
-                  prov =
-                    Explain.Provenance.simple ~tier:"scalar"
-                      Explain.Provenance.Assumed;
-                }
-                :: !deps
-            in
-            List.iter (fun w -> List.iter (fun r -> emit Flow w r) reads) writes;
-            List.iter (fun r -> List.iter (fun w -> emit Anti r w) writes) reads;
-            List.iter
-              (fun w1 ->
-                List.iter (fun w2 -> if w1 != w2 then emit Output w1 w2) writes)
-              writes
-          | Varclass.Induction _ | Varclass.Reduction _ | Varclass.Private _
-          | Varclass.Shared_safe -> ())
-        classify)
-    (Loopnest.loops env.Depenv.nest);
+      List.iter2
+        (fun (lp : Loopnest.loop) (lc : Varclass.loop_classes) ->
+          let loop_sid = lp.Loopnest.lstmt.Ast.sid in
+          if lc.Varclass.lc_stmt.Ast.sid <> loop_sid then
+            invalid_arg "Ddg.assemble: classes out of loop order";
+          let first = lc.Varclass.lc_first and stop = lc.Varclass.lc_stop in
+          let body f =
+            let l = ref [] in
+            for i = stop - 1 downto first do
+              if f facts.(i) then l := i :: !l
+            done;
+            !l
+          in
+          let unsafe =
+            if cfgc.Depenv.use_privatization then
+              Varclass.blockers lc.Varclass.lc_classes
+            else
+              (* without scalar data-flow analysis, every written scalar
+                 except the loop's own induction variable is unsafe *)
+              List.concat_map (fun i -> facts.(i).Defuse.may_defs) (body (fun _ -> true))
+              |> List.sort_uniq String.compare
+              |> List.filter (fun v ->
+                     (not (Symbol.is_array env.Depenv.tbl v))
+                     && not (String.equal v lp.Loopnest.header.Ast.dvar))
+          in
+          let level = lp.Loopnest.depth in
+          List.iter
+            (fun v ->
+              let writes = body (fun f -> List.mem v f.Defuse.may_defs) in
+              let reads = body (fun f -> List.mem v f.Defuse.uses) in
+              let emit kind i1 i2 =
+                deps :=
+                  {
+                    dep_id = next_id ();
+                    kind;
+                    var = v;
+                    src = stmts.(i1).Ast.sid;
+                    dst = stmts.(i2).Ast.sid;
+                    src_ref = None;
+                    dst_ref = None;
+                    level = Some level;
+                    carrier = Some loop_sid;
+                    dirs = [];
+                    dist = [||];
+                    exact = false;
+                    test = "scalar";
+                    is_scalar = true;
+                    prov = scalar_prov;
+                  }
+                  :: !deps
+              in
+              List.iter (fun w -> List.iter (fun r -> emit Flow w r) reads) writes;
+              List.iter (fun r -> List.iter (fun w -> emit Anti r w) writes) reads;
+              List.iter
+                (fun w1 ->
+                  List.iter (fun w2 -> if w1 <> w2 then emit Output w1 w2) writes)
+                writes)
+            unsafe)
+        (Loopnest.loops env.Depenv.nest) classes);
 
   (* ---- loop-independent scalar dependences (def-use order) ---- *)
-  let emit_scalar kind v s1 s2 ~exact ~test =
+  let emit_scalar kind v s1 s2 ~exact ~test ~prov =
     deps :=
       {
-        dep_id = 0;
+        dep_id = next_id ();
         kind;
         var = v;
         src = s1;
@@ -930,154 +984,133 @@ let assemble (p : plan) (outcomes : outcome array) : t =
         exact;
         test;
         is_scalar = true;
-        prov =
-          Explain.Provenance.simple ~tier:test
-            (if exact then Explain.Provenance.Proven
-             else Explain.Provenance.Assumed);
+        prov;
       }
       :: !deps
   in
-  (* flow deps from reaching-definition chains; chains flowing
-     backwards in source order travel the loop back edge and are
-     already reported as carried scalar dependences *)
-  List.iter
-    (fun ((d : Reaching.def), use_sid) ->
-      match d.Reaching.def_at with
-      | Cfg.Stmt def_sid
-        when (not (Symbol.is_array env.Depenv.tbl d.Reaching.def_var))
-             && def_sid <> use_sid
-             && pos_of def_sid < pos_of use_sid ->
-        emit_scalar Flow d.Reaching.def_var def_sid use_sid ~exact:true
-          ~test:"def-use"
-      | _ -> ())
-    (Reaching.chains env.Depenv.reaching);
-  (* anti and output deps by intra-iteration source order: every
-     statement meets the later writers of the scalars it reads or
-     writes, in source order *)
-  let scalars = List.filter (fun v -> not (Symbol.is_array env.Depenv.tbl v)) in
-  let reads = Array.map scalars uses and writes = Array.map scalars defs in
-  (* each scalar's writers in ascending position; [later i] drops the
-     ones at or before [i] for good, so the walk below is linear in
-     the positions it passes plus the edges it emits *)
-  let writers = Hashtbl.create 64 in
-  for i = n_stmts - 1 downto 0 do
-    List.iter
-      (fun v ->
-        Hashtbl.replace writers v
-          (i :: Option.value ~default:[] (Hashtbl.find_opt writers v)))
-      writes.(i)
-  done;
-  let later i v =
-    let rec drop = function j :: rest when j <= i -> drop rest | l -> l in
-    match Hashtbl.find_opt writers v with
-    | Some l ->
-      let l = drop l in
-      Hashtbl.replace writers v l;
-      l
-    | None -> []
-  in
-  Array.iteri
-    (fun i (s1 : Ast.stmt) ->
-      let r1 = reads.(i) and w1 = writes.(i) in
-      List.concat_map (later i) (r1 @ w1)
-      |> List.sort_uniq Int.compare
-      |> List.iter (fun j ->
-             let s2 = stmts.(j) and w2 = writes.(j) in
-             if s1.Ast.sid <> s2.Ast.sid && pos_of s1.Ast.sid < pos_of s2.Ast.sid
-             then begin
-               List.iter
-                 (fun v ->
-                   if List.mem v w2 then
-                     emit_scalar Anti v s1.Ast.sid s2.Ast.sid ~exact:false
-                       ~test:"order")
-                 r1;
-               List.iter
-                 (fun v ->
-                   if List.mem v w2 then
-                     emit_scalar Output v s1.Ast.sid s2.Ast.sid ~exact:false
-                       ~test:"order")
-                 w1
-             end))
-    stmts;
+  Telemetry.span tel "ddg.scalar" (fun () ->
+      let pos_of sid =
+        match Hashtbl.find_opt p.p_index sid with Some i -> i | None -> -1
+      in
+      let scalars = List.filter (fun v -> not (Symbol.is_array env.Depenv.tbl v)) in
+      let reads = Array.map (fun f -> scalars f.Defuse.uses) facts
+      and writes = Array.map (fun f -> scalars f.Defuse.may_defs) facts in
+      (* flow deps from reaching-definition chains, in CFG node order;
+         chains flowing backwards in source order travel the loop back
+         edge and are already reported as carried scalar dependences *)
+      List.iter
+        (fun node ->
+          match node with
+          | Cfg.Stmt use_sid ->
+            let use_pos = pos_of use_sid in
+            if use_pos >= 0 then
+              List.iter
+                (fun v ->
+                  List.iter
+                    (fun (d : Reaching.def) ->
+                      match d.Reaching.def_at with
+                      | Cfg.Stmt def_sid
+                        when def_sid <> use_sid && pos_of def_sid < use_pos ->
+                        emit_scalar Flow v def_sid use_sid ~exact:true ~test:"def-use"
+                          ~prov:def_use_prov
+                      | _ -> ())
+                    (Reaching.defs_of_use env.Depenv.reaching use_sid v))
+                reads.(use_pos)
+          | Cfg.Entry | Cfg.Exit -> ())
+        (Cfg.nodes env.Depenv.cfg);
+      (* anti and output deps by intra-iteration source order: every
+         statement meets the later writers of the scalars it reads or
+         writes, in source order.  Each scalar's writers are kept in
+         ascending position; [later i] drops the ones at or before [i]
+         for good, so the walk is linear in the positions it passes plus
+         the edges it emits. *)
+      let writers = Hashtbl.create 64 in
+      for i = n_stmts - 1 downto 0 do
+        List.iter
+          (fun v ->
+            Hashtbl.replace writers v
+              (i :: Option.value ~default:[] (Hashtbl.find_opt writers v)))
+          writes.(i)
+      done;
+      let later i v =
+        let rec drop = function j :: rest when j <= i -> drop rest | l -> l in
+        match Hashtbl.find_opt writers v with
+        | Some l ->
+          let l = drop l in
+          Hashtbl.replace writers v l;
+          l
+        | None -> []
+      in
+      Array.iteri
+        (fun i (s1 : Ast.stmt) ->
+          let r1 = reads.(i) and w1 = writes.(i) in
+          (* the later writers of each scalar, merged: every position
+             after [i] that writes one of them, once, ascending *)
+          let cursors = Array.of_list (List.map (later i) (r1 @ w1)) in
+          let rec next () =
+            let j =
+              Array.fold_left
+                (fun m l -> match l with j :: _ when j < m -> j | _ -> m)
+                max_int cursors
+            in
+            if j < max_int then begin
+              Array.iteri
+                (fun k l -> match l with j' :: rest when j' = j -> cursors.(k) <- rest | _ -> ())
+                cursors;
+              let s2 = stmts.(j) and w2 = writes.(j) in
+              List.iter
+                (fun v ->
+                  if List.mem v w2 then
+                    emit_scalar Anti v s1.Ast.sid s2.Ast.sid ~exact:false ~test:"order"
+                      ~prov:order_prov)
+                r1;
+              List.iter
+                (fun v ->
+                  if List.mem v w2 then
+                    emit_scalar Output v s1.Ast.sid s2.Ast.sid ~exact:false ~test:"order"
+                      ~prov:order_prov)
+                w1;
+              next ()
+            end
+          in
+          next ())
+        stmts);
 
   (* ---- control dependences ---- *)
-  List.iter
-    (fun (e : Control_dep.edge) ->
-      deps :=
-        {
-          dep_id = 0;
-          kind = Control;
-          var = "";
-          src = e.Control_dep.branch;
-          dst = e.Control_dep.dependent;
-          src_ref = None;
-          dst_ref = None;
-          level = None;
-          carrier = None;
-          dirs = [];
-          dist = [||];
-          exact = true;
-          test = "control";
-          is_scalar = false;
-          prov =
-            Explain.Provenance.simple ~tier:"control"
-              Explain.Provenance.Proven;
-        }
-        :: !deps)
-    env.Depenv.control;
+  Telemetry.span tel "ddg.control" (fun () ->
+      List.iter
+        (fun (e : Control_dep.edge) ->
+          deps :=
+            {
+              dep_id = next_id ();
+              kind = Control;
+              var = "";
+              src = e.Control_dep.branch;
+              dst = e.Control_dep.dependent;
+              src_ref = None;
+              dst_ref = None;
+              level = None;
+              carrier = None;
+              dirs = [];
+              dist = [||];
+              exact = true;
+              test = "control";
+              is_scalar = false;
+              prov = control_prov;
+            }
+            :: !deps)
+        env.Depenv.control);
 
-  (* number every edge in emission order so a cache-assisted build and
-     a fresh build of the same unit yield structurally identical graphs;
-     the array edges come first, their bucket-local indices mapped back
-     to the plan's statement ids as they are copied *)
-  let array_deps = ref [] and nodeps = ref [] and n_array = ref 0 in
-  Array.iteri
-    (fun k o ->
-      let sid = of_local p p.p_tasks.(k) in
-      List.iter
-        (fun nd ->
-          nodeps := { nd with nd_src = sid nd.nd_src; nd_dst = sid nd.nd_dst } :: !nodeps)
-        o.o_bucket.b_nodeps;
-      let push d =
-        incr n_array;
-        array_deps :=
-          { d with dep_id = !n_array; src = sid d.src; dst = sid d.dst;
-            carrier = Option.map sid d.carrier }
-          :: !array_deps
-      in
-      List.iter
-        (function
-          | [ d ] -> push d
-          | group ->
-            (* a pair's levels come out in the order a table keyed on
-               (level, carrier id) iterates them: the order of every
-               graph built so far, which carrier ids decide *)
-            let by_level = Hashtbl.create 4 in
-            List.iter
-              (fun d -> Hashtbl.replace by_level (d.level, Option.map sid d.carrier) d)
-              group;
-            let ordered = ref [] in
-            Hashtbl.iter (fun _ d -> ordered := d :: !ordered) by_level;
-            List.iter push (List.rev !ordered))
-        o.o_bucket.b_deps)
-    outcomes;
-  let deps =
-    List.rev_append !array_deps
-      (List.rev !deps |> List.mapi (fun i d -> { d with dep_id = !n_array + i + 1 }))
-  in
+  let deps = List.rev !deps in
   (* statistics cover the array-dependence pairs (the tested ones) *)
-  let data_deps =
-    List.filter (fun d -> d.kind <> Control && not d.is_scalar) deps
-  in
-  let proven = List.length (List.filter (fun d -> d.exact) data_deps) in
   let stats =
     {
       pairs_tested = !pairs_tested;
       disproved =
         Hashtbl.fold (fun k v acc -> (k, v) :: acc) disproved []
         |> List.sort compare;
-      proven;
-      pending = List.length data_deps - proven;
+      proven = !proven;
+      pending = n_array - !proven;
     }
   in
   (* flush aggregated tallies to the sink in one pass — the pair-test
@@ -1121,7 +1154,7 @@ let assemble (p : plan) (outcomes : outcome array) : t =
         in
         Hashtbl.replace by_tier key
           (1 + Option.value ~default:0 (Hashtbl.find_opt by_tier key)))
-      data_deps;
+      (List.filteri (fun i _ -> i < n_array) deps);
     Hashtbl.fold (fun k v acc -> (k, v) :: acc) by_tier []
     |> List.sort compare
     |> List.iter (fun ((tier, proven), n) ->

@@ -1,9 +1,10 @@
 (* Reference oracles for the scalar analyses: the set-based reaching
-   definitions, dominator algorithms and constant propagation that the
-   bit-vector, Cooper–Harvey–Kennedy and numbered-variable versions in
-   lib/analysis replaced.  They are
-   slow and plainly correct; the dataflow suite checks the library
-   against them on random programs. *)
+   definitions, dominator algorithms, constant propagation and liveness
+   that the bit-vector, Cooper–Harvey–Kennedy and numbered-variable
+   versions in lib/analysis replaced, and the per-loop variable
+   classification that the bottom-up Varclass walk replaced.  They are
+   slow and plainly correct; the dataflow and varclass suites check the
+   library against them on random programs. *)
 
 open Fortran_front
 open Scalar_analysis
@@ -203,3 +204,155 @@ let const_of_var ctx result sid var =
     match SMap.find_opt var (Dataflow.input result (Cfg.Stmt sid)) with
     | Some (Const c) -> Some c
     | Some Bot | None -> None)
+
+(* Live variables over string sets: a statement's uses are live before
+   it, its must-definitions dead, and the escaping variables (formals
+   and COMMON, or every variable with [~all_escape]) live at exit. *)
+module SSet = Set.Make (String)
+
+let liveness_problem ?(all_escape = false) (ctx : Defuse.ctx) (cfg : Cfg.t) :
+    SSet.t Dataflow.problem =
+  let escaping =
+    List.filter_map
+      (fun (i : Symbol.info) ->
+        match i.kind with
+        | Symbol.Scalar | Symbol.Array _ ->
+          if all_escape || i.formal || i.common <> None then Some i.name else None
+        | Symbol.Routine | Symbol.External_fun | Symbol.Intrinsic -> None)
+      (Symbol.infos (Defuse.table ctx))
+  in
+  {
+    Dataflow.direction = Dataflow.Backward;
+    boundary = SSet.of_list escaping;
+    init = SSet.empty;
+    join = SSet.union;
+    equal = SSet.equal;
+    transfer =
+      (fun n out ->
+        match Cfg.stmt_of cfg n with
+        | None -> out
+        | Some s ->
+          SSet.union
+            (SSet.of_list (Defuse.uses ctx s))
+            (SSet.diff out (SSet.of_list (Defuse.must_defs ctx s))));
+  }
+
+(* With a backward problem the solver's output of a node is its
+   live-in and its input its live-out. *)
+let live_in result sid = SSet.elements (Dataflow.output result (Cfg.Stmt sid))
+let live_out result sid = SSet.elements (Dataflow.input result (Cfg.Stmt sid))
+
+(* Variable classes one loop at a time, the classification the
+   bottom-up walk of [Varclass.classify_nest] replaced: every loop
+   folds over its whole body for the scalars it mentions and writes,
+   composes its region summary, and folds again per reduction
+   candidate. *)
+
+exception Unstructured
+
+(* (upward-exposed uses, must-defs) of a region; [Unstructured] on
+   GOTO/RETURN/STOP *)
+let rec region_summary ctx (stmts : Ast.stmt list) : SSet.t * SSet.t =
+  List.fold_left
+    (fun (ue, md) s ->
+      let s_ue, s_md = stmt_summary ctx s in
+      (SSet.union ue (SSet.diff s_ue md), SSet.union md s_md))
+    (SSet.empty, SSet.empty) stmts
+
+and stmt_summary ctx (s : Ast.stmt) : SSet.t * SSet.t =
+  match s.Ast.node with
+  | Ast.Goto _ | Ast.Return | Ast.Stop -> raise Unstructured
+  | Ast.If (branches, els) ->
+    let cond_uses =
+      SSet.of_list (List.concat_map (fun (c, _) -> Ast.expr_vars c) branches)
+    in
+    let summaries = List.map (region_summary ctx) (List.map snd branches @ [ els ]) in
+    let ue = List.fold_left (fun acc (u, _) -> SSet.union acc u) cond_uses summaries in
+    let md =
+      match summaries with
+      | [] -> SSet.empty
+      | (_, m) :: rest -> List.fold_left (fun acc (_, m') -> SSet.inter acc m') m rest
+    in
+    (ue, md)
+  | Ast.Do (h, body) ->
+    let bound_uses =
+      SSet.of_list
+        (List.concat_map Ast.expr_vars ([ h.Ast.lo; h.Ast.hi ] @ Option.to_list h.Ast.step))
+    in
+    let body_ue, _ = region_summary ctx body in
+    (* the loop may run zero times: only the induction variable is a
+       must-def *)
+    (SSet.union bound_uses (SSet.remove h.Ast.dvar body_ue), SSet.singleton h.Ast.dvar)
+  | Ast.Assign _ | Ast.Call _ | Ast.Continue | Ast.Print _ ->
+    (SSet.of_list (Defuse.uses ctx s), SSet.of_list (Defuse.must_defs ctx s))
+
+(* Is every occurrence of [v] in the body confined to reduction
+   statements of a single operation? *)
+let reduction_class ctx body v : Varclass.reduction_op option =
+  let ops = ref [] in
+  let ok =
+    Ast.fold_stmts
+      (fun acc (s : Ast.stmt) ->
+        acc
+        &&
+        match s.Ast.node with
+        | Ast.Assign (Ast.Var v', rhs) when String.equal v v' -> (
+          match Varclass.reduction_op_of v rhs with
+          | Some op ->
+            ops := op :: !ops;
+            true
+          | None -> false)
+        | _ ->
+          (not (List.mem v (Defuse.uses ctx s))) && not (List.mem v (Defuse.may_defs ctx s)))
+      true body
+  in
+  if not ok then None else match List.sort_uniq compare !ops with [ op ] -> Some op | _ -> None
+
+let varclass ?(recognize_reductions = true) ~cfg ctx (liveness : Liveness.t)
+    (loop : Ast.stmt) : (string * Varclass.classification) list =
+  match loop.Ast.node with
+  | Ast.Do (h, body) ->
+    let tbl = Defuse.table ctx in
+    let is_scalar v =
+      match Symbol.lookup tbl v with Some { kind = Symbol.Scalar; _ } -> true | _ -> false
+    in
+    let mentioned =
+      Ast.fold_stmts
+        (fun acc s -> SSet.union acc (SSet.of_list (Defuse.uses ctx s @ Defuse.may_defs ctx s)))
+        (SSet.of_list
+           (List.concat_map Ast.expr_vars ([ h.Ast.lo; h.Ast.hi ] @ Option.to_list h.Ast.step)))
+        body
+      |> SSet.filter is_scalar
+    in
+    let written =
+      Ast.fold_stmts
+        (fun acc s -> SSet.union acc (SSet.of_list (Defuse.may_defs ctx s)))
+        SSet.empty body
+      |> SSet.filter is_scalar
+    in
+    let auxs = Varclass.aux_inductions ctx loop in
+    let structured, ue =
+      match region_summary ctx body with
+      | ue, _ -> (true, ue)
+      | exception Unstructured -> (false, SSet.empty)
+    in
+    let live_after = Liveness.live_after liveness cfg loop.Ast.sid in
+    let classify_var v : Varclass.classification =
+      if String.equal v h.Ast.dvar then Induction { stride = None }
+      else
+        match List.find_opt (fun (a, _, _) -> String.equal a v) auxs with
+        | Some (_, c, _) -> Induction { stride = Some (Symbolic.Linear.const c) }
+        | None -> (
+          if not (SSet.mem v written) then Shared_safe
+          else if not structured then Shared_unsafe
+          else
+            match
+              if recognize_reductions then reduction_class ctx body v else None
+            with
+            | Some op -> Reduction op
+            | None ->
+              if not (SSet.mem v ue) then Private { needs_last_value = List.mem v live_after }
+              else Shared_unsafe)
+    in
+    List.map (fun v -> (v, classify_var v)) (SSet.elements mentioned)
+  | _ -> invalid_arg "Ref_scalar.varclass: not a DO loop"

@@ -497,26 +497,6 @@ let monotone_fixed_point cfg ~leq (p : 'a Dataflow.problem) =
          && p.Dataflow.equal (Dataflow.output r n) (p.Dataflow.transfer n i))
        (Cfg.nodes cfg)
 
-module SSet = Set.Make (String)
-
-(* Live variables, as Liveness computes them. *)
-let liveness_problem ctx cfg =
-  {
-    Dataflow.direction = Dataflow.Backward;
-    boundary = SSet.empty;
-    init = SSet.empty;
-    join = SSet.union;
-    equal = SSet.equal;
-    transfer =
-      (fun n out ->
-        match Cfg.stmt_of cfg n with
-        | None -> out
-        | Some s ->
-          SSet.union
-            (SSet.of_list (Defuse.uses ctx s))
-            (SSet.diff out (SSet.of_list (Defuse.must_defs ctx s))));
-  }
-
 let solutions_are_fixed_points =
   QCheck2.Test.make ~count:60
     ~name:"forward and backward solves rise monotonically to a fixed point"
@@ -525,8 +505,63 @@ let solutions_are_fixed_points =
         (fun (ctx, cfg) ->
           monotone_fixed_point cfg ~leq:Ref_scalar.DefSet.subset
             (Ref_scalar.reaching_problem ctx cfg)
-          && monotone_fixed_point cfg ~leq:SSet.subset (liveness_problem ctx cfg))
+          && monotone_fixed_point cfg ~leq:Ref_scalar.SSet.subset
+               (Ref_scalar.liveness_problem ctx cfg))
         (units_of p))
+
+(* The first statement where the bit-set liveness differs from the
+   string-set reference, under either escaping boundary, if any. *)
+let liveness_mismatch (ctx, cfg) =
+  List.find_map
+    (fun all_escape ->
+      let l = Liveness.analyze ~all_escape ctx cfg in
+      let reference = Dataflow.solve cfg (Ref_scalar.liveness_problem ~all_escape ctx cfg) in
+      List.find_map
+        (fun n ->
+          match Cfg.stmt_of cfg n with
+          | None -> None
+          | Some s ->
+            let sid = s.Ast.sid in
+            if Liveness.live_in l sid <> Ref_scalar.live_in reference sid then
+              Some (Printf.sprintf "live_in at s%d (all_escape %b)" sid all_escape)
+            else if Liveness.live_out l sid <> Ref_scalar.live_out reference sid then
+              Some (Printf.sprintf "live_out at s%d (all_escape %b)" sid all_escape)
+            else None)
+        (Cfg.nodes cfg))
+    [ false; true ]
+
+let liveness_matches_reference =
+  QCheck2.Test.make ~count:60 ~name:"liveness equals the string-set reference"
+    ~print:Pretty.program_to_string gen_goto_program (fun p ->
+      List.for_all
+        (fun unit ->
+          match liveness_mismatch unit with
+          | None -> true
+          | Some where -> QCheck2.Test.fail_reportf "liveness differs: %s" where)
+        (units_of p))
+
+(* The same on the stress profiles, under intraprocedural contexts and
+   under the interprocedural ones, whose CALLs kill scalars. *)
+let liveness_matches_reference_stress () =
+  List.iter
+    (fun (name, prog) ->
+      let summary = Interproc.Summary.analyze prog in
+      let interproc =
+        List.map
+          (fun u ->
+            let env = Interproc.Summary.env_for summary u in
+            (env.Dependence.Depenv.ctx, env.Dependence.Depenv.cfg))
+          prog.Ast.punits
+      in
+      List.iter
+        (fun unit ->
+          Option.iter
+            (Alcotest.failf "%s: liveness differs from the reference: %s" name)
+            (liveness_mismatch unit))
+        (units_of prog @ interproc))
+    (List.filter
+       (fun (name, _) -> String.starts_with ~prefix:"stress:" name)
+       (scalar_programs ()))
 
 (* Visits per solve on the full deep stress program, read from the
    [dataflow.visits_per_solve] histogram: each of the three Depenv
@@ -756,4 +791,7 @@ let suite =
     case "constant propagation equals the reference on the stress profiles"
       constants_match_reference_stress;
     qcheck_case solutions_are_fixed_points;
+    qcheck_case liveness_matches_reference;
+    case "liveness equals the reference on the stress profiles"
+      liveness_matches_reference_stress;
   ]
