@@ -381,7 +381,7 @@ let fig1 () =
       let w = Option.get (Workloads.by_name name) in
       let p = Workloads.program w in
       let u = List.find (fun (u : Ast.program_unit) -> u.Ast.kind = Ast.Main) p.Ast.punits in
-      let env = Depenv.make u in
+      let env = Depenv.make (Unit_syntax.build u) in
       let outcome = Sim.Interp.run ~honor_parallel:false p in
       let total = Float.max 1.0 outcome.Sim.Interp.cycles in
       Printf.printf "%s:\n" name;
@@ -686,6 +686,7 @@ let table6_run ~smoke label =
             None
         in
         Printf.printf "%-10s" w.Workloads.name;
+        let summary = Interproc.Summary.analyze par in
         let best_cg = ref infinity in
         let cols =
           List.map
@@ -694,7 +695,7 @@ let table6_run ~smoke label =
               (* the static estimator's promise, recorded next to the
                  simulated and measured columns so prediction drift is
                  visible in the JSON *)
-              let est = Perfdebug.Driver.predicted_of ~processors:p par in
+              let est = Perfdebug.Driver.predicted_of ~summary ~processors:p par in
               let meas =
                 seq_wall /. Float.max 1e-9 (best_wall ~reps ~domains:p par)
               in
@@ -1064,7 +1065,7 @@ let parscale_env ~nests =
   let program =
     Ast.renumber_program (Parser.parse_program ~file:"parsc.f" src)
   in
-  Depenv.make (List.hd program.Ast.punits)
+  Depenv.make (Unit_syntax.build (List.hd program.Ast.punits))
 
 let best_of reps f =
   let best = ref infinity in

@@ -31,6 +31,15 @@ let union a b =
   done;
   r
 
+let inter a b =
+  let r = Bytes.create (Bytes.length a) in
+  for w = 0 to words a - 1 do
+    let o = 8 * w in
+    Bytes.set_int64_ne r o
+      (Int64.logand (Bytes.get_int64_ne a o) (Bytes.get_int64_ne b o))
+  done;
+  r
+
 let transfer ~gen ~kill x =
   let r = Bytes.create (Bytes.length x) in
   for w = 0 to words x - 1 do

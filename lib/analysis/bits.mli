@@ -1,7 +1,8 @@
 (** Sets of small non-negative integers, one bit per element.
 
-    The numbered-variable solvers ({!Reaching}, {!Liveness}) and the
-    {!Varclass} walk keep their sets in these.  All sets combined in
+    The numbered-variable solvers ({!Reaching}, {!Liveness}, the
+    interprocedural Kill analysis) and the {!Varclass} walk keep their
+    sets in these.  All sets combined in
     one operation must come from [make] with the same size.  The
     functional operations return a fresh set and never mutate their
     arguments, so a solver may share a set between nodes; the [_into]
@@ -18,6 +19,7 @@ val remove : t -> int -> unit
 val mem : t -> int -> bool
 val equal : t -> t -> bool
 val union : t -> t -> t
+val inter : t -> t -> t
 
 (** [transfer ~gen ~kill x] — [gen ∪ (x \ kill)]. *)
 val transfer : gen:t -> kill:t -> t -> t

@@ -3,7 +3,7 @@ open Fortran_front
 type node = Entry | Exit | Stmt of Ast.stmt_id
 
 (* Entry < Exit < Stmt, statements by id: the polymorphic order,
-   without its runtime type dispatch on every map and set operation. *)
+   without its runtime type dispatch. *)
 let node_compare (a : node) (b : node) =
   match (a, b) with
   | Stmt x, Stmt y -> Int.compare x y
@@ -17,151 +17,128 @@ let pp_node ppf = function
   | Exit -> Format.pp_print_string ppf "exit"
   | Stmt sid -> Format.fprintf ppf "s%d" sid
 
-module NodeOrd = struct
-  type t = node
-
-  let compare = node_compare
-end
-
-module NodeMap = Map.Make (NodeOrd)
-module NodeSet = Set.Make (NodeOrd)
-
+(* One numbering: node [i] is [Entry] for 0, [Exit] for [exit_], the
+   statement [stmts.(i)] otherwise. *)
 type t = {
-  unit_ : Ast.program_unit;
-  stmts : (Ast.stmt_id, Ast.stmt) Hashtbl.t;
-  order : node list;
-  at : node array;  (* [order], by node number *)
-  ids : (node, int) Hashtbl.t;  (* inverse of [at] *)
-  succ_nodes : node list array;
-  pred_nodes : node list array;
+  stmts : Ast.stmt option array;
+  exit_ : int;
+  number : (Ast.stmt_id, int) Hashtbl.t;  (* statement id -> number *)
   succ_ids : int array array;
   pred_ids : int array array;
 }
 
-let index t n = Hashtbl.find_opt t.ids n
-
-let node_at t i = t.at.(i)
+let size t = Array.length t.stmts
 let succ_ids t i = t.succ_ids.(i)
 let pred_ids t i = t.pred_ids.(i)
 
-let edges_of t a n =
-  match index t n with Some i -> a.(i) | None -> []
+let node_at t i =
+  match t.stmts.(i) with
+  | Some s -> Stmt s.Ast.sid
+  | None -> if i = 0 then Entry else Exit
 
-let succs t n = edges_of t t.succ_nodes n
-let preds t n = edges_of t t.pred_nodes n
-let nodes t = t.order
-let unit_of t = t.unit_
+let index t = function
+  | Entry -> Some 0
+  | Exit -> Some t.exit_
+  | Stmt sid -> Hashtbl.find_opt t.number sid
 
-let stmt_of t = function
-  | Entry | Exit -> None
-  | Stmt sid -> Hashtbl.find_opt t.stmts sid
+let stmt_at t i = t.stmts.(i)
 
-let size t = Array.length t.at
+let stmt_of t n = Option.bind (index t n) (stmt_at t)
 
-(* [wire body ~next] returns the entry node(s) of [body] and registers
-   edges so that falling off the end of [body] reaches [next]. *)
+let view t a n =
+  match index t n with
+  | Some i -> Array.fold_right (fun j acc -> node_at t j :: acc) a.(i) []
+  | None -> []
+
+let succs t n = view t t.succ_ids n
+let preds t n = view t t.pred_ids n
+let nodes t = List.init (size t) (node_at t)
+
+(* Statements are first numbered in source order after [Entry] (0) and
+   [Exit] (1); the edges are wired on those numbers, then everything
+   is renumbered in reverse postorder from [Entry]. *)
 let build (u : Ast.program_unit) : t =
+  let src =
+    Array.of_list (List.rev (Ast.fold_stmts (fun acc s -> s :: acc) [] u.Ast.body))
+  in
+  let n = Array.length src + 2 in
+  let at_src = Hashtbl.create n and labels = Hashtbl.create 16 in
+  Array.iteri
+    (fun k (s : Ast.stmt) ->
+      Hashtbl.replace at_src s.Ast.sid (k + 2);
+      match s.Ast.label with
+      | Some l -> if not (Hashtbl.mem labels l) then Hashtbl.add labels l (k + 2)
+      | None -> ())
+    src;
+  let entry = 0 and exit = 1 in
+  let id (s : Ast.stmt) = Hashtbl.find at_src s.Ast.sid in
   let edges = ref [] in
   let add_edge a b = edges := (a, b) :: !edges in
-  let labels = Hashtbl.create 16 in
-  Ast.iter_stmts
-    (fun s ->
-      match s.Ast.label with
-      | Some l -> if not (Hashtbl.mem labels l) then Hashtbl.add labels l s.Ast.sid
-      | None -> ())
-    u.Ast.body;
   let label_target l =
     match Hashtbl.find_opt labels l with
-    | Some sid -> Stmt sid
+    | Some i -> i
     | None -> failwith (Printf.sprintf "GOTO to unknown label %d" l)
   in
-  (* Returns the first node of the statement sequence, given the node
-     control reaches after the sequence.  Wires all internal edges. *)
-  let rec wire_seq (stmts : Ast.stmt list) ~(next : node) : node =
+  (* [wire_seq stmts ~next]: the first node of [stmts], wiring their
+     edges so that falling off the end reaches [next] *)
+  let rec wire_seq (stmts : Ast.stmt list) ~next =
     match stmts with
     | [] -> next
-    | s :: rest ->
-      let rest_entry = wire_seq rest ~next in
-      wire_stmt s ~next:rest_entry
-  and wire_stmt (s : Ast.stmt) ~(next : node) : node =
-    let me = Stmt s.Ast.sid in
+    | s :: rest -> wire_stmt s ~next:(wire_seq rest ~next)
+  and wire_stmt (s : Ast.stmt) ~next =
+    let me = id s in
     (match s.Ast.node with
     | Ast.Assign _ | Ast.Call _ | Ast.Continue | Ast.Print _ -> add_edge me next
     | Ast.Goto l -> add_edge me (label_target l)
-    | Ast.Return | Ast.Stop -> add_edge me Exit
+    | Ast.Return | Ast.Stop -> add_edge me exit
     | Ast.If (branches, els) ->
-      List.iter
-        (fun (_, body) ->
-          let entry = wire_seq body ~next in
-          add_edge me entry)
-        branches;
-      let else_entry = wire_seq els ~next in
-      add_edge me else_entry
+      List.iter (fun (_, body) -> add_edge me (wire_seq body ~next)) branches;
+      add_edge me (wire_seq els ~next)
     | Ast.Do (_, body) ->
       (* the DO node evaluates bounds and the trip test: one edge into
          the body, one past the loop (zero-trip); the body's fall-
          through returns to the DO node (back edge) *)
-      let body_entry = wire_seq body ~next:me in
-      add_edge me body_entry;
+      add_edge me (wire_seq body ~next:me);
       add_edge me next);
     me
   in
-  let first = wire_seq u.Ast.body ~next:Exit in
-  add_edge Entry first;
-  (* collect statement table *)
-  let stmts = Hashtbl.create 64 in
-  Ast.iter_stmts (fun s -> Hashtbl.replace stmts s.Ast.sid s) u.Ast.body;
-  (* build adjacency maps, deduplicating parallel edges *)
-  let find_edges m n = match NodeMap.find_opt n m with Some l -> l | None -> [] in
-  let add_adj m a b =
-    let cur = find_edges !m a in
-    if not (List.exists (node_equal b) cur) then m := NodeMap.add a (b :: cur) !m
-  in
-  let succs = ref NodeMap.empty and preds = ref NodeMap.empty in
-  let ensure m n = if not (NodeMap.mem n !m) then m := NodeMap.add n [] !m in
-  ensure succs Entry; ensure succs Exit; ensure preds Entry; ensure preds Exit;
-  Hashtbl.iter
-    (fun sid _ ->
-      ensure succs (Stmt sid);
-      ensure preds (Stmt sid))
-    stmts;
+  add_edge entry (wire_seq u.Ast.body ~next:exit);
+  (* adjacency without parallel edges: a repeated edge keeps the place
+     of its last wiring *)
+  let succ = Array.make n [] and pred = Array.make n [] in
   List.iter
     (fun (a, b) ->
-      add_adj succs a b;
-      add_adj preds b a)
+      if not (List.mem b succ.(a)) then succ.(a) <- b :: succ.(a);
+      if not (List.mem a pred.(b)) then pred.(b) <- a :: pred.(b))
     !edges;
-  (* reverse postorder from Entry *)
-  let visited = ref NodeSet.empty in
-  let order = ref [] in
-  let rec dfs n =
-    if not (NodeSet.mem n !visited) then begin
-      visited := NodeSet.add n !visited;
-      List.iter dfs (find_edges !succs n);
-      order := n :: !order
+  (* reverse postorder from Entry, then the unreachable statements in
+     source order, then Exit if unreached *)
+  let number = Array.make n (-1) and order = ref [] in
+  let rec dfs i =
+    if number.(i) < 0 then begin
+      number.(i) <- 0;
+      List.iter dfs succ.(i);
+      order := i :: !order
     end
   in
-  dfs Entry;
-  (* unreachable statements, in source order, then Exit if unreached *)
-  let extras = ref [] in
-  Ast.iter_stmts
-    (fun s ->
-      let n = Stmt s.Ast.sid in
-      if not (NodeSet.mem n !visited) then extras := n :: !extras)
-    u.Ast.body;
+  dfs entry;
+  let unreached = List.filter (fun i -> number.(i) < 0) (List.init (n - 2) (( + ) 2)) in
   let order =
-    !order @ List.rev !extras
-    @ (if NodeSet.mem Exit !visited then [] else [ Exit ])
+    Array.of_list
+      (!order @ unreached @ if number.(exit) < 0 then [ exit ] else [])
   in
-  let at = Array.of_list order in
-  let ids = Hashtbl.create (Array.length at) in
-  Array.iteri (fun i n -> Hashtbl.replace ids n i) at;
-  let adj m = Array.map (find_edges !m) at in
-  let succ_nodes = adj succs and pred_nodes = adj preds in
-  let to_ids =
-    Array.map (fun l -> Array.of_list (List.map (Hashtbl.find ids) l))
+  Array.iteri (fun k i -> number.(i) <- k) order;
+  let renumber adj =
+    Array.map (fun i -> Array.of_list (List.map (Array.get number) adj.(i))) order
   in
-  { unit_ = u; stmts; order; at; ids; succ_nodes; pred_nodes;
-    succ_ids = to_ids succ_nodes; pred_ids = to_ids pred_nodes }
+  Hashtbl.filter_map_inplace (fun _ i -> Some number.(i)) at_src;
+  {
+    stmts = Array.map (fun i -> if i < 2 then None else Some src.(i - 2)) order;
+    exit_ = number.(exit);
+    number = at_src;
+    succ_ids = renumber succ;
+    pred_ids = renumber pred;
+  }
 
 let dot t =
   let buf = Buffer.create 256 in

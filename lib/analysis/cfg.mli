@@ -7,7 +7,13 @@
     handles are small enough that the extra nodes cost nothing.
 
     Edges follow structured control flow (IF branches, DO loops with
-    their zero-trip exits and back edges) and GOTOs to labels. *)
+    their zero-trip exits and back edges) and GOTOs to labels.
+
+    The graph is one numbering: nodes are [0 .. size t - 1] in reverse
+    postorder from [Entry] (so [Entry] is 0), each number with its
+    successor and predecessor numbers and its statement.  The
+    node-valued queries ({!succs}, {!preds}, {!nodes}) are views of
+    that numbering. *)
 
 open Fortran_front
 
@@ -16,9 +22,6 @@ type node = Entry | Exit | Stmt of Ast.stmt_id
 val node_compare : node -> node -> int
 val node_equal : node -> node -> bool
 val pp_node : Format.formatter -> node -> unit
-
-module NodeMap : Map.S with type key = node
-module NodeSet : Set.S with type elt = node
 
 type t
 
@@ -29,8 +32,9 @@ val build : Ast.program_unit -> t
 val succs : t -> node -> node list
 val preds : t -> node -> node list
 
-(** All nodes in reverse postorder from [Entry] (unreachable statements
-    appear after the reachable ones, in source order). *)
+(** All nodes in number order: reverse postorder from [Entry], then
+    the unreachable statements in source order, then [Exit] if it is
+    unreachable. *)
 val nodes : t -> node list
 
 (** The statement behind a node. *)
@@ -39,22 +43,19 @@ val stmt_of : t -> node -> Ast.stmt option
 (** Number of nodes, including [Entry] and [Exit]. *)
 val size : t -> int
 
-(** Nodes are numbered [0 .. size t - 1] in {!nodes} order, so
-    [Entry] is 0.  [index] is a node's number, [None] for a node not
-    in the graph; the dataflow solver and the dominator computation
-    work on these numbers. *)
+(** A node's number, [None] for a node not in the graph. *)
 val index : t -> node -> int option
 
 val node_at : t -> int -> node
+
+(** The statement numbered [i] ([None] for [Entry] and [Exit]). *)
+val stmt_at : t -> int -> Ast.stmt option
 
 (** Numbered successors and predecessors, in {!succs} / {!preds}
     order. *)
 val succ_ids : t -> int -> int array
 
 val pred_ids : t -> int -> int array
-
-(** The unit this CFG was built from. *)
-val unit_of : t -> Ast.program_unit
 
 (** [dot t] renders the graph in Graphviz format (for debugging and
     the editor's call-graph-style displays). *)

@@ -2,11 +2,6 @@ open Fortran_front
 
 type value = Cint of int | Creal of float | Clog of bool
 
-let pp_value ppf = function
-  | Cint n -> Format.pp_print_int ppf n
-  | Creal f -> Format.pp_print_float ppf f
-  | Clog b -> Format.pp_print_string ppf (if b then ".TRUE." else ".FALSE.")
-
 let value_equal a b =
   match (a, b) with
   | Cint x, Cint y -> x = y
@@ -168,7 +163,7 @@ let analyze (ctx : Defuse.ctx) (cfg : Cfg.t) : t =
   List.iter (fun (i : Symbol.info) -> ignore (num i.name)) vars;
   let actions =
     Array.init (Cfg.size cfg) (fun i ->
-        match Cfg.stmt_of cfg (Cfg.node_at cfg i) with
+        match Cfg.stmt_at cfg i with
         | None -> Keep
         | Some s -> (
           match s.Ast.node with
@@ -214,13 +209,13 @@ let analyze (ctx : Defuse.ctx) (cfg : Cfg.t) : t =
       env.(k) <- x;
       env
   in
-  let transfer node (env : env) =
-    match Option.map (Array.get actions) (Cfg.index cfg node) with
-    | None | Some Keep -> env
-    | Some (Assign (k, rhs)) ->
+  let transfer i (env : env) =
+    match actions.(i) with
+    | Keep -> env
+    | Assign (k, rhs) ->
       set env k
         (match eval_with (lookup_in env) rhs with Some c -> Const c | None -> Bot)
-    | Some (Vary ks) ->
+    | Vary ks ->
       if List.for_all (fun k -> lat_equal env.(k) Bot) ks then env
       else
         let env = Array.copy env in

@@ -14,8 +14,6 @@ open Fortran_front
 
 type value = Cint of int | Creal of float | Clog of bool
 
-val pp_value : Format.formatter -> value -> unit
-
 type t
 
 val analyze : Defuse.ctx -> Cfg.t -> t

@@ -46,9 +46,3 @@ let controllers edges sid =
     (fun e -> if e.dependent = sid then Some e.branch else None)
     edges
   |> List.sort_uniq compare
-
-let controlled_by edges sid =
-  List.filter_map
-    (fun e -> if e.branch = sid then Some e.dependent else None)
-    edges
-  |> List.sort_uniq compare

@@ -18,6 +18,3 @@ val compute : Cfg.t -> edge list
 
 (** Statements controlling [sid]. *)
 val controllers : edge list -> Ast.stmt_id -> Ast.stmt_id list
-
-(** Statements controlled by [sid]. *)
-val controlled_by : edge list -> Ast.stmt_id -> Ast.stmt_id list

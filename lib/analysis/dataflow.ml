@@ -6,7 +6,7 @@ type 'a problem = {
   init : 'a;
   join : 'a -> 'a -> 'a;
   equal : 'a -> 'a -> bool;
-  transfer : Cfg.node -> 'a -> 'a;
+  transfer : int -> 'a -> 'a;
 }
 
 type 'a result = { cfg : Cfg.t; input_ : 'a array; output_ : 'a array }
@@ -20,7 +20,7 @@ let solve (cfg : Cfg.t) (p : 'a problem) : 'a result =
   in
   let b = Option.get (Cfg.index cfg boundary_node) in
   let in_ = Array.make n p.init and out = Array.make n p.init in
-  out.(b) <- p.transfer boundary_node p.boundary;
+  out.(b) <- p.transfer b p.boundary;
   (* [dirty.(i)]: some input of node [i] changed since its last visit.
      Each pass sweeps the nodes in reverse postorder (postorder for a
      backward problem) and visits only the dirty ones, so a change
@@ -40,7 +40,7 @@ let solve (cfg : Cfg.t) (p : 'a problem) : 'a result =
         (flow_preds i)
     in
     in_.(i) <- v;
-    let o = p.transfer (Cfg.node_at cfg i) v in
+    let o = p.transfer i v in
     if not (p.equal out.(i) o) then begin
       out.(i) <- o;
       Array.iter
@@ -74,4 +74,5 @@ let lookup what a r n =
   | None -> invalid_arg ("Dataflow." ^ what ^ ": unknown node")
 
 let input r n = lookup "input" r.input_ r n
+let input_at r i = r.input_.(i)
 let output r n = lookup "output" r.output_ r n

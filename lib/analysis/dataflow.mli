@@ -5,7 +5,8 @@
     and returns the IN and OUT value of every node.
 
     The solver works on the CFG's node numbers ({!Cfg.index}), which
-    follow reverse postorder from [Entry].  It sweeps the nodes in that
+    follow reverse postorder from [Entry], and hands the transfer
+    function the number of the node it visits.  It sweeps the nodes in that
     order (reversed for a backward problem), visiting only those whose
     inputs changed since their last visit, until a sweep finds none:
     on the structured loop nests Ped sees, a few sweeps suffice.  Each
@@ -25,7 +26,7 @@ type 'a problem = {
   init : 'a;      (** initial value for all other nodes *)
   join : 'a -> 'a -> 'a;
   equal : 'a -> 'a -> bool;
-  transfer : Cfg.node -> 'a -> 'a;
+  transfer : int -> 'a -> 'a;  (** by node number *)
 }
 
 type 'a result
@@ -36,6 +37,9 @@ val solve : Cfg.t -> 'a problem -> 'a result
 (** Value flowing into a node (before its transfer function).
     @raise Invalid_argument for a node not in the solved graph. *)
 val input : 'a result -> Cfg.node -> 'a
+
+(** {!input} by node number. *)
+val input_at : 'a result -> int -> 'a
 
 (** Value flowing out of a node (after its transfer function). *)
 val output : 'a result -> Cfg.node -> 'a

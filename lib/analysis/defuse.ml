@@ -146,6 +146,5 @@ let array_reads ctx (s : Ast.stmt) =
 let scalar_writes ctx s =
   List.filter (fun v -> not (is_array ctx v)) (may_defs ctx s)
 
-let scalar_reads ctx s = List.filter (fun v -> not (is_array ctx v)) (uses ctx s)
 
 let effects_of_call ctx s = call_effects ctx s

@@ -61,10 +61,8 @@ val array_writes : ctx -> Ast.stmt -> (string * Ast.expr list) list
 
 val array_reads : ctx -> Ast.stmt -> (string * Ast.expr list) list
 
-(** Scalars written / read by the statement (excludes arrays). *)
+(** Scalars written by the statement (excludes arrays). *)
 val scalar_writes : ctx -> Ast.stmt -> string list
-
-val scalar_reads : ctx -> Ast.stmt -> string list
 
 (** The (oracle-supplied or conservative) effects of a CALL statement;
     empty effects for any other statement. *)

@@ -24,7 +24,7 @@ let analyze ?(all_escape = false) (ctx : Defuse.ctx) (cfg : Cfg.t) : t =
   let n = Cfg.size cfg in
   let effects =
     Array.init n (fun i ->
-        match Cfg.stmt_of cfg (Cfg.node_at cfg i) with
+        match Cfg.stmt_at cfg i with
         | None -> None
         | Some s ->
           let f = Defuse.facts ctx s in
@@ -46,8 +46,8 @@ let analyze ?(all_escape = false) (ctx : Defuse.ctx) (cfg : Cfg.t) : t =
       (Option.map (fun (uses, kills) -> (bits_of uses, bits_of kills)))
       effects
   in
-  let transfer node x =
-    match Option.bind (Cfg.index cfg node) (Array.get gen_kill) with
+  let transfer i x =
+    match gen_kill.(i) with
     | None -> x
     | Some (gen, kill) -> Bits.transfer ~gen ~kill x
   in
@@ -76,7 +76,6 @@ let mem t x v = match Hashtbl.find_opt t.id v with Some k -> Bits.mem x k | None
    value before the node in execution order (live-in), and its "input"
    is live-out. *)
 let live_in t sid = elements t (Dataflow.output t.result (Cfg.Stmt sid))
-let live_at_exit t = elements t (Dataflow.output t.result Cfg.Exit)
 
 let live_after t cfg loop_sid =
   match Cfg.stmt_of cfg (Cfg.Stmt loop_sid) with
@@ -85,13 +84,12 @@ let live_after t cfg loop_sid =
       Ast.fold_stmts (fun acc s -> s.Ast.sid :: acc) [] body
     in
     Cfg.succs cfg (Cfg.Stmt loop_sid)
-    |> List.concat_map (fun n ->
-           match n with
-           | Cfg.Stmt s when not (List.mem s body_sids) -> live_in t s
-           | Cfg.Exit -> live_at_exit t
-           | Cfg.Stmt _ | Cfg.Entry -> [])
+    |> List.filter (function
+         | Cfg.Stmt s -> not (List.mem s body_sids)
+         | Cfg.Exit -> true
+         | Cfg.Entry -> false)
+    |> List.concat_map (fun n -> elements t (Dataflow.output t.result n))
     |> List.sort_uniq String.compare
   | Some _ | None -> []
 let live_out t sid = elements t (Dataflow.input t.result (Cfg.Stmt sid))
-let is_live_in t sid v = mem t (Dataflow.output t.result (Cfg.Stmt sid)) v
 let is_live_out t sid v = mem t (Dataflow.input t.result (Cfg.Stmt sid)) v

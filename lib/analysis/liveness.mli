@@ -22,11 +22,7 @@ val live_in : t -> Ast.stmt_id -> string list
 (** Variables live just after the statement. *)
 val live_out : t -> Ast.stmt_id -> string list
 
-val is_live_in : t -> Ast.stmt_id -> string -> bool
 val is_live_out : t -> Ast.stmt_id -> string -> bool
-
-(** Variables live at the unit's exit (the escaping set). *)
-val live_at_exit : t -> string list
 
 (** [live_after t cfg loop_sid] — variables live on the paths leaving
     the loop (not around its back edge).  [is_live_out] of a DO

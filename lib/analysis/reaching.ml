@@ -28,7 +28,7 @@ let analyze (ctx : Defuse.ctx) (cfg : Cfg.t) : t =
   let n = Cfg.size cfg in
   let effects =
     Array.init n (fun i ->
-        match Cfg.stmt_of cfg (Cfg.node_at cfg i) with
+        match Cfg.stmt_at cfg i with
         | None -> ([], [])
         | Some s -> (Defuse.may_defs ctx s, Defuse.must_defs ctx s))
   in
@@ -65,8 +65,8 @@ let analyze (ctx : Defuse.ctx) (cfg : Cfg.t) : t =
           Some (gen, kill))
       effects
   in
-  let transfer node x =
-    match Option.bind (Cfg.index cfg node) (Array.get gen_kill) with
+  let transfer i x =
+    match gen_kill.(i) with
     | None -> x
     | Some (gen, kill) -> Bits.transfer ~gen ~kill x
   in

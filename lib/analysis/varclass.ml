@@ -20,9 +20,6 @@ let classification_to_string = function
   | Shared_safe -> "shared"
   | Shared_unsafe -> "shared(unsafe)"
 
-let pp_classification ppf c =
-  Format.pp_print_string ppf (classification_to_string c)
-
 (* A variable's class as the walk decides it.  Whether a killed scalar
    needs its last value is read from liveness only when asked, so
    callers that look at the unsafe scalars alone never read it. *)

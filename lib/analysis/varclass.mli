@@ -34,7 +34,6 @@ type classification =
   | Shared_safe
   | Shared_unsafe
 
-val pp_classification : Format.formatter -> classification -> unit
 val classification_to_string : classification -> string
 
 type t

@@ -616,11 +616,7 @@ let lower_vdef ctx (i : Symbol.info) : Ir.vdef option =
       }
 
 let lower_unit units plans commons (u : Ast.program_unit) : Ir.unitdef =
-  let tbl =
-    match Hashtbl.find_opt units u.Ast.uname with
-    | Some (_, t) -> t
-    | None -> Symbol.build u
-  in
+  let tbl = snd (Hashtbl.find units u.Ast.uname) in
   let ctx = { u; tbl; units; plans; commons } in
   let vars = List.filter_map (lower_vdef ctx) (Symbol.infos tbl) in
   (* every formal must have storage (passing procedures is unsupported) *)
@@ -657,11 +653,7 @@ let lower_unit units plans commons (u : Ast.program_unit) : Ir.unitdef =
    200; real suite programs are DAGs). *)
 let check_acyclic (p : Ast.program) units =
   let calls_of (u : Ast.program_unit) =
-    let tbl =
-      match Hashtbl.find_opt units u.Ast.uname with
-      | Some (_, t) -> t
-      | None -> Symbol.build u
-    in
+    let tbl = snd (Hashtbl.find units u.Ast.uname) in
     let acc = ref [] in
     Ast.iter_stmts
       (fun s ->

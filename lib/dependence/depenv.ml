@@ -69,8 +69,8 @@ let default_call_refs tbl ctx (s : Ast.stmt) =
   | _ -> []
 
 let make ?oracle ?call_refs ?(alias = fun _ _ -> `No)
-    ?(config = full_config) ?(asserts = no_assertions)
-    (punit : Ast.program_unit) : t =
+    ?(config = full_config) ?(asserts = no_assertions) (syntax : Unit_syntax.t) : t =
+  let punit = Unit_syntax.unit_ syntax in
   (* scalar-analysis passes emit to the process-default sink: the
      environment is rebuilt from many call sites (engine, interproc,
      oracle) that have no sink of their own to thread through *)
@@ -78,14 +78,13 @@ let make ?oracle ?call_refs ?(alias = fun _ _ -> `No)
   Telemetry.span tel "analysis.depenv" ~args:[ ("unit", punit.Ast.uname) ]
   @@ fun () ->
   let pass name f = Telemetry.span tel ("analysis." ^ name) f in
-  let tbl = pass "symbols" (fun () -> Symbol.build punit) in
+  let tbl = Unit_syntax.symbols syntax and cfg = Unit_syntax.cfg syntax in
   let ctx = pass "defuse" (fun () -> Defuse.make ?oracle tbl punit) in
-  let cfg = pass "cfg" (fun () -> Cfg.build punit) in
   let reaching = pass "reaching" (fun () -> Reaching.analyze ctx cfg) in
   let liveness = pass "liveness" (fun () -> Liveness.analyze ctx cfg) in
   let constants = pass "constants" (fun () -> Constants.analyze ctx cfg) in
-  let control = pass "control-dep" (fun () -> Control_dep.compute cfg) in
-  let nest = pass "loopnest" (fun () -> Loopnest.build punit) in
+  let control = Unit_syntax.control syntax in
+  let nest = Unit_syntax.nest syntax in
   let call_refs =
     match call_refs with
     | Some f -> f

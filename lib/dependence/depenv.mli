@@ -1,9 +1,11 @@
 (** Bundle of all per-unit analyses the dependence machinery needs.
 
-    Building one of these runs the scalar analyses (CFG, reaching
-    definitions, liveness, constants, control dependence) over a
-    program unit once; dependence testing, variable classification,
-    the editor and the transformations all query it.
+    Building one of these runs the scalar analyses (reaching
+    definitions, liveness, constants) over a unit's {!Unit_syntax}
+    record once; dependence testing, variable classification, the
+    editor and the transformations all query it.  The record's symbol
+    table, CFG, loop nest and control dependences are taken as they
+    are, so every environment of one unit version shares them.
 
     The {!config} switches individual analyses off for the ablation
     experiments (Table 3): each switch corresponds to an analysis the
@@ -81,7 +83,7 @@ val make :
   ?alias:alias_oracle ->
   ?config:config ->
   ?asserts:assertions ->
-  Ast.program_unit ->
+  Unit_syntax.t ->
   t
 
 (** Statement lookup by id. *)

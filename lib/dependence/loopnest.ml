@@ -8,7 +8,6 @@ type loop = {
 }
 
 type t = {
-  unit_ : Ast.program_unit;
   all : loop list;                          (* preorder *)
   by_id : (Ast.stmt_id, loop) Hashtbl.t;
   enclosing_of : (Ast.stmt_id, Ast.stmt_id list) Hashtbl.t;
@@ -44,11 +43,10 @@ let build (u : Ast.program_unit) : t =
       stmts
   in
   walk [] u.Ast.body;
-  { unit_ = u; all = List.rev !all; by_id; enclosing_of }
+  { all = List.rev !all; by_id; enclosing_of }
 
 let loops t = t.all
 let find t sid = Hashtbl.find_opt t.by_id sid
-let unit_of t = t.unit_
 
 let enclosing t sid =
   match Hashtbl.find_opt t.enclosing_of sid with

@@ -38,9 +38,6 @@ val body_stmts : t -> Ast.stmt_id -> Ast.stmt list
 (** Is [inner] nested (transitively) inside [outer]? *)
 val nested_in : t -> inner:Ast.stmt_id -> outer:Ast.stmt_id -> bool
 
-(** The unit this nest information describes. *)
-val unit_of : t -> Ast.program_unit
-
 (** Maximum nesting depth in the unit (0 when loop-free). *)
 val max_depth : t -> int
 

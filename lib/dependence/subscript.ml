@@ -202,8 +202,5 @@ let dims_syms dims =
   |> List.sort_uniq String.compare
   |> List.filter (fun s -> not (is_tau s))
 
-let symbols_ok env ~common ~src ~dst ((d1, d2) : dim list * dim list) =
-  syms_ok_impl env ~common ~src ~dst (dims_syms (d1 @ d2))
-
 let dim_symbols_ok env ~common ~src ~dst ((d1, d2) : dim * dim) =
   syms_ok_impl env ~common ~src ~dst (dims_syms [ d1; d2 ])

@@ -55,25 +55,14 @@ val dim_form : Depenv.t -> Ast.stmt_id -> Ast.expr -> Ast.expr
 val analyze_ref :
   Depenv.t -> norm:norm_loop list -> Ast.stmt_id -> Ast.expr list -> dim list
 
-(** The τ symbol of a loop. *)
-val tau_of : Ast.stmt_id -> string
-
-(** [symbols_ok env ~common ~src ~dst dims_pair] — true when every
-    non-τ symbol of both dimension lists (a) reaches both statements
+(** [dim_symbols_ok env ~common ~src ~dst dims] — true when every
+    non-τ symbol of the two dimensions (a) reaches both statements
     with the same definitions and (b) is invariant in the outermost
     common loop.  Only then may equal symbols be cancelled during
-    testing. *)
-val symbols_ok :
-  Depenv.t ->
-  common:norm_loop list ->
-  src:Ast.stmt_id ->
-  dst:Ast.stmt_id ->
-  dim list * dim list ->
-  bool
-
-(** Per-dimension variant: a dimension whose own symbols check out is
-    usable even when a sibling dimension's are not (e.g. [A(I,I)]
-    against [A(I,J)] — the first dimension still pins the distance). *)
+    testing.  Checked per dimension: a dimension whose own symbols
+    check out is usable even when a sibling dimension's are not (e.g.
+    [A(I,I)] against [A(I,J)] — the first dimension still pins the
+    distance). *)
 val dim_symbols_ok :
   Depenv.t ->
   common:norm_loop list ->

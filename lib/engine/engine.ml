@@ -229,7 +229,8 @@ let build_env t summary (u : Ast.program_unit) =
       match summary with
       | Some s ->
         Interproc.Summary.env_for ~config:t.config ~asserts:t.asserts s u
-      | None -> Depenv.make ~config:t.config ~asserts:t.asserts u)
+      | None ->
+        Depenv.make ~config:t.config ~asserts:t.asserts (Unit_syntax.build u))
 
 let build_ddg t env =
   Telemetry.timed t.sink ~span_name:"engine.ddg" t.c_ddg_ns (fun () ->

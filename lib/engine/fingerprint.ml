@@ -36,8 +36,7 @@ let program ~(content : Ast.program_unit -> t) (p : Ast.program) : t =
    whole-program summary rebuilds that left the unit's view intact. *)
 let interproc_facet (summary : Interproc.Summary.t) (u : Ast.program_unit) : t =
   let buf = Buffer.create 512 in
-  let oracle = Interproc.Summary.oracle_for summary u in
-  let call_refs = Interproc.Summary.call_refs_for summary u in
+  let oracle, call_refs = Interproc.Summary.calls_for summary u in
   Ast.iter_stmts
     (fun s ->
       match s.Ast.node with

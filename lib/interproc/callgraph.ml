@@ -1,4 +1,5 @@
 open Fortran_front
+open Dependence
 
 type site = {
   caller : string;
@@ -7,9 +8,11 @@ type site = {
   actuals : Ast.expr list;
 }
 
-(* What the graph keeps of one unit: the unit, its symbol table (shared
-   by every interprocedural analysis) and the call sites in its body. *)
-type node = { unit_ : Ast.program_unit; table : Symbol.table; own_sites : site list }
+(* What the graph keeps of one unit: its syntax record (shared by
+   every analysis of the unit) and the call sites in its body. *)
+type node = { syntax : Unit_syntax.t; own_sites : site list }
+
+let unit_of n = Unit_syntax.unit_ n.syntax
 
 type t = {
   prog : Ast.program;
@@ -34,8 +37,8 @@ let sites_of (u : Ast.program_unit) =
 (* A unit physically shared with the base program keeps its node. *)
 let node_of base (u : Ast.program_unit) =
   match Option.bind base (fun b -> Hashtbl.find_opt b.by_name u.Ast.uname) with
-  | Some n when n.unit_ == u -> n
-  | _ -> { unit_ = u; table = Symbol.build u; own_sites = sites_of u }
+  | Some n when unit_of n == u -> n
+  | _ -> { syntax = Unit_syntax.build u; own_sites = sites_of u }
 
 (* [key site] -> the sites with that key, in program order *)
 let index key sites =
@@ -101,7 +104,7 @@ let tarjan by_name by_caller names =
 (* The names whose node was not taken from [base]: every unit when
    there is no base. *)
 let rebuilt_from base by_name nodes =
-  let name n = n.unit_.Ast.uname in
+  let name n = (unit_of n).Ast.uname in
   match base with
   | None -> List.map name nodes
   | Some b ->
@@ -135,7 +138,7 @@ let components_from base by_name by_caller names rebuilt =
 let build ?base (prog : Ast.program) : t =
   let nodes = List.map (node_of base) prog.Ast.punits in
   let by_name = Hashtbl.create 64 in
-  List.iter (fun n -> Hashtbl.replace by_name n.unit_.Ast.uname n) nodes;
+  List.iter (fun n -> Hashtbl.replace by_name (unit_of n).Ast.uname n) nodes;
   let all_sites = List.concat_map (fun n -> n.own_sites) nodes in
   let by_caller = index (fun s -> s.caller) all_sites in
   let rebuilt = rebuilt_from base by_name nodes in
@@ -149,17 +152,17 @@ let build ?base (prog : Ast.program) : t =
     rebuilt;
   }
 
-let program t = t.prog
 let node t name = Hashtbl.find_opt t.by_name name
-let unit_named t name = Option.map (fun n -> n.unit_) (node t name)
+let unit_named t name = Option.map unit_of (node t name)
 let unit_names t = unit_names_of t.prog
 
-let symbols t (u : Ast.program_unit) =
+let syntax t (u : Ast.program_unit) =
   match node t u.Ast.uname with
-  | Some n when n.unit_ == u -> n.table
-  | _ -> Symbol.build u
+  | Some n when unit_of n == u -> n.syntax
+  | _ -> Unit_syntax.build u
 
-let symbols_named t name = Option.map (fun n -> n.table) (node t name)
+let symbols t u = Unit_syntax.symbols (syntax t u)
+let symbols_named t name = Option.map (fun n -> Unit_syntax.symbols n.syntax) (node t name)
 let sites t = t.all_sites
 let sites_in t name = find t.by_caller name
 let sites_to t name = find t.by_callee name

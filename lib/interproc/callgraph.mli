@@ -18,16 +18,20 @@ type site = {
 type t
 
 (** [build ?base prog] — a unit physically equal ([==]) to the
-    same-named unit of [base] keeps [base]'s symbol table and call
-    sites; every other unit is scanned afresh. *)
+    same-named unit of [base] keeps [base]'s syntax record
+    ({!Dependence.Unit_syntax}) and call sites; every other unit is
+    taken apart afresh. *)
 val build : ?base:t -> Ast.program -> t
-val program : t -> Ast.program
 val unit_named : t -> string -> Ast.program_unit option
 val unit_names : t -> string list
 val sites : t -> site list
 
-(** The symbol table of [u]: the graph's shared one when [u] is the
-    unit the graph holds under that name, a fresh one otherwise. *)
+(** The syntax record of [u]: the graph's shared one when [u] is the
+    unit the graph holds under that name, a fresh one otherwise (a
+    candidate rewrite, say). *)
+val syntax : t -> Ast.program_unit -> Dependence.Unit_syntax.t
+
+(** The symbol table of {!syntax}. *)
 val symbols : t -> Ast.program_unit -> Symbol.table
 
 (** The shared symbol table of the named unit ([None] if unknown). *)

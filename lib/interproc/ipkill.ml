@@ -24,99 +24,87 @@ let killed cg kills callee actuals =
          callee_kills [])
   | _ -> None
 
-(* Must-defined-so-far forward analysis over the unit CFG.  The
-   lattice is sets of variable names under intersection; [None]
-   represents "unvisited" (top). *)
+(* Must-defined-so-far forward analysis over the unit's CFG, on sets
+   of the candidates (the formal and COMMON scalars: no other scalar
+   is a kill) under intersection; [None] is "unvisited" (top).  An
+   unvisited node reads as defining nothing before it, and an
+   unreached [Exit] as killing nothing. *)
 let unit_kills (cg : Callgraph.t) (kills : string -> SSet.t option)
     (u : Ast.program_unit) : SSet.t =
-  let tbl = Callgraph.symbols cg u in
-  let oracle (s : Ast.stmt) =
-    match s.Ast.node with
-    | Ast.Call (callee, actuals) ->
-      Option.map
-        (fun killed_actuals ->
-          {
-            Defuse.ce_mods =
-              (let base =
-                 List.filter_map
-                   (function
-                     | Ast.Var v -> Some v
-                     | Ast.Index (b, _) when not (Symbol.is_fun_call tbl b) ->
-                       Some b
-                     | _ -> None)
-                   actuals
-               in
-               base
-               @ List.filter_map
-                   (fun (i : Symbol.info) ->
-                     if i.common <> None then Some i.name else None)
-                   (Symbol.infos tbl));
-            ce_refs = List.concat_map Ast.expr_vars actuals;
-            ce_kills = killed_actuals;
-          })
-        (killed cg kills callee actuals)
-    | _ -> None
+  let syntax = Callgraph.syntax cg u in
+  let tbl = Dependence.Unit_syntax.symbols syntax
+  and cfg = Dependence.Unit_syntax.cfg syntax in
+  let candidates =
+    List.filter_map
+      (fun (i : Symbol.info) ->
+        match i.kind with
+        | Symbol.Scalar when i.formal || i.common <> None -> Some i.name
+        | _ -> None)
+      (Symbol.infos tbl)
   in
-  let ctx = Defuse.make ~oracle tbl u in
-  let cfg = Cfg.build u in
-  let transfer node (md : SSet.t option) =
-    match md with
-    | None -> None
-    | Some md -> (
-      match Cfg.stmt_of cfg node with
-      | None -> Some md
-      | Some s -> Some (SSet.union md (SSet.of_list (Defuse.must_defs ctx s))))
-  in
-  let join a b =
-    match (a, b) with
-    | None, x | x, None -> x
-    | Some x, Some y -> Some (SSet.inter x y)
-  in
-  let problem =
-    {
-      Dataflow.direction = Dataflow.Forward;
-      boundary = Some SSet.empty;
-      init = None;
-      join;
-      equal = (fun a b ->
-        match (a, b) with
-        | None, None -> true
-        | Some x, Some y -> SSet.equal x y
-        | _ -> false);
-      transfer;
-    }
-  in
-  let result = Dataflow.solve cfg problem in
-  (* upward-exposed uses: a use not preceded by a must-def on some path *)
-  let upward_exposed =
-    List.fold_left
-      (fun acc node ->
-        match Cfg.stmt_of cfg node with
-        | None -> acc
-        | Some s ->
-          let md =
-            match Dataflow.input result node with
-            | Some md -> md
-            | None -> SSet.empty
-          in
-          List.fold_left
-            (fun acc v -> if SSet.mem v md then acc else SSet.add v acc)
-            acc (Defuse.uses ctx s))
-      SSet.empty (Cfg.nodes cfg)
-  in
-  let md_exit =
-    match Dataflow.input result Cfg.Exit with
-    | Some md -> md
-    | None -> SSet.empty
-  in
-  let candidate v =
-    match Symbol.lookup tbl v with
-    | Some ({ kind = Symbol.Scalar; _ } as i) -> i.formal || i.common <> None
-    | _ -> false
-  in
-  SSet.filter
-    (fun v -> candidate v && not (SSet.mem v upward_exposed))
-    md_exit
+  if candidates = [] then SSet.empty
+  else begin
+    let nc = List.length candidates and id = Hashtbl.create 16 in
+    List.iteri (fun k v -> Hashtbl.replace id v k) candidates;
+    let bits_of vs =
+      match List.filter_map (Hashtbl.find_opt id) vs with
+      | [] -> None
+      | ks -> Some (Bits.of_list nc ks)
+    in
+    (* a CALL with a kill entry must-defines its killed actuals and
+       reads its actuals' variables; any other CALL is conservative *)
+    let oracle (s : Ast.stmt) =
+      match s.Ast.node with
+      | Ast.Call (callee, actuals) ->
+        Option.map
+          (fun ce_kills ->
+            { Defuse.ce_mods = []; ce_refs = List.concat_map Ast.expr_vars actuals; ce_kills })
+          (killed cg kills callee actuals)
+      | _ -> None
+    in
+    let ctx = Defuse.make ~oracle tbl u in
+    (* per node: the candidates it must-defines and those it reads *)
+    let facts =
+      Array.init (Cfg.size cfg) (fun i ->
+          Option.map
+            (fun s ->
+              let f = Defuse.facts ctx s in
+              (bits_of f.Defuse.must_defs, bits_of f.Defuse.uses))
+            (Cfg.stmt_at cfg i))
+    in
+    let result =
+      Dataflow.solve cfg
+        {
+          Dataflow.direction = Dataflow.Forward;
+          boundary = Some (Bits.make nc);
+          init = None;
+          join =
+            (fun a b ->
+              match (a, b) with
+              | None, x | x, None -> x
+              | Some x, Some y -> Some (Bits.inter x y));
+          equal = Option.equal Bits.equal;
+          transfer =
+            (fun i md ->
+              match (md, facts.(i)) with
+              | Some md, Some (Some gen, _) -> Some (Bits.union md gen)
+              | _ -> md);
+        }
+    in
+    (* upward-exposed uses: a use not preceded by a must-def on some path *)
+    let nothing = Bits.make nc and exposed = Bits.make nc in
+    let defined md = Option.value md ~default:nothing in
+    Array.iteri
+      (fun i f ->
+        match f with
+        | Some (_, Some use) ->
+          Bits.union_diff_into exposed use (defined (Dataflow.input_at result i))
+        | _ -> ())
+      facts;
+    let at_exit = defined (Dataflow.input result Cfg.Exit) in
+    List.filteri (fun k _ -> Bits.mem at_exit k && not (Bits.mem exposed k)) candidates
+    |> SSet.of_list
+  end
 
 (* An empty kill set gets no entry, and [unit_kills] reads a CALL to a
    unit without one as a CALL to an unknown routine. *)
@@ -134,8 +122,7 @@ let kills_of t name =
   | Some s -> SSet.elements s
   | None -> []
 
-let translate t ~(site : Callgraph.site) ~tbl =
-  ignore tbl;
+let translate t ~(site : Callgraph.site) =
   killed (Propagate.graph t) (Propagate.find t) site.Callgraph.callee
     site.Callgraph.actuals
   |> Option.fold ~none:[] ~some:(List.sort_uniq String.compare)

@@ -6,8 +6,6 @@
     by the CALL — which lets scalar privatization see through calls,
     the [nxsns]-style case the Ped evaluation highlights. *)
 
-open Fortran_front
-
 type t
 
 (** [compute ?base cg modref] — bottom-up over {!Propagate.run}, so
@@ -24,4 +22,4 @@ val kills_of : t -> string -> string list
 
 (** Kills of one call site translated to the caller's name space: only
     whole-scalar actuals ([Var v]) can be killed. *)
-val translate : t -> site:Callgraph.site -> tbl:Symbol.table -> string list
+val translate : t -> site:Callgraph.site -> string list

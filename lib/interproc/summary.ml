@@ -86,22 +86,22 @@ let site_of (u : Ast.program_unit) (s : Ast.stmt) : Callgraph.site option =
       { Callgraph.caller = u.Ast.uname; callee; call_sid = s.Ast.sid; actuals }
   | _ -> None
 
-let oracle_for t (u : Ast.program_unit) : Defuse.call_oracle =
-  let tbl = Callgraph.symbols t.cg u in
-  fun s ->
-    match site_of u s with
-    | None -> None
-    | Some site ->
-      let mods, refs = Modref.translate t.modref_ ~site ~tbl in
-      let kills = Ipkill.translate t.kills_ ~site ~tbl in
-      Some { Defuse.ce_mods = mods; ce_refs = refs; ce_kills = kills }
+(* The oracle and the array effects of [u]'s CALLs, given [u]'s
+   symbol table. *)
+let calls_of t tbl u =
+  ( (fun s ->
+      match site_of u s with
+      | None -> None
+      | Some site ->
+        let mods, refs = Modref.translate t.modref_ ~site ~tbl in
+        let kills = Ipkill.translate t.kills_ ~site in
+        Some { Defuse.ce_mods = mods; ce_refs = refs; ce_kills = kills }),
+    fun s ->
+      match site_of u s with
+      | None -> []
+      | Some site -> Sections.call_refs t.sections_ ~site ~tbl )
 
-let call_refs_for t (u : Ast.program_unit) : Dependence.Depenv.call_refs =
-  let tbl = Callgraph.symbols t.cg u in
-  fun s ->
-    match site_of u s with
-    | None -> []
-    | Some site -> Sections.call_refs t.sections_ ~site ~tbl
+let calls_for t u = calls_of t (Callgraph.symbols t.cg u) u
 
 let env_for ?config ?(asserts = Dependence.Depenv.no_assertions) t
     (u : Ast.program_unit) : Dependence.Depenv.t =
@@ -113,9 +113,10 @@ let env_for ?config ?(asserts = Dependence.Depenv.no_assertions) t
         @ Ipconst.constants_of t.ipconst_ u.Ast.uname;
     }
   in
-  Dependence.Depenv.make ~oracle:(oracle_for t u)
-    ~call_refs:(call_refs_for t u)
+  let syntax = Callgraph.syntax t.cg u in
+  let oracle, call_refs = calls_of t (Dependence.Unit_syntax.symbols syntax) u in
+  Dependence.Depenv.make ~oracle ~call_refs
     ~alias:(fun a b ->
       if String.equal a b then `Aligned
       else Aliases.query t.aliases_ u.Ast.uname a b)
-    ?config ~asserts u
+    ?config ~asserts syntax

@@ -47,14 +47,18 @@ val sections : t -> Sections.t
 val ipconst : t -> Ipconst.t
 val aliases : t -> Aliases.t
 
-(** Call oracle for CALL statements appearing in [unit]. *)
-val oracle_for : t -> Ast.program_unit -> Scalar_analysis.Defuse.call_oracle
-
-(** Section-precise array effects of CALL statements in [unit]. *)
-val call_refs_for : t -> Ast.program_unit -> Dependence.Depenv.call_refs
+(** The CALL statements of [unit]: their call oracle, and their
+    section-precise array effects.  [unit]'s symbol table is looked
+    up (or, for a unit outside the graph, built) once for both. *)
+val calls_for :
+  t -> Ast.program_unit ->
+  Scalar_analysis.Defuse.call_oracle * Dependence.Depenv.call_refs
 
 (** Build a {!Dependence.Depenv.t} for [unit] with full
-    interprocedural support.  [asserts] and [config] pass through;
+    interprocedural support, on the call graph's syntax record of
+    [unit] ({!Callgraph.syntax}): every environment of a unit the
+    summary holds shares its symbol table, CFG, loop nest and control
+    dependences.  [asserts] and [config] pass through;
     interprocedural formal constants are appended to the asserted
     values. *)
 val env_for :

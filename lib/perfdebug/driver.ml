@@ -14,10 +14,9 @@ type t = {
 (* Static side of every diagnosis: for each PARALLEL DO, the
    estimator's per-loop promise and the execution plan's
    privatization shape, keyed by statement id. *)
-let static_of ?(machine = Perf.Machine.default) ~processors
+let static_of ?(machine = Perf.Machine.default) ~summary ~processors
     (prog : Ast.program) : (int * Detect.loop_static) list =
-  let plans = Runtime.Plan.build prog in
-  let summary = Interproc.Summary.analyze prog in
+  let plans = Runtime.Plan.build ~summary prog in
   List.concat_map
     (fun (u : Ast.program_unit) ->
       let env = Interproc.Summary.env_for summary u in
@@ -51,12 +50,9 @@ let static_of ?(machine = Perf.Machine.default) ~processors
       List.rev !out)
     prog.Ast.punits
 
-let predicted_of ?(machine = Perf.Machine.default) ~processors
+let predicted_of ?(machine = Perf.Machine.default) ~summary ~processors
     (prog : Ast.program) : float =
-  let env =
-    Interproc.Summary.env_for (Interproc.Summary.analyze prog)
-      (Ast.entry_unit prog)
-  in
+  let env = Interproc.Summary.env_for summary (Ast.entry_unit prog) in
   Perf.Estimator.predicted_speedup ~machine env ~processors
 
 (* The analysis core, shared by the interpreter path below and the
@@ -65,8 +61,9 @@ let predicted_of ?(machine = Perf.Machine.default) ~processors
 let analyze ?config ?(machine = Perf.Machine.default) ~domains ~schedule
     ~seq_wall ~par_wall ?(fallback_run_ns = 0.0) prog spans : t =
   let profile = Profile.of_spans ~workers:domains ~fallback_run_ns spans in
-  let static = static_of ~machine ~processors:domains prog in
-  let predicted = predicted_of ~machine ~processors:domains prog in
+  let summary = Interproc.Summary.analyze prog in
+  let static = static_of ~machine ~summary ~processors:domains prog in
+  let predicted = predicted_of ~machine ~summary ~processors:domains prog in
   let measured =
     if
       seq_wall > 0.0 && par_wall > 0.0

@@ -26,16 +26,16 @@ type t = {
 
 (** Estimator promise and plan shape for every PARALLEL DO of the
     program, keyed by statement id.  Both read the unit environments
-    of the interprocedural summary, as the editor and
-    {!Runtime.Plan.build} do. *)
+    of [summary], the program's interprocedural summary. *)
 val static_of :
-  ?machine:Perf.Machine.t -> processors:int -> Ast.program ->
-  (int * Detect.loop_static) list
+  ?machine:Perf.Machine.t -> summary:Interproc.Summary.t -> processors:int ->
+  Ast.program -> (int * Detect.loop_static) list
 
 (** The estimator's whole-unit predicted speedup of the entry unit
-    ({!Fortran_front.Ast.entry_unit}). *)
+    ({!Fortran_front.Ast.entry_unit}), on [summary]. *)
 val predicted_of :
-  ?machine:Perf.Machine.t -> processors:int -> Ast.program -> float
+  ?machine:Perf.Machine.t -> summary:Interproc.Summary.t -> processors:int ->
+  Ast.program -> float
 
 (** The analysis core: profile captured [spans] and run the
     detectors.  For callers that executed the program themselves —

@@ -54,9 +54,11 @@ let of_loop (env : Depenv.t) (lp : Loopnest.loop) =
     p_arrays = Arrayprivate.in_loop env lp.Loopnest.lstmt.Ast.sid;
   }
 
-let build (program : Ast.program) =
+let build ?summary (program : Ast.program) =
   let plans = Hashtbl.create 16 in
-  let summary = lazy (Interproc.Summary.analyze program) in
+  let summary =
+    lazy (match summary with Some s -> s | None -> Interproc.Summary.analyze program)
+  in
   List.iter
     (fun (u : Ast.program_unit) ->
       let has_parallel =

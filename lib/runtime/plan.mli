@@ -32,9 +32,11 @@ type t = {
     loop statement id.  Each unit's environment comes from the
     interprocedural summary ({!Interproc.Summary.env_for}), the one the
     editor approved the loop with, so a scalar a CALL kills in every
-    iteration is private here as it is there.  Runs the per-unit scalar
-    analyses once. *)
-val build : Ast.program -> (Ast.stmt_id, t) Hashtbl.t
+    iteration is private here as it is there: [summary] when the
+    caller has one of [program], else one built when the first
+    PARALLEL DO needs it.  Runs the per-unit scalar analyses once. *)
+val build :
+  ?summary:Interproc.Summary.t -> Ast.program -> (Ast.stmt_id, t) Hashtbl.t
 
 (** An empty fallback plan (privatizes only the induction
     variable). *)

@@ -1,13 +1,112 @@
-(* Reference oracles for the scalar analyses: the set-based reaching
-   definitions, dominator algorithms, constant propagation and liveness
-   that the bit-vector, Cooper–Harvey–Kennedy and numbered-variable
-   versions in lib/analysis replaced, and the per-loop variable
-   classification that the bottom-up Varclass walk replaced.  They are
-   slow and plainly correct; the dataflow and varclass suites check the
-   library against them on random programs. *)
+(* Reference oracles for the scalar analyses: the map-based CFG
+   construction that the one-numbering Cfg replaced, the set-based
+   reaching definitions, dominator algorithms, constant propagation
+   and liveness that the bit-vector, Cooper–Harvey–Kennedy and
+   numbered-variable versions in lib/analysis replaced, the per-loop
+   variable classification that the bottom-up Varclass walk replaced,
+   and the string-set interprocedural Kill solver that the bit-set one
+   replaced.  They are slow and plainly correct; the cfg, dataflow,
+   varclass and interproc suites check the library against them on
+   random programs. *)
 
 open Fortran_front
 open Scalar_analysis
+
+module NodeOrd = struct
+  type t = Cfg.node
+
+  let compare = Cfg.node_compare
+end
+
+module NodeMap = Map.Make (NodeOrd)
+module NodeSet = Set.Make (NodeOrd)
+
+(* A CFG as adjacency maps: [order] is every node in reverse postorder
+   from [Entry], then the unreachable statements in source order, then
+   [Exit] if unreached; [succs] and [preds] are each node's edges. *)
+type cfg = {
+  order : Cfg.node list;
+  succs : Cfg.node list NodeMap.t;
+  preds : Cfg.node list NodeMap.t;
+}
+
+let cfg_edges m n = match NodeMap.find_opt n m with Some l -> l | None -> []
+
+let cfg_build (u : Ast.program_unit) : cfg =
+  let edges = ref [] in
+  let add_edge a b = edges := (a, b) :: !edges in
+  let labels = Hashtbl.create 16 in
+  Ast.iter_stmts
+    (fun s ->
+      match s.Ast.label with
+      | Some l -> if not (Hashtbl.mem labels l) then Hashtbl.add labels l s.Ast.sid
+      | None -> ())
+    u.Ast.body;
+  let label_target l =
+    match Hashtbl.find_opt labels l with
+    | Some sid -> Cfg.Stmt sid
+    | None -> failwith (Printf.sprintf "GOTO to unknown label %d" l)
+  in
+  let rec wire_seq (stmts : Ast.stmt list) ~(next : Cfg.node) : Cfg.node =
+    match stmts with
+    | [] -> next
+    | s :: rest ->
+      let rest_entry = wire_seq rest ~next in
+      wire_stmt s ~next:rest_entry
+  and wire_stmt (s : Ast.stmt) ~(next : Cfg.node) : Cfg.node =
+    let me = Cfg.Stmt s.Ast.sid in
+    (match s.Ast.node with
+    | Ast.Assign _ | Ast.Call _ | Ast.Continue | Ast.Print _ -> add_edge me next
+    | Ast.Goto l -> add_edge me (label_target l)
+    | Ast.Return | Ast.Stop -> add_edge me Cfg.Exit
+    | Ast.If (branches, els) ->
+      List.iter
+        (fun (_, body) ->
+          let entry = wire_seq body ~next in
+          add_edge me entry)
+        branches;
+      let else_entry = wire_seq els ~next in
+      add_edge me else_entry
+    | Ast.Do (_, body) ->
+      let body_entry = wire_seq body ~next:me in
+      add_edge me body_entry;
+      add_edge me next);
+    me
+  in
+  let first = wire_seq u.Ast.body ~next:Cfg.Exit in
+  add_edge Cfg.Entry first;
+  (* adjacency maps, deduplicating parallel edges *)
+  let add_adj m a b =
+    let cur = cfg_edges !m a in
+    if not (List.exists (Cfg.node_equal b) cur) then m := NodeMap.add a (b :: cur) !m
+  in
+  let succs = ref NodeMap.empty and preds = ref NodeMap.empty in
+  List.iter
+    (fun (a, b) ->
+      add_adj succs a b;
+      add_adj preds b a)
+    !edges;
+  let visited = ref NodeSet.empty in
+  let order = ref [] in
+  let rec dfs n =
+    if not (NodeSet.mem n !visited) then begin
+      visited := NodeSet.add n !visited;
+      List.iter dfs (cfg_edges !succs n);
+      order := n :: !order
+    end
+  in
+  dfs Cfg.Entry;
+  let extras = ref [] in
+  Ast.iter_stmts
+    (fun s ->
+      let n = Cfg.Stmt s.Ast.sid in
+      if not (NodeSet.mem n !visited) then extras := n :: !extras)
+    u.Ast.body;
+  let order =
+    !order @ List.rev !extras
+    @ (if NodeSet.mem Cfg.Exit !visited then [] else [ Cfg.Exit ])
+  in
+  { order; succs = !succs; preds = !preds }
 
 module DefSet = Set.Make (struct
   type t = Reaching.def
@@ -27,7 +126,8 @@ let reaching_problem (ctx : Defuse.ctx) (cfg : Cfg.t) : DefSet.t Dataflow.proble
         | Symbol.Routine | Symbol.External_fun | Symbol.Intrinsic -> None)
       (Symbol.infos (Defuse.table ctx))
   in
-  let transfer node in_set =
+  let transfer i in_set =
+    let node = Cfg.node_at cfg i in
     match Cfg.stmt_of cfg node with
     | None -> in_set
     | Some s ->
@@ -70,12 +170,12 @@ let chains ctx cfg result =
    nodes, and [dom n = {n} ∪ ⋂ dom p] over its predecessors is iterated
    until nothing changes. *)
 let dom_sets (cfg : Cfg.t) ~root ~preds ~order =
-  let all = Cfg.NodeSet.of_list (Cfg.nodes cfg) in
+  let all = NodeSet.of_list (Cfg.nodes cfg) in
   let sets = Hashtbl.create 64 in
   List.iter
     (fun n ->
       Hashtbl.replace sets n
-        (if Cfg.node_equal n root then Cfg.NodeSet.singleton root else all))
+        (if Cfg.node_equal n root then NodeSet.singleton root else all))
     (Cfg.nodes cfg);
   let get n = Option.value ~default:all (Hashtbl.find_opt sets n) in
   let changed = ref true in
@@ -86,19 +186,19 @@ let dom_sets (cfg : Cfg.t) ~root ~preds ~order =
         if not (Cfg.node_equal n root) then begin
           let inter =
             match preds n with
-            | [] -> Cfg.NodeSet.empty
+            | [] -> NodeSet.empty
             | p :: rest ->
-              List.fold_left (fun acc q -> Cfg.NodeSet.inter acc (get q)) (get p) rest
+              List.fold_left (fun acc q -> NodeSet.inter acc (get q)) (get p) rest
           in
-          let next = Cfg.NodeSet.add n inter in
-          if not (Cfg.NodeSet.equal next (get n)) then begin
+          let next = NodeSet.add n inter in
+          if not (NodeSet.equal next (get n)) then begin
             Hashtbl.replace sets n next;
             changed := true
           end
         end)
       order
   done;
-  fun n -> Option.value ~default:Cfg.NodeSet.empty (Hashtbl.find_opt sets n)
+  fun n -> Option.value ~default:NodeSet.empty (Hashtbl.find_opt sets n)
 
 let dominators cfg =
   dom_sets cfg ~root:Cfg.Entry ~preds:(Cfg.preds cfg) ~order:(Cfg.nodes cfg)
@@ -109,13 +209,13 @@ let postdominators cfg =
 (* The strict dominator that every other strict dominator dominates
    (the greatest such in node order, when several qualify). *)
 let idom dom_set n =
-  let strict = Cfg.NodeSet.remove n (dom_set n) in
-  Cfg.NodeSet.fold
+  let strict = NodeSet.remove n (dom_set n) in
+  NodeSet.fold
     (fun cand acc ->
       if
-        Cfg.NodeSet.for_all
+        NodeSet.for_all
           (fun other ->
-            Cfg.node_equal other cand || Cfg.NodeSet.mem other (dom_set cand))
+            Cfg.node_equal other cand || NodeSet.mem other (dom_set cand))
           strict
       then Some cand
       else acc)
@@ -163,8 +263,8 @@ let constants_problem (ctx : Defuse.ctx) (cfg : Cfg.t) : lat SMap.t Dataflow.pro
     | None -> (
       match SMap.find_opt v env with Some (Const c) -> Some c | Some Bot | None -> None)
   in
-  let transfer node env =
-    match Cfg.stmt_of cfg node with
+  let transfer i env =
+    match Cfg.stmt_of cfg (Cfg.node_at cfg i) with
     | None -> env
     | Some s -> (
       match s.Ast.node with
@@ -228,8 +328,8 @@ let liveness_problem ?(all_escape = false) (ctx : Defuse.ctx) (cfg : Cfg.t) :
     join = SSet.union;
     equal = SSet.equal;
     transfer =
-      (fun n out ->
-        match Cfg.stmt_of cfg n with
+      (fun i out ->
+        match Cfg.stmt_of cfg (Cfg.node_at cfg i) with
         | None -> out
         | Some s ->
           SSet.union
@@ -356,3 +456,105 @@ let varclass ?(recognize_reductions = true) ~cfg ctx (liveness : Liveness.t)
     in
     List.map (fun v -> (v, classify_var v)) (SSet.elements mentioned)
   | _ -> invalid_arg "Ref_scalar.varclass: not a DO loop"
+
+(* Interprocedural Kill of one unit over string sets: the formal and
+   COMMON scalars must-defined on every path to [Exit] and never read
+   before, given the callees' kills ([kills], [None] for no entry). *)
+let unit_kills (cg : Interproc.Callgraph.t) (kills : string -> SSet.t option)
+    (u : Ast.program_unit) : SSet.t =
+  let tbl = Interproc.Callgraph.symbols cg u in
+  let killed callee actuals =
+    match (kills callee, Interproc.Callgraph.formals_of cg callee) with
+    | Some callee_kills, Some formals ->
+      Some
+        (SSet.fold
+           (fun name acc ->
+             match List.find_index (String.equal name) formals with
+             | Some i -> (
+               match List.nth_opt actuals i with
+               | Some (Ast.Var v) -> v :: acc
+               | _ -> acc)
+             | None -> name :: acc)
+           callee_kills [])
+    | _ -> None
+  in
+  let oracle (s : Ast.stmt) =
+    match s.Ast.node with
+    | Ast.Call (callee, actuals) ->
+      Option.map
+        (fun killed_actuals ->
+          {
+            Defuse.ce_mods =
+              (let base =
+                 List.filter_map
+                   (function
+                     | Ast.Var v -> Some v
+                     | Ast.Index (b, _) when not (Symbol.is_fun_call tbl b) ->
+                       Some b
+                     | _ -> None)
+                   actuals
+               in
+               base
+               @ List.filter_map
+                   (fun (i : Symbol.info) ->
+                     if i.common <> None then Some i.name else None)
+                   (Symbol.infos tbl));
+            ce_refs = List.concat_map Ast.expr_vars actuals;
+            ce_kills = killed_actuals;
+          })
+        (killed callee actuals)
+    | _ -> None
+  in
+  let ctx = Defuse.make ~oracle tbl u in
+  let cfg = Cfg.build u in
+  let transfer i (md : SSet.t option) =
+    match md with
+    | None -> None
+    | Some md -> (
+      match Cfg.stmt_of cfg (Cfg.node_at cfg i) with
+      | None -> Some md
+      | Some s -> Some (SSet.union md (SSet.of_list (Defuse.must_defs ctx s))))
+  in
+  let join a b =
+    match (a, b) with
+    | None, x | x, None -> x
+    | Some x, Some y -> Some (SSet.inter x y)
+  in
+  let problem =
+    {
+      Dataflow.direction = Dataflow.Forward;
+      boundary = Some SSet.empty;
+      init = None;
+      join;
+      equal = Option.equal SSet.equal;
+      transfer;
+    }
+  in
+  let result = Dataflow.solve cfg problem in
+  let upward_exposed =
+    List.fold_left
+      (fun acc node ->
+        match Cfg.stmt_of cfg node with
+        | None -> acc
+        | Some s ->
+          let md =
+            match Dataflow.input result node with
+            | Some md -> md
+            | None -> SSet.empty
+          in
+          List.fold_left
+            (fun acc v -> if SSet.mem v md then acc else SSet.add v acc)
+            acc (Defuse.uses ctx s))
+      SSet.empty (Cfg.nodes cfg)
+  in
+  let md_exit =
+    match Dataflow.input result Cfg.Exit with
+    | Some md -> md
+    | None -> SSet.empty
+  in
+  let candidate v =
+    match Symbol.lookup tbl v with
+    | Some ({ kind = Symbol.Scalar; _ } as i) -> i.formal || i.common <> None
+    | _ -> false
+  in
+  SSet.filter (fun v -> candidate v && not (SSet.mem v upward_exposed)) md_exit

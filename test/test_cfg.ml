@@ -125,3 +125,64 @@ let suite =
         let dot = Cfg.dot cfg in
         check_bool "has X" true (contains ~needle:"X = 1" dot));
   ]
+
+(* The first disagreement between the numbered CFG of a unit and the
+   map-based reference build: the node order, each node's successors
+   and predecessors in order, and each number's node and statement. *)
+let reference_mismatch (u : Ast.program_unit) =
+  let cfg = Cfg.build u and r = Ref_scalar.cfg_build u in
+  let nodes = Cfg.nodes cfg in
+  let stmts = Hashtbl.create 64 in
+  Ast.iter_stmts (fun s -> Hashtbl.replace stmts s.Ast.sid s) u.Ast.body;
+  let str n = Format.asprintf "%a" Cfg.pp_node n in
+  let edges_differ what got want n =
+    if List.equal Cfg.node_equal got (Ref_scalar.cfg_edges want n) then None
+    else Some (Printf.sprintf "%s: %s of %s" u.Ast.uname what (str n))
+  in
+  if not (List.equal Cfg.node_equal nodes r.Ref_scalar.order) then
+    Some (u.Ast.uname ^ ": node order")
+  else
+    List.find_map
+      (fun (i, n) ->
+        let stmt_ok =
+          match (n, Cfg.stmt_at cfg i) with
+          | Cfg.Stmt sid, Some s -> (
+            match Hashtbl.find_opt stmts sid with Some s' -> s' == s | None -> false)
+          | (Cfg.Entry | Cfg.Exit), None -> true
+          | _ -> false
+        in
+        if Cfg.index cfg n <> Some i || not stmt_ok then
+          Some (Printf.sprintf "%s: number %d is not %s" u.Ast.uname i (str n))
+        else
+          match edges_differ "successors" (Cfg.succs cfg n) r.Ref_scalar.succs n with
+          | Some _ as d -> d
+          | None -> edges_differ "predecessors" (Cfg.preds cfg n) r.Ref_scalar.preds n)
+      (List.mapi (fun i n -> (i, n)) nodes)
+
+let matches_reference_programs () =
+  List.iter
+    (fun (name, (prog : Ast.program)) ->
+      List.iter
+        (fun u ->
+          Option.iter (Alcotest.failf "%s: the CFG differs from the reference: %s" name)
+            (reference_mismatch u))
+        prog.Ast.punits)
+    (Test_dataflow.scalar_programs ())
+
+let matches_reference =
+  QCheck2.Test.make ~count:60 ~name:"the numbered CFG equals the map-based reference"
+    ~print:Pretty.program_to_string Test_dataflow.gen_goto_program (fun p ->
+      List.for_all
+        (fun u ->
+          match reference_mismatch u with
+          | None -> true
+          | Some what -> QCheck2.Test.fail_reportf "CFG differs: %s" what)
+        p.Ast.punits)
+
+let suite =
+  suite
+  @ [
+      case "the numbered CFG equals the reference on the programs"
+        matches_reference_programs;
+      qcheck_case matches_reference;
+    ]

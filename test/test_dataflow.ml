@@ -407,7 +407,7 @@ let matches_references =
                     fail (what ^ " idom") b;
                   List.iter
                     (fun a ->
-                      if Dominators.dominates t a b <> Cfg.NodeSet.mem a (sets b) then
+                      if Dominators.dominates t a b <> Ref_scalar.NodeSet.mem a (sets b) then
                         fail (what ^ " of " ^ node_str a) b)
                     nodes)
                 nodes)
@@ -494,7 +494,8 @@ let monotone_fixed_point cfg ~leq (p : 'a Dataflow.problem) =
            List.fold_left (fun acc m -> p.Dataflow.join acc (Dataflow.output r m)) base (flow_preds n)
          in
          p.Dataflow.equal (Dataflow.input r n) i
-         && p.Dataflow.equal (Dataflow.output r n) (p.Dataflow.transfer n i))
+         && p.Dataflow.equal (Dataflow.output r n)
+              (p.Dataflow.transfer (Option.get (Cfg.index cfg n)) i))
        (Cfg.nodes cfg)
 
 let solutions_are_fixed_points =

@@ -128,7 +128,7 @@ let suite =
     case "matmul K carried, I and J clean" (fun () ->
         let w = Option.get (Workloads.by_name "matmul") in
         let u = List.hd (Workloads.program w).Fortran_front.Ast.punits in
-        let env = Depenv.make u in
+        let env = Depenv.make (Unit_syntax.build u) in
         let ddg = ddg_of env in
         check_bool "K blocked" false
           (Ddg.blocking env ddg (loop_sid (loop_by_iv env "K")) = []);
@@ -160,7 +160,7 @@ let suite =
             "      PROGRAM P\n      REAL A(10)\n      DO I = 1, 10\n        CALL F(A, I)\n      ENDDO\n      END\n      SUBROUTINE F(A, I)\n      REAL A(10)\n      A(I) = 1.0\n      END\n"
         in
         let u = List.hd p.Fortran_front.Ast.punits in
-        let env = Depenv.make u in
+        let env = Depenv.make (Unit_syntax.build u) in
         let ddg = ddg_of env in
         check_bool "blocked" false
           (Ddg.blocking env ddg (loop_sid (loop_by_iv env "I")) = []));
@@ -168,7 +168,7 @@ let suite =
         let w = Option.get (Workloads.by_name "matmul") in
         let u = List.hd (Workloads.program w).Fortran_front.Ast.punits in
         let count config =
-          let env = Depenv.make ~config u in
+          let env = Depenv.make ~config (Unit_syntax.build u) in
           let ddg = ddg_of env in
           List.length
             (List.filter
@@ -214,10 +214,10 @@ let suite =
         in
         check_bool "structurally equal" true (shared = u);
         let cache = Ddg.make_cache () in
-        ignore (Ddg.compute ~cache (Depenv.make u));
+        ignore (Ddg.compute ~cache (Depenv.make (Unit_syntax.build u)));
         let _, _, cold = Ddg.cache_counters cache in
         check_bool "cold run misses" true (cold > 0);
-        ignore (Ddg.compute ~cache (Depenv.make shared));
+        ignore (Ddg.compute ~cache (Depenv.make (Unit_syntax.build shared)));
         let _, _, warm = Ddg.cache_counters cache in
         check_int "warm misses" 0 (warm - cold));
   ]
@@ -329,7 +329,7 @@ let graph_pin gname (prog : Ast.program) =
   in
   { gname;
     ip = digest (Interproc.Summary.env_for summary);
-    base = digest (Depenv.make ~config:Depenv.base_config) }
+    base = digest (fun u -> Depenv.make ~config:Depenv.base_config (Unit_syntax.build u)) }
 
 let show_graph_pin p =
   Printf.sprintf "    { gname = %S;\n      ip = %S; base = %S };" p.gname p.ip p.base
@@ -373,7 +373,7 @@ let defuse_queries_linear () =
               config queries stmts)
         [
           ("interprocedural", Interproc.Summary.env_for summary u);
-          ("base", Depenv.make ~config:Depenv.base_config u);
+          ("base", Depenv.make ~config:Depenv.base_config (Unit_syntax.build u));
         ])
     prog.Ast.punits
 

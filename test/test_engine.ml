@@ -34,7 +34,7 @@ let scratch_ddg sess =
         ~asserts:(Ped.Session.assertions sess) summary u
     | None ->
       Depenv.make ~config:(Ped.Session.config sess)
-        ~asserts:(Ped.Session.assertions sess) u
+        ~asserts:(Ped.Session.assertions sess) (Unit_syntax.build u)
   in
   Ddg.compute env
 

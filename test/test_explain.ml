@@ -33,7 +33,7 @@ let src_symbolic =
 
 let unit_env_ddg src =
   let u = parse_unit src in
-  let env = Dependence.Depenv.make u in
+  let env = Dependence.Depenv.make (Dependence.Unit_syntax.build u) in
   (u, env, Dependence.Ddg.compute env)
 
 let assign_sids u =

@@ -161,7 +161,7 @@ let suite =
         let count config =
           List.fold_left
             (fun acc u ->
-              let env = Depenv.make ~config u in
+              let env = Depenv.make ~config (Unit_syntax.build u) in
               let ddg = Ddg.compute env in
               acc
               + List.length

@@ -100,7 +100,7 @@ let suite =
         check_bool "parallel" true
           (Dependence.Ddg.blocking env ddg (loop_sid (loop_by_iv env "I")) = []);
         (* without interprocedural analysis the same loop blocks *)
-        let env0 = Dependence.Depenv.make u in
+        let env0 = Dependence.Depenv.make (Dependence.Unit_syntax.build u) in
         let ddg0 = Dependence.Ddg.compute env0 in
         check_bool "blocked without" false
           (Dependence.Ddg.blocking env0 ddg0 (loop_sid (loop_by_iv env0 "I")) = []));
@@ -195,7 +195,7 @@ let alias_suite =
         check_bool "blocked via alias" false
           (Dependence.Ddg.blocking env ddg (loop_sid (loop_by_iv env "I")) = []);
         (* without the alias information the loop would look parallel *)
-        let env0 = Dependence.Depenv.make s_unit in
+        let env0 = Dependence.Depenv.make (Dependence.Unit_syntax.build s_unit) in
         let ddg0 = Dependence.Ddg.compute env0 in
         check_bool "looks parallel without" true
           (Dependence.Ddg.blocking env0 ddg0 (loop_sid (loop_by_iv env0 "I")) = []));
@@ -264,3 +264,106 @@ let alias_suite =
   ]
 
 let suite = suite @ alias_suite
+
+(* The first unit whose kills differ from the string-set reference
+   solver's, given the same callee kills. *)
+let kills_mismatch (prog : Ast.program) =
+  let s = Interproc.Summary.analyze prog in
+  let cg = Interproc.Summary.callgraph s and k = Interproc.Summary.kills s in
+  let callee name =
+    match Interproc.Ipkill.kills_of k name with
+    | [] -> None
+    | l -> Some (Ref_scalar.SSet.of_list l)
+  in
+  List.find_map
+    (fun (u : Ast.program_unit) ->
+      let got = Interproc.Ipkill.kills_of k u.Ast.uname
+      and want = Ref_scalar.SSet.elements (Ref_scalar.unit_kills cg callee u) in
+      if got = want then None
+      else
+        Some
+          (Printf.sprintf "%s kills [%s], reference [%s]" u.Ast.uname
+             (String.concat " " got) (String.concat " " want)))
+    prog.Ast.punits
+
+(* A random GOTO program as two subroutines whose scalars are all
+   formals: FUZZ, and WRAP, which calls FUZZ on its own formals and
+   then runs the same body, so kills also cross a call. *)
+let gen_kill_program =
+  QCheck2.Gen.map
+    (fun (p : Ast.program) ->
+      let u = List.hd p.Ast.punits in
+      let formals =
+        List.filter_map
+          (fun (i : Symbol.info) ->
+            match i.kind with
+            | Symbol.Scalar when i.param = None -> Some i.name
+            | _ -> None)
+          (Symbol.infos (Symbol.build u))
+      in
+      let sub name body = { u with Ast.uname = name; kind = Ast.Subroutine formals; body } in
+      let call = Ast.mk (Ast.Call ("FUZZ", List.map (fun f -> Ast.Var f) formals)) in
+      Ast.renumber_program
+        { Ast.punits = [ sub "FUZZ" u.Ast.body; sub "WRAP" (call :: u.Ast.body) ] })
+    Test_dataflow.gen_goto_program
+
+let kills_match_reference =
+  QCheck2.Test.make ~count:60 ~name:"kills equal the string-set reference"
+    ~print:Pretty.program_to_string gen_kill_program (fun p ->
+      match kills_mismatch p with
+      | None -> true
+      | Some what -> QCheck2.Test.fail_reportf "kills differ: %s" what)
+
+(* Every environment of a unit the summary holds, whatever its
+   assertions, is built on the call graph's syntax record. *)
+let envs_share_the_record (prog : Ast.program) =
+  let s = Interproc.Summary.analyze prog in
+  let cg = Interproc.Summary.callgraph s in
+  let asserted =
+    { Dependence.Depenv.no_assertions with asserted_values = [ ("N", 64) ] }
+  in
+  List.iter
+    (fun (u : Ast.program_unit) ->
+      let r = Interproc.Callgraph.syntax cg u in
+      List.iter
+        (fun (what, (env : Dependence.Depenv.t)) ->
+          let shared name ok =
+            if not ok then Alcotest.failf "%s, %s: %s not shared" u.Ast.uname what name
+          in
+          shared "symbol table" (env.tbl == Dependence.Unit_syntax.symbols r);
+          shared "CFG" (env.cfg == Dependence.Unit_syntax.cfg r);
+          shared "loop nest" (env.nest == Dependence.Unit_syntax.nest r);
+          shared "control dependences" (env.control == Dependence.Unit_syntax.control r))
+        [
+          ("first", Interproc.Summary.env_for s u);
+          ("asserted", Interproc.Summary.env_for ~asserts:asserted s u);
+        ])
+    prog.Ast.punits
+
+let record_suite =
+  [
+    case "kills equal the reference on the programs" (fun () ->
+        List.iter
+          (fun (name, prog) ->
+            Option.iter (Alcotest.failf "%s: %s" name) (kills_mismatch prog))
+          (Test_dataflow.scalar_programs ()));
+    qcheck_case kills_match_reference;
+    case "summary: environments share the unit's syntax record" (fun () ->
+        List.iter
+          (fun w -> envs_share_the_record (Workloads.program w))
+          Workloads.all;
+        envs_share_the_record (parse two_units));
+    case "summary: an engine's rebuilt environment keeps the record" (fun () ->
+        let w = Option.get (Workloads.by_name "callnest") in
+        let e = Engine.create (Workloads.program w) in
+        let name = (Ast.entry_unit (Engine.program e)).Ast.uname in
+        let before = Option.get (Engine.env e ~unit_name:name) in
+        Engine.set_assertions e
+          { Dependence.Depenv.no_assertions with asserted_values = [ ("N", 64) ] };
+        let after = Option.get (Engine.env e ~unit_name:name) in
+        check_bool "a new environment" true (before != after);
+        check_bool "same symbol table" true (before.tbl == after.tbl);
+        check_bool "same CFG" true (before.cfg == after.cfg));
+  ]
+
+let suite = suite @ record_suite

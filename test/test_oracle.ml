@@ -9,7 +9,7 @@ open Util
 
 let main_env p =
   let u = List.find (fun u -> u.Ast.kind = Ast.Main) p.Ast.punits in
-  Dependence.Depenv.make u
+  Dependence.Depenv.make (Dependence.Unit_syntax.build u)
 
 let gen_finite rng =
   (* rejection-sample a program whose baseline execution is finite *)
@@ -130,7 +130,9 @@ let engine_matches_scratch () =
       match Engine.analysis eng ~unit_name:u.Ast.uname with
       | None -> Alcotest.failf "engine lost the main unit (%s)" what
       | Some (_, served) ->
-        let scratch = Dependence.Ddg.compute (Dependence.Depenv.make u) in
+        let scratch =
+          Dependence.Ddg.compute (Dependence.Depenv.make (Dependence.Unit_syntax.build u))
+        in
         if not (Dependence.Ddg.equal served scratch) then
           Alcotest.failf "engine DDG diverged from scratch (%s) on:\n%s" what
             (Pretty.program_to_string q);

@@ -183,7 +183,7 @@ let fuzz_parallel_matches_sequential () =
 let wide_env seed_const =
   let src = Workloads.wide_nests ~nests:24 ~seed_const in
   let p = Ast.renumber_program (Parser.parse_program ~file:"parsc.f" src) in
-  Depenv.make (List.hd p.Ast.punits)
+  Depenv.make (Unit_syntax.build (List.hd p.Ast.punits))
 
 let one_constant_edit_replays_buckets () =
   let cache = Ddg.make_cache () in

@@ -47,7 +47,8 @@ let suite =
           "      PROGRAM P\n      REAL A(64)\n      PARALLEL DO I = 1, 64\n        A(I) = FLOAT(I)\n      ENDDO\n      PRINT *, A(1)\n      END\n"
         in
         let est u =
-          (Perf.Estimator.parallel_unit_cost (Depenv.make (parse_unit u))).Perf.Estimator.cycles
+          let env = Depenv.make (Unit_syntax.build (parse_unit u)) in
+          (Perf.Estimator.parallel_unit_cost env).Perf.Estimator.cycles
         in
         let sim u = (Sim.Interp.run (parse u)).Sim.Interp.cycles in
         check_bool "estimator prefers parallel" true (est src_par < est src_seq);

@@ -350,11 +350,28 @@ let suite =
     (* ---------------- Driver ---------------- *)
     case "driver: static_of keys estimator promises by loop sid" (fun () ->
         let prog = parallelize_iv "I" (program finegrain_src) in
-        let static = Perfdebug.Driver.static_of ~processors:2 prog in
+        let summary = Interproc.Summary.analyze prog in
+        let static = Perfdebug.Driver.static_of ~summary ~processors:2 prog in
         check_int "one parallel loop" 1 (List.length static);
         let _, st = List.hd static in
         check_bool "predicted positive" true
           (st.Perfdebug.Detect.st_predicted > 0.0));
+    case "driver: one diagnosis builds one summary" (fun () ->
+        (* the plans, the per-loop promises and the whole-unit promise
+           all read one interprocedural summary of the program *)
+        let prog = parallelize_iv "I" (program finegrain_src) in
+        let tel = Telemetry.make ~record_spans:true () in
+        let prev = Telemetry.default () in
+        Fun.protect ~finally:(fun () -> Telemetry.set_default prev) @@ fun () ->
+        Telemetry.set_default tel;
+        ignore
+          (Perfdebug.Driver.analyze ~domains:2 ~schedule:Runtime.Pool.Chunk ~seq_wall:0.0
+             ~par_wall:0.0 prog []);
+        check_int "interproc.callgraph spans" 1
+          (List.length
+             (List.filter
+                (fun (r : Telemetry.span_record) -> r.Telemetry.sp_name = "interproc.callgraph")
+                (Telemetry.spans tel))));
     case "driver: a serial program diagnoses as serial fraction" (fun () ->
         let d = Perfdebug.Driver.diagnose ~domains:2 (program serial_src) in
         check_bool "serial fraction fires" true

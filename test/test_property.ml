@@ -32,7 +32,7 @@ let baseline_ok p =
 
 let main_env p =
   let u = List.find (fun u -> u.Ast.kind = Ast.Main) p.Ast.punits in
-  Dependence.Depenv.make u
+  Dependence.Depenv.make (Dependence.Unit_syntax.build u)
 
 let ddg_sound =
   QCheck2.Test.make ~count:40

@@ -163,7 +163,7 @@ let data_suite =
           parse_unit
             "      PROGRAM P\n      REAL A(40)\n      INTEGER K\n      DATA K /20/\n      K = 1\n      DO I = 1, 10\n        A(I) = A(I+K)\n      ENDDO\n      END\n"
         in
-        let env = Dependence.Depenv.make u in
+        let env = Dependence.Depenv.make (Dependence.Unit_syntax.build u) in
         let ddg = Dependence.Ddg.compute env in
         (* with K=20 the loop would be independent; with K=1 it is a real
            dependence — constant propagation must find K=1 and keep it *)

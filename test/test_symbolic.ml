@@ -58,7 +58,7 @@ let suite =
             "      J1 = J + 1\n      A(J1) = A(J) + 1.0\n"
             ~decls:"      REAL A(100)\n      INTEGER J, J1\n"
         in
-        let env = Dependence.Depenv.make u in
+        let env = Dependence.Depenv.make (Dependence.Unit_syntax.build u) in
         let sid =
           Ast.fold_stmts
             (fun acc (s : Ast.stmt) ->
@@ -76,7 +76,7 @@ let suite =
           parse_body "      DO I = 1, 3\n        K = K + 1\n        A(K) = 0.0\n      ENDDO\n"
             ~decls:"      REAL A(100)\n      INTEGER K\n"
         in
-        let env = Dependence.Depenv.make u in
+        let env = Dependence.Depenv.make (Dependence.Unit_syntax.build u) in
         let sid =
           Ast.fold_stmts
             (fun acc (s : Ast.stmt) ->
@@ -95,7 +95,7 @@ let suite =
             "      J1 = J + 1\n      J = J + 5\n      A(J1) = 0.0\n"
             ~decls:"      REAL A(100)\n      INTEGER J, J1\n"
         in
-        let env = Dependence.Depenv.make u in
+        let env = Dependence.Depenv.make (Dependence.Unit_syntax.build u) in
         let sid =
           Ast.fold_stmts
             (fun acc (s : Ast.stmt) ->
@@ -112,7 +112,7 @@ let suite =
         let u =
           parse_body "      DO I = 1, 3\n        K = K + 1\n        X = N\n      ENDDO\n" ~decls:""
         in
-        let env = Dependence.Depenv.make u in
+        let env = Dependence.Depenv.make (Dependence.Unit_syntax.build u) in
         let lp = loop_by_iv env "I" in
         check_bool "N invariant" true
           (Symbolic.invariant_in env.Dependence.Depenv.ctx lp.Dependence.Loopnest.lstmt "N");

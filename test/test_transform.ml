@@ -203,7 +203,7 @@ let suite =
     case "skew + interchange wavefront preserves" (fun () ->
         let w = Option.get (Workloads.by_name "sor") in
         let u = List.hd (Workloads.program w).Ast.punits in
-        let env = Depenv.make u in
+        let env = Depenv.make (Unit_syntax.build u) in
         let i = loop_sid (loop_by_iv env "I") in
         (* the compute I loop is the one at depth 2 *)
         let i =

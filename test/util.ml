@@ -16,7 +16,7 @@ let parse_body ?(decls = "") body =
   in
   parse_unit src
 
-let env_of ?config ?asserts src = Dependence.Depenv.make ?config ?asserts (parse_unit src)
+let env_of ?config ?asserts src = Dependence.Depenv.make ?config ?asserts (Dependence.Unit_syntax.build (parse_unit src))
 
 let ddg_of env = Dependence.Ddg.compute env
 
