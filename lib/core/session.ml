@@ -270,6 +270,9 @@ let transform ?(force = false) t name args =
     when diag.Transform.Diagnosis.applicable
          && (diag.Transform.Diagnosis.safe || force) -> (
     let env, ddg = analysis t in
+    (* the environment may hold another session's copy of this unit
+       (equal up to source locations): rewrite the session's own *)
+    let env = { env with Depenv.punit = focus_unit t } in
     match entry.Transform.Catalog.apply env ddg args with
     | Ok u ->
       commit t name (replaced_program t u);

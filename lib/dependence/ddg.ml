@@ -244,53 +244,6 @@ let import_cache (s : string) ~(into : cache) : int =
         imported;
       !added)
 
-(* ---- key writing: straight into a buffer, self-delimiting ---- *)
-
-let add_int buf n =
-  Buffer.add_string buf (string_of_int n);
-  Buffer.add_char buf ';'
-
-let add_name buf v =
-  Buffer.add_string buf v;
-  Buffer.add_char buf ';'
-
-let binop_char : Ast.binop -> char = function
-  | Ast.Add -> '+' | Ast.Sub -> '-' | Ast.Mul -> '*' | Ast.Div -> '/'
-  | Ast.Pow -> '^' | Ast.Lt -> '<' | Ast.Le -> 'l' | Ast.Gt -> '>'
-  | Ast.Ge -> 'g' | Ast.Eq -> '=' | Ast.Ne -> '!' | Ast.And -> '&'
-  | Ast.Or -> '|'
-
-let rec add_expr buf (e : Ast.expr) =
-  match e with
-  | Ast.Int n ->
-    Buffer.add_char buf 'i';
-    add_int buf n
-  | Ast.Real f ->
-    Buffer.add_char buf 'r';
-    Buffer.add_int64_le buf (Int64.bits_of_float f)
-  | Ast.Logic b -> Buffer.add_char buf (if b then 'T' else 'F')
-  | Ast.Str s ->
-    Buffer.add_char buf 's';
-    add_int buf (String.length s);
-    Buffer.add_string buf s
-  | Ast.Var v ->
-    Buffer.add_char buf 'v';
-    add_name buf v
-  | Ast.Index (b, args) ->
-    Buffer.add_char buf 'x';
-    add_name buf b;
-    List.iter (add_expr buf) args;
-    Buffer.add_char buf ')'
-  | Ast.Bin (op, a, b) ->
-    Buffer.add_char buf 'b';
-    Buffer.add_char buf (binop_char op);
-    add_expr buf a;
-    add_expr buf b
-  | Ast.Un (op, a) ->
-    Buffer.add_char buf 'u';
-    Buffer.add_char buf (match op with Ast.Neg -> '-' | Ast.Not -> '!');
-    add_expr buf a
-
 (* The scalars an expression reads.  Linearization and substitution
    only ever resolve [Var]s, so index bases are left out. *)
 let rec expr_scalars acc (e : Ast.expr) =
@@ -314,7 +267,7 @@ let group_sig (env : Depenv.t) ~(index : Ast.stmt_id -> int) ~base
   let buf = Buffer.create 1024 in
   let const_at sid v =
     match Depenv.const_var_at env sid v with
-    | Some n -> add_int buf n
+    | Some n -> Canon.add_int buf n
     | None -> Buffer.add_char buf '?'
   in
   let defs_at sid v =
@@ -325,7 +278,7 @@ let group_sig (env : Depenv.t) ~(index : Ast.stmt_id -> int) ~base
            | Cfg.Entry -> -1
            | Cfg.Exit -> -2)
     |> List.sort Int.compare
-    |> List.iter (add_int buf)
+    |> List.iter (Canon.add_int buf)
   in
   let next = ref 0 in
   let ordinal = ref 0 in
@@ -333,27 +286,27 @@ let group_sig (env : Depenv.t) ~(index : Ast.stmt_id -> int) ~base
     let me = !ordinal in
     incr ordinal;
     Buffer.add_char buf 'S';
-    add_int buf parent;
+    Canon.add_int buf parent;
     let loop_scalars =
       match s.Ast.node with
       | Ast.Do (h, _) ->
         let hs = header_scalars h in
         Buffer.add_char buf 'D';
-        add_name buf h.Ast.dvar;
-        add_expr buf h.Ast.lo;
-        add_expr buf h.Ast.hi;
-        Option.iter (add_expr buf) h.Ast.step;
+        Canon.add_name buf h.Ast.dvar;
+        Canon.add_expr buf h.Ast.lo;
+        Canon.add_expr buf h.Ast.hi;
+        Option.iter (Canon.add_expr buf) h.Ast.step;
         Buffer.add_char buf 'a';
         List.iter
           (fun (v, stride, inc) ->
-            add_name buf v;
-            add_int buf stride;
-            add_int buf (index inc - base))
+            Canon.add_name buf v;
+            Canon.add_int buf stride;
+            Canon.add_int buf (index inc - base))
           (Varclass.aux_inductions env.Depenv.ctx s);
         Buffer.add_char buf 'k';
         List.iter
           (fun v ->
-            add_name buf v;
+            Canon.add_name buf v;
             const_at s.Ast.sid v)
           hs;
         hs @ loop_scalars
@@ -365,15 +318,15 @@ let group_sig (env : Depenv.t) ~(index : Ast.stmt_id -> int) ~base
         loop_scalars
     in
     Buffer.add_char buf 'M';
-    List.iter (add_name buf) (Defuse.may_defs env.Depenv.ctx s);
+    List.iter (Canon.add_name buf) (Defuse.may_defs env.Depenv.ctx s);
     (* the statement's references, then what their tests read *)
     let first = !next in
     while !next < Array.length idx && refs.(idx.(!next)).r_pos - 1 = base + me do
       let r = refs.(idx.(!next)) in
       Buffer.add_char buf (if r.r_write then 'W' else 'R');
       Buffer.add_char buf (if r.r_call then 'c' else 's');
-      add_name buf r.r_array;
-      List.iter (add_expr buf) r.r_subs;
+      Canon.add_name buf r.r_array;
+      List.iter (Canon.add_expr buf) r.r_subs;
       Buffer.add_char buf ')';
       incr next
     done;
@@ -384,14 +337,14 @@ let group_sig (env : Depenv.t) ~(index : Ast.stmt_id -> int) ~base
           (fun e ->
             let form = Subscript.dim_form env s.Ast.sid e in
             Buffer.add_char buf 'F';
-            add_expr buf form;
+            Canon.add_expr buf form;
             scalars := expr_scalars (expr_scalars !scalars e) form)
           refs.(idx.(j)).r_subs
       done;
       List.iter
         (fun v ->
           Buffer.add_char buf 'V';
-          add_name buf v;
+          Canon.add_name buf v;
           const_at s.Ast.sid v;
           defs_at s.Ast.sid v)
         (List.sort_uniq String.compare !scalars)
@@ -508,8 +461,7 @@ let plan ?telemetry ?(keyed = false) (env : Depenv.t) : plan =
             in
             let buf = Buffer.create 128 in
             Buffer.add_string buf
-              (Marshal.to_string (env.Depenv.config, env.Depenv.asserts)
-                 [ Marshal.No_sharing ]);
+              (Depenv.settings_digest env.Depenv.config env.Depenv.asserts);
             List.iter
               (fun a ->
                 List.iter
@@ -1238,7 +1190,10 @@ let compute ?cache ?telemetry ?runner (env : Depenv.t) : t =
    polymorphic equality is exactly structural identity. *)
 let equal (a : t) (b : t) = a = b
 
-(* [No_sharing] canonicalizes the bytes: a graph rebuilt through the
+(* A graph holds statement ids, expressions and verdicts, never a
+   source location, so its marshalled bytes are its identity and need
+   no {!Canon} encoder; [equal] above is the same structural notion.
+   [No_sharing] canonicalizes the bytes: a graph rebuilt through the
    bucket memo shares equal dependence lists physically, which the
    default format would encode differently from a fresh build.  The
    graph is pure acyclic data, so equal graphs marshal identically. *)

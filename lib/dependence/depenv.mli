@@ -48,6 +48,13 @@ type assertions = {
 
 val no_assertions : assertions
 
+(** The digest of a config and an assertion set, written through
+    {!Fortran_front.Canon}: the one key of everything an analysis
+    result depends on besides its unit and that unit's interprocedural
+    view.  The engine's per-unit analysis key and the dependence
+    buckets' global part both read it. *)
+val settings_digest : config -> assertions -> Digest.t
+
 (** Alias relation between two array names of the unit, supplied by
     interprocedural analysis: [`Aligned] — same storage, same origin
     (subscripts comparable); [`May] — overlap at unknown offset;

@@ -241,16 +241,31 @@ let build_ddg t env =
            every pair test executed *)
         Ddg.compute ?runner:t.runner ~telemetry:t.sink env)
 
+(* The unit of the summary's program named like [u], a unit of
+   [t.program].  A summary answers for a program content-equal to
+   [t.program] (the same one, or one of equal fingerprint), so that
+   unit is [u] up to source locations, and the summary holds its
+   syntax record: the facet and the environment read it rather than
+   take [u] apart again. *)
+let own_unit summary (u : Ast.program_unit) =
+  match summary with
+  | None -> u
+  | Some s ->
+    Option.value ~default:u
+      (Interproc.Callgraph.unit_named (Interproc.Summary.callgraph s) u.Ast.uname)
+
 (* The unit's entry: kept while its fingerprint (content + config +
    assertions + interprocedural facet) is unchanged, else another
    session's analysis of the same key, else a fresh environment.
-   Baseline mode builds a fresh entry every time and keeps none. *)
+   Baseline mode builds a fresh entry every time and keeps none.
+   Only units of [t.program] come here, never a candidate rewrite. *)
 let entry t (u : Ast.program_unit) =
   let summary = summary t in
+  let own = own_unit summary u in
   if not t.caching then
-    { e_fp = ""; e_env = build_env t summary u; e_ddg = None }
+    { e_fp = ""; e_env = build_env t summary own; e_ddg = None }
   else begin
-    let facet = Option.map (fun s -> Fingerprint.interproc_facet s u) summary in
+    let facet = Option.map (fun s -> Fingerprint.interproc_facet s own) summary in
     let fp =
       Fingerprint.analysis_key ~config:t.config ~asserts:t.asserts ~facet
         ~content:(unit_digest t u)
@@ -270,7 +285,7 @@ let entry t (u : Ast.program_unit) =
         | None ->
           if prior <> None then Telemetry.incr t.c_invalidations;
           Telemetry.incr t.c_env_misses;
-          { e_fp = fp; e_env = build_env t summary u; e_ddg = None }
+          { e_fp = fp; e_env = build_env t summary own; e_ddg = None }
       in
       Hashtbl.replace t.units u.Ast.uname e;
       e

@@ -1,12 +1,12 @@
 (* Content fingerprints for the incremental analysis engine.
 
-   Everything fingerprinted here is pure data (the AST carries no
-   closures or cycles), so [Marshal] with [No_sharing] gives a
-   canonical byte string — equal values digest equally whatever their
-   internal sharing — and [Digest] a 16-byte key.  Statement ids are
-   part of the content: an edit produces fresh ids for the statements
-   it touched, so a fingerprint distinguishes "same text, re-parsed"
-   from "the very statements analysis results refer to". *)
+   A program's identity is {!Fortran_front.Canon}'s: its AST without
+   source locations, so a file and its copy at another path, or a
+   program and its reparsed print, fingerprint alike.  Statement ids
+   are part of the content: an edit produces fresh ids for the
+   statements it touched, so a fingerprint distinguishes "same text,
+   re-parsed" from "the very statements analysis results refer to".
+   [Digest] turns each encoding into a 16-byte key. *)
 
 open Fortran_front
 
@@ -17,16 +17,13 @@ let to_hex = Digest.to_hex
 let of_string = Digest.string
 
 (* A program unit's own content. *)
-let unit_content (u : Ast.program_unit) : t =
-  Digest.string (Marshal.to_string u [ Marshal.No_sharing ])
+let unit_content : Ast.program_unit -> t = Canon.unit_digest
 
 (* A whole program — keys the interprocedural summary cache; undo and
    redo restore a previous program value and therefore a previous
-   fingerprint.  Built from the units' [unit_content] digests
-   (fixed-length, so their concatenation is unambiguous), which
-   [content] may serve from a memo. *)
+   fingerprint.  [content] may serve the unit digests from a memo. *)
 let program ~(content : Ast.program_unit -> t) (p : Ast.program) : t =
-  Digest.string (String.concat "" (List.map content p.Ast.punits))
+  Canon.program_digest ~unit_digest:content p
 
 (* What a unit's intraprocedural analysis can observe of the
    interprocedural summary: per-CALL scalar effects and array section
@@ -36,35 +33,49 @@ let program ~(content : Ast.program_unit -> t) (p : Ast.program) : t =
    whole-program summary rebuilds that left the unit's view intact. *)
 let interproc_facet (summary : Interproc.Summary.t) (u : Ast.program_unit) : t =
   let buf = Buffer.create 512 in
+  let names = Canon.add_list Canon.add_name in
   let oracle, call_refs = Interproc.Summary.calls_for summary u in
   Ast.iter_stmts
     (fun s ->
       match s.Ast.node with
       | Ast.Call _ ->
-        Buffer.add_string buf (Marshal.to_string (oracle s) [ Marshal.No_sharing ]);
-        Buffer.add_string buf (Marshal.to_string (call_refs s) [ Marshal.No_sharing ])
+        Canon.add_option
+          (fun buf (e : Scalar_analysis.Defuse.call_effects) ->
+            names buf e.Scalar_analysis.Defuse.ce_mods;
+            names buf e.Scalar_analysis.Defuse.ce_refs;
+            names buf e.Scalar_analysis.Defuse.ce_kills)
+          buf (oracle s);
+        Canon.add_list
+          (fun buf (array, subs, write) ->
+            Canon.add_name buf array;
+            Canon.add_option (Canon.add_list Canon.add_expr) buf subs;
+            Canon.add_bool buf write)
+          buf (call_refs s)
       | _ -> ())
     u.Ast.body;
-  Buffer.add_string buf
-    (Marshal.to_string
-       (Interproc.Ipconst.constants_of (Interproc.Summary.ipconst summary)
-          u.Ast.uname)
-       [ Marshal.No_sharing ]);
-  Buffer.add_string buf
-    (Marshal.to_string
-       (Interproc.Aliases.pairs_of (Interproc.Summary.aliases summary)
-          u.Ast.uname)
-       [ Marshal.No_sharing ]);
+  Canon.add_list
+    (fun buf (v, n) ->
+      Canon.add_name buf v;
+      Canon.add_int buf n)
+    buf
+    (Interproc.Ipconst.constants_of (Interproc.Summary.ipconst summary) u.Ast.uname);
+  Canon.add_list
+    (fun buf (a, b, kind) ->
+      Canon.add_name buf a;
+      Canon.add_name buf b;
+      Canon.add_bool buf (kind = Interproc.Aliases.Aligned))
+    buf
+    (Interproc.Aliases.pairs_of (Interproc.Summary.aliases summary) u.Ast.uname);
   Digest.string (Buffer.contents buf)
 
 (* The full per-unit analysis key: the unit's statements (its
-   [unit_content] digest), the analysis configuration, the user's
-   assertions, and (when interprocedural analysis is on) the callees'
-   summary facet. *)
+   [unit_content] digest), the analysis configuration and the user's
+   assertions ({!Dependence.Depenv.settings_digest}), and (when
+   interprocedural analysis is on) the callees' summary facet. *)
 let analysis_key ~(config : Dependence.Depenv.config)
     ~(asserts : Dependence.Depenv.assertions) ~(facet : t option) ~(content : t) : t =
   Digest.string
     (String.concat "|"
        [ content;
-         Digest.string (Marshal.to_string (config, asserts) [ Marshal.No_sharing ]);
+         Dependence.Depenv.settings_digest config asserts;
          (match facet with Some f -> f | None -> "") ])

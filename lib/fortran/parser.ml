@@ -48,6 +48,17 @@ let ident st =
 (* Expressions                                                         *)
 (* ------------------------------------------------------------------ *)
 
+(* A negative integer constant is [Int (-n)].  [Pretty] prints it
+   "(-n)", the way it prints a negated literal where the context binds
+   tighter than unary minus: parenthesised, an operand of [*], [/] or
+   [**], the right operand of [+] or [-], or under another minus.  So
+   the parser folds a negated positive literal in exactly those
+   places, and only there: elsewhere "-n" stays [Un (Neg, Int n)] and
+   prints back as "-n". *)
+let literal = function
+  | Ast.Un (Ast.Neg, Ast.Int n) when n > 0 -> Ast.Int (-n)
+  | e -> e
+
 let rec parse_expr st : Ast.expr = parse_or st
 
 and parse_or st =
@@ -103,10 +114,10 @@ and parse_arith st =
     match peek st with
     | Token.PLUS ->
       advance st;
-      go (Ast.Bin (Ast.Add, lhs, parse_term st))
+      go (Ast.Bin (Ast.Add, lhs, literal (parse_term st)))
     | Token.MINUS ->
       advance st;
-      go (Ast.Bin (Ast.Sub, lhs, parse_term st))
+      go (Ast.Bin (Ast.Sub, lhs, literal (parse_term st)))
     | _ -> lhs
   in
   go lhs
@@ -117,10 +128,10 @@ and parse_term st =
     match peek st with
     | Token.STAR ->
       advance st;
-      go (Ast.Bin (Ast.Mul, lhs, parse_factor st))
+      go (Ast.Bin (Ast.Mul, literal lhs, literal (parse_factor st)))
     | Token.SLASH ->
       advance st;
-      go (Ast.Bin (Ast.Div, lhs, parse_factor st))
+      go (Ast.Bin (Ast.Div, literal lhs, literal (parse_factor st)))
     | _ -> lhs
   in
   go lhs
@@ -130,7 +141,7 @@ and parse_factor st =
   match peek st with
   | Token.MINUS ->
     advance st;
-    Ast.Un (Ast.Neg, parse_factor st)
+    Ast.Un (Ast.Neg, literal (parse_factor st))
   | Token.PLUS ->
     advance st;
     parse_factor st
@@ -141,7 +152,7 @@ and parse_power st =
   match peek st with
   | Token.POW ->
     advance st;
-    Ast.Bin (Ast.Pow, base, parse_factor st)
+    Ast.Bin (Ast.Pow, base, literal (parse_factor st))
   | _ -> base
 
 and parse_primary st =
@@ -155,7 +166,7 @@ and parse_primary st =
     advance st;
     let e = parse_expr st in
     expect st Token.RPAREN;
-    e
+    literal e
   | Token.IDENT name -> (
     advance st;
     match peek st with

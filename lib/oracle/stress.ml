@@ -231,10 +231,7 @@ let scale_to_lines ?seed ~target p =
   in
   go p 6
 
-let fingerprint p =
-  Digest.to_hex
-    (Digest.string
-       (Marshal.to_string (Ast.renumber_program p) [ Marshal.No_sharing ]))
+let fingerprint p = Digest.to_hex (Canon.program_digest (Ast.renumber_program p))
 
 (* ------------------------------------------------------------------ *)
 (* fuzz-scale variants                                                 *)

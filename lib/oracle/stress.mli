@@ -76,8 +76,9 @@ val lines : string -> int
     source it settled on. *)
 val scale_to_lines : ?seed:int -> target:int -> profile -> profile * string
 
-(** MD5 of the renumbered, marshalled program — stable across
-    processes for equal [(seed, profile)]. *)
+(** The {!Fortran_front.Canon} digest of the renumbered program, in
+    hex — stable across processes for equal [(seed, profile)], and
+    equal for a program and its reparsed print from any path. *)
 val fingerprint : Ast.program -> string
 
 (** A small, interpretable variant for the fuzz driver (capped units

@@ -173,8 +173,10 @@ let report t =
    payload must be refused before it is unmarshalled.  Version 3 keys
    buckets by unshared bytes, so version 2 keys can never hit.
    Version 4 keys buckets on what their tests read, with no statement
-   ids, and stores them with bucket-local statement indices. *)
-let format_version = "4"
+   ids, and stores them with bucket-local statement indices.  Version
+   5 writes the keys' config and assertions through the location-free
+   program encoder, so version 4 keys can never hit. *)
+let format_version = "5"
 
 let version_fingerprint () =
   Digest.to_hex

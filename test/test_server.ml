@@ -491,12 +491,25 @@ let copy_at_another_path_shares_buckets () =
   let buckets () =
     (Server.Cache.stats (Server.Serve.cache server)).Server.Cache.bucket_entries
   in
+  let lookups () =
+    let s = Server.Cache.stats (Server.Serve.cache server) in
+    (s.Server.Cache.hits, s.Server.Cache.misses)
+  in
   opened "a" original;
   let tests_a = tests () and buckets_a = buckets () in
+  let hits_a, misses_a = lookups () in
   check_bool "the original ran tests" true (tests_a > 0);
   opened "b" copy;
+  ignore
+    (ok_exn "cmd b"
+       (Server.Serve.handle server
+          (Server.Protocol.Cmd { rsid = "b"; line = "deps" })));
   check_int "the copy runs no dependence test" tests_a (tests ());
   check_int "the copy stores no bucket" buckets_a (buckets ());
+  (* b's summary and unit lookups are served by a's entries *)
+  let hits_b, misses_b = lookups () in
+  check_int "the copy's summary and unit lookups hit" (hits_a + 2) hits_b;
+  check_int "the copy misses nothing" misses_a misses_b;
   List.iter Sys.remove [ original; copy ]
 
 let serve_lanes_in_trace () =

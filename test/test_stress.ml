@@ -36,6 +36,27 @@ let scaled_profiles =
       ])
     Oracle.Stress.all
 
+(* A program up to source locations: statement ids renumbered
+   canonically, every location dropped. *)
+let without_locs (p : Ast.program) =
+  let p = Ast.renumber_program p in
+  let drop (s : Ast.stmt) = { s with Ast.loc = Loc.none } in
+  {
+    Ast.punits =
+      List.map
+        (fun (u : Ast.program_unit) -> { u with Ast.body = Ast.map_stmts drop u.Ast.body })
+        p.Ast.punits;
+  }
+
+(* The printed program reparses and reprints byte-identically, and
+   the reparse is the program itself, up to locations and ids. *)
+let check_reparses name p =
+  let src = Pretty.program_to_string p in
+  let back = Parser.parse_program ~file:(name ^ ".f") src in
+  check_string (name ^ ": reparse round-trip") src (Pretty.program_to_string back);
+  check_bool (name ^ ": reparse is the same program") true
+    (without_locs p = without_locs back)
+
 let same_seed_same_program () =
   List.iter
     (fun (name, seed, prof) ->
@@ -48,10 +69,7 @@ let same_seed_same_program () =
         (Pretty.program_to_string p2);
       check_string (name ^ ": fingerprint") fp1
         (Oracle.Stress.fingerprint p2);
-      (* the printed source reparses and reprints byte-identically *)
-      check_string (name ^ ": reparse round-trip") src1
-        (Pretty.program_to_string
-           (Parser.parse_program ~file:(name ^ ".f") src1));
+      check_reparses name p1;
       (* and a different seed is a different program *)
       check_bool (name ^ ": seed matters") false
         (String.equal fp1
@@ -63,15 +81,38 @@ let fingerprint_survives_reparse () =
   (* the fingerprint renumbers before hashing, so parsing the same
      bytes under different global sid-counter states must produce the
      same fingerprint — the cross-process stability the CI pins with
-     two [ped stress] runs *)
+     two [ped stress] runs.  Locations are not identity: the generated
+     program and its reparse from either path fingerprint alike. *)
   let prof = Oracle.Stress.tiny Oracle.Stress.deep in
-  let src = Oracle.Stress.source ~seed:3 prof in
-  let fp_of s =
-    Oracle.Stress.fingerprint (Parser.parse_program ~file:"a.f" s)
+  let generated = Oracle.Stress.generate ~seed:3 prof in
+  let src = Pretty.program_to_string generated in
+  let fp_of file =
+    Oracle.Stress.fingerprint (Parser.parse_program ~file src)
   in
-  let fp1 = fp_of src in
+  let fp1 = fp_of "a.f" in
   perturb_sid_counter ();
-  check_string "reparse fingerprint is sid-independent" fp1 (fp_of src)
+  check_string "reparse fingerprint is sid-independent" fp1 (fp_of "a.f");
+  check_string "another path, one fingerprint" fp1 (fp_of "b/a.f");
+  check_string "the generated program, one fingerprint" fp1
+    (Oracle.Stress.fingerprint generated)
+
+(* The same round trip over the workloads, the oracle corpus and a
+   fixed batch of generated programs. *)
+let programs_reparse () =
+  List.iter
+    (fun w -> check_reparses w.Workloads.name (Workloads.program w))
+    Workloads.all;
+  List.iter
+    (fun f ->
+      match Oracle.Corpus.load f with
+      | Ok e -> check_reparses (Filename.basename f) e.Oracle.Corpus.e_program
+      | Error e -> Alcotest.failf "%s: %s" f e)
+    (Oracle.Corpus.files "corpus");
+  for seed = 1 to 40 do
+    check_reparses
+      (Printf.sprintf "gen-%d" seed)
+      (Oracle.Gen.program ~cfg:Oracle.Gen.small (Random.State.make [| seed |]))
+  done
 
 let profiles_resolve () =
   List.iter
@@ -245,6 +286,8 @@ let suite =
       same_seed_same_program;
     case "fingerprints of reparsed sources are sid-independent"
       fingerprint_survives_reparse;
+    case "workloads, corpus and generated programs reparse to themselves"
+      programs_reparse;
     case "profile and workload-name resolution" profiles_resolve;
     case "the 100k-line flagship parses and reprints byte-identically"
       flagship_round_trips;
