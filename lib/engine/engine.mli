@@ -3,7 +3,8 @@
     The session hands the engine a program and asks it for analysis
     results ({!analysis}); the engine decides what actually needs
     recomputing.  Three cache layers, each guarded by a content
-    fingerprint (MD5 of the marshalled data — the AST is pure data):
+    fingerprint (an MD5 of {!Fortran_front.Canon}'s encoding, which
+    leaves source locations out):
 
     - {e interprocedural summaries}, keyed by the whole-program
       fingerprint, so undo/redo — which restore a previous program
@@ -122,7 +123,11 @@ val summary : t -> Interproc.Summary.t option
 (** [analysis t ~unit_name] — scalar environment and dependence graph
     of the named unit under the current program and assertions;
     [None] if no such unit.  Structurally identical to a from-scratch
-    analysis, whatever mix of caches served it. *)
+    analysis, whatever mix of caches served it.  The environment is
+    built on the summary's unit of that name, which may be another
+    session's copy: equal statements and ids, but that copy's source
+    locations.  A rewrite of the unit starts from the program's own
+    unit. *)
 val analysis : t -> unit_name:string -> (Depenv.t * Ddg.t) option
 
 (** [env t ~unit_name] — {!analysis}'s environment, from the same

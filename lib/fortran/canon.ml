@@ -7,8 +7,19 @@
 
 open Ast
 
+(* [string_of_int]'s digits, written in place: digits of [n <= 0],
+   most significant first, on the negative side so [min_int] is
+   exact *)
+let rec add_neg_digits buf n =
+  if n <= -10 then add_neg_digits buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 - (n mod 10)))
+
 let add_int buf n =
-  Buffer.add_string buf (string_of_int n);
+  if n < 0 then begin
+    Buffer.add_char buf '-';
+    add_neg_digits buf n
+  end
+  else add_neg_digits buf (-n);
   Buffer.add_char buf ';'
 
 let add_name buf v =

@@ -168,9 +168,10 @@ let report t =
 (* ---- persistence ---- *)
 
 (* Bump when the on-disk layout changes.  The compiler version is
-   folded in because the payload is Marshal output.  Version 2 added
-   the payload's MD5 line: Marshal trusts its input, so a damaged
-   payload must be refused before it is unmarshalled.  Version 3 keys
+   folded in because the payload is the runtime's serialisation of the
+   memo table ({!Ddg.export_cache}).  Version 2 added the payload's
+   MD5 line: unmarshalling trusts its input, so a damaged payload must
+   be refused before it is read.  Version 3 keys
    buckets by unshared bytes, so version 2 keys can never hit.
    Version 4 keys buckets on what their tests read, with no statement
    ids, and stores them with bucket-local statement indices.  Version

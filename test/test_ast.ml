@@ -62,4 +62,35 @@ let suite =
         | Ast.Do _ as node ->
           check_int "three exprs" 3 (List.length (Ast.stmt_exprs node))
         | _ -> Alcotest.fail "not a do");
+    case "canon: locations are not identity, everything else is" (fun () ->
+        let src =
+          "      SUBROUTINE S(A, N)\n      IMPLICIT REAL (A-H)\n      REAL A(N)\n\
+          \      DO 10 I = 1, N\n        A(I) = 0.0\n   10 CONTINUE\n      END\n"
+        in
+        let parse_at file =
+          List.hd (Ast.renumber_program (Parser.parse_program ~file src)).Ast.punits
+        in
+        let u = parse_at "a.f" in
+        let d = Canon.unit_digest in
+        check_string "another path, one digest" (d u) (d (parse_at "b/a.f"));
+        let differs what u' = check_bool what false (String.equal (d u) (d u')) in
+        let top = List.hd u.Ast.body in
+        let with_top s = { u with Ast.body = s :: List.tl u.Ast.body } in
+        differs "a statement id" (with_top { top with Ast.sid = top.Ast.sid + 100 });
+        differs "a label" (with_top { top with Ast.label = Some 99 });
+        (match top.Ast.node with
+        | Ast.Do (h, body) ->
+          differs "the PARALLEL bit"
+            (with_top { top with Ast.node = Ast.Do ({ h with Ast.parallel = true }, body) })
+        | _ -> Alcotest.fail "not a do");
+        differs "a declaration" { u with Ast.decls = List.tl u.Ast.decls };
+        differs "an implicit rule" { u with Ast.implicits = [] };
+        differs "the unit kind" { u with Ast.kind = Ast.Subroutine [ "A" ] });
+    case "canon: integers are written as string_of_int digits" (fun () ->
+        List.iter
+          (fun n ->
+            let buf = Buffer.create 16 in
+            Canon.add_int buf n;
+            check_string (string_of_int n) (string_of_int n ^ ";") (Buffer.contents buf))
+          [ 0; 7; 10; 42; -1; -10; 123456789; max_int; min_int ]);
   ]
