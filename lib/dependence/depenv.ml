@@ -39,24 +39,28 @@ let no_assertions =
 (* Everything an analysis result depends on besides the unit and its
    interprocedural view, written once for every key that carries it:
    the engine's unit analysis key and the dependence buckets' global
-   part. *)
-let settings_digest (c : config) (a : assertions) =
+   part.  Every field is named, so a field added to either record
+   fails to compile here until it is written. *)
+let settings_digest
+    { use_constants; use_symbolics; use_privatization; recognize_reductions;
+      use_array_privatization }
+    { asserted_values; asserted_ranges; asserted_injective } =
   let buf = Buffer.create 64 in
   List.iter (Canon.add_bool buf)
-    [ c.use_constants; c.use_symbolics; c.use_privatization;
-      c.recognize_reductions; c.use_array_privatization ];
+    [ use_constants; use_symbolics; use_privatization; recognize_reductions;
+      use_array_privatization ];
   Canon.add_list
     (fun buf (v, n) ->
       Canon.add_name buf v;
       Canon.add_int buf n)
-    buf a.asserted_values;
+    buf asserted_values;
   Canon.add_list
     (fun buf (v, lo, hi) ->
       Canon.add_name buf v;
       Canon.add_int buf lo;
       Canon.add_int buf hi)
-    buf a.asserted_ranges;
-  Canon.add_list Canon.add_name buf a.asserted_injective;
+    buf asserted_ranges;
+  Canon.add_list Canon.add_name buf asserted_injective;
   Digest.string (Buffer.contents buf)
 
 type call_refs = Ast.stmt -> (string * Ast.expr list option * bool) list

@@ -154,7 +154,7 @@ let unit_digest t (u : Ast.program_unit) =
   match Hashtbl.find_opt t.digests u.Ast.uname with
   | Some (u', d) when u' == u -> d
   | _ ->
-    let d = Fingerprint.unit_content u in
+    let d = Canon.unit_digest u in
     Hashtbl.replace t.digests u.Ast.uname (u, d);
     d
 
@@ -181,7 +181,7 @@ let build_summary t base =
 (* Caching mode: a recent program's summary, another session's, or one
    built on [base], re-solving only the units an edit reaches. *)
 let cached_summary t base =
-  let key = Fingerprint.program ~content:(unit_digest t) t.program in
+  let key = Canon.program_digest ~unit_digest:(unit_digest t) t.program in
   let s =
     match List.assoc_opt key t.summaries with
     | Some s ->

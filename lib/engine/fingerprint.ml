@@ -1,29 +1,17 @@
 (* Content fingerprints for the incremental analysis engine.
 
-   A program's identity is {!Fortran_front.Canon}'s: its AST without
-   source locations, so a file and its copy at another path, or a
-   program and its reparsed print, fingerprint alike.  Statement ids
-   are part of the content: an edit produces fresh ids for the
-   statements it touched, so a fingerprint distinguishes "same text,
-   re-parsed" from "the very statements analysis results refer to".
-   [Digest] turns each encoding into a 16-byte key. *)
+   A unit's or a program's own content is its {!Fortran_front.Canon}
+   digest: the AST without source locations, so a file and its copy
+   at another path, or a program and its reparsed print, fingerprint
+   alike.  Statement ids are part of the content: an edit produces
+   fresh ids for the statements it touched, so a fingerprint
+   distinguishes "same text, re-parsed" from "the very statements
+   analysis results refer to".  This module adds what a unit's
+   analysis depends on beyond its content. *)
 
 open Fortran_front
 
 type t = Digest.t
-
-let to_hex = Digest.to_hex
-
-let of_string = Digest.string
-
-(* A program unit's own content. *)
-let unit_content : Ast.program_unit -> t = Canon.unit_digest
-
-(* A whole program — keys the interprocedural summary cache; undo and
-   redo restore a previous program value and therefore a previous
-   fingerprint.  [content] may serve the unit digests from a memo. *)
-let program ~(content : Ast.program_unit -> t) (p : Ast.program) : t =
-  Canon.program_digest ~unit_digest:content p
 
 (* What a unit's intraprocedural analysis can observe of the
    interprocedural summary: per-CALL scalar effects and array section
@@ -40,10 +28,10 @@ let interproc_facet (summary : Interproc.Summary.t) (u : Ast.program_unit) : t =
       match s.Ast.node with
       | Ast.Call _ ->
         Canon.add_option
-          (fun buf (e : Scalar_analysis.Defuse.call_effects) ->
-            names buf e.Scalar_analysis.Defuse.ce_mods;
-            names buf e.Scalar_analysis.Defuse.ce_refs;
-            names buf e.Scalar_analysis.Defuse.ce_kills)
+          (fun buf { Scalar_analysis.Defuse.ce_mods; ce_refs; ce_kills } ->
+            names buf ce_mods;
+            names buf ce_refs;
+            names buf ce_kills)
           buf (oracle s);
         Canon.add_list
           (fun buf (array, subs, write) ->
@@ -63,13 +51,14 @@ let interproc_facet (summary : Interproc.Summary.t) (u : Ast.program_unit) : t =
     (fun buf (a, b, kind) ->
       Canon.add_name buf a;
       Canon.add_name buf b;
-      Canon.add_bool buf (kind = Interproc.Aliases.Aligned))
+      Canon.add_bool buf
+        (match kind with Interproc.Aliases.Aligned -> true | May -> false))
     buf
     (Interproc.Aliases.pairs_of (Interproc.Summary.aliases summary) u.Ast.uname);
   Digest.string (Buffer.contents buf)
 
 (* The full per-unit analysis key: the unit's statements (its
-   [unit_content] digest), the analysis configuration and the user's
+   [Canon.unit_digest]), the analysis configuration and the user's
    assertions ({!Dependence.Depenv.settings_digest}), and (when
    interprocedural analysis is on) the callees' summary facet. *)
 let analysis_key ~(config : Dependence.Depenv.config)

@@ -79,12 +79,13 @@ let add_typ buf t =
   Buffer.add_char buf
     (match t with Tinteger -> 'i' | Treal -> 'r' | Tdouble -> 'd' | Tlogical -> 'l')
 
-(* The statement id is content: analysis results name statements by
-   it.  The location is not. *)
-let rec add_stmt buf (s : stmt) =
-  add_int buf s.sid;
-  add_option add_int buf s.label;
-  match s.node with
+(* Every field is named, so a field added to the AST fails to compile
+   here until it is written or, like the location, left out.  The
+   statement id is content: analysis results name statements by it. *)
+let rec add_stmt buf ({ sid; label; loc = _; node } : stmt) =
+  add_int buf sid;
+  add_option add_int buf label;
+  match node with
   | Assign (lhs, rhs) ->
     Buffer.add_char buf 'A';
     add_expr buf lhs;
@@ -97,13 +98,13 @@ let rec add_stmt buf (s : stmt) =
         add_body buf body)
       buf branches;
     add_body buf els
-  | Do (h, body) ->
+  | Do ({ dvar; lo; hi; step; parallel }, body) ->
     Buffer.add_char buf 'D';
-    add_name buf h.dvar;
-    add_expr buf h.lo;
-    add_expr buf h.hi;
-    add_option add_expr buf h.step;
-    add_bool buf h.parallel;
+    add_name buf dvar;
+    add_expr buf lo;
+    add_expr buf hi;
+    add_option add_expr buf step;
+    add_bool buf parallel;
     add_body buf body
   | Call (name, args) ->
     Buffer.add_char buf 'C';
@@ -121,21 +122,22 @@ let rec add_stmt buf (s : stmt) =
 
 and add_body buf body = add_list add_stmt buf body
 
-let add_decl buf (d : decl) =
-  add_name buf d.dname;
-  add_typ buf d.dtyp;
+let add_decl buf ({ dname; dtyp; dims; init; data_init; common_block } : decl) =
+  add_name buf dname;
+  add_typ buf dtyp;
   add_list
     (fun buf (lo, hi) ->
       add_expr buf lo;
       add_expr buf hi)
-    buf d.dims;
-  add_option add_expr buf d.init;
-  add_option add_expr buf d.data_init;
-  add_option add_name buf d.common_block
+    buf dims;
+  add_option add_expr buf init;
+  add_option add_expr buf data_init;
+  add_option add_name buf common_block
 
-let add_unit buf (u : program_unit) =
-  add_name buf u.uname;
-  (match u.kind with
+let add_unit buf
+    ({ uname; kind; decls; implicit_none; implicits; body } : program_unit) =
+  add_name buf uname;
+  (match kind with
   | Main -> Buffer.add_char buf 'M'
   | Subroutine formals ->
     Buffer.add_char buf 'S';
@@ -144,8 +146,8 @@ let add_unit buf (u : program_unit) =
     Buffer.add_char buf 'F';
     add_typ buf t;
     add_list add_name buf formals);
-  add_list add_decl buf u.decls;
-  add_bool buf u.implicit_none;
+  add_list add_decl buf decls;
+  add_bool buf implicit_none;
   add_list
     (fun buf (t, ranges) ->
       add_typ buf t;
@@ -154,8 +156,8 @@ let add_unit buf (u : program_unit) =
           Buffer.add_char buf a;
           Buffer.add_char buf b)
         buf ranges)
-    buf u.implicits;
-  add_body buf u.body
+    buf implicits;
+  add_body buf body
 
 let unit_digest u =
   let buf = Buffer.create 4096 in

@@ -27,15 +27,10 @@ val add_list : (Buffer.t -> 'a -> unit) -> Buffer.t -> 'a list -> unit
 val add_option : (Buffer.t -> 'a -> unit) -> Buffer.t -> 'a option -> unit
 val add_expr : Buffer.t -> Ast.expr -> unit
 
-(** A statement's id, label and node, with its nested statements;
-    never its location. *)
-val add_stmt : Buffer.t -> Ast.stmt -> unit
-
-(** A unit's name, kind, declarations, implicit rules and body. *)
-val add_unit : Buffer.t -> Ast.program_unit -> unit
-
 (** {2 Digests} *)
 
+(** A unit's name, kind, declarations, implicit rules and body, each
+    statement as its id, label and node, never its location. *)
 val unit_digest : Ast.program_unit -> Digest.t
 
 (** The digest of the units' digests, in program order.  [unit_digest]
