@@ -159,8 +159,15 @@ let add_unit buf
     buf implicits;
   add_body buf body
 
+(* One buffer per domain, reused (an encoding never starts inside
+   another, and no thread shares a domain): a unit encodes to a few
+   kilobytes, and a fresh buffer that size would go to the major heap
+   on every digest. *)
+let scratch = Domain.DLS.new_key (fun () -> Buffer.create 4096)
+
 let unit_digest u =
-  let buf = Buffer.create 4096 in
+  let buf = Domain.DLS.get scratch in
+  Buffer.clear buf;
   add_unit buf u;
   Digest.string (Buffer.contents buf)
 
