@@ -462,6 +462,9 @@ let plan ?telemetry ?(keyed = false) (env : Depenv.t) : plan =
             let buf = Buffer.create 128 in
             Buffer.add_string buf
               (Depenv.settings_digest env.Depenv.config env.Depenv.asserts);
+            (* the verdicts below say which pair they are for only by
+               position, so the names they range over are written too *)
+            Canon.add_list Canon.add_name buf arrays;
             List.iter
               (fun a ->
                 List.iter
