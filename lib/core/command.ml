@@ -203,6 +203,10 @@ let line_diff (a : string array) (b : string array) : string list =
   walk 0 0;
   List.rev !out
 
+(* A command's answer: what it did, or why it was refused. *)
+let answer result ok =
+  match result with Ok () -> ok | Error e -> "error: " ^ e
+
 let run (t : Session.t) (line : string) : string =
   let line = String.trim line in
   match tokens line with
@@ -217,17 +221,14 @@ let run (t : Session.t) (line : string) : string =
                 "   <- focus"
               else ""))
          (Session.program t).Ast.punits)
-  | [ "unit"; name ] -> (
-    match Session.focus t (String.uppercase_ascii name) with
-    | Ok () -> Printf.sprintf "focused on %s" (String.uppercase_ascii name)
-    | Error e -> "error: " ^ e)
+  | [ "unit"; name ] ->
+    let name = String.uppercase_ascii name in
+    answer (Session.focus t name) ("focused on " ^ name)
   | "loops" :: _ -> Pane.loops_pane t
   | [ "select"; s ] -> (
     match parse_sid t s with
-    | Some sid -> (
-      match Session.select t sid with
-      | Ok () -> Printf.sprintf "selected loop s%d" sid
-      | Error e -> "error: " ^ e)
+    | Some sid ->
+      answer (Session.select t sid) (Printf.sprintf "selected loop s%d" sid)
     | None -> "error: expected a target like s12 or l2")
   | "src" :: rest ->
     (match rest with
@@ -325,37 +326,35 @@ let run (t : Session.t) (line : string) : string =
           "\nwarning: this dependence was proven by an exact test"
         | _ -> ""
       in
-      match Session.mark_dep t id status with
-      | Ok () ->
-        Printf.sprintf "dependence #%d marked %s%s" id
-          (Marking.status_to_string status)
-          proven_warning
-      | Error e -> "error: " ^ e)
+      answer (Session.mark_dep t id status)
+        (Printf.sprintf "dependence #%d marked %s%s" id
+           (Marking.status_to_string status)
+           proven_warning))
     | _ -> "error: usage: mark N accept|reject|pending")
   | [ "assert"; "perm"; arr ] ->
     let arr = String.uppercase_ascii arr in
-    Session.assert_injective t arr;
-    Printf.sprintf "asserted: %s is a permutation (injective)" arr
+    answer (Session.assert_injective t arr)
+      (Printf.sprintf "asserted: %s is a permutation (injective)" arr)
   | [ "assert"; var; "in"; lo; hi ] -> (
     match (int_of_string_opt lo, int_of_string_opt hi) with
     | Some l, Some h when l <= h ->
       let var = String.uppercase_ascii var in
-      Session.assert_range t var l h;
-      Printf.sprintf "asserted: %d <= %s <= %d" l var h
+      answer (Session.assert_range t var l h)
+        (Printf.sprintf "asserted: %d <= %s <= %d" l var h)
     | _ -> "error: usage: assert VAR in LO HI")
   | [ "assert"; var; "="; n ] -> (
     match int_of_string_opt n with
     | Some v ->
       let var = String.uppercase_ascii var in
-      Session.assert_value t var v;
-      Printf.sprintf "asserted: %s = %d" var v
+      answer (Session.assert_value t var v)
+        (Printf.sprintf "asserted: %s = %d" var v)
     | None -> "error: usage: assert VAR = N")
   | [ "private"; s; var ] -> (
     match parse_sid t s with
     | Some sid ->
       let var = String.uppercase_ascii var in
-      Session.privatize t sid var;
-      Printf.sprintf "%s is private in loop s%d" var sid
+      answer (Session.privatize t sid var)
+        (Printf.sprintf "%s is private in loop s%d" var sid)
     | None -> "error: usage: private sN VAR")
   | "why" :: "slow" :: rest -> (
     let focus =
@@ -409,10 +408,9 @@ let run (t : Session.t) (line : string) : string =
   | "edit" :: s :: rest when rest <> [] -> (
     match parse_sid t s with
     | Some sid -> (
-      let text = String.concat " " rest in
-      match Session.edit_stmt t sid text with
-      | Ok () -> Printf.sprintf "statement s%d replaced" sid
-      | Error e -> "error: " ^ e)
+      answer
+        (Session.edit_stmt t sid (String.concat " " rest))
+        (Printf.sprintf "statement s%d replaced" sid))
     | None -> "error: usage: edit sN TEXT")
   | "history" :: _ -> (
     match Session.history t with
@@ -421,14 +419,8 @@ let run (t : Session.t) (line : string) : string =
       let n = List.length h in
       String.concat "\n"
         (List.mapi (fun i what -> Printf.sprintf "%2d. %s" (n - i) what) h))
-  | "undo" :: _ -> (
-    match Session.undo t with
-    | Ok () -> "undone"
-    | Error e -> "error: " ^ e)
-  | "redo" :: _ -> (
-    match Session.redo t with
-    | Ok () -> "redone"
-    | Error e -> "error: " ^ e)
+  | "undo" :: _ -> answer (Session.undo t) "undone"
+  | "redo" :: _ -> answer (Session.redo t) "redone"
   | "engine" :: _ -> Session.engine_report t
   | "diff" :: _ -> (
     let find_unit (p : Ast.program) =

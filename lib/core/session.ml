@@ -1,19 +1,28 @@
 open Fortran_front
 open Dependence
 
+(* Everything a command can change, and so everything undo and redo
+   restore.  Focus, selection, filters and the simulation order are
+   navigation and stay outside. *)
+type state = {
+  program : Ast.program;
+  asserts : Depenv.assertions;
+  marking : Marking.t;
+  user_private : (Ast.stmt_id * string) list;
+}
+
 type t = {
   engine : Engine.t;
   history_limit : int;
+  mutable state : state;
+  mutable undo_stack : (state * string) list;
+  mutable redo_stack : (state * string) list;
   mutable unit_name : string;
   mutable analysed :
     (Ast.program * Depenv.assertions * string * Depenv.t * Ddg.t) option;
-  mutable marking : Marking.t;
-  mutable user_private : (Ast.stmt_id * string) list;
   mutable selected : Ast.stmt_id option;
   mutable dep_filter : Filter.dep_filter;
   mutable src_filter : Filter.src_filter;
-  mutable undo_stack : (Ast.program * string) list;
-  mutable redo_stack : (Ast.program * string) list;
   mutable sim_order : Sim.Interp.order;
   mutable view : View.t option;
   mutable callee_costs :
@@ -23,11 +32,11 @@ type t = {
 
 (* ---- accessors ---- *)
 
-let program t = Engine.program t.engine
+let program t = t.state.program
 let unit_name t = t.unit_name
-let marking t = t.marking
-let assertions t = Engine.assertions t.engine
-let user_private t = t.user_private
+let marking t = t.state.marking
+let assertions t = t.state.asserts
+let user_private t = t.state.user_private
 let selected t = t.selected
 let original t = t.original
 let config t = Engine.config t.engine
@@ -82,9 +91,8 @@ let ddg t = snd (analysis t)
 let load ?(config = Depenv.full_config) ?(interproc = true) ?caching
     ?sharing ?runner ?(history_limit = 1000) ?telemetry
     (program : Ast.program) ~unit_name : t =
-  (match find_unit program unit_name with
-  | Some _ -> ()
-  | None -> invalid_arg ("no such unit: " ^ unit_name));
+  if Option.is_none (find_unit program unit_name) then
+    invalid_arg ("no such unit: " ^ unit_name);
   if history_limit < 1 then invalid_arg "history_limit must be >= 1";
   Result.iter_error invalid_arg (Ast.check_program_labels program);
   let engine =
@@ -95,15 +103,16 @@ let load ?(config = Depenv.full_config) ?(interproc = true) ?caching
     {
       engine;
       history_limit;
+      state =
+        { program; asserts = Depenv.no_assertions; marking = Marking.empty;
+          user_private = [] };
+      undo_stack = [];
+      redo_stack = [];
       unit_name;
       analysed = None;
-      marking = Marking.empty;
-      user_private = [];
       selected = None;
       dep_filter = Filter.default_dep_filter;
       src_filter = Filter.Src_all;
-      undo_stack = [];
-      redo_stack = [];
       sim_order = Sim.Interp.Seq;
       view = None;
       callee_costs = None;
@@ -147,7 +156,7 @@ let select t sid =
    of the current ones is never stale. *)
 let view t =
   let env, ddg = analysis t in
-  let marking = t.marking and user_private = t.user_private in
+  let marking = marking t and user_private = user_private t in
   match t.view with
   | Some v when View.built_from v ~env ~ddg ~marking ~user_private -> v
   | _ ->
@@ -172,79 +181,117 @@ let visible_deps t =
   in
   Filter.apply_dep_filter t.dep_filter (View.status (view t)) base
 
+(* ---- mutation: every change is a new state, committed here ---- *)
+
+(* The one place the engine is handed a program and assertions. *)
+let install t s =
+  t.state <- s;
+  Engine.set_program t.engine s.program;
+  Engine.set_assertions t.engine s.asserts
+
+(* Drop the oldest entries beyond the history limit — a thousand-edit
+   batch script must not grow memory linearly in retained snapshots. *)
+let truncate_history limit stack =
+  if List.compare_length_with stack limit <= 0 then stack
+  else List.filteri (fun i _ -> i < limit) stack
+
+(* Every mutating command commits its whole new state under its label;
+   a state equal to the current one records nothing.  A command keeps
+   the program it leaves alone, so programs compare physically. *)
+let commit t what s =
+  let c = t.state in
+  if s.program != c.program || { s with program = c.program } <> c then begin
+    t.undo_stack <- truncate_history t.history_limit ((c, what) :: t.undo_stack);
+    t.redo_stack <- [];
+    install t s
+  end
+
+(* Undo and redo are one move: the newest state of one stack is
+   installed, and the current one goes onto the other, same label. *)
+let travel t ~back =
+  match if back then t.undo_stack else t.redo_stack with
+  | [] -> Error (if back then "nothing to undo" else "nothing to redo")
+  | (s, what) :: rest ->
+    let saved = (t.state, what) in
+    if back then (t.undo_stack <- rest; t.redo_stack <- saved :: t.redo_stack)
+    else (t.redo_stack <- rest; t.undo_stack <- saved :: t.undo_stack);
+    install t s;
+    Ok ()
+
+let undo t = travel t ~back:true
+let redo t = travel t ~back:false
+
 let mark_dep t dep_id status =
-  match
-    List.find_opt (fun (d : Ddg.dep) -> d.Ddg.dep_id = dep_id) (ddg t).Ddg.deps
-  with
+  match Ddg.find_dep (ddg t) dep_id with
   | None -> Error (Printf.sprintf "no dependence #%d" dep_id)
   | Some d ->
     (* Ped lets the user reject even a proven dependence; the warning
        is the caller's to print *)
-    t.marking <- Marking.mark t.marking d status;
+    let word =
+      match status with
+      | Marking.Accepted -> "accept"
+      | Rejected -> "reject"
+      | s -> Marking.status_to_string s
+    in
+    commit t (Printf.sprintf "mark %d %s" dep_id word)
+      { t.state with marking = Marking.mark (marking t) d status };
     Ok ()
 
-(* ---- mutation: everything funnels through these two hooks ---- *)
+(* [x] joins [l] in place of what [replaces] picks; [l] may hold it *)
+let add ?(replaces = Fun.const false) x l =
+  if List.mem x l then l else x :: List.filter (fun y -> not (replaces y)) l
 
-(* Drop the oldest entries beyond the history limit — a thousand-edit
-   batch script must not grow memory linearly in retained program
-   snapshots. *)
-let truncate_history limit stack =
-  let rec take n = function
-    | x :: rest when n > 0 -> x :: take (n - 1) rest
-    | _ -> []
+(* Edits and rewrites replace a unit of the program. *)
+let commit_unit t what (u : Ast.program_unit) =
+  let swap (x : Ast.program_unit) =
+    if String.equal x.Ast.uname u.Ast.uname then u else x
   in
-  if List.compare_length_with stack limit <= 0 then stack else take limit stack
+  let punits = List.map swap (program t).Ast.punits in
+  commit t what { t.state with program = { Ast.punits } }
 
-(* Program changes (edit, transformation, undo, redo) go to the
-   engine, which invalidates by fingerprint; the session only
-   maintains the undo/redo stacks around it. *)
-let commit t what new_program =
-  t.undo_stack <-
-    truncate_history t.history_limit ((program t, what) :: t.undo_stack);
-  t.redo_stack <- [];
-  Engine.set_program t.engine new_program
+(* ---- argument checks: a command names what the program has ---- *)
 
-let set_asserts t asserts = Engine.set_assertions t.engine asserts
+let declares kind_ok (u : Ast.program_unit) name =
+  match Symbol.lookup (Symbol.build u) name with
+  | Some (i : Symbol.info) -> kind_ok i.Symbol.kind
+  | None -> false
+
+let scalar = function Symbol.Scalar -> true | _ -> false
+let array = function Symbol.Array _ -> true | _ -> false
+
+(* Assertions hold for the whole program: some unit must have [name]. *)
+let assume t what kind_ok name label asserts =
+  if List.exists (fun u -> declares kind_ok u name) (program t).Ast.punits then
+    Ok (commit t label { t.state with asserts })
+  else Error (Printf.sprintf "%s is not %s of any unit" name what)
+
+(* ---- user contributions ---- *)
 
 let assert_value t var n =
-  let a = assertions t in
-  set_asserts t
-    {
-      a with
-      Depenv.asserted_values =
-        (var, n) :: List.remove_assoc var a.Depenv.asserted_values;
-    }
+  let a = assertions t and same (v, _) = String.equal v var in
+  assume t "a scalar" scalar var (Printf.sprintf "assert %s = %d" var n)
+    { a with asserted_values = add ~replaces:same (var, n) a.asserted_values }
 
 let assert_range t var lo hi =
-  let a = assertions t in
-  set_asserts t
-    {
-      a with
-      Depenv.asserted_ranges =
-        (var, lo, hi)
-        :: List.filter
-             (fun (v, _, _) -> not (String.equal v var))
-             a.Depenv.asserted_ranges;
-    }
+  let a = assertions t and same (v, _, _) = String.equal v var in
+  assume t "a scalar" scalar var (Printf.sprintf "assert %s in %d %d" var lo hi)
+    { a with asserted_ranges = add ~replaces:same (var, lo, hi) a.asserted_ranges }
 
 let assert_injective t arr =
   let a = assertions t in
-  if not (List.mem arr a.Depenv.asserted_injective) then
-    set_asserts t
-      { a with Depenv.asserted_injective = arr :: a.Depenv.asserted_injective }
+  assume t "an array" array arr ("assert perm " ^ arr)
+    { a with asserted_injective = add arr a.asserted_injective }
 
-let privatize t loop_sid var =
-  if not (List.mem (loop_sid, var) t.user_private) then
-    t.user_private <- (loop_sid, var) :: t.user_private
-
-let replaced_program t (u : Ast.program_unit) =
-  {
-    Ast.punits =
-      List.map
-        (fun (x : Ast.program_unit) ->
-          if String.equal x.Ast.uname u.Ast.uname then u else x)
-        (program t).Ast.punits;
-  }
+(* A private declaration names a loop and a scalar of the focus unit. *)
+let privatize t sid var =
+  let u = focus_unit t in
+  match Ast.find_stmt sid u.Ast.body with
+  | Some { Ast.node = Ast.Do _; _ } when declares scalar u var ->
+    Ok (commit t (Printf.sprintf "private s%d %s" sid var)
+          { t.state with user_private = add (sid, var) (user_private t) })
+  | Some { Ast.node = Ast.Do _; _ } ->
+    Error (Printf.sprintf "%s is not a scalar of %s" var t.unit_name)
+  | _ -> Error (Printf.sprintf "s%d is not a loop of %s" sid t.unit_name)
 
 (* The one diagnosis behind preview, explain, apply and advise:
    parallelize renders the view's verdict, which honours the user's
@@ -275,7 +322,7 @@ let transform ?(force = false) t name args =
     let env = { env with Depenv.punit = focus_unit t } in
     match entry.Transform.Catalog.apply env ddg args with
     | Ok u ->
-      commit t name (replaced_program t u);
+      commit_unit t name u;
       Ok (diag, true)
     | Error refusal ->
       (* the apply's own refusal is the more precise diagnosis *)
@@ -288,21 +335,17 @@ let transform ?(force = false) t name args =
    see the earlier loops' PARALLEL bits. *)
 let parallelize_safe_loops t =
   let home = t.unit_name and selected = t.selected in
+  let marked (lp : Loopnest.loop) =
+    let sid = lp.Loopnest.lstmt.Ast.sid in
+    is_parallelizable t sid
+    && Result.fold ~ok:snd ~error:(Fun.const false)
+         (transform t "parallelize" (Transform.Catalog.On_loop sid))
+  in
   let count =
     List.fold_left
       (fun n (u : Ast.program_unit) ->
         t.unit_name <- u.Ast.uname;
-        List.fold_left
-          (fun n (lp : Loopnest.loop) ->
-            let sid = lp.Loopnest.lstmt.Ast.sid in
-            if not (is_parallelizable t sid) then n
-            else
-              match
-                transform t "parallelize" (Transform.Catalog.On_loop sid)
-              with
-              | Ok (_, true) -> n + 1
-              | Ok (_, false) | Error _ -> n)
-          n (loops t))
+        n + List.length (List.filter marked (loops t)))
       0 (program t).Ast.punits
   in
   t.unit_name <- home;
@@ -318,27 +361,7 @@ let edit_stmt t sid text =
       (Parser.guard (fun () -> Parser.parse_stmts_string ~file:"<edit>" text))
       (fun stmts ->
         let u' = Transform.Rewrite.replace_stmt u sid stmts in
-        Result.map
-          (fun () -> commit t "edit" (replaced_program t u'))
-          (Ast.check_labels u'))
-
-let undo t =
-  match t.undo_stack with
-  | [] -> Error "nothing to undo"
-  | (restored, what) :: rest ->
-    t.undo_stack <- rest;
-    t.redo_stack <- (program t, what) :: t.redo_stack;
-    Engine.set_program t.engine restored;
-    Ok ()
-
-let redo t =
-  match t.redo_stack with
-  | [] -> Error "nothing to redo"
-  | (restored, what) :: rest ->
-    t.redo_stack <- rest;
-    t.undo_stack <- (program t, what) :: t.undo_stack;
-    Engine.set_program t.engine restored;
-    Ok ()
+        Result.map (fun () -> commit_unit t "edit" u') (Ast.check_labels u'))
 
 (* A price holds while the program and the assertions are physically
    the ones the engine's environments were built under. *)

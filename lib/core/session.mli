@@ -1,13 +1,17 @@
 (** The editor session — Ped's central state.
 
-    A session holds the focus unit, dependence markings, user
-    assertions, user-privatized variables, view filters, the selected
-    loop and undo/redo stacks; the program itself and its analyses
-    live in an incremental {!Engine} the session queries on demand.
-    The session type is abstract: every program mutation funnels
-    through the engine's single post-edit hook, so callers cannot
-    bypass invalidation by poking state directly — and no command can
-    forget (or double-pay for) reanalysis.
+    A session's state is one immutable value: the program, the user's
+    assertions, the dependence markings and the user-privatized
+    variables.  Every command that changes any of them (edit,
+    transformation, assertion, mark, private declaration) commits a
+    whole new state under a label, and {!undo} and {!redo} swap whole
+    states, so undoing an assertion, a mark or a private declaration
+    reverts it like an edit.  Focus, selection, view filters and the
+    simulation order are navigation, outside the state and the
+    history.  The analyses live in an incremental {!Engine}, handed
+    each installed state's program and assertions and queried on
+    demand; the session type is abstract, so callers cannot bypass
+    invalidation by poking state directly.
 
     Mutations (focus, edit, transformation, undo, redo, assertion)
     only change state.  The focus unit is analysed when a command
@@ -40,7 +44,7 @@ type t
     without it.  [history_limit] (default 1000, must
     be >= 1) bounds the undo stack: the oldest entries are dropped once
     it is full, so long-running server sessions don't grow memory
-    linearly in retained program snapshots.  [telemetry] is handed to
+    linearly in retained state snapshots.  [telemetry] is handed to
     the engine, so the interactive, bench, fuzz and runtime paths can
     all emit to one sink (default: a fresh private sink per
     session).  Raises [Invalid_argument] when [unit_name] names no
@@ -95,7 +99,9 @@ val sim_order : t -> Sim.Interp.order
 
 val set_sim_order : t -> Sim.Interp.order -> unit
 
-(** Labels of the changes on the undo stack, newest first. *)
+(** Labels of the changes on the undo stack, newest first: [edit], a
+    transformation's name, or the command's words for the others
+    ([assert perm IDX], [mark 7 reject], [private s5 T]). *)
 val history : t -> string list
 
 (** The bound on the undo stack this session was loaded with. *)
@@ -145,23 +151,28 @@ val parallelizable_loops : t -> Loopnest.loop list
 
 (** {2 User contributions} *)
 
+(** [mark_dep t id status] — mark dependence [#id] of the focus unit's
+    graph; [Error] when the graph has no such edge. *)
 val mark_dep : t -> int -> Marking.status -> (unit, string) result
 
 (** [assert_value t var n] — "[var] is [n]": feeds constant
-    propagation and dependence testing. *)
-val assert_value : t -> string -> int -> unit
+    propagation and dependence testing.  Assertions hold for the whole
+    program, so [var] must be a scalar of some unit. *)
+val assert_value : t -> string -> int -> (unit, string) result
 
 (** [assert_injective t arr] — "[arr] is a permutation": index-array
-    subscripts through [arr] compare by their argument. *)
-val assert_injective : t -> string -> unit
+    subscripts through [arr] compare by their argument.  [arr] must be
+    an array of some unit. *)
+val assert_injective : t -> string -> (unit, string) result
 
 (** [assert_range t var lo hi] — "[var] is between [lo] and [hi]":
     bounds trip counts (disproofs may use the upper end; existence
-    proofs may not). *)
-val assert_range : t -> string -> int -> int -> unit
+    proofs may not).  [var] must be a scalar of some unit. *)
+val assert_range : t -> string -> int -> int -> (unit, string) result
 
-(** [privatize t loop var] — user declares [var] private in [loop]. *)
-val privatize : t -> Ast.stmt_id -> string -> unit
+(** [privatize t loop var] — user declares [var] private in [loop],
+    which must be a loop of the focus unit, and [var] a scalar of it. *)
+val privatize : t -> Ast.stmt_id -> string -> (unit, string) result
 
 (** {2 Transformation and editing} *)
 
@@ -200,7 +211,13 @@ val parallelize_safe_loops : t -> int
     label, is refused with {!Ast.check_labels}'s message. *)
 val edit_stmt : t -> Ast.stmt_id -> string -> (unit, string) result
 
+(** [undo t] restores the state before the newest change on the undo
+    stack — program, assertions, markings and private declarations
+    together — and moves that change to the redo stack; [redo t] is
+    the same move back.  A command that changed nothing, or was
+    refused, recorded nothing to undo. *)
 val undo : t -> (unit, string) result
+
 val redo : t -> (unit, string) result
 
 (** {2 Execution} *)

@@ -89,6 +89,52 @@ let suite =
         let t = sess () in
         check_bool "bad target" true
           (contains ~needle:"error" (run t "edit s99999 X = 1")));
+    case "private needs a loop and a scalar of the focus unit" (fun () ->
+        let t = sess () in
+        check_string "no such statement" "error: s999 is not a loop of MATMUL"
+          (run t "private s999 ZZ");
+        let assign =
+          Fortran_front.Ast.fold_stmts
+            (fun acc (st : Fortran_front.Ast.stmt) ->
+              match st.node with Assign _ -> st.sid :: acc | _ -> acc)
+            [] (List.hd (Ped.Session.program t).punits).body
+          |> List.hd
+        in
+        check_string "not a loop"
+          (Printf.sprintf "error: s%d is not a loop of MATMUL" assign)
+          (run t (Printf.sprintf "private s%d T" assign));
+        check_string "not a scalar" "error: ZZ is not a scalar of MATMUL"
+          (run t "private l1 ZZ");
+        check_string "an array" "error: C is not a scalar of MATMUL"
+          (run t "private l1 C");
+        check_string "refusals record nothing" "no changes yet" (run t "history"));
+    case "assert needs a scalar or an array of some unit" (fun () ->
+        let t = sess () in
+        check_string "no such array" "error: NOPE is not an array of any unit"
+          (run t "assert perm NOPE");
+        check_string "a scalar is no permutation"
+          "error: N is not an array of any unit" (run t "assert perm N");
+        check_string "no such scalar" "error: ZZ is not a scalar of any unit"
+          (run t "assert ZZ = 4");
+        check_string "an array has no value" "error: C is not a scalar of any unit"
+          (run t "assert C in 1 4");
+        check_string "refusals record nothing" "no changes yet" (run t "history");
+        check_string "a scalar" "asserted: N = 4" (run t "assert N = 4");
+        check_string "an array" "asserted: C is a permutation (injective)"
+          (run t "assert perm C");
+        check_string "labelled with the command's words"
+          " 2. assert perm C\n 1. assert N = 4" (run t "history"));
+    case "a command that changes nothing records nothing" (fun () ->
+        let t = sess () in
+        List.iter
+          (fun line -> ignore (run t line))
+          [ "assert N = 4"; "assert N = 4"; "assert N in 1 9"; "assert N in 1 9";
+            "assert perm C"; "assert perm C"; "private l1 I"; "private l1 I" ];
+        check_string "one entry per change"
+          (Printf.sprintf
+             " 4. private s%d I\n 3. assert perm C\n 2. assert N in 1 9\n 1. assert N = 4"
+             (loop_sid (List.hd (Ped.Session.loops t))))
+          (run t "history"));
     case "undo on empty stack" (fun () ->
         let t = sess () in
         check_bool "error" true (contains ~needle:"error" (run t "undo")));

@@ -686,7 +686,7 @@ let mutations_build_nothing () =
   identity_edit sess;
   ok_exn "undo" (Ped.Session.undo sess);
   ok_exn "redo" (Ped.Session.redo sess);
-  Ped.Session.assert_value sess "N" 8;
+  ok_exn "assert" (Ped.Session.assert_value sess "N" 8);
   let s1 = Ped.Session.engine_stats sess in
   List.iter
     (fun (what, f) -> check_int ("mutations: " ^ what) 0 (delta s0 s1 f))
@@ -707,7 +707,7 @@ let mutations_build_nothing () =
     (delta s2 s3 (fun s -> s.Engine.env_misses));
   check_int "later reads: pair tests" 0
     (delta s2 s3 (fun s -> s.Engine.tests_run));
-  Ped.Session.assert_value sess "N" 9;
+  ok_exn "assert" (Ped.Session.assert_value sess "N" 9);
   ignore (Ped.Session.ddg sess);
   let s4 = Ped.Session.engine_stats sess in
   built s3 s4 "read after an assertion";
@@ -825,6 +825,100 @@ let lazy_cases =
             lazy_matches_eager
               (name, Oracle.Stress.generate (Oracle.Stress.smoke p))))
       Oracle.Stress.all
+
+(* --- one history: undo and redo restore the whole state ----------- *)
+
+(* What a command may change, and the panes printed under the
+   navigation (focus and selected loop) they were printed with. *)
+type snapshot = {
+  program : Ast.program;
+  asserts : Depenv.assertions;
+  marking : Ped.Marking.t;
+  privates : (Ast.stmt_id * string) list;
+  nav : string * Ast.stmt_id option;
+  panes : string * string;
+}
+
+let snapshot sess =
+  {
+    program = Ped.Session.program sess;
+    asserts = Ped.Session.assertions sess;
+    marking = Ped.Session.marking sess;
+    privates = Ped.Session.user_private sess;
+    nav = (Ped.Session.unit_name sess, Ped.Session.selected sess);
+    panes = (Ped.Command.run sess "loops", Ped.Command.run sess "deps");
+  }
+
+(* Random commands against a model of the two stacks, each entry the
+   snapshots either side of one recorded change: a successful undo
+   must bring back the snapshot before the change it undoes, a redo
+   the one after it.  Panes are compared when the navigation is the
+   one they were printed under; returns how many undos and redos were
+   checked, and how many of those compared panes. *)
+let undo_restores (name, program) =
+  let rng = Random.State.make [| 37; Hashtbl.hash name |] in
+  let sess =
+    Ped.Session.load program ~unit_name:(Ast.entry_unit program).Ast.uname
+  in
+  let undo = ref [] and redo = ref [] and moves = ref 0 and panes = ref 0 in
+  let last = ref (snapshot sess) in
+  for i = 1 to 40 do
+    let cmd = random_command rng sess in
+    let depth = List.length (Ped.Session.history sess) in
+    let out = Ped.Command.run sess cmd in
+    let now = snapshot sess in
+    let what = Printf.sprintf "%s, step %d (%s)" name i cmd in
+    let restores (want : snapshot) =
+      incr moves;
+      check_bool (what ^ ": program") true (now.program = want.program);
+      check_bool (what ^ ": assertions") true (now.asserts = want.asserts);
+      check_bool (what ^ ": marking") true (now.marking = want.marking);
+      check_bool (what ^ ": privates") true (now.privates = want.privates);
+      if now.nav = want.nav then begin
+        incr panes;
+        check_string (what ^ ": loops") (fst want.panes) (fst now.panes);
+        check_string (what ^ ": deps") (snd want.panes) (snd now.panes)
+      end
+    in
+    (match (cmd, !undo, !redo) with
+    | "undo", (before, after) :: rest, _ ->
+      check_string what "undone" out;
+      restores before;
+      undo := rest;
+      redo := (before, after) :: !redo
+    | "redo", _, (before, after) :: rest ->
+      check_string what "redone" out;
+      restores after;
+      redo := rest;
+      undo := (before, after) :: !undo
+    | ("undo" | "redo"), _, _ -> check_bool (what ^ ": refused") true
+        (String.starts_with ~prefix:"error: nothing to" out)
+    | _ ->
+      if List.length (Ped.Session.history sess) > depth then begin
+        undo := (!last, now) :: !undo;
+        redo := []
+      end);
+    last := now
+  done;
+  (!moves, !panes)
+
+let undo_cases =
+  [
+    case "undo and redo restore program, assertions, marks and privates"
+      (fun () ->
+        let moves, panes =
+          List.fold_left
+            (fun (m, p) (w : Workloads.t) ->
+              let m', p' =
+                undo_restores
+                  (w.Workloads.name, Ast.renumber_program (Workloads.program w))
+              in
+              (m + m', p + p'))
+            (0, 0) Workloads.all
+        in
+        check_bool "undos and redos checked" true (moves >= 50);
+        check_bool "panes compared" true (panes >= 25));
+  ]
 
 (* --- bucket keys: what the pair tests read ------------------------ *)
 
@@ -1105,6 +1199,7 @@ let suite =
   @ propagation_cases
   @ candidate_cases
   @ lazy_cases
+  @ undo_cases
   @ key_cases
   @ [
       case "stats: clean refresh is a pure cache hit" (fun () ->
@@ -1189,7 +1284,7 @@ let suite =
       case "stats: assertion change invalidates and stays correct" (fun () ->
           let _, sess = load "symbounds" in
           let s0 = Ped.Session.engine_stats sess in
-          Ped.Session.assert_value sess "M" 64;
+          ok_exn "assert" (Ped.Session.assert_value sess "M" 64);
           Ped.Session.reanalyze sess;
           let s1 = Ped.Session.engine_stats sess in
           check_bool "invalidated" true

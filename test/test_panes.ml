@@ -311,9 +311,18 @@ let fresh_like t =
         ignore (Ped.Session.mark_dep f d.Ddg.dep_id s)
       | Ped.Marking.Proven | Ped.Marking.Pending -> ())
     (Ped.Session.ddg f).Ddg.deps;
+  (* a private declaration names a loop of the focus unit *)
   List.iter
-    (fun (sid, v) -> Ped.Session.privatize f sid v)
+    (fun (sid, v) ->
+      let home =
+        List.find
+          (fun (u : Ast.program_unit) -> Ast.find_stmt sid u.Ast.body <> None)
+          (Ped.Session.program t).Ast.punits
+      in
+      ok_exn "focus" (Ped.Session.focus f home.Ast.uname);
+      ok_exn "private" (Ped.Session.privatize f sid v))
     (List.rev (Ped.Session.user_private t));
+  ok_exn "focus" (Ped.Session.focus f (Ped.Session.unit_name t));
   Option.iter (fun sid -> ignore (Ped.Session.select f sid)) (Ped.Session.selected t);
   f
 
@@ -356,7 +365,9 @@ let never_stale () =
         Ped.Session.blocking t sid = [] && not (Ped.Session.is_parallelizable t sid))
       (loop_sids t)
   in
-  List.iter (Ped.Session.privatize t by_scalars) (scalars t by_scalars);
+  List.iter
+    (fun v -> ok_exn "private" (Ped.Session.privatize t by_scalars v))
+    (scalars t by_scalars);
   check_bool "privatizing unblocks" true (Ped.Session.is_parallelizable t by_scalars);
   same_as_fresh "privatize" t;
   check_bool "select" true (Ped.Session.select t blocked = Ok ());

@@ -145,7 +145,7 @@ let suite =
         in
         let l = List.hd (Ped.Session.loops sess) in
         check_bool "blocked" false (Ped.Session.is_parallelizable sess (loop_sid l));
-        Ped.Session.privatize sess (loop_sid l) "T";
+        ok_exn "private" (Ped.Session.privatize sess (loop_sid l) "T");
         check_bool "unblocked by user" true
           (Ped.Session.is_parallelizable sess (loop_sid l)));
     case "command: loops/select/deps/vars pipeline" (fun () ->

@@ -87,12 +87,12 @@ let interproc_suite =
         in
         let t = Ped.Session.load p ~unit_name:"P" in
         let before = Option.get (Ped.Session.callee_cost t "WORK") in
-        Ped.Session.assert_value t "N" 500;
+        ok_exn "assert" (Ped.Session.assert_value t "N" 500);
         let after = Option.get (Ped.Session.callee_cost t "WORK") in
         check_bool "500 trips cost more than the assumed 32" true
           (after > 10.0 *. before);
         let fresh = Ped.Session.load p ~unit_name:"P" in
-        Ped.Session.assert_value fresh "N" 500;
+        ok_exn "assert" (Ped.Session.assert_value fresh "N" 500);
         List.iter
           (fun name ->
             Alcotest.(check (option (float 0.0)))

@@ -57,6 +57,8 @@ let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_string = Alcotest.(check string)
 
+let ok_exn what = function Ok _ -> () | Error e -> Alcotest.fail (what ^ ": " ^ e)
+
 let run_output ?honor_parallel ?par_order src =
   (Sim.Interp.run ?honor_parallel ?par_order (parse src)).Sim.Interp.output
 
