@@ -65,23 +65,23 @@ let rec expr_allowed allowed (e : Ast.expr) =
   | Ast.Bin (_, a, b) -> expr_allowed allowed a && expr_allowed allowed b
   | Ast.Un (_, a) -> expr_allowed allowed a
 
-(* Widen a subscript over the enclosing loops: substitute each loop's
-   induction variable by its bounds (monotonicity decided by the
-   linear coefficient).  Returns a section dimension. *)
-let dim_of_subscript ~allowed ~(loops : Dependence.Loopnest.loop list) (e : Ast.expr) :
+(* Widen a subscript over the enclosing loops' headers, outermost
+   first: substitute each loop's induction variable by its bounds
+   (monotonicity decided by the linear coefficient).  Returns a section
+   dimension. *)
+let dim_of_subscript ~allowed ~(loops : Ast.do_header list) (e : Ast.expr) :
     sec1 =
   let rec widen e loops =
     match loops with
     | [] ->
       if expr_allowed allowed e then `Pt e else `Star
-    | (lp : Dependence.Loopnest.loop) :: rest -> (
-      let iv = lp.Dependence.Loopnest.header.Ast.dvar in
+    | (h : Ast.do_header) :: rest -> (
+      let iv = h.Ast.dvar in
       if not (List.mem iv (Ast.expr_vars e)) then widen e rest
       else
-        let lo = lp.Dependence.Loopnest.header.Ast.lo
-        and hi = lp.Dependence.Loopnest.header.Ast.hi in
+        let lo = h.Ast.lo and hi = h.Ast.hi in
         let step_ok =
-          match lp.Dependence.Loopnest.header.Ast.step with
+          match h.Ast.step with
           | None -> true
           | Some (Ast.Int n) -> n <> 0
           | Some _ -> false
@@ -196,7 +196,6 @@ let unit_summary (cg : Callgraph.t)
     (u : Ast.program_unit) : (string * access) list =
   let tbl = Callgraph.symbols cg u in
   let ctx = Defuse.make tbl u in
-  let nest = Dependence.Loopnest.build u in
   let visible name =
     match Symbol.lookup tbl name with
     | Some (i : Symbol.info) -> i.formal || i.common <> None
@@ -209,82 +208,94 @@ let unit_summary (cg : Callgraph.t)
     | None -> false
   in
   let table : (string, access) Hashtbl.t = Hashtbl.create 8 in
-  Ast.iter_stmts
-    (fun (s : Ast.stmt) ->
-      let loops = Dependence.Loopnest.enclosing nest s.Ast.sid in
-      let add is_write (a, subs) =
-        if visible a then begin
-          let sec = List.map (dim_of_subscript ~allowed ~loops) subs in
-          let acc =
-            if is_write then { sec_w = Some sec; sec_r = None }
-            else { sec_w = None; sec_r = Some sec }
-          in
-          add_access table a acc
-        end
-      in
-      List.iter (add true) (Defuse.array_writes ctx s);
-      List.iter (add false) (Defuse.array_reads ctx s);
-      (* calls: translated callee sections, widened over our loops *)
-      match s.Ast.node with
-      | Ast.Call (callee, actuals) ->
-        let site =
-          { Callgraph.caller = u.Ast.uname; callee; call_sid = s.Ast.sid;
-            actuals }
+  (* [loops]: the headers of the DO loops around [s], outermost first *)
+  let visit loops (s : Ast.stmt) =
+    let add is_write (a, subs) =
+      if visible a then begin
+        let sec = List.map (dim_of_subscript ~allowed ~loops) subs in
+        let acc =
+          if is_write then { sec_w = Some sec; sec_r = None }
+          else { sec_w = None; sec_r = Some sec }
         in
-        let callee_summary = summaries callee in
+        add_access table a acc
+      end
+    in
+    List.iter (add true) (Defuse.array_writes ctx s);
+    List.iter (add false) (Defuse.array_reads ctx s);
+    (* calls: translated callee sections, widened over our loops *)
+    match s.Ast.node with
+    | Ast.Call (callee, actuals) ->
+      let site =
+        { Callgraph.caller = u.Ast.uname; callee; call_sid = s.Ast.sid;
+          actuals }
+      in
+      let callee_summary = summaries callee in
+      List.iter
+        (fun (arr, acc) ->
+          match translate_access cg tbl site arr acc with
+          | Some (caller_array, acc) when visible caller_array ->
+            (* widen over our enclosing loops: any of our loop ivs in
+               the translated sections become ranges *)
+            let widen_sec sec =
+              List.map
+                (fun s1 ->
+                  match s1 with
+                  | Star -> Star
+                  | Point e -> dim_of_subscript ~allowed ~loops e
+                  | Range (a, b) -> (
+                    match
+                      ( dim_of_subscript ~allowed ~loops a,
+                        dim_of_subscript ~allowed ~loops b )
+                    with
+                    | Point a', Point b' -> Range (a', b')
+                    | Range (a', _), Range (_, b') -> Range (a', b')
+                    | Point a', Range (_, b') -> Range (a', b')
+                    | Range (a', _), Point b' -> Range (a', b')
+                    | _ -> Star))
+                sec
+            in
+            add_access table caller_array
+              {
+                sec_w = Option.map widen_sec acc.sec_w;
+                sec_r = Option.map widen_sec acc.sec_r;
+              }
+          | _ -> ())
+        (Option.value ~default:[] callee_summary);
+      (* unknown callee: every array actual and COMMON array is Star *)
+      if Option.is_none callee_summary then begin
+        let star_for a =
+          let rank = max 1 (List.length (Symbol.array_dims tbl a)) in
+          let sec = List.init rank (fun _ -> Star) in
+          add_access table a { sec_w = Some sec; sec_r = Some sec }
+        in
         List.iter
-          (fun (arr, acc) ->
-            match translate_access cg tbl site arr acc with
-            | Some (caller_array, acc) when visible caller_array ->
-              (* widen over our enclosing loops: any of our loop ivs in
-                 the translated sections become ranges *)
-              let widen_sec sec =
-                List.map
-                  (fun s1 ->
-                    match s1 with
-                    | Star -> Star
-                    | Point e -> dim_of_subscript ~allowed ~loops e
-                    | Range (a, b) -> (
-                      match
-                        ( dim_of_subscript ~allowed ~loops a,
-                          dim_of_subscript ~allowed ~loops b )
-                      with
-                      | Point a', Point b' -> Range (a', b')
-                      | Range (a', _), Range (_, b') -> Range (a', b')
-                      | Point a', Range (_, b') -> Range (a', b')
-                      | Range (a', _), Point b' -> Range (a', b')
-                      | _ -> Star))
-                  sec
-              in
-              add_access table caller_array
-                {
-                  sec_w = Option.map widen_sec acc.sec_w;
-                  sec_r = Option.map widen_sec acc.sec_r;
-                }
+          (fun e ->
+            match e with
+            | Ast.Var b | Ast.Index (b, _) ->
+              if Symbol.is_array tbl b && visible b then star_for b
             | _ -> ())
-          (Option.value ~default:[] callee_summary);
-        (* unknown callee: every array actual and COMMON array is Star *)
-        if Option.is_none callee_summary then begin
-          let star_for a =
-            let rank = max 1 (List.length (Symbol.array_dims tbl a)) in
-            let sec = List.init rank (fun _ -> Star) in
-            add_access table a { sec_w = Some sec; sec_r = Some sec }
-          in
-          List.iter
-            (fun e ->
-              match e with
-              | Ast.Var b | Ast.Index (b, _) ->
-                if Symbol.is_array tbl b && visible b then star_for b
-              | _ -> ())
-            actuals;
-          List.iter
-            (fun (i : Symbol.info) ->
-              if i.common <> None && Symbol.is_array tbl i.name then
-                star_for i.name)
-            (Symbol.infos tbl)
-        end
-      | _ -> ())
-    u.Ast.body;
+          actuals;
+        List.iter
+          (fun (i : Symbol.info) ->
+            if i.common <> None && Symbol.is_array tbl i.name then
+              star_for i.name)
+          (Symbol.infos tbl)
+      end
+    | _ -> ()
+  in
+  let rec walk loops stmts =
+    List.iter
+      (fun (s : Ast.stmt) ->
+        visit loops s;
+        match s.Ast.node with
+        | Ast.Do (h, body) -> walk (loops @ [ h ]) body
+        | Ast.If (branches, els) ->
+          List.iter (fun (_, body) -> walk loops body) branches;
+          walk loops els
+        | _ -> ())
+      stmts
+  in
+  walk [] u.Ast.body;
   Hashtbl.fold (fun a acc l -> (a, acc) :: l) table []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
