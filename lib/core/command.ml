@@ -15,7 +15,8 @@ let help_text =
       "  why N | why sA:sB   (provenance of a dependence / of its absence)";
       "  why slow [sN]       (run and diagnose parallel performance)";
       "  explain T ARGS      (diagnosis plus the blocking edges' provenance)";
-      "  preview T ARGS | apply T ARGS [!] | edit sN TEXT | undo | redo | history";
+      "  preview T ARGS | apply T ARGS [!] | edit sN TEXT";
+      "  undo | redo | history   (edits, transformations, assertions, marks, privates)";
       "  diff (changes vs the loaded program) | write FILE";
       "  estimate [P] | advise | simulate [P] [seq|reverse|shuffle [SEED]]";
       "  engine (incremental-analysis cache statistics)";

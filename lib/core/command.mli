@@ -27,8 +27,11 @@
     preview T ARGS            power-steering diagnosis only
     apply T ARGS [!]          apply transformation ([!] forces unsafe)
     edit sN TEXT              replace statement sN with parsed TEXT
-    undo                      revert the last change
-    history                   the transformations applied so far
+    undo                      revert the last change: an edit, a
+                              transformation, an assertion, a mark
+                              or a private declaration
+    redo                      re-apply the last undone change
+    history                   the changes undo can revert, newest first
     diff                      changed source lines vs the loaded program
     write FILE                save the (transformed) program as Fortran
     estimate [P]              static cost/speedup estimate
