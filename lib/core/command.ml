@@ -408,10 +408,10 @@ let run (t : Session.t) (line : string) : string =
     | None -> "error: bad transformation arguments")
   | "edit" :: s :: rest when rest <> [] -> (
     match parse_sid t s with
-    | Some sid -> (
+    | Some sid ->
       answer
         (Session.edit_stmt t sid (String.concat " " rest))
-        (Printf.sprintf "statement s%d replaced" sid))
+        (Printf.sprintf "statement s%d replaced" sid)
     | None -> "error: usage: edit sN TEXT")
   | "history" :: _ -> (
     match Session.history t with
